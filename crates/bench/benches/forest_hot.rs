@@ -73,8 +73,8 @@ fn bench_partial_iteration(c: &mut Criterion) {
         b.iter(|| {
             step += 1;
             let refitted = forest.update(&kinds, &train, &y, 8, step);
-            cache.refresh(&forest, &pool, &refitted);
-            black_box(cache.predictions())
+            cache.refresh(&forest, &refitted);
+            black_box(cache.predictions(&forest))
         });
     });
     group.finish();

@@ -23,9 +23,9 @@
 //! `--out` (default `BENCH_forest.json`) under the `pwu-bench-forest-v3`
 //! schema (v2 added the `fast/`-prefixed [`FitMode::Fast`] engine entries,
 //! recorded in the same run as the exact entries so the interleaved-timing
-//! methodology stays comparable; v3 added the flat-layout fast *predict*
-//! entries, whose baseline is the fast engine with the exact predict
-//! kernel); the measurement results go to
+//! methodology stays comparable; v3 added the fast *predict* and fast
+//! partial-refit iteration entries, whose baseline is the same frozen
+//! reference path); the measurement results go to
 //! `--measure-out` (default `BENCH_measure.json`) under
 //! `pwu-bench-measure-v1`. Both reports are
 //! `{"schema":...,"mode":...,"results":[{name, baseline_ns, optimized_ns,
@@ -176,14 +176,10 @@ fn bench_predict_batch(samples: usize) -> Row {
     }
 }
 
-/// The fast *predict* engine vs the same fast-fitted trees scored through
-/// the exact pointer-descent kernel: both sides hold bitwise-identical
-/// trees (the baseline is the optimized forest retagged
-/// [`FitMode::Exact`], which drops only the flat predict layout), so the
-/// ratio isolates the flat-node layout + blocked descent + lane fold from
-/// any fit-side difference. This is "the current fast engine (exact
-/// predict)" baseline: what PR 9 shipped.
-fn bench_fast_predict_batch(samples: usize) -> Row {
+/// Fast-mode batch prediction (flat layout, lane fold) vs the frozen
+/// reference path scoring the same fast-fitted trees row by row — the
+/// baseline `predict_batch/pool4000_d12` uses for an exact forest.
+fn bench_fast_batch_predict(samples: usize) -> Row {
     let d = 12;
     let (_, x, y) = data(500, d, 21);
     let kinds = vec![FeatureKind::Numeric; d];
@@ -192,12 +188,11 @@ fn bench_fast_predict_batch(samples: usize) -> Row {
         ..ForestConfig::default()
     };
     let fast = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 3);
-    let exact_kernel = fast.clone().with_fit_mode(FitMode::Exact);
-    let (_, pool, _) = data(4000, d, 22);
+    let (pool_rows, pool, _) = data(4000, d, 22);
     let (baseline_ns, optimized_ns) = time_pair(
         samples,
         || {
-            std::hint::black_box(exact_kernel.predict_batch(&pool));
+            std::hint::black_box(reference::predict_batch(&fast, &pool_rows));
         },
         || {
             std::hint::black_box(fast.predict_batch(&pool));
@@ -210,52 +205,44 @@ fn bench_fast_predict_batch(samples: usize) -> Row {
     }
 }
 
-/// One `RefitMode::Partial(8)` iteration at fast-engine settings, flat
-/// predict on vs off: both sides fast-fit 8 replacement trees and rescore
-/// the pool through the incremental [`PoolScoreCache`]; the baseline keeps
-/// the pointer predict kernel (`with_flat_predict(false)` — the pre-flat
-/// fast engine), the optimized side refreshes and folds through the flat
-/// layout. The remaining gap is exactly what the flat predict path buys an
-/// end-to-end tuning iteration.
+/// One `RefitMode::Partial(8)` iteration at fast-engine settings vs the
+/// frozen reference path, as `tuning_iteration/partial8` measures the exact
+/// engine: the baseline regrows 8 trees through [`reference::update`] and
+/// rescans the whole pool row by row; the optimized side fast-fits 8
+/// replacement trees, refreshes their columns in the incremental
+/// [`PoolScoreCache`] and folds the cache.
 ///
-/// The pool is 16k points — the large-candidate-pool regime that motivates
-/// the flat path (μ/σ over the whole pool every refit, on spaces whose
-/// exhaustive size runs to the tens of thousands). The 8-tree refit is
-/// pool-size-independent and bit-identical on both sides, so it dilutes
-/// the ratio at toy pool sizes; at realistic pool sizes the per-iteration
-/// cost is scoring-dominated and the pointer kernel's point-outer fold
-/// additionally falls out of cache, which is precisely the regime the
-/// flat layout is for.
+/// The pool is 16k points — the large-candidate-pool regime (μ/σ over the
+/// whole pool every refit, on spaces whose exhaustive size runs to the tens
+/// of thousands), where the per-iteration cost is scoring-dominated.
 fn bench_fast_tuning_iteration(samples: usize) -> Row {
     let d = 12;
-    let (_, train, y) = data(240, d, 31);
+    let (train_rows, train, y) = data(240, d, 31);
     let kinds = vec![FeatureKind::Numeric; d];
-    let (_, pool, _) = data(16000, d, 32);
+    let (pool_rows, pool, _) = data(16000, d, 32);
     let config = ForestConfig {
         fit_mode: FitMode::Fast,
         ..ForestConfig::default()
     };
     let forest = RandomForest::fit(&config, &kinds, &train, &y, 5);
 
-    let mut base_forest = forest.clone().with_flat_predict(false);
-    let mut base_cache = PoolScoreCache::build(&base_forest, &pool);
+    let mut base_forest = forest.clone();
     let mut base_step = 0u64;
+    let mut opt_cache = PoolScoreCache::build(&forest, &pool);
     let mut opt_forest = forest;
-    let mut opt_cache = PoolScoreCache::build(&opt_forest, &pool);
     let mut opt_step = 0u64;
     let (baseline_ns, optimized_ns) = time_pair(
         samples,
         || {
             base_step += 1;
-            let refitted = base_forest.update(&kinds, &train, &y, 8, base_step);
-            base_cache.refresh(&base_forest, &pool, &refitted);
-            std::hint::black_box(base_cache.predictions());
+            reference::update(&mut base_forest, &kinds, &train_rows, &y, 8, base_step);
+            std::hint::black_box(reference::predict_batch(&base_forest, &pool_rows));
         },
         || {
             opt_step += 1;
             let refitted = opt_forest.update(&kinds, &train, &y, 8, opt_step);
-            opt_cache.refresh(&opt_forest, &pool, &refitted);
-            std::hint::black_box(opt_cache.predictions());
+            opt_cache.refresh(&opt_forest, &refitted);
+            std::hint::black_box(opt_cache.predictions(&opt_forest));
         },
     );
     Row {
@@ -294,8 +281,8 @@ fn bench_tuning_iteration(samples: usize) -> Row {
         || {
             opt_step += 1;
             let refitted = opt_forest.update(&kinds, &train, &y, 8, opt_step);
-            opt_cache.refresh(&opt_forest, &pool, &refitted);
-            std::hint::black_box(opt_cache.predictions());
+            opt_cache.refresh(&opt_forest, &refitted);
+            std::hint::black_box(opt_cache.predictions(&opt_forest));
         },
     );
     Row {
@@ -471,7 +458,7 @@ fn main() {
         bench_fit_fast("fast/fit/n500_d20_t4", 500, 20, 4, samples),
         bench_predict_batch(samples),
         bench_tuning_iteration(samples),
-        bench_fast_predict_batch(samples),
+        bench_fast_batch_predict(samples),
         bench_fast_tuning_iteration(samples),
     ];
     print_table(&forest_results);

@@ -654,12 +654,11 @@ fn one_iteration(
         // only the refitted trees were re-walked after the last batch,
         // and the fold is bit-identical to `predict_batch`.
         let preds = {
-            let mode = if state.model.fast_predict() { "fast" } else { "exact" };
             let _s = pwu_obs::span(
                 "core.rescore",
                 [
                     ("pool", pwu_obs::Arg::u(state.pool.len() as u64)),
-                    ("mode", pwu_obs::Arg::s(mode)),
+                    ("mode", pwu_obs::Arg::s(state.model.config().fit_mode.token())),
                 ],
             );
             match config.refit {
@@ -668,7 +667,7 @@ fn one_iteration(
                     .get_or_insert_with(|| {
                         PoolScoreCache::build(&state.model, state.pool.features())
                     })
-                    .predictions(),
+                    .predictions(&state.model),
                 RefitMode::FromScratch => state.model.predict_batch(state.pool.features()),
             }
         };
@@ -743,7 +742,7 @@ fn one_iteration(
                 // Refresh only the regrown trees' pool scores: O(pool · n)
                 // instead of O(pool · n_trees).
                 if let Some(cache) = &mut state.scores {
-                    cache.refresh(&state.model, state.pool.features(), &refitted);
+                    cache.refresh(&state.model, &refitted);
                 }
             }
         }

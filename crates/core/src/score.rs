@@ -8,29 +8,20 @@
 //! `O(pool · n_refit)` refresh for the regrown trees plus an `O(pool ·
 //! n_trees)` fold — no tree traversals for the unchanged majority.
 //!
-//! The fold replicates whatever ensemble fold the model's predict kernel
-//! uses, so the cached scores are **bit-identical** to a fresh
-//! [`RandomForest::predict_batch`] call (asserted in tests and by the golden
-//! trajectory snapshot): the serial tree-order `sum`/`sum_sq` recurrence of
-//! [`RandomForest::predict_one`] for exact-kernel models, the lane fold
-//! ([`pwu_forest::fold_lanes`]) for fast-predict models. Which fold applies
-//! is recorded from [`RandomForest::fast_predict`] at build time and
-//! **resynchronized on every refresh** — an in-process
-//! `RandomForest::with_fit_mode` swap changes the model's fold without
-//! touching the trees, and a cache that kept folding the old way would
-//! serve stale scores (regression-tested in `fast_equivalence`). The
-//! resync alone is sufficient: per-tree columns are kernel-invariant
-//! bitwise (flat and pointer descents land on the same leaves), so only
-//! the fold needs to follow the mode. Pool removals are mirrored with the
-//! same descending-index `swap_remove` sequence
-//! [`Pool::take`](pwu_space::Pool::take) uses, keeping cache rows aligned
-//! with pool rows — including when a row leaves the pool for quarantine
-//! rather than the training set.
+//! The fold is the model's own ensemble fold ([`pwu_forest::fold_columns`],
+//! chosen by its fit mode), so the cached scores are **bit-identical** to a
+//! fresh [`RandomForest::predict_batch`] call (asserted in tests and by the
+//! golden trajectory snapshot). Per-tree columns carry no fold and are the
+//! same in every fit mode, so [`PoolScoreCache::predictions`] reads the fold
+//! from the model it is handed: a `RandomForest::with_fit_mode` swap needs
+//! no resync. Pool removals are mirrored with the same descending-index
+//! `swap_remove` sequence [`Pool::take`](pwu_space::Pool::take) uses,
+//! keeping cache rows aligned with pool rows — including when a row leaves
+//! the pool for quarantine rather than the training set.
 
 use pwu_forest::forest::Prediction;
 use pwu_forest::{RandomForest, StridedPool};
 use pwu_space::FeatureMatrix;
-use rayon::prelude::*;
 
 /// Per-tree predictions over the remaining pool rows.
 #[derive(Debug, Clone)]
@@ -38,19 +29,12 @@ pub struct PoolScoreCache {
     /// `per_tree[t][i]` = tree `t`'s prediction for pool row `i`.
     per_tree: Vec<Vec<f64>>,
     n_rows: usize,
-    /// Whether the model predicts through the fast flat layout — selects
-    /// which ensemble fold [`PoolScoreCache::predictions`] replicates.
-    /// Recorded at build and resynchronized by every
-    /// [`PoolScoreCache::refresh`], so a mid-session fit-mode swap cannot
-    /// leave the cache folding the wrong way.
-    fast: bool,
-    /// The pool pre-transposed into the flat kernel's stride records
-    /// (`Some` only while `fast`): the pool is static across refit
-    /// iterations apart from removals — which [`PoolScoreCache::remove`]
-    /// mirrors record-for-record — so each refresh descends the cached
-    /// records directly instead of re-transposing the pool. Dropped on a
-    /// swap to the exact kernel, rebuilt by the next fast refresh.
-    strided: Option<StridedPool>,
+    /// The pool pre-transposed into the flat kernel's stride records: the
+    /// pool is static across refit iterations apart from removals — which
+    /// [`PoolScoreCache::remove`] mirrors record-for-record — so each
+    /// refresh descends the cached records directly instead of
+    /// re-transposing the pool.
+    strided: StridedPool,
 }
 
 impl PoolScoreCache {
@@ -60,18 +44,15 @@ impl PoolScoreCache {
     /// Panics if `pool` is narrower than the model's features.
     #[must_use]
     pub fn build(model: &RandomForest, pool: &FeatureMatrix) -> Self {
-        let n_rows = pool.n_rows();
+        assert!(
+            pool.n_cols() >= model.n_features(),
+            "pool is narrower than the model's features"
+        );
         let all: Vec<usize> = (0..model.trees().len()).collect();
-        let fast = model.fast_predict();
-        let strided = if fast { StridedPool::new(pool) } else { None };
-        let per_tree = strided
-            .as_ref()
-            .and_then(|sp| model.predict_columns_strided(sp, &all))
-            .unwrap_or_else(|| model.predict_columns(pool, &all));
+        let strided = StridedPool::new(pool);
         Self {
-            per_tree,
-            n_rows,
-            fast,
+            per_tree: model.predict_columns_strided(&strided, &all),
+            n_rows: pool.n_rows(),
             strided,
         }
     }
@@ -86,38 +67,15 @@ impl PoolScoreCache {
     /// [`RandomForest::update`]); all other columns stay untouched.
     ///
     /// # Panics
-    /// Panics if `pool` disagrees with the cached row count or a tree index
-    /// is out of range.
-    pub fn refresh(&mut self, model: &RandomForest, pool: &FeatureMatrix, refitted: &[usize]) {
-        assert_eq!(pool.n_rows(), self.n_rows, "pool/cache row count mismatch");
+    /// Panics if the model's ensemble size changed or a tree index is out
+    /// of range.
+    pub fn refresh(&mut self, model: &RandomForest, refitted: &[usize]) {
         assert_eq!(
             model.trees().len(),
             self.per_tree.len(),
             "ensemble size changed under the cache"
         );
-        // Follow the model's current predict kernel: columns are
-        // kernel-invariant, so resyncing the fold flag is all a fit-mode
-        // swap requires — but without it, stale folds (see module docs).
-        // The strided pool follows the same resync: built on the first
-        // fast refresh (or a swap back to fast), dropped on a swap to
-        // exact so it cannot go stale while unmaintained.
-        self.fast = model.fast_predict();
-        if self.fast {
-            if self
-                .strided
-                .as_ref()
-                .is_none_or(|sp| sp.n_rows() != self.n_rows)
-            {
-                self.strided = StridedPool::new(pool);
-            }
-        } else {
-            self.strided = None;
-        }
-        let cols = self
-            .strided
-            .as_ref()
-            .and_then(|sp| model.predict_columns_strided(sp, refitted))
-            .unwrap_or_else(|| model.predict_columns(pool, refitted));
+        let cols = model.predict_columns_strided(&self.strided, refitted);
         for (&t, col) in refitted.iter().zip(cols) {
             self.per_tree[t] = col;
         }
@@ -144,52 +102,36 @@ impl PoolScoreCache {
             for col in &mut self.per_tree {
                 col.swap_remove(i);
             }
-            if let Some(sp) = &mut self.strided {
-                sp.swap_remove(i);
-            }
+            self.strided.swap_remove(i);
             self.n_rows -= 1;
         }
     }
 
-    /// Folds the cached per-tree predictions into `(μ, σ)` per pool row,
-    /// bit-identical to [`RandomForest::predict_batch`] on the same pool:
-    /// serial tree-order accumulation for exact-kernel models, the lane
-    /// fold ([`pwu_forest::fold_lanes`]) for fast-predict models.
+    /// Folds the cached per-tree predictions into `(μ, σ)` per pool row
+    /// with `model`'s ensemble fold — bit-identical to
+    /// [`RandomForest::predict_batch`] on the same pool.
+    ///
+    /// # Panics
+    /// Panics if `model`'s ensemble size differs from the cache's.
     #[must_use]
-    pub fn predictions(&self) -> Vec<Prediction> {
+    pub fn predictions(&self, model: &RandomForest) -> Vec<Prediction> {
+        assert_eq!(
+            model.trees().len(),
+            self.per_tree.len(),
+            "ensemble size changed under the cache"
+        );
         let n = self.per_tree.len() as f64;
-        let finish = |(sum, sum_sq): (f64, f64)| {
-            let mean = sum / n;
-            let var = (sum_sq / n - mean * mean).max(0.0);
-            Prediction {
-                mean,
-                std: var.sqrt(),
-            }
-        };
-        if self.fast {
-            // Blocked tree-outer lane fold — bit-identical per row to
-            // `fold_lanes` over the row's tree-order values (see its docs),
-            // but streams each cached column sequentially instead of
-            // gathering across every column per row.
-            pwu_forest::fold_columns(&self.per_tree, self.n_rows)
-                .into_iter()
-                .map(finish)
-                .collect()
-        } else {
-            (0..self.n_rows)
-                .into_par_iter()
-                .map(|i| {
-                    let mut sum = 0.0;
-                    let mut sum_sq = 0.0;
-                    for col in &self.per_tree {
-                        let p = col[i];
-                        sum += p;
-                        sum_sq += p * p;
-                    }
-                    finish((sum, sum_sq))
-                })
-                .collect()
-        }
+        pwu_forest::fold_columns(model.config().fit_mode, &self.per_tree, self.n_rows)
+            .into_iter()
+            .map(|(sum, sum_sq)| {
+                let mean = sum / n;
+                let var = (sum_sq / n - mean * mean).max(0.0);
+                Prediction {
+                    mean,
+                    std: var.sqrt(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -233,7 +175,7 @@ mod tests {
         };
         let model = RandomForest::fit(&config, &kinds, &x, &y, 7);
         let cache = PoolScoreCache::build(&model, &pool);
-        assert_bitwise_equal(&cache.predictions(), &model.predict_batch(&pool));
+        assert_bitwise_equal(&cache.predictions(&model), &model.predict_batch(&pool));
     }
 
     #[test]
@@ -249,8 +191,8 @@ mod tests {
         let (x2, y2, _) = problem(140, 4, 5);
         for step in 0..4u64 {
             let refitted = model.update(&kinds, &x2, &y2, 3, 100 + step);
-            cache.refresh(&model, &pool, &refitted);
-            assert_bitwise_equal(&cache.predictions(), &model.predict_batch(&pool));
+            cache.refresh(&model, &refitted);
+            assert_bitwise_equal(&cache.predictions(&model), &model.predict_batch(&pool));
             // Interleave removals like the selection loop does.
             let kill = vec![0, 5 + step as usize];
             cache.remove(&kill);
@@ -262,7 +204,7 @@ mod tests {
             }
             pool = FeatureMatrix::from_rows(4, &rows);
             assert_eq!(cache.n_rows(), pool.n_rows());
-            assert_bitwise_equal(&cache.predictions(), &model.predict_batch(&pool));
+            assert_bitwise_equal(&cache.predictions(&model), &model.predict_batch(&pool));
         }
     }
 

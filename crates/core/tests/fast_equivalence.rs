@@ -5,13 +5,10 @@
 //! quality matches, and every run is still a pure function of its seed.
 //! These tests are that contract, over the SPAPT kernel grid *and* the two
 //! Platform B application targets (kripke, hypre), plus the fold-dispatch
-//! regressions of the incremental pool-score cache. They run meaningfully
-//! under `--features fast-path` (`cargo xtask fast` drives them in both
-//! feature configs); without the feature `FitMode::Fast` falls back to the
-//! exact engine, so every delta below collapses to zero and the suite
-//! degenerates to a sanity check of the harness itself.
+//! regressions of the incremental pool-score cache (`cargo xtask fast`
+//! drives them).
 //!
-//! ε calibration (measured under `fast-path` on the committed protocol):
+//! ε calibration (measured on the committed protocol):
 //! per-seed trajectory-RMSE gaps on gesummv peaked at |0.46| with a mean of
 //! +0.08; per-kernel best-config deltas peaked at |1.25| (fdtd, one seed)
 //! with a mean of +0.02. The bounds below are ~2× those worst cases — loose
@@ -52,7 +49,7 @@ const EPS_QUALITY_KERNEL: f64 = 2.5;
 const APP_SEEDS: u64 = 6;
 
 /// Per-target bound on the *mean signed* relative RMSE gap over
-/// [`APP_SEEDS`] seeds. Measured under `fast-path`: kripke mean −0.06
+/// [`APP_SEEDS`] seeds. Measured: kripke mean −0.06
 /// (worst seed |0.16|), hypre mean −0.07 (worst |0.35|) — the fast engine
 /// actually runs slightly *ahead* on both application surfaces. The bound
 /// is ~4× the worst observed |mean|; the per-seed envelope stays at
@@ -249,37 +246,20 @@ fn fast_trajectories_are_deterministic_and_width_invariant() {
     }
 }
 
-/// The harness itself must exercise a genuinely different engine when the
-/// feature is on: at least one seed's fast trajectory must differ bitwise
-/// from its exact twin (they are allowed — expected — to diverge). Without
-/// the feature the stub falls back to exact and the trajectories collapse
-/// to equality, which this test also pins.
+/// The harness itself must exercise a genuinely different engine: at least
+/// one seed's fast trajectory must differ bitwise from its exact twin (they
+/// are allowed — expected — to diverge), else the suite is vacuous.
 #[test]
-fn fast_and_exact_trajectories_differ_iff_fast_path_is_compiled() {
-    // Gate on the *engine crate's* build, not this crate's feature:
-    // feature unification (e.g. `cargo test --workspace`) can compile
-    // pwu-forest's engine in while pwu-core's mirroring feature is off.
-    let engine_on = pwu_forest::FAST_PATH_COMPILED;
+fn fast_and_exact_trajectories_differ() {
     let kernel = kernel_by_name("gesummv").expect("kernel registered");
-    let mut any_diff = false;
-    for seed in 0..3u64 {
-        let exact = trajectory_fingerprint(&run_mode(&kernel, FitMode::Exact, seed));
-        let fast = trajectory_fingerprint(&run_mode(&kernel, FitMode::Fast, seed));
-        if engine_on {
-            any_diff |= exact != fast;
-        } else {
-            assert_eq!(
-                exact, fast,
-                "seed {seed}: without fast-path, FitMode::Fast must fall back to exact"
-            );
-        }
-    }
-    if engine_on {
-        assert!(
-            any_diff,
-            "fast engine never diverged from exact — the fast path is not being taken"
-        );
-    }
+    let any_diff = (0..3u64).any(|seed| {
+        trajectory_fingerprint(&run_mode(&kernel, FitMode::Exact, seed))
+            != trajectory_fingerprint(&run_mode(&kernel, FitMode::Fast, seed))
+    });
+    assert!(
+        any_diff,
+        "fast engine never diverged from exact — the fast path is not being taken"
+    );
 }
 
 /// Platform B extension: the statistical-equivalence contract must also
@@ -383,12 +363,11 @@ fn prediction_bits(preds: &[pwu_forest::forest::Prediction]) -> Vec<(u64, u64)> 
 }
 
 /// Regression test for the mid-session fit-mode swap: `with_fit_mode`
-/// changes which ensemble fold the model's predict kernel applies without
-/// touching the trees, so a [`PoolScoreCache`] built before the swap folds
-/// the *old* way — stale scores, observable as bitwise drift from
-/// `predict_batch` (under `fast-path`, where the folds actually differ).
-/// The cache resynchronizes its fold on every refresh, so the drift must
-/// vanish after `refresh` — even an empty one — in both swap directions.
+/// changes which ensemble fold the model applies without touching the
+/// trees. A [`PoolScoreCache`] built before the swap holds mode-independent
+/// columns and folds with the model it is handed, so its scores must match
+/// `predict_batch` bitwise right after the swap and after a refresh — even
+/// an empty one — in both swap directions.
 #[test]
 fn pool_score_cache_follows_a_mid_session_fit_mode_swap() {
     let (x, y, kinds) = cache_problem(140, 5, 71);
@@ -401,25 +380,22 @@ fn pool_score_cache_follows_a_mid_session_fit_mode_swap() {
     let mut model = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 7);
     let mut cache = PoolScoreCache::build(&model, &pool);
     assert_eq!(
-        prediction_bits(&cache.predictions()),
+        prediction_bits(&cache.predictions(&model)),
         prediction_bits(&model.predict_batch(&pool))
     );
     for (swap_to, label) in [(FitMode::Exact, "Fast→Exact"), (FitMode::Fast, "Exact→Fast")] {
         model = model.with_fit_mode(swap_to);
         let live = prediction_bits(&model.predict_batch(&pool));
-        if pwu_forest::FAST_PATH_COMPILED {
-            assert_ne!(
-                prediction_bits(&cache.predictions()),
-                live,
-                "{label}: an un-refreshed cache must be observably stale \
-                 (if it is not, this regression test has gone vacuous)"
-            );
-        }
-        cache.refresh(&model, &pool, &[]);
         assert_eq!(
-            prediction_bits(&cache.predictions()),
+            prediction_bits(&cache.predictions(&model)),
             live,
-            "{label}: refresh did not resynchronize the cache's fold"
+            "{label}: the cache did not fold with the swapped model's mode"
+        );
+        cache.refresh(&model, &[]);
+        assert_eq!(
+            prediction_bits(&cache.predictions(&model)),
+            live,
+            "{label}: an empty refresh changed the cache's scores"
         );
     }
 }
@@ -442,10 +418,10 @@ fn fast_pool_score_cache_is_width_and_deal_order_invariant() {
     let scored = || {
         let mut model = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 11);
         let mut cache = PoolScoreCache::build(&model, &pool);
-        let mut bits = prediction_bits(&cache.predictions());
+        let mut bits = prediction_bits(&cache.predictions(&model));
         let refitted = model.update(&kinds, &x2, &y2, 6, 300);
-        cache.refresh(&model, &pool, &refitted);
-        bits.extend(prediction_bits(&cache.predictions()));
+        cache.refresh(&model, &refitted);
+        bits.extend(prediction_bits(&cache.predictions(&model)));
         bits
     };
     let before = rayon::current_num_threads();

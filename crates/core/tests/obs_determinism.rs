@@ -201,24 +201,15 @@ fn tracing_and_sidecar_never_touch_trajectories_or_checkpoints() {
     assert!(!trace.deterministic_jsonl().contains("wall_ns"));
 }
 
-/// Every predict/score span carries the predict-kernel mode tag —
-/// `mode=fast` for flat-layout forests, `mode=exact` otherwise — so a
-/// trace shows *which* kernel served each batch, and the `pwu-trace
-/// summarize` parser still aggregates the tagged spans. Without the
-/// `fast-path` feature a Fast-mode session falls back to the exact
-/// kernel, and its spans must say so.
+/// Every predict/score span carries the fit-mode tag — `mode=exact` or
+/// `mode=fast`, straight from [`FitMode::token`] — so a trace shows which
+/// fold served each batch, and the `pwu-trace summarize` parser still
+/// aggregates the tagged spans.
 #[test]
 fn predict_and_rescore_spans_carry_the_kernel_mode() {
     let _guard = obs_lock();
     for fit_mode in [FitMode::Exact, FitMode::Fast] {
-        // Gate on the engine crate's build, not this crate's feature —
-        // feature unification can compile pwu-forest's engine in while
-        // pwu-core's mirroring feature is off (see fast_equivalence).
-        let want = if fit_mode == FitMode::Fast && pwu_forest::FAST_PATH_COMPILED {
-            "fast"
-        } else {
-            "exact"
-        };
+        let want = fit_mode.token();
         let (kernel, pool_cfgs, test_features, test_labels) = setup();
         let schema = FeatureSchema::for_space(kernel.space());
         let pool = Pool::new(kernel.space(), &schema, pool_cfgs);

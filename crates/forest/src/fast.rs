@@ -71,51 +71,11 @@ pub(crate) fn mean_leaf_variance(trees: &[RegressionTree]) -> f64 {
     }
 }
 
-#[cfg(feature = "fast-path")]
 pub(crate) use engine::{context_for, fit_tree_fast};
 
-#[cfg(feature = "fast-path")]
 #[doc(hidden)]
 pub use engine::calib;
 
-#[cfg(not(feature = "fast-path"))]
-mod stub {
-    use pwu_space::{FeatureKind, FeatureMatrix};
-    use pwu_stats::Xoshiro256PlusPlus;
-
-    use crate::hyper::ForestConfig;
-    use crate::tree::RegressionTree;
-
-    /// Uninhabited without the `fast-path` feature: `context_for` never
-    /// returns one, so `FitMode::Fast` falls back to the exact engine.
-    pub(crate) enum FastContext {}
-
-    pub(crate) fn context_for(
-        _config: &ForestConfig,
-        _x: &FeatureMatrix,
-        _kinds: &[FeatureKind],
-        _ranks: &[Vec<u32>],
-    ) -> Option<FastContext> {
-        None
-    }
-
-    pub(crate) fn fit_tree_fast(
-        _x: &FeatureMatrix,
-        _y: &[f64],
-        _rows: &[u32],
-        _config: &ForestConfig,
-        _rng: &mut Xoshiro256PlusPlus,
-        _ranks: &[Vec<u32>],
-        ctx: &FastContext,
-    ) -> RegressionTree {
-        match *ctx {}
-    }
-}
-
-#[cfg(not(feature = "fast-path"))]
-pub(crate) use stub::{context_for, fit_tree_fast};
-
-#[cfg(feature = "fast-path")]
 mod engine {
     use rand::Rng;
 

@@ -1,10 +1,11 @@
-//! Flat-node fast predict layout ([`crate::hyper::FitMode::Fast`]).
+//! Flat-node predict layout: the batch and column predict kernel of every
+//! forest.
 //!
-//! The exact predict kernel descends the pointer-style [`Node`] arena: every
-//! step matches an enum tag, dispatches on the [`SplitRule`] variant, and
-//! branches on the routing predicate — per-node branches on top of the
-//! dependent node load, with a bounds check on every arena access. This
-//! module compiles each fitted tree **once** into a flat breadth-first
+//! A fitted tree lives in the pointer-style [`Node`] arena the fit engines
+//! grow: descending it matches an enum tag, dispatches on the [`SplitRule`]
+//! variant, and branches on the routing predicate — per-node branches on top
+//! of the dependent node load, with a bounds check on every arena access.
+//! This module compiles each fitted tree **once** into a flat breadth-first
 //! layout whose descent step is fully branch-free *and* fully check-free,
 //! and batch-predicts through it:
 //!
@@ -24,8 +25,9 @@
 //!   at the node itself, `thresh = +∞` forces `go_left`), so the step never
 //!   asks "is this a leaf?". The decisions are bitwise identical to
 //!   [`SplitRule::goes_left`], so a flat descent lands on exactly the leaf
-//!   the pointer descent lands on — per-tree predictions are
-//!   **kernel-invariant** (asserted by the `flat_predict` suite).
+//!   the pointer descent lands on — per-tree predictions equal
+//!   [`RegressionTree::predict_at`] bit for bit (asserted by the
+//!   `flat_predict` suite).
 //! - **No bounds checks on the hot path** (the workspace forbids `unsafe`,
 //!   so the checks are *eliminated structurally*): the node array is padded
 //!   to a power-of-two length and indices masked with `len - 1`, rows live
@@ -33,7 +35,9 @@
 //!   by `STRIDE - 1`, and lane ids are compile-time literals of an unrolled
 //!   [`LANES`]-wide loop — every index is provably in range, so the
 //!   optimizer drops the checks. The masks are identities (real ids and
-//!   features are always in range), so routing is unchanged bitwise.
+//!   features are always in range), so routing is unchanged bitwise. The
+//!   widest stride is [`STRIDE_WIDE`] features; `RandomForest::fit`
+//!   rejects wider spaces ([`assert_width`]).
 //! - **Per-tree adaptive node strategy**: [`FlatTree::compile`] inspects
 //!   each fitted tree once and picks its layout — trees with no
 //!   categorical node take the packed [`NumNode`] records and a descent
@@ -47,14 +51,17 @@
 //!   settled lanes' surplus steps are idempotent self-loops, cheaper than
 //!   paying the movement reduction on every level.
 //!
-//! Only the *ensemble fold* distinguishes fast batch prediction from the
-//! exact kernel: per-tree leaf means are folded through four accumulator
-//! lanes ([`fold_lanes`]) instead of one serial chain, which breaks the
-//! floating-point add dependency that bounds the exact fold. The lane
-//! assignment is a pure function of the tree index, so fast predictions stay
-//! deterministic and width/deal-order invariant — just bitwise different
-//! from the exact fold, the same freedom the fast *fit* engine already
-//! exercises (DESIGN.md §14).
+//! The fit mode reaches this module in exactly one place, [`by_fold!`]: it
+//! picks the *ensemble fold*, the order in which per-tree values are summed
+//! into `(Σv, Σv²)`. [`FitMode::Exact`] folds serially in ascending tree
+//! order — bitwise the historical exact output of
+//! [`RandomForest::predict_one`](crate::RandomForest::predict_one).
+//! [`FitMode::Fast`] folds through [`FOLD_LANES`] accumulator lanes (tree
+//! `t` into lane `t % FOLD_LANES`, lanes combined pairwise), which rounds
+//! differently — still a pure function of the tree index, so fast
+//! predictions stay deterministic and width/deal-order invariant, the same
+//! freedom the fast *fit* engine already exercises (DESIGN.md §14). Per-tree
+//! columns carry no fold and are mode-independent.
 //!
 //! Two pieces serve the incremental pool-score cache's partial-refit loop:
 //! [`StridedPool`] keeps the (static) candidate pool pre-transposed into
@@ -68,6 +75,7 @@ use rayon::prelude::*;
 
 use pwu_space::FeatureMatrix;
 
+use crate::hyper::FitMode;
 use crate::split::SplitRule;
 use crate::tree::{Node, RegressionTree};
 
@@ -81,18 +89,38 @@ const LANES: usize = 16;
 /// lane `t % FOLD_LANES`; the lanes are combined pairwise at the end.
 const FOLD_LANES: usize = 4;
 
-/// Rows per parallel chunk (matches the exact kernel's chunking: large
-/// enough to amortize per-tree loop overhead, small enough that the chunk's
-/// row-major scratch and accumulators stay cache-resident).
+/// Evaluates `$body` with the const `$lanes` bound to the accumulator-lane
+/// count of `$mode`'s ensemble fold — the one place a fit mode chooses how
+/// predictions are folded. [`FitMode::Exact`] gets one lane: the serial
+/// ascending-tree-order `Σv`/`Σv²` recurrence, bitwise the historical exact
+/// fold. [`FitMode::Fast`] gets [`FOLD_LANES`]. The lane count is a const
+/// generic of every fold kernel, so each mode compiles to its own loop.
+macro_rules! by_fold {
+    ($mode:expr, $lanes:ident => $body:expr) => {
+        match $mode {
+            FitMode::Exact => {
+                const $lanes: usize = 1;
+                $body
+            }
+            FitMode::Fast => {
+                const $lanes: usize = FOLD_LANES;
+                $body
+            }
+        }
+    };
+}
+
+/// Rows per parallel chunk: large enough to amortize per-tree loop
+/// overhead, small enough that the chunk's row-major scratch and
+/// accumulators stay cache-resident.
 const CHUNK: usize = 512;
 
 /// Row-record stride of the narrow fixed-stride path (`d <= 16`, the
 /// common tuning-space width).
 const STRIDE_NARROW: usize = 16;
 
-/// Row-record stride of the wide fixed-stride path (`d <= 64`). Wider
-/// feature spaces fall back to the exact kernel's chunked pointer descent —
-/// see [`supports_width`].
+/// Row-record stride of the wide fixed-stride path (`d <= 64`), the widest
+/// space the kernel covers — see [`assert_width`].
 const STRIDE_WIDE: usize = 64;
 
 /// Descent levels advanced per settled-check in the all-numeric kernel.
@@ -159,46 +187,33 @@ pub(crate) struct FlatTree {
 }
 
 impl FlatTree {
-    /// Compiles one fitted tree. The arena is preorder; the flat copy is
-    /// breadth-first with children pushed consecutively, which yields the
-    /// `right = kid + 1` adjacency by construction.
+    /// Compiles one fitted tree in a single breadth-first pass. The arena
+    /// is preorder; the flat copy is breadth-first with children pushed
+    /// consecutively, so an internal node's children get the next two flat
+    /// ids at the moment it is visited — the `right = kid + 1` adjacency
+    /// holds by construction.
     fn compile(tree: &RegressionTree) -> Self {
         let arena = tree.nodes();
         let n = arena.len();
-        // BFS order of arena indices; `order[flat_id] = arena_id`.
+        // BFS queue of arena ids; its index is the flat id.
         let mut order: Vec<u32> = Vec::with_capacity(n);
         order.push(0);
-        let mut head = 0usize;
-        while head < order.len() {
-            if let Node::Internal { left, right, .. } = arena[order[head] as usize] {
-                order.push(left);
-                order.push(right);
-            }
-            head += 1;
-        }
-        debug_assert_eq!(order.len(), n, "every arena node reachable exactly once");
-        // `flat_of[arena_id] = flat_id` for child-pointer rewriting.
-        let mut flat_of = vec![0u32; n];
-        for (flat_id, &arena_id) in order.iter().enumerate() {
-            flat_of[arena_id as usize] = flat_id as u32;
-        }
         let mut nodes = Vec::with_capacity(n.next_power_of_two());
         let mut mean = vec![0.0f64; n];
         let mut second = vec![0.0f64; n];
         let mut numeric = true;
-        for (flat_id, &arena_id) in order.iter().enumerate() {
-            match arena[arena_id as usize] {
+        let mut head = 0usize;
+        while head < order.len() {
+            match arena[order[head] as usize] {
                 Node::Internal {
                     feature,
                     rule,
                     left,
                     right,
                 } => {
-                    debug_assert_eq!(
-                        flat_of[right as usize],
-                        flat_of[left as usize] + 1,
-                        "BFS children must be adjacent"
-                    );
+                    let kid = order.len() as u32;
+                    order.push(left);
+                    order.push(right);
                     let (thresh, mask) = match rule {
                         SplitRule::Threshold(t) => (t, 0u64),
                         SplitRule::Categories(m) => {
@@ -208,7 +223,7 @@ impl FlatTree {
                     };
                     nodes.push(FlatNode {
                         feat: feature,
-                        kid: flat_of[left as usize],
+                        kid,
                         thresh,
                         mask,
                     });
@@ -216,15 +231,17 @@ impl FlatTree {
                 Node::Leaf(stats) => {
                     nodes.push(FlatNode {
                         feat: 0,
-                        kid: flat_id as u32,
+                        kid: head as u32,
                         thresh: f64::INFINITY,
                         mask: 0,
                     });
-                    mean[flat_id] = stats.mean;
-                    second[flat_id] = stats.variance + stats.mean * stats.mean;
+                    mean[head] = stats.mean;
+                    second[head] = stats.variance + stats.mean * stats.mean;
                 }
             }
+            head += 1;
         }
+        debug_assert_eq!(order.len(), n, "every arena node reachable exactly once");
         // Pad to a power of two with unreachable self-looping leaves so the
         // descent can mask node indices (`ix & (len - 1)`) instead of
         // bounds-checking them. The mask is an identity for real ids.
@@ -356,116 +373,111 @@ impl FlatTree {
     }
 }
 
-/// Whether the flat kernel covers this feature width. Spaces wider than
-/// [`STRIDE_WIDE`] (none of the paper's — SPAPT peaks at ~20 features)
-/// would need bounds-checked row gathers, so the forest skips compiling
-/// the flat layout and keeps the exact kernel, `fast_predict() == false`.
-pub(crate) fn supports_width(d: usize) -> bool {
-    d <= STRIDE_WIDE
+/// Rejects feature spaces wider than the flat kernel's widest row stride.
+///
+/// # Panics
+/// Panics if `d` exceeds [`STRIDE_WIDE`] (64) features. No built-in target
+/// comes close (the widest SPAPT kernel has 36), and bounds-check-free row
+/// gathers need the fixed stride.
+pub(crate) fn assert_width(d: usize) {
+    assert!(
+        d <= STRIDE_WIDE,
+        "feature width {d} exceeds the flat predict kernel's {STRIDE_WIDE}-feature stride"
+    );
 }
 
-/// Every tree of a fast-mode forest compiled to the flat layout.
+/// Every tree of a fitted forest compiled to the flat layout.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatForest {
     trees: Vec<FlatTree>,
 }
 
-/// Combines the [`FOLD_LANES`] accumulator lanes pairwise — the single
-/// place that fixes the fast fold's reduction order.
+/// Per-row fold state: `[sums, squares]`, one slot per accumulator lane,
+/// contiguous so a row's whole fold state shares a cache line.
+type Acc<const L: usize> = [[f64; L]; 2];
+
+/// Combines the accumulator lanes of a fold: one lane is the serial sum
+/// itself, [`FOLD_LANES`] lanes combine pairwise — the single place that
+/// fixes the lane reduction order.
 #[inline]
-fn combine(l: &[f64; FOLD_LANES]) -> f64 {
-    (l[0] + l[1]) + (l[2] + l[3])
+fn combine<const L: usize>(l: &[f64; L]) -> f64 {
+    match l.as_slice() {
+        [s] => *s,
+        [a, b, c, d] => (a + b) + (c + d),
+        _ => unreachable!("fold lane counts are 1 and FOLD_LANES"),
+    }
 }
 
-/// Folds per-tree values through [`FOLD_LANES`] accumulator lanes (tree `t`
-/// into lane `t % FOLD_LANES`, lanes combined pairwise): the fast ensemble
-/// fold. Returns `(Σv, Σv²)`. [`PoolScoreCache`] folds its cached columns
-/// through this exact function so cached fast scores stay bit-identical to
-/// a fresh fast `predict_batch` — the fold order is a pure function of the
-/// tree index, never of the schedule.
-///
-/// [`PoolScoreCache`]: ../../pwu_core/struct.PoolScoreCache.html
-pub fn fold_lanes(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
-    // Pulled one lane-quad per round so each accumulator is a named local
-    // (registers, four independent add chains) rather than an indexed
-    // array slot; the per-lane accumulation order is identical to the
-    // obvious `s[t % FOLD_LANES] += v` loop.
-    let mut s = [0.0f64; FOLD_LANES];
-    let mut ss = [0.0f64; FOLD_LANES];
-    let mut it = values.into_iter();
-    'quads: loop {
-        for lane in 0..FOLD_LANES {
-            let Some(v) = it.next() else { break 'quads };
-            s[lane] += v;
-            ss[lane] += v * v;
-        }
+/// Folds per-tree values (in tree order) the way `mode`'s predictions do
+/// (`by_fold!`): returns `(Σv, Σv²)`. This is the scalar statement of
+/// the fold every batch kernel and the pool-score cache reproduce bit for
+/// bit — the fold order is a pure function of the tree index, never of the
+/// schedule.
+pub fn fold_lanes(mode: FitMode, values: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    by_fold!(mode, L => fold_lanes_n::<L>(values))
+}
+
+fn fold_lanes_n<const L: usize>(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    let mut acc: Acc<L> = [[0.0; L]; 2];
+    for (t, v) in values.into_iter().enumerate() {
+        acc[0][t % L] += v;
+        acc[1][t % L] += v * v;
     }
-    (combine(&s), combine(&ss))
+    (combine(&acc[0]), combine(&acc[1]))
 }
 
 /// Folds cached per-tree prediction columns into per-row `(Σv, Σv²)` pairs,
-/// bit-identical to calling [`fold_lanes`] on each row's tree-order values
-/// but blocked for throughput: rows are chunked, and within a chunk the
-/// loop runs **tree-outer**, streaming each column sequentially into the
-/// chunk's lane accumulators. Per lane the accumulation order is still
-/// ascending tree order — exactly [`fold_lanes`]' order — so the result is
-/// bitwise identical; what changes is the memory pattern (sequential column
-/// reads and check-free slice zips instead of a strided, bounds-checked
-/// gather across every column per row).
+/// bit-identical to calling [`fold_lanes`] with the same `mode` on each
+/// row's tree-order values but blocked for throughput: rows are chunked,
+/// and within a chunk the loop runs **tree-outer**, streaming each column
+/// sequentially into the chunk's lane accumulators. Per lane the
+/// accumulation order is still ascending tree order — exactly
+/// [`fold_lanes`]' order — so the result is bitwise identical; what changes
+/// is the memory pattern (sequential column reads and check-free slice zips
+/// instead of a strided, bounds-checked gather across every column per row).
 ///
 /// # Panics
 /// Panics if a column's length differs from `n_rows`.
 #[must_use]
-pub fn fold_columns(columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
+pub fn fold_columns(mode: FitMode, columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
     for col in columns {
         assert_eq!(col.len(), n_rows, "ragged prediction column");
     }
+    by_fold!(mode, L => fold_columns_n::<L>(columns, n_rows))
+}
+
+fn fold_columns_n<const L: usize>(columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
     let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
     let per_chunk: Vec<Vec<(f64, f64)>> = starts
         .par_iter()
         .map(|&lo| {
             let m = CHUNK.min(n_rows - lo);
-            let mut acc = vec![[0.0f64; 2 * FOLD_LANES]; m];
-            // Whole lane-quads of trees per pass: the four lane indices are
-            // literals, so the updates are straight-line code over four
-            // sequential column streams. Tree `4k + l` still lands in lane
-            // `l` with `k` ascending — `fold_lanes`' exact per-lane order.
-            let mut quads = columns.chunks_exact(FOLD_LANES);
-            for quad in &mut quads {
-                let acc = &mut acc[..m];
-                let c0 = &quad[0][lo..lo + m];
-                let c1 = &quad[1][lo..lo + m];
-                let c2 = &quad[2][lo..lo + m];
-                let c3 = &quad[3][lo..lo + m];
-                for j in 0..m {
-                    let a = &mut acc[j];
-                    let (v0, v1, v2, v3) = (c0[j], c1[j], c2[j], c3[j]);
-                    a[0] += v0;
-                    a[1] += v1;
-                    a[2] += v2;
-                    a[3] += v3;
-                    a[FOLD_LANES] += v0 * v0;
-                    a[FOLD_LANES + 1] += v1 * v1;
-                    a[FOLD_LANES + 2] += v2 * v2;
-                    a[FOLD_LANES + 3] += v3 * v3;
+            let mut acc: Vec<Acc<L>> = vec![[[0.0; L]; 2]; m];
+            // Whole rounds of `L` trees per pass: the lane indices are
+            // literals after unrolling, so the updates are straight-line
+            // code over `L` sequential column streams. Tree `L·k + l` still
+            // lands in lane `l` with `k` ascending — `fold_lanes`' exact
+            // per-lane order.
+            for round in columns.chunks_exact(L) {
+                let cols: [&[f64]; L] = std::array::from_fn(|l| &round[l][lo..lo + m]);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    for (l, col) in cols.iter().enumerate() {
+                        let v = col[j];
+                        a[0][l] += v;
+                        a[1][l] += v * v;
+                    }
                 }
             }
             // Leftover trees: their global index is ≡ their remainder
-            // index mod FOLD_LANES (the quads consumed a multiple of it).
-            for (lane, col) in quads.remainder().iter().enumerate() {
+            // index mod L (the rounds consumed a multiple of it).
+            for (lane, col) in columns.chunks_exact(L).remainder().iter().enumerate() {
                 for (a, &v) in acc.iter_mut().zip(&col[lo..lo + m]) {
-                    a[lane] += v;
-                    a[FOLD_LANES + lane] += v * v;
+                    a[0][lane] += v;
+                    a[1][lane] += v * v;
                 }
             }
             acc.iter()
-                .map(|a| {
-                    let (s, ss) = a.split_at(FOLD_LANES);
-                    (
-                        combine(s.try_into().expect("lane count")),
-                        combine(ss.try_into().expect("lane count")),
-                    )
-                })
+                .map(|a| (combine(&a[0]), combine(&a[1])))
                 .collect()
         })
         .collect();
@@ -519,25 +531,21 @@ enum StridedRepr {
 
 impl StridedPool {
     /// Transposes `x` into stride records, choosing the narrow or wide
-    /// stride by width. `None` for spaces wider than the flat kernel
-    /// covers ([`RandomForest::fast_predict`] is false there too, so
-    /// callers fall back to the pointer kernel consistently).
+    /// stride by width.
     ///
-    /// [`RandomForest::fast_predict`]: crate::RandomForest::fast_predict
+    /// # Panics
+    /// Panics if `x` is wider than 64 features, the widest space a forest
+    /// can be fitted on.
     #[must_use]
-    pub fn new(x: &FeatureMatrix) -> Option<Self> {
+    pub fn new(x: &FeatureMatrix) -> Self {
         let n = x.n_rows();
-        if x.n_cols() <= STRIDE_NARROW {
-            Some(Self {
-                repr: StridedRepr::Narrow(transpose::<STRIDE_NARROW>(x, 0, n)),
-            })
-        } else if supports_width(x.n_cols()) {
-            Some(Self {
-                repr: StridedRepr::Wide(transpose::<STRIDE_WIDE>(x, 0, n)),
-            })
+        let repr = if x.n_cols() <= STRIDE_NARROW {
+            StridedRepr::Narrow(transpose::<STRIDE_NARROW>(x, 0, n))
         } else {
-            None
-        }
+            assert_width(x.n_cols());
+            StridedRepr::Wide(transpose::<STRIDE_WIDE>(x, 0, n))
+        };
+        Self { repr }
     }
 
     /// Number of row records.
@@ -603,13 +611,13 @@ fn stitch_columns(n_rows: usize, n_cols: usize, per_chunk: Vec<Vec<Vec<f64>>>) -
 }
 
 impl FlatForest {
-    /// Compiles every tree of a fitted ensemble.
+    /// Compiles every tree of a fitted ensemble. Sequential: compiling is
+    /// one linear pass per tree, cheaper than handing the trees to the
+    /// work pool on every fit.
     pub(crate) fn compile(trees: &[RegressionTree]) -> Self {
-        // Compiling is O(total nodes) per tree with no cross-tree state, so
-        // refits amortize it; parallelizing keeps full-forest compiles off
-        // the critical path of `fit` at large tree counts.
-        let trees: Vec<FlatTree> = trees.par_iter().map(FlatTree::compile).collect();
-        Self { trees }
+        Self {
+            trees: trees.iter().map(FlatTree::compile).collect(),
+        }
     }
 
     /// Recompiles one tree after a partial update.
@@ -621,28 +629,28 @@ impl FlatForest {
     /// `PWU_THREADS` pool, each chunk is transposed once into fixed-stride
     /// row records, and every tree descends the chunk [`LANES`] rows at a
     /// time. Per row, `terms(tree, leaf)`'s `(value, square)` pair
-    /// accumulates into lane `t % FOLD_LANES` of `(Σv, Σv²)`-style
-    /// accumulators, combined pairwise exactly like [`fold_lanes`]; the
-    /// result goes through `finish(sum, sum_sq, n_trees)`.
+    /// accumulates in `mode`'s fold order ([`by_fold!`], exactly like
+    /// [`fold_lanes`]); the result goes through
+    /// `finish(sum, sum_sq, n_trees)`.
     ///
     /// # Panics
-    /// Panics if the feature width exceeds [`STRIDE_WIDE`] (compilation is
-    /// gated on [`supports_width`], so a compiled layout never sees one).
-    pub(crate) fn fold_batch<T: Send>(
+    /// Panics if the feature width exceeds [`STRIDE_WIDE`].
+    fn fold_batch<T: Send>(
         &self,
+        mode: FitMode,
         x: &FeatureMatrix,
         terms: impl Fn(&FlatTree, usize) -> (f64, f64) + Sync,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
-        if x.n_cols() <= STRIDE_NARROW {
-            self.fold_batch_strided::<STRIDE_NARROW, T>(x, &terms, &finish)
+        by_fold!(mode, L => if x.n_cols() <= STRIDE_NARROW {
+            self.fold_batch_strided::<STRIDE_NARROW, L, T>(x, &terms, &finish)
         } else {
-            assert!(supports_width(x.n_cols()), "feature width exceeds the flat kernel");
-            self.fold_batch_strided::<STRIDE_WIDE, T>(x, &terms, &finish)
-        }
+            assert_width(x.n_cols());
+            self.fold_batch_strided::<STRIDE_WIDE, L, T>(x, &terms, &finish)
+        })
     }
 
-    fn fold_batch_strided<const S: usize, T: Send>(
+    fn fold_batch_strided<const S: usize, const L: usize, T: Send>(
         &self,
         x: &FeatureMatrix,
         terms: &(impl Fn(&FlatTree, usize) -> (f64, f64) + Sync),
@@ -657,13 +665,10 @@ impl FlatForest {
                 let end = (start + CHUNK).min(n_rows);
                 let m = end - start;
                 let buf = transpose::<S>(x, start, end);
-                // Per row: FOLD_LANES sum lanes then FOLD_LANES square
-                // lanes, contiguous so a row's whole fold state is one
-                // cache line.
-                let mut acc = vec![[0.0f64; 2 * FOLD_LANES]; m];
+                let mut acc: Vec<Acc<L>> = vec![[[0.0; L]; 2]; m];
                 let mut idx = [0u32; LANES];
                 for (t, tree) in self.trees.iter().enumerate() {
-                    let lane = t % FOLD_LANES;
+                    let lane = t % L;
                     for block in 0..m.div_ceil(LANES) {
                         let lo = block * LANES;
                         let k = LANES.min(m - lo);
@@ -672,20 +677,13 @@ impl FlatForest {
                         for (j, &leaf) in idx[..k].iter().enumerate() {
                             let (v, v2) = terms(tree, leaf as usize);
                             let a = &mut acc[lo + j];
-                            a[lane] += v;
-                            a[FOLD_LANES + lane] += v2;
+                            a[0][lane] += v;
+                            a[1][lane] += v2;
                         }
                     }
                 }
                 acc.iter()
-                    .map(|a| {
-                        let (s, ss) = a.split_at(FOLD_LANES);
-                        finish(
-                            combine(s.try_into().expect("lane count")),
-                            combine(ss.try_into().expect("lane count")),
-                            n,
-                        )
-                    })
+                    .map(|a| finish(combine(&a[0]), combine(&a[1]), n))
                     .collect()
             })
             .collect();
@@ -693,13 +691,15 @@ impl FlatForest {
     }
 
     /// Batch `(Σμ, Σμ²)` fold — the across-tree `(mean, std)` estimator's
-    /// input, lane-folded per [`fold_lanes`].
+    /// input, folded per [`fold_lanes`].
     pub(crate) fn fold_mu<T: Send>(
         &self,
+        mode: FitMode,
         x: &FeatureMatrix,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
         self.fold_batch(
+            mode,
             x,
             |tree, leaf| {
                 let m = tree.mean[leaf];
@@ -710,61 +710,34 @@ impl FlatForest {
     }
 
     /// Batch `(Σμ, Σ(σ² + μ²))` fold — the law-of-total-variance
-    /// estimator's input, lane-folded per [`fold_lanes`].
+    /// estimator's input, folded per [`fold_lanes`].
     pub(crate) fn fold_total_variance<T: Send>(
         &self,
+        mode: FitMode,
         x: &FeatureMatrix,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
-        self.fold_batch(x, |tree, leaf| (tree.mean[leaf], tree.second[leaf]), finish)
+        self.fold_batch(
+            mode,
+            x,
+            |tree, leaf| (tree.mean[leaf], tree.second[leaf]),
+            finish,
+        )
     }
 
-    /// Per-tree point-prediction columns through the flat layout:
-    /// `out[k][i]` is tree `tree_idx[k]`'s prediction for row `i`. Values
-    /// are bit-identical to the pointer kernel's
-    /// (`RegressionTree::predict_at`) — the descent decisions match
-    /// bitwise, and the column holds raw leaf means, no fold — so the
-    /// incremental pool-score cache can refresh through whichever kernel
-    /// the model currently uses.
+    /// Per-tree point-prediction columns over a pool held in stride
+    /// records: `out[k][i]` is tree `tree_idx[k]`'s prediction for row `i`.
+    /// Values are bit-identical to [`RegressionTree::predict_at`] — the
+    /// descent decisions match bitwise, and the column holds raw leaf
+    /// means, no fold — so columns are the same in every fit mode.
     ///
     /// # Panics
-    /// Panics if the feature width exceeds [`STRIDE_WIDE`] (compilation is
-    /// gated on [`supports_width`]) or a tree index is out of range.
-    pub(crate) fn columns(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        if x.n_cols() <= STRIDE_NARROW {
-            self.columns_strided::<STRIDE_NARROW>(x, tree_idx)
-        } else {
-            assert!(supports_width(x.n_cols()), "feature width exceeds the flat kernel");
-            self.columns_strided::<STRIDE_WIDE>(x, tree_idx)
-        }
-    }
-
-    fn columns_strided<const S: usize>(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        let n_rows = x.n_rows();
-        let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-        // Chunk-parallel with the trees inner, like `fold_batch_strided`:
-        // each chunk is transposed exactly once no matter how many columns
-        // are requested (tree-outer grouping would repeat the transpose per
-        // group, a visible fraction of a partial refresh's work).
-        let per_chunk: Vec<Vec<Vec<f64>>> = starts
-            .par_iter()
-            .map(|&start| {
-                let end = (start + CHUNK).min(n_rows);
-                let buf = transpose::<S>(x, start, end);
-                columns_chunk(&self.trees, tree_idx, &buf)
-            })
-            .collect();
-        stitch_columns(n_rows, tree_idx.len(), per_chunk)
-    }
-
-    /// [`FlatForest::columns`] over a pre-transposed pool: the descent
-    /// reads [`StridedPool`]'s records directly, so a refresh pays zero
-    /// transpose work. Values are bit-identical to [`FlatForest::columns`]
-    /// on the equivalent [`FeatureMatrix`] — the records hold the same
-    /// feature values the per-call transpose would produce.
-    pub(crate) fn columns_pre(&self, pool: &StridedPool, tree_idx: &[usize]) -> Vec<Vec<f64>> {
+    /// Panics if a tree index is out of range.
+    pub(crate) fn columns(&self, pool: &StridedPool, tree_idx: &[usize]) -> Vec<Vec<f64>> {
         match &pool.repr {
-            StridedRepr::Narrow(records) => self.columns_records::<STRIDE_NARROW>(records, tree_idx),
+            StridedRepr::Narrow(records) => {
+                self.columns_records::<STRIDE_NARROW>(records, tree_idx)
+            }
             StridedRepr::Wide(records) => self.columns_records::<STRIDE_WIDE>(records, tree_idx),
         }
     }
@@ -866,20 +839,30 @@ mod tests {
         }
     }
 
-    /// The lane fold is a pure function of the value sequence and combines
-    /// the obvious small cases exactly.
+    /// The folds are pure functions of the value sequence and combine the
+    /// obvious small cases exactly; the exact fold is the serial sum.
     #[test]
     fn fold_lanes_is_deterministic_and_exact_on_small_inputs() {
-        let (s, ss) = fold_lanes([2.0, 3.0]);
-        assert_eq!(s, 5.0);
-        assert_eq!(ss, 13.0);
         let vals: Vec<f64> = (0..17).map(|i| f64::from(i) * 0.25 + 0.1).collect();
-        assert_eq!(fold_lanes(vals.clone()), fold_lanes(vals));
+        for mode in [FitMode::Exact, FitMode::Fast] {
+            assert_eq!(fold_lanes(mode, [2.0, 3.0]), (5.0, 13.0));
+            assert_eq!(
+                fold_lanes(mode, vals.clone()),
+                fold_lanes(mode, vals.clone())
+            );
+        }
+        let (mut s, mut ss) = (0.0, 0.0);
+        for &v in &vals {
+            s += v;
+            ss += v * v;
+        }
+        assert_eq!(fold_lanes(FitMode::Exact, vals), (s, ss));
     }
 
     /// The blocked tree-outer column fold must be bitwise identical to the
-    /// per-row lane fold it replaces — including at chunk boundaries, tail
-    /// chunks, and tree counts that don't divide the lane count.
+    /// per-row fold it replaces, in both fit modes — including at chunk
+    /// boundaries, tail chunks, and tree counts that don't divide the lane
+    /// count.
     #[test]
     fn fold_columns_matches_fold_lanes_bitwise() {
         let mut rng = Xoshiro256PlusPlus::new(29);
@@ -887,12 +870,22 @@ mod tests {
             let columns: Vec<Vec<f64>> = (0..n_trees)
                 .map(|_| (0..n_rows).map(|_| rng.next_f64() * 20.0 - 10.0).collect())
                 .collect();
-            let folded = fold_columns(&columns, n_rows);
-            assert_eq!(folded.len(), n_rows);
-            for (i, &(s, ss)) in folded.iter().enumerate() {
-                let (es, ess) = fold_lanes(columns.iter().map(|col| col[i]));
-                assert_eq!(s.to_bits(), es.to_bits(), "sum, {n_trees} trees, row {i}");
-                assert_eq!(ss.to_bits(), ess.to_bits(), "sum_sq, {n_trees} trees, row {i}");
+            for mode in [FitMode::Exact, FitMode::Fast] {
+                let folded = fold_columns(mode, &columns, n_rows);
+                assert_eq!(folded.len(), n_rows);
+                for (i, &(s, ss)) in folded.iter().enumerate() {
+                    let (es, ess) = fold_lanes(mode, columns.iter().map(|col| col[i]));
+                    assert_eq!(
+                        s.to_bits(),
+                        es.to_bits(),
+                        "{mode:?} sum, {n_trees} trees, row {i}"
+                    );
+                    assert_eq!(
+                        ss.to_bits(),
+                        ess.to_bits(),
+                        "{mode:?} sum_sq, {n_trees} trees, row {i}"
+                    );
+                }
             }
         }
     }

@@ -6,7 +6,7 @@ use rayon::prelude::*;
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
-use crate::flat::StridedPool;
+use crate::flat::{FlatForest, StridedPool};
 use crate::hyper::{FitMode, ForestConfig};
 use crate::tree::RegressionTree;
 
@@ -44,10 +44,10 @@ pub struct RandomForest {
     trees: Vec<RegressionTree>,
     /// Per-tree out-of-bag row indices (empty when `bootstrap` is off).
     oob_rows: Vec<Vec<u32>>,
-    /// Flat-node predict layout, compiled when the forest was fitted in
-    /// [`FitMode::Fast`] with the `fast-path` feature on ([`crate::flat`]).
-    /// Kept in lock-step with `trees` by every mutation below.
-    flat: Option<crate::flat::FlatForest>,
+    /// Flat-node predict layout of `trees` ([`crate::flat`]), the batch and
+    /// column predict kernel. Kept in lock-step with `trees` by every
+    /// mutation below.
+    flat: FlatForest,
     config: ForestConfig,
     n_features: usize,
 }
@@ -65,8 +65,9 @@ impl RandomForest {
     /// Fits a forest on the rows of `(x, y)`.
     ///
     /// # Panics
-    /// Panics on empty data, mismatched lengths, non-finite targets, or an
-    /// invalid configuration.
+    /// Panics on empty data, mismatched lengths, non-finite targets, an
+    /// invalid configuration, or more than 64 feature columns (the flat
+    /// predict kernel's widest row stride).
     #[must_use]
     pub fn fit(
         config: &ForestConfig,
@@ -91,13 +92,13 @@ impl RandomForest {
             kinds.len(),
             "feature matrix width does not match kinds"
         );
+        crate::flat::assert_width(kinds.len());
         assert!(y.iter().all(|v| v.is_finite()), "targets must be finite");
 
         let n = x.n_rows();
         // Rank tables depend only on (x, kinds): compute once, share across
         // all trees instead of re-deriving per tree. Same for the fast
-        // engine's per-forest context (None on the exact path or when the
-        // `fast-path` feature is compiled out).
+        // engine's per-forest context (None on the exact path).
         let ranks = crate::tree::numeric_ranks(x, kinds);
         let fast_ctx = crate::fast::context_for(config, x, kinds, &ranks);
         let results: Vec<(RegressionTree, Vec<u32>)> = (0..config.n_trees)
@@ -125,7 +126,7 @@ impl RandomForest {
             trees.push(tree);
             oob_rows.push(oob);
         }
-        let flat = maybe_compile(config, kinds.len(), &trees);
+        let flat = FlatForest::compile(&trees);
         Self {
             trees,
             oob_rows,
@@ -222,255 +223,120 @@ impl RandomForest {
 
     /// Batch prediction with across-tree uncertainty.
     ///
-    /// On the exact path, rows are processed in chunks (parallelized across
-    /// chunks); within a chunk the loop runs tree-outer, so each tree's node
-    /// arena stays hot while it routes the whole chunk, instead of
-    /// re-touching all trees for every row. Per-row sums still accumulate in
-    /// tree order, so each row's result is bit-identical to
-    /// [`RandomForest::predict_one_at`].
-    ///
-    /// Fast-mode forests ([`RandomForest::fast_predict`]) descend the flat
-    /// layout instead and fold the per-tree means through accumulator lanes
-    /// ([`crate::flat::fold_lanes`]): per-tree leaf values stay bitwise
-    /// equal to the exact kernel's, but the ensemble sums round differently
-    /// — deterministic and width/deal-order invariant, covered by the same
+    /// Every tree descends the flat layout ([`crate::flat`]), whose
+    /// per-tree leaf values equal [`RegressionTree::predict_at`] bitwise;
+    /// the fit mode picks only the ensemble fold ([`crate::flat::fold_lanes`]).
+    /// [`FitMode::Exact`] folds in ascending tree order, so each row is
+    /// bit-identical to [`RandomForest::predict_one_at`]. [`FitMode::Fast`]
+    /// folds through accumulator lanes, which rounds differently —
+    /// deterministic and width/deal-order invariant, covered by the same
     /// statistical-equivalence contract as the fast fit (DESIGN.md §14).
+    ///
+    /// # Panics
+    /// Panics if `x` is narrower than the trees' features or wider than 64
+    /// features (as do the other batch predictors).
     #[must_use]
     pub fn predict_batch(&self, x: &FeatureMatrix) -> Vec<Prediction> {
+        self.assert_covers(x);
         let _s = pwu_obs::span(
             "forest.predict_batch",
             [
                 ("rows", pwu_obs::Arg::u(x.n_rows() as u64)),
-                ("mode", pwu_obs::Arg::s(self.predict_mode())),
+                ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        let finish = |sum: f64, sum_sq: f64, n: f64| {
-            let mean = sum / n;
-            let var = (sum_sq / n - mean * mean).max(0.0);
-            Prediction {
-                mean,
-                std: var.sqrt(),
-            }
-        };
-        match &self.flat {
-            Some(flat) => flat.fold_mu(x, finish),
-            None => self.batch_chunks(x, finish),
-        }
+        self.flat
+            .fold_mu(self.config.fit_mode, x, |sum, sum_sq, n| {
+                let mean = sum / n;
+                let var = (sum_sq / n - mean * mean).max(0.0);
+                Prediction {
+                    mean,
+                    std: var.sqrt(),
+                }
+            })
     }
 
-    /// Batch point predictions (same traversal and fold dispatch as
+    /// Batch point predictions (same kernel and fold as
     /// [`RandomForest::predict_batch`]).
     #[must_use]
     pub fn predict_batch_mean(&self, x: &FeatureMatrix) -> Vec<f64> {
-        match &self.flat {
-            Some(flat) => flat.fold_mu(x, |sum, _, n| sum / n),
-            None => self.batch_chunks(x, |sum, _, n| sum / n),
-        }
+        self.assert_covers(x);
+        self.flat
+            .fold_mu(self.config.fit_mode, x, |sum, _, n| sum / n)
     }
 
     /// Batch prediction with Hutter et al.'s total-variance uncertainty —
-    /// the bulk form of [`RandomForest::predict_total_variance`], with the
-    /// same fold dispatch as [`RandomForest::predict_batch`]: exact forests
-    /// fold `(Σμ, Σ(σ²+μ²))` serially in tree order (bit-identical to the
-    /// scalar call), fast forests fold the flat layout's leaf `μ`/second
-    /// moment arrays through accumulator lanes.
+    /// the bulk form of [`RandomForest::predict_total_variance`], folding
+    /// the flat layout's leaf `μ` and second-moment arrays with the same
+    /// kernel and fold as [`RandomForest::predict_batch`]: exact forests
+    /// are bit-identical to the scalar call.
     #[must_use]
     pub fn predict_batch_total_variance(&self, x: &FeatureMatrix) -> Vec<Prediction> {
+        self.assert_covers(x);
         let _s = pwu_obs::span(
             "forest.predict_batch",
             [
                 ("rows", pwu_obs::Arg::u(x.n_rows() as u64)),
-                ("mode", pwu_obs::Arg::s(self.predict_mode())),
+                ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        let finish = |sum: f64, second: f64, n: f64| {
-            let mean = sum / n;
-            let var = (second / n - mean * mean).max(0.0);
-            Prediction {
-                mean,
-                std: var.sqrt(),
-            }
-        };
-        match &self.flat {
-            Some(flat) => flat.fold_total_variance(x, finish),
-            None => {
-                let rows: Vec<usize> = (0..x.n_rows()).collect();
-                rows.par_iter()
-                    .map(|&i| self.predict_total_variance(&x.row(i)))
-                    .collect()
-            }
-        }
+        self.flat
+            .fold_total_variance(self.config.fit_mode, x, |sum, second, n| {
+                let mean = sum / n;
+                let var = (second / n - mean * mean).max(0.0);
+                Prediction {
+                    mean,
+                    std: var.sqrt(),
+                }
+            })
     }
 
     /// Per-tree point-prediction columns: `out[k][i]` is tree
     /// `tree_idx[k]`'s prediction for row `i` of `x`.
     ///
     /// This is the bulk form of [`RegressionTree::predict_at`] used by the
-    /// incremental pool-score cache: rows are transposed chunkwise into a
-    /// row-major scratch and descended through four trees at a time (see
-    /// `tree::predict4`), which hides the node-load latency that dominates
-    /// one-tree-at-a-time scoring. Values are bit-identical to
-    /// `predict_at` — only the traversal order changes.
-    ///
-    /// Fast-mode forests descend the flat layout instead; because flat and
-    /// pointer descents land on the same leaves, the returned columns are
-    /// bit-identical either way — only the fold applied *on top* of cached
-    /// columns is mode-dependent (see `pwu_core`'s `PoolScoreCache`).
+    /// incremental pool-score cache, descended through the flat layout.
+    /// Values are bit-identical to `predict_at` and independent of the fit
+    /// mode: columns carry no fold (see `pwu_core`'s `PoolScoreCache`).
     ///
     /// # Panics
     /// Panics if a tree index is out of range or `x` is narrower than the
     /// trees' features.
     #[must_use]
     pub fn predict_columns(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        let _s = pwu_obs::span(
-            "forest.predict_columns",
-            [
-                ("rows", pwu_obs::Arg::u(x.n_rows() as u64)),
-                ("trees", pwu_obs::Arg::u(tree_idx.len() as u64)),
-                ("mode", pwu_obs::Arg::s(self.predict_mode())),
-            ],
-        );
-        if let Some(flat) = &self.flat {
-            return flat.columns(x, tree_idx);
-        }
-        const CHUNK: usize = 512;
-        let n_rows = x.n_rows();
-        let d = x.n_cols();
-        let groups: Vec<&[usize]> = tree_idx.chunks(4).collect();
-        let cols: Vec<Vec<Vec<f64>>> = groups
-            .par_iter()
-            .map(|idxs| {
-                let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(n_rows); idxs.len()];
-                let mut rowbuf = vec![0.0f64; CHUNK * d];
-                for start in (0..n_rows).step_by(CHUNK) {
-                    let end = (start + CHUNK).min(n_rows);
-                    let m = end - start;
-                    for f in 0..d {
-                        let col = &x.column(f)[start..end];
-                        for (j, &v) in col.iter().enumerate() {
-                            rowbuf[j * d + f] = v;
-                        }
-                    }
-                    if let [a, b, c, e] = **idxs {
-                        let quad = [
-                            &self.trees[a],
-                            &self.trees[b],
-                            &self.trees[c],
-                            &self.trees[e],
-                        ];
-                        for row in rowbuf[..m * d].chunks_exact(d) {
-                            let p = crate::tree::predict4(quad, row);
-                            for (k, col) in cols.iter_mut().enumerate() {
-                                col.push(p[k]);
-                            }
-                        }
-                    } else {
-                        for (k, &t) in idxs.iter().enumerate() {
-                            let tree = &self.trees[t];
-                            for row in rowbuf[..m * d].chunks_exact(d) {
-                                cols[k].push(tree.predict(row));
-                            }
-                        }
-                    }
-                }
-                cols
-            })
-            .collect();
-        cols.into_iter().flatten().collect()
+        self.assert_covers(x);
+        self.predict_columns_strided(&StridedPool::new(x), tree_idx)
     }
 
-    /// [`RandomForest::predict_columns`] over a pool held in the flat
-    /// kernel's pre-transposed stride records ([`StridedPool`]): the
-    /// descent skips the per-call transpose entirely. `None` when the
-    /// forest has no flat layout (exact mode, `fast-path` off, or a space
-    /// wider than the flat kernel) — fall back to
-    /// [`RandomForest::predict_columns`], which returns bit-identical
-    /// columns (column values are kernel-invariant).
+    /// [`RandomForest::predict_columns`] over a pool already held in the
+    /// flat kernel's stride records ([`StridedPool`]): the descent skips
+    /// the per-call transpose entirely, and the columns are bit-identical.
     ///
     /// # Panics
     /// Panics if a tree index is out of range.
     #[must_use]
-    pub fn predict_columns_strided(
-        &self,
-        pool: &StridedPool,
-        tree_idx: &[usize],
-    ) -> Option<Vec<Vec<f64>>> {
-        let flat = self.flat.as_ref()?;
+    pub fn predict_columns_strided(&self, pool: &StridedPool, tree_idx: &[usize]) -> Vec<Vec<f64>> {
         let _s = pwu_obs::span(
             "forest.predict_columns",
             [
                 ("rows", pwu_obs::Arg::u(pool.n_rows() as u64)),
                 ("trees", pwu_obs::Arg::u(tree_idx.len() as u64)),
-                ("mode", pwu_obs::Arg::s(self.predict_mode())),
+                ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        Some(flat.columns_pre(pool, tree_idx))
+        self.flat.columns(pool, tree_idx)
     }
 
-    /// Shared chunked tree-outer traversal: computes per-row `(Σp, Σp²)`
-    /// over trees (in tree order) and maps them through `finish`.
-    ///
-    /// Each chunk is first transposed into a small row-major scratch, so
-    /// the per-node feature lookups during tree descent hit one contiguous
-    /// cache line per row instead of striding across columns.
-    fn batch_chunks<T: Send>(
-        &self,
-        x: &FeatureMatrix,
-        finish: impl Fn(f64, f64, f64) -> T + Sync,
-    ) -> Vec<T> {
-        /// Rows per chunk: large enough to amortize the per-tree loop
-        /// overhead, small enough that the chunk's row-major scratch and
-        /// accumulators stay cache-resident.
-        const CHUNK: usize = 512;
-        let n_rows = x.n_rows();
-        let d = x.n_cols();
-        let n = self.trees.len() as f64;
-        let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-        let per_chunk: Vec<Vec<T>> = starts
-            .par_iter()
-            .map(|&start| {
-                let end = (start + CHUNK).min(n_rows);
-                let m = end - start;
-                let mut rowbuf = vec![0.0f64; m * d];
-                for f in 0..d {
-                    let col = &x.column(f)[start..end];
-                    for (j, &v) in col.iter().enumerate() {
-                        rowbuf[j * d + f] = v;
-                    }
-                }
-                let mut sum = vec![0.0f64; m];
-                let mut sum_sq = vec![0.0f64; m];
-                // Walk four trees per row at once: a single descent is a
-                // serial chain of dependent node loads, so interleaving
-                // four independent chains lets the core overlap their
-                // memory latency. The four leaf means are folded into the
-                // accumulators in ascending tree order, exactly as the
-                // one-tree-at-a-time loop does, so sums are bit-identical.
-                let mut quads = self.trees.chunks_exact(4);
-                for quad in &mut quads {
-                    let quad = [&quad[0], &quad[1], &quad[2], &quad[3]];
-                    for (j, row) in rowbuf.chunks_exact(d).enumerate() {
-                        let p = crate::tree::predict4(quad, row);
-                        for &pk in &p {
-                            sum[j] += pk;
-                            sum_sq[j] += pk * pk;
-                        }
-                    }
-                }
-                for tree in quads.remainder() {
-                    for (j, row) in rowbuf.chunks_exact(d).enumerate() {
-                        let p = tree.predict(row);
-                        sum[j] += p;
-                        sum_sq[j] += p * p;
-                    }
-                }
-                sum.iter()
-                    .zip(&sum_sq)
-                    .map(|(&s, &ss)| finish(s, ss, n))
-                    .collect()
-            })
-            .collect();
-        per_chunk.into_iter().flatten().collect()
+    /// Panics unless `x` has every feature column the trees test: the flat
+    /// kernel reads fixed-stride records, so a narrower matrix would read
+    /// padding instead of failing.
+    fn assert_covers(&self, x: &FeatureMatrix) {
+        assert!(
+            x.n_cols() >= self.n_features,
+            "feature matrix has {} columns, the forest needs {}",
+            x.n_cols(),
+            self.n_features
+        );
     }
 
     /// Partially updates the forest on an enlarged training set.
@@ -547,9 +413,7 @@ impl RandomForest {
         for (t, (tree, oob)) in refit {
             // Partial refits only recompile the refitted flat entries; the
             // untouched trees keep their compiled layout.
-            if let Some(flat) = &mut self.flat {
-                flat.recompile(t, &tree);
-            }
+            self.flat.recompile(t, &tree);
             self.trees[t] = tree;
             self.oob_rows[t] = oob;
         }
@@ -586,7 +450,8 @@ impl RandomForest {
         config: ForestConfig,
         n_features: usize,
     ) -> Self {
-        let flat = maybe_compile(&config, n_features, &trees);
+        crate::flat::assert_width(n_features);
+        let flat = FlatForest::compile(&trees);
         Self {
             trees,
             oob_rows,
@@ -598,59 +463,20 @@ impl RandomForest {
 
     /// Replaces one tree and its OOB rows (used by [`crate::reference`]).
     pub(crate) fn replace_tree(&mut self, t: usize, tree: RegressionTree, oob: Vec<u32>) {
-        if let Some(flat) = &mut self.flat {
-            flat.recompile(t, &tree);
-        }
+        self.flat.recompile(t, &tree);
         self.trees[t] = tree;
         self.oob_rows[t] = oob;
     }
 
     /// Retags the forest's fit mode in place, keeping the fitted trees.
     ///
-    /// The trees are untouched — this does *not* refit — but the predict
-    /// kernel follows the new mode: switching to [`FitMode::Fast`] (with
-    /// `fast-path` compiled) compiles the flat layout, switching to
-    /// [`FitMode::Exact`] drops it, so batch predictions fold per the new
-    /// mode from the next call on. Callers that cache derived scores (e.g.
-    /// `pwu_core`'s `PoolScoreCache`) must resynchronize — see the
-    /// mode-swap regression test in `fast_equivalence`.
+    /// This does *not* refit, and the trees and per-tree columns stay
+    /// untouched: only the ensemble fold of batch predictions follows the
+    /// new mode, from the next call on.
     #[must_use]
     pub fn with_fit_mode(mut self, mode: FitMode) -> Self {
         self.config.fit_mode = mode;
-        self.flat = maybe_compile(&self.config, self.n_features, &self.trees);
         self
-    }
-
-    /// Bench knob: toggles the flat predict layout without changing the
-    /// recorded fit mode, so `fast fit + exact predict kernel` (the pre-flat
-    /// engine) is measurable as a baseline. With `on == false` the forest
-    /// predicts through the pointer kernel and partial updates skip
-    /// recompilation.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_flat_predict(mut self, on: bool) -> Self {
-        self.flat = if on {
-            maybe_compile(&self.config, self.n_features, &self.trees)
-        } else {
-            None
-        };
-        self
-    }
-
-    /// Whether batch predictions run through the flat fast layout (true
-    /// only for [`FitMode::Fast`] forests with `fast-path` compiled).
-    #[must_use]
-    pub fn fast_predict(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// Predict-kernel mode token for obs span tags.
-    fn predict_mode(&self) -> &'static str {
-        if self.flat.is_some() {
-            "fast"
-        } else {
-            "exact"
-        }
     }
 
     /// The configuration the forest was fitted with.
@@ -664,25 +490,6 @@ impl RandomForest {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
-}
-
-/// Compiles the flat predict layout iff the config asks for the fast
-/// engine, the `fast-path` feature is on, and the feature width fits the
-/// flat kernel's fixed-stride row records — the same condition under which
-/// `fast::context_for` engages, so fast *fit* and fast *predict* always
-/// switch together unless `with_flat_predict` overrides. Gating at compile
-/// time (rather than per predict call) keeps [`RandomForest::fast_predict`]
-/// — which external caches key their fold order on — truthful about the
-/// kernel every batch actually goes through.
-fn maybe_compile(
-    config: &ForestConfig,
-    n_features: usize,
-    trees: &[RegressionTree],
-) -> Option<crate::flat::FlatForest> {
-    (cfg!(feature = "fast-path")
-        && config.fit_mode == FitMode::Fast
-        && crate::flat::supports_width(n_features))
-    .then(|| crate::flat::FlatForest::compile(trees))
 }
 
 /// Draws a bootstrap resample of `0..n` and returns `(in_bag, out_of_bag)`.

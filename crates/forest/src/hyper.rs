@@ -43,9 +43,9 @@ impl Mtry {
 /// RMSE within ε of `Exact` across seeds and bounded best-config quality
 /// deltas over the kernel harness, enforced by `cargo xtask fast`.
 ///
-/// The fast engine is compiled behind the `fast-path` cargo feature; without
-/// it, requesting `Fast` falls back to the exact engine (the mode is still
-/// recorded in checkpoints and spans so artifacts stay comparable).
+/// Both modes predict through the same flat kernel; the mode also picks the
+/// ensemble fold (serial tree order for `Exact`, accumulator lanes for
+/// `Fast` — see [`crate::flat`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitMode {
     /// Bit-identical to `pwu_forest::reference` (default).

@@ -23,21 +23,22 @@
 //! through gain rounding — see `tree` and DESIGN.md §9). The pre-overhaul
 //! implementation is preserved in [`reference`] as a bit-identity oracle and
 //! performance baseline. The opt-in [`fast`] engine
-//! ([`FitMode::Fast`](hyper::FitMode), `fast-path` cargo feature) trades
-//! that bit identity for speed under a *statistical*-equivalence contract
-//! (DESIGN.md §14): presorted-per-column partition reuse, counting-sort
-//! split search, f32 rank routing — still a pure function of the seed and
-//! invariant to thread count and deal order. Fast-mode forests also
-//! *predict* through the [`flat`] module: trees are compiled once into a
-//! branch-free breadth-first node layout whose per-tree leaf values match
-//! the pointer kernel bitwise, with a lane-split ensemble fold.
+//! ([`FitMode::Fast`](hyper::FitMode)) trades that bit identity for speed
+//! under a *statistical*-equivalence contract (DESIGN.md §14):
+//! presorted-per-column partition reuse, counting-sort split search, f32
+//! rank routing — still a pure function of the seed and invariant to thread
+//! count and deal order. Every forest *predicts* through the [`flat`]
+//! module: trees are compiled once into a branch-free breadth-first node
+//! layout whose per-tree leaf values match [`RegressionTree::predict_at`]
+//! bitwise; the fit mode picks only the ensemble fold (serial tree order
+//! for `Exact`, accumulator lanes for `Fast`).
 //!
 //! Modules:
 //! - [`hyper`] — hyper-parameters ([`ForestConfig`], [`Mtry`], [`FitMode`])
 //! - [`split`] — exact best-split search for numeric and categorical columns
 //! - [`tree`] — a single CART regression tree (iterative, rank-packed growth)
 //! - [`fast`] — the statistically-equivalent fast fit engine
-//! - [`flat`] — the flat-node fast batch-predict layout
+//! - [`flat`] — the flat-node batch-predict layout and ensemble folds
 //! - [`forest`] — the bagged ensemble with parallel fit/predict
 //! - [`importance`] — impurity-based feature importances
 //! - [`oob`] — out-of-bag error estimation
@@ -55,13 +56,9 @@ pub mod tree;
 
 pub use flat::{fold_columns, fold_lanes, StridedPool};
 
-/// Whether this build of the crate carries the real fast engine. Downstream
-/// test harnesses must consult this — not their *own* `fast-path` feature —
-/// when deciding if [`FitMode::Fast`] falls back to the exact engine:
-/// feature unification can compile this crate's engine in while a
-/// dependent crate's mirroring feature stays off (e.g. a whole-workspace
-/// build where another member enables `pwu-forest/fast-path`).
-pub const FAST_PATH_COMPILED: bool = cfg!(feature = "fast-path");
+/// Always `true`: the fast engine is compiled into every build. Kept only
+/// because the `perfbench/` benchmark checks it.
+pub const FAST_PATH_COMPILED: bool = true;
 pub use forest::RandomForest;
 pub use hyper::{FitMode, ForestConfig, Mtry};
 pub use split::{Split, SplitRule};

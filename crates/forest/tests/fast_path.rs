@@ -1,12 +1,11 @@
-//! Fast-engine suites (run in both feature configs by `cargo xtask fast`).
+//! Fast-engine suites (run with and without the schedule sanitizer by
+//! `cargo xtask fast`).
 //!
-//! With `fast-path` compiled in, these prove the fast engine's determinism
-//! contract — pure function of the seed, byte-identical across pool widths
-//! (and, with `sanitize`, across deal orders) — plus its statistical
-//! closeness to the exact engine and bitwise *non*-equivalence (the suite
-//! would be vacuous if `Fast` silently ran the exact engine). Without the
-//! feature, they prove the documented fallback: `FitMode::Fast` produces
-//! bit-for-bit the exact engine's forests.
+//! These prove the fast engine's determinism contract — pure function of
+//! the seed, byte-identical across pool widths (and, with `sanitize`,
+//! across deal orders) — plus its statistical closeness to the exact
+//! engine and bitwise *non*-equivalence (the suite would be vacuous if
+//! `Fast` silently ran the exact engine).
 
 use rand::Rng;
 
@@ -14,7 +13,7 @@ use pwu_forest::{FitMode, ForestConfig, RandomForest};
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::Xoshiro256PlusPlus;
 
-/// A mixed dataset exercising all three fast-path column plans: a
+/// A mixed dataset exercising all three fast-engine column plans: a
 /// low-cardinality numeric column (counting-sort search), a continuous
 /// column with > 256 distinct values (presorted partition reuse), and a
 /// categorical column.
@@ -104,7 +103,7 @@ fn fast_partial_update_stays_deterministic() {
 }
 
 #[test]
-fn fast_predictions_are_statistically_close_to_exact() {
+fn fast_fit_predictions_are_statistically_close_to_exact() {
     // The fast engine must model the same surface: across-engine prediction
     // RMSE small relative to the target spread, and ensembles comparably
     // pure (mean leaf variance in the same ballpark).
@@ -133,7 +132,6 @@ fn fast_predictions_are_statistically_close_to_exact() {
     );
 }
 
-#[cfg(feature = "fast-path")]
 #[test]
 fn fast_engine_is_not_the_exact_engine_bitwise() {
     // Non-vacuity: the statistical suite would prove nothing if Fast
@@ -165,25 +163,6 @@ fn fast_engine_is_not_the_exact_engine_bitwise() {
         any_diff |= gain_bits(&exact) != gain_bits(&fast);
     }
     assert!(any_diff, "fast engine produced bitwise-exact gains on every seed");
-}
-
-#[cfg(not(feature = "fast-path"))]
-#[test]
-fn without_the_feature_fast_mode_falls_back_to_exact_bitwise() {
-    for seed in 0..3 {
-        let (x, kinds, y, rows) = dataset(300, 30 + seed);
-        let exact_cfg = ForestConfig {
-            n_trees: 16,
-            ..ForestConfig::default()
-        };
-        let fast_cfg = ForestConfig {
-            fit_mode: FitMode::Fast,
-            ..exact_cfg
-        };
-        let exact = RandomForest::fit(&exact_cfg, &kinds, &x, &y, seed);
-        let fast = RandomForest::fit(&fast_cfg, &kinds, &x, &y, seed);
-        assert_eq!(prediction_bits(&exact, &rows), prediction_bits(&fast, &rows));
-    }
 }
 
 /// With the runtime sanitizer compiled in, a fast fit must be byte-identical

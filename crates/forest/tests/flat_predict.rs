@@ -1,19 +1,20 @@
-//! Predict-side suites for the flat fast engine (run in all three feature
-//! configs by `cargo xtask fast`).
+//! Predict-side suites for the flat kernel, the batch and column predict
+//! path of every forest (run with and without the schedule sanitizer by
+//! `cargo xtask fast`).
 //!
-//! The flat layout's contract (DESIGN.md §14) mirrors the fast fit's:
-//! per-tree leaf values are **bitwise identical** to the pointer descent
-//! (same comparisons, same leaves), only the ensemble fold differs (lane
-//! accumulators instead of the serial tree-order recurrence), and every
-//! result is a pure function of the inputs — byte-identical across pool
-//! widths and (with `sanitize`) deal orders. Without `fast-path` the flat
-//! layout is never compiled and every fast-mode forest predicts through
-//! the exact kernel bit-for-bit.
+//! The flat layout's contract (DESIGN.md §14): per-tree leaf values are
+//! **bitwise identical** to the scalar tree walk
+//! ([`RegressionTree::predict_at`](pwu_forest::RegressionTree::predict_at)),
+//! the fit mode picks only the ensemble fold (`fold_lanes`: serial tree
+//! order for Exact, accumulator lanes for Fast), and every result is a pure
+//! function of the inputs — byte-identical across pool widths and (with
+//! `sanitize`) deal orders. The oracles here are scalar: per-tree
+//! `predict_at` values folded by `fold_lanes`.
 
 use rand::Rng;
 
 use pwu_forest::forest::Prediction;
-use pwu_forest::{FitMode, ForestConfig, RandomForest};
+use pwu_forest::{fold_lanes, FitMode, ForestConfig, RandomForest};
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::Xoshiro256PlusPlus;
 
@@ -57,101 +58,142 @@ fn columns_bits(cols: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Per-tree columns straight from the scalar tree walk: the oracle every
+/// flat-kernel result is checked against.
+fn scalar_columns(forest: &RandomForest, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
+    tree_idx
+        .iter()
+        .map(|&t| {
+            (0..x.n_rows())
+                .map(|i| forest.trees()[t].predict_at(x, i))
+                .collect()
+        })
+        .collect()
+}
+
+/// `predict_batch`'s expected output: each row's scalar per-tree values
+/// folded by the forest's fit mode through `fold_lanes`.
+fn folded_oracle(forest: &RandomForest, x: &FeatureMatrix) -> Vec<(u64, u64)> {
+    let all: Vec<usize> = (0..forest.trees().len()).collect();
+    let cols = scalar_columns(forest, x, &all);
+    let n = cols.len() as f64;
+    (0..x.n_rows())
+        .map(|i| {
+            let (sum, sum_sq) = fold_lanes(forest.config().fit_mode, cols.iter().map(|c| c[i]));
+            let mean = sum / n;
+            let std = (sum_sq / n - mean * mean).max(0.0).sqrt();
+            (mean.to_bits(), std.to_bits())
+        })
+        .collect()
+}
+
 /// Per-tree leaf values through the flat layout are bit-identical to the
-/// pointer descent: `predict_columns` must not change by a single ulp when
-/// the flat layout is stripped — over full ensembles, subsets, and the
-/// odd-sized tail groups of the 4-tree pipeline.
+/// scalar tree walk in both fit modes — over full ensembles, subsets, and
+/// odd-sized tree groups.
 #[test]
-fn flat_columns_match_pointer_descent_bitwise() {
+fn flat_columns_match_scalar_tree_predictions_bitwise() {
     for seed in [1u64, 2, 3] {
         let (x, kinds, y) = dataset(350, seed);
         let (pool, _, _) = dataset(700, 40 + seed);
         let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, seed);
-        let pointer = fast.clone().with_flat_predict(false);
-        assert!(!pointer.fast_predict());
-        let all: Vec<usize> = (0..fast.trees().len()).collect();
-        for idx in [&all[..], &all[..1], &all[3..10], &all[5..11]] {
-            assert_eq!(
-                columns_bits(&fast.predict_columns(&pool, idx)),
-                columns_bits(&pointer.predict_columns(&pool, idx)),
-                "seed {seed}: flat and pointer columns diverged on {idx:?}"
-            );
+        let exact_cfg = ForestConfig {
+            fit_mode: FitMode::Exact,
+            ..fast_config()
+        };
+        let exact = RandomForest::fit(&exact_cfg, &kinds, &x, &y, seed);
+        for forest in [&fast, &exact] {
+            let all: Vec<usize> = (0..forest.trees().len()).collect();
+            for idx in [&all[..], &all[..1], &all[3..10], &all[5..11]] {
+                assert_eq!(
+                    columns_bits(&forest.predict_columns(&pool, idx)),
+                    columns_bits(&scalar_columns(forest, &pool, idx)),
+                    "seed {seed}, {:?}: flat columns diverged from predict_at on {idx:?}",
+                    forest.config().fit_mode
+                );
+            }
         }
     }
 }
 
-/// The ensemble fold is the *only* divergence: with `fast-path` compiled,
-/// the lane fold must differ from the serial fold in its last ulps on at
-/// least one pool row (else the flat path is not being taken, and the
-/// equivalence suites are vacuous); without the feature the flat layout is
-/// never built and the batch predictions collapse to bitwise equality.
+/// Batch predictions are the fit mode's fold over the scalar per-tree
+/// values, bitwise: Fast folds through accumulator lanes, Exact folds in
+/// tree order. The lane fold must also differ from the serial fold in its
+/// last ulps on at least one pool row, else the two folds are not both
+/// being exercised and the equivalence suites are vacuous.
 #[test]
-fn flat_fold_diverges_iff_fast_path_is_compiled() {
+fn predict_batch_is_the_fit_modes_fold_of_scalar_tree_values() {
     let mut any_diff = false;
     for seed in [7u64, 8, 9] {
         let (x, kinds, y) = dataset(350, seed);
         let (pool, _, _) = dataset(700, 50 + seed);
         let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, seed);
-        assert_eq!(fast.fast_predict(), cfg!(feature = "fast-path"));
-        let pointer = fast.clone().with_flat_predict(false);
-        let a = batch_bits(&fast.predict_batch(&pool));
-        let b = batch_bits(&pointer.predict_batch(&pool));
-        if cfg!(feature = "fast-path") {
-            any_diff |= a != b;
-        } else {
-            assert_eq!(a, b, "seed {seed}: without fast-path the kernels must agree");
+        let lanes = batch_bits(&fast.predict_batch(&pool));
+        assert_eq!(lanes, folded_oracle(&fast, &pool), "seed {seed}: Fast fold");
+        let serial_forest = fast.with_fit_mode(FitMode::Exact);
+        let serial = batch_bits(&serial_forest.predict_batch(&pool));
+        assert_eq!(
+            serial,
+            folded_oracle(&serial_forest, &pool),
+            "seed {seed}: Exact fold"
+        );
+        any_diff |= lanes != serial;
+        // Means agree with the full predictions' means in both folds.
+        let fast = serial_forest.clone().with_fit_mode(FitMode::Fast);
+        for (forest, preds) in [(&serial_forest, &serial), (&fast, &lanes)] {
+            let means: Vec<u64> = forest
+                .predict_batch_mean(&pool)
+                .iter()
+                .map(|m| m.to_bits())
+                .collect();
+            assert_eq!(means, preds.iter().map(|&(m, _)| m).collect::<Vec<_>>());
         }
-        // Means must agree with the full predictions' means in every config.
-        let means: Vec<u64> = fast
-            .predict_batch_mean(&pool)
-            .iter()
-            .map(|m| m.to_bits())
-            .collect();
-        assert_eq!(means, a.iter().map(|&(m, _)| m).collect::<Vec<_>>());
     }
-    if cfg!(feature = "fast-path") {
-        assert!(any_diff, "flat lane fold never diverged from the serial fold");
-    }
+    assert!(
+        any_diff,
+        "the lane fold never diverged from the serial fold"
+    );
 }
 
-/// `with_fit_mode` swaps the predict kernel in place: Fast→Exact strips the
-/// flat layout (predictions become bitwise the exact kernel's), Exact→Fast
-/// rebuilds it (predictions return to the flat fold, bit-for-bit), and the
-/// trees themselves never change.
+/// `with_fit_mode` changes only the fold: the trees and the per-tree
+/// columns stay bitwise untouched in both directions, the batch
+/// predictions follow the new mode's fold, and round-tripping the mode
+/// restores the original predictions bit for bit.
 #[test]
-fn with_fit_mode_swaps_the_predict_kernel_in_place() {
+fn with_fit_mode_changes_only_the_fold() {
     let (x, kinds, y) = dataset(300, 21);
     let (pool, _, _) = dataset(500, 22);
     let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, 5);
+    let all: Vec<usize> = (0..fast.trees().len()).collect();
+    let cols = columns_bits(&fast.predict_columns(&pool, &all));
     let fast_preds = batch_bits(&fast.predict_batch(&pool));
 
     let demoted = fast.clone().with_fit_mode(FitMode::Exact);
-    assert!(!demoted.fast_predict());
+    assert_eq!(demoted.config().fit_mode, FitMode::Exact);
+    // `Debug` prints every node with round-trip float formatting, so equal
+    // text means structurally and bitwise equal trees.
+    assert_eq!(
+        format!("{:?}", demoted.trees()),
+        format!("{:?}", fast.trees()),
+        "with_fit_mode changed the trees"
+    );
+    assert_eq!(columns_bits(&demoted.predict_columns(&pool, &all)), cols);
     assert_eq!(
         batch_bits(&demoted.predict_batch(&pool)),
-        batch_bits(&fast.clone().with_flat_predict(false).predict_batch(&pool)),
-        "Exact-mode swap must predict through the exact kernel"
+        folded_oracle(&demoted, &pool)
     );
 
     let promoted = demoted.with_fit_mode(FitMode::Fast);
-    assert_eq!(promoted.fast_predict(), cfg!(feature = "fast-path"));
+    assert_eq!(columns_bits(&promoted.predict_columns(&pool, &all)), cols);
     assert_eq!(
         batch_bits(&promoted.predict_batch(&pool)),
         fast_preds,
-        "round-tripping the fit mode must restore the flat fold bitwise"
+        "round-tripping the fit mode must restore the lane fold bitwise"
     );
-
-    // An exact-fit forest never predicts through the flat layout.
-    let exact_cfg = ForestConfig {
-        n_trees: 30,
-        ..ForestConfig::default()
-    };
-    assert!(!RandomForest::fit(&exact_cfg, &kinds, &x, &y, 5).fast_predict());
 }
 
-/// Partial refits keep the flat layout coherent: after `update`, batch
-/// predictions through the flat layout must match a freshly compiled one
-/// (a from-scratch `with_flat_predict(true)` rebuild) bitwise.
+/// Partial refits keep the flat layout coherent: after every `update`,
+/// batch predictions still equal the fold of the updated trees' scalar
+/// values bitwise.
 #[test]
 fn partial_update_recompiles_flat_trees_coherently() {
     let (x, kinds, y) = dataset(300, 31);
@@ -160,36 +202,21 @@ fn partial_update_recompiles_flat_trees_coherently() {
     let mut forest = RandomForest::fit(&fast_config(), &kinds, &x, &y, 13);
     for step in 0..3u64 {
         forest.update(&kinds, &x2, &y2, 7, 200 + step);
-        let rebuilt = forest.clone().with_flat_predict(true);
         assert_eq!(
             batch_bits(&forest.predict_batch(&pool)),
-            batch_bits(&rebuilt.predict_batch(&pool)),
-            "step {step}: incrementally recompiled flat layout drifted from a rebuild"
+            folded_oracle(&forest, &pool),
+            "step {step}: incrementally recompiled flat layout drifted from the scalar trees"
         );
     }
 }
 
-/// Batch total-variance on the exact path is bit-identical to the scalar
-/// fold; on the flat path it must agree with the flat `predict_batch` on
-/// the mean and dominate its across-tree σ (law of total variance).
+/// Fast batch total-variance agrees with the fast `predict_batch` on the
+/// mean and dominates its across-tree σ (law of total variance). The exact
+/// side is pinned bitwise against the scalar call in `predict_tails`.
 #[test]
-fn batch_total_variance_matches_its_contract() {
+fn fast_batch_total_variance_matches_its_contract() {
     let (x, kinds, y) = dataset(300, 41);
     let (pool, _, _) = dataset(400, 42);
-    let exact_cfg = ForestConfig {
-        n_trees: 24,
-        ..ForestConfig::default()
-    };
-    let exact = RandomForest::fit(&exact_cfg, &kinds, &x, &y, 3);
-    let scalar: Vec<Prediction> = (0..pool.n_rows())
-        .map(|i| exact.predict_total_variance(&pool.row(i)))
-        .collect();
-    assert_eq!(
-        batch_bits(&exact.predict_batch_total_variance(&pool)),
-        batch_bits(&scalar),
-        "exact batch total-variance must replicate the scalar fold bitwise"
-    );
-
     let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, 3);
     let tv = fast.predict_batch_total_variance(&pool);
     let mu = fast.predict_batch(&pool);
@@ -212,7 +239,7 @@ fn batch_total_variance_matches_its_contract() {
 /// `PWU_THREADS` pool width must never leak into a single bit of the
 /// scored pool.
 #[test]
-fn fast_predict_is_width_invariant() {
+fn fast_mode_predict_is_width_invariant() {
     let (x, kinds, y) = dataset(300, 51);
     let (pool, _, _) = dataset(1200, 52);
     let forest = RandomForest::fit(&fast_config(), &kinds, &x, &y, 9);
@@ -249,7 +276,7 @@ fn fast_predict_is_width_invariant() {
 /// (mirror of the fit-side `fast_fit_is_deal_order_invariant`).
 #[cfg(feature = "sanitize")]
 #[test]
-fn fast_predict_is_deal_order_invariant() {
+fn fast_mode_predict_is_deal_order_invariant() {
     use rayon::sanitize::DealMode;
     let (x, kinds, y) = dataset(300, 61);
     let (pool, _, _) = dataset(1100, 62);

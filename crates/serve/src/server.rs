@@ -668,7 +668,28 @@ fn session_line(id: &str, session: &Session, extras: &[(&str, Value)]) -> String
     w.finish()
 }
 
-/// Builds a [`SessionSpec`] from a `create` request's fields.
+/// Reads optional field `key` through `get`: `Ok(None)` when absent, a typed
+/// `bad-request` naming `want` when present but of the wrong type or range.
+fn field<'a, T>(
+    fields: &'a Fields,
+    key: &str,
+    get: impl Fn(&'a Fields, &str) -> Option<T>,
+    want: &str,
+) -> Result<Option<T>, ProtocolError> {
+    match fields.get(key) {
+        None => Ok(None),
+        Some(_) => get(fields, key).map(Some).ok_or_else(|| {
+            ProtocolError::new(
+                ErrorKind::BadRequest,
+                format!("field '{key}' must be {want}"),
+            )
+        }),
+    }
+}
+
+/// Builds a [`SessionSpec`] from a `create` request's fields. Every field
+/// is optional except `target`; a field that is present but mistyped or out
+/// of range is a typed `bad-request`, never a silent default.
 fn spec_from_fields(fields: &Fields) -> Result<SessionSpec, ProtocolError> {
     let mut spec = SessionSpec {
         target: fields
@@ -679,52 +700,31 @@ fn spec_from_fields(fields: &Fields) -> Result<SessionSpec, ProtocolError> {
             .to_string(),
         ..SessionSpec::default()
     };
-    let set = |key: &str, slot: &mut usize| -> Result<(), ProtocolError> {
-        if fields.get(key).is_some() {
-            *slot = fields.usize(key).ok_or_else(|| {
-                ProtocolError::new(
-                    ErrorKind::BadRequest,
-                    format!("field '{key}' must be a non-negative integer"),
-                )
-            })?;
+    let size = |key: &str, slot: &mut usize| -> Result<(), ProtocolError> {
+        if let Some(v) = field(fields, key, Fields::usize, "a non-negative integer")? {
+            *slot = v;
         }
         Ok(())
     };
-    let mut n_init = spec.n_init;
-    let mut n_batch = spec.n_batch;
-    let mut n_max = spec.n_max;
-    let mut repeats = spec.repeats;
-    let mut n_trees = spec.n_trees;
-    let mut eval_every = spec.eval_every;
-    let mut pool_n = spec.pool_n;
-    let mut test_n = spec.test_n;
-    set("n_init", &mut n_init)?;
-    set("n_batch", &mut n_batch)?;
-    set("n_max", &mut n_max)?;
-    set("repeats", &mut repeats)?;
-    set("n_trees", &mut n_trees)?;
-    set("eval_every", &mut eval_every)?;
-    set("pool_n", &mut pool_n)?;
-    set("test_n", &mut test_n)?;
-    spec.n_init = n_init;
-    spec.n_batch = n_batch;
-    spec.n_max = n_max;
-    spec.repeats = repeats;
-    spec.n_trees = n_trees;
-    spec.eval_every = eval_every;
-    spec.pool_n = pool_n;
-    spec.test_n = test_n;
-    if let Some(alpha) = fields.f64("alpha") {
+    size("n_init", &mut spec.n_init)?;
+    size("n_batch", &mut spec.n_batch)?;
+    size("n_max", &mut spec.n_max)?;
+    size("repeats", &mut spec.repeats)?;
+    size("n_trees", &mut spec.n_trees)?;
+    size("eval_every", &mut spec.eval_every)?;
+    size("pool_n", &mut spec.pool_n)?;
+    size("test_n", &mut spec.test_n)?;
+    if let Some(alpha) = field(fields, "alpha", Fields::f64, "a number")? {
         spec.alpha = alpha;
     }
-    if let Some(seed) = fields.u64("seed") {
+    if let Some(seed) = field(fields, "seed", Fields::u64, "an integer in 0..=2^53")? {
         spec.seed = seed;
     }
-    spec.strategy = match fields.str("strategy") {
+    spec.strategy = match field(fields, "strategy", Fields::str, "a string")? {
         Some(token) => parse_strategy(token)?,
         None => pwu_core::Strategy::Pwu { alpha: spec.alpha },
     };
-    if let Some(token) = fields.str("fit_mode") {
+    if let Some(token) = field(fields, "fit_mode", Fields::str, "a string")? {
         spec.fit_mode = pwu_forest::FitMode::parse(token).ok_or_else(|| {
             ProtocolError::new(
                 ErrorKind::BadRequest,

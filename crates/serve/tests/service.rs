@@ -5,7 +5,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use pwu_core::RetryPolicy;
-use pwu_serve::protocol::Fields;
+use pwu_serve::protocol::{Fields, Value};
 use pwu_serve::session::SessionSpec;
 use pwu_serve::{parse_object, AdmissionPolicy, ErrorKind, Server, SessionState, WatchdogPolicy};
 
@@ -247,6 +247,54 @@ fn protocol_and_registry_errors_are_typed() {
         &send(&mut server, r#"{"cmd":"query","session":"dup"}"#),
         ErrorKind::UnknownSession,
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `create` field that is present but mistyped or out of range is a
+/// typed `bad-request` naming the field — never a session silently created
+/// with the default — and the server keeps serving afterwards.
+#[test]
+fn mistyped_create_fields_are_typed_bad_requests() {
+    let dir = tmp("mistyped");
+    let mut server = server_at(&dir);
+    let base = create_line("probe", "adi", 1);
+    let cases = [
+        ("seed", "-1"),
+        ("seed", "2.5"),
+        ("seed", "1e17"),
+        ("seed", r#""7""#),
+        ("alpha", r#""0.1""#),
+        ("strategy", "1"),
+        ("fit_mode", "1"),
+    ];
+    for (i, (key, value)) in cases.iter().enumerate() {
+        let id = format!("bad{i}");
+        // Swap the probe id for a fresh one, then override or append the
+        // field under test (later keys would be duplicates, so splice).
+        let mut line = base.replace("\"probe\"", &format!("\"{id}\""));
+        let existing = format!("\"{key}\":");
+        if let Some(at) = line.find(&existing) {
+            let end = line[at..].find([',', '}']).map_or(line.len(), |e| at + e);
+            line.replace_range(at..end, &format!("{existing}{value}"));
+        } else {
+            line.insert_str(line.len() - 1, &format!(",{existing}{value}"));
+        }
+        let r = send(&mut server, &line);
+        assert_err(&r, ErrorKind::BadRequest);
+        assert!(
+            r.str("message").is_some_and(|m| m.contains(key)),
+            "{key}={value}: error must name the field, got {r:?}"
+        );
+        let query = format!(r#"{{"cmd":"query","session":"{id}"}}"#);
+        assert_err(&send(&mut server, &query), ErrorKind::UnknownSession);
+        // Still serving: a well-formed create and step succeed.
+        let ok_id = format!("ok{i}");
+        let step = format!(r#"{{"cmd":"step","session":"{ok_id}","n":1}}"#);
+        for line in [create_line(&ok_id, "adi", i as u64), step] {
+            let r = send(&mut server, &line);
+            assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{r:?}");
+        }
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

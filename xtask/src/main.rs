@@ -35,14 +35,13 @@
 //!   tracing-on runs produce byte-identical checkpoints to tracing-off),
 //!   then checks the committed `BENCH_obs.json` against the <5 % tracing
 //!   overhead budget. See DESIGN.md §13 for the contract.
-//! - `fast` — the fast-engine gate: runs the `pwu-forest` fast-path suite
-//!   in all three feature configurations (default, `fast-path`,
-//!   `fast-path,sanitize`), the `pwu-core` statistical-equivalence harness
+//! - `fast` — the fast-engine gate: runs the `pwu-forest` fast-fit and
+//!   flat-predict suites with and without the schedule sanitizer
+//!   (`sanitize` feature), the `pwu-core` statistical-equivalence harness
 //!   (trajectory RMSE over ≥20 seeds, 18-kernel best-config quality,
-//!   determinism/width-invariance) with and without the engine compiled
-//!   in, and the `pwu-serve` fleet suite under `fast-path` (nested
-//!   parallel fit degrades on pool workers without deadlock). See
-//!   DESIGN.md §14 for the statistical-equivalence contract.
+//!   determinism/width-invariance), and the `pwu-serve` fleet suite with
+//!   fast sessions (nested parallel fit degrades on pool workers without
+//!   deadlock). See DESIGN.md §14 for the statistical-equivalence contract.
 //!
 //! With no command, prints the full CI gate list and exits 0.
 
@@ -59,7 +58,7 @@ const GATES: [(&str, &str); 9] = [
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
     ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale)"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
-    ("cargo xtask fast", "fast-engine statistical equivalence + nested-fit degrade"),
+    ("cargo xtask fast", "fast-engine equivalence + flat predict (± sanitizer) + nested-fit degrade"),
 ];
 
 fn main() {
@@ -119,11 +118,11 @@ fn lint() {
 }
 
 /// The benchmark names `BENCH_forest.json` must cover to be a valid report.
-/// The `fast/fit` entries compare `FitMode::Fast` against the frozen exact
-/// reference (single-thread, then on a 4-wide `PWU_THREADS` pool); the
-/// `fast/predict_batch` and `fast/tuning_iteration` entries compare the
-/// flat-layout predict path against the same fast-fit forest predicting
-/// through the exact pointer kernel.
+/// Every entry's baseline is the frozen `pwu_forest::reference` path. The
+/// `fast/fit` entries time `FitMode::Fast` (single-thread, then on a 4-wide
+/// `PWU_THREADS` pool); `fast/predict_batch` scores a fast-fit forest with
+/// its lane fold; `fast/tuning_iteration` runs a fast partial-refit
+/// iteration through the incremental pool-score cache.
 const PERF_BENCHMARKS: [&str; 8] = [
     "fit/n200_d8",
     "fit/n500_d20",
@@ -295,10 +294,9 @@ fn perf(check: bool) {
 /// The per-benchmark regression floor. Every entry gates relative to its
 /// committed baseline (75 %); the contracted fast-engine entries
 /// additionally keep *absolute* floors — 75 % of what each is contracted
-/// to deliver (fit: 3.0x over `pwu_forest::reference`; flat-layout batch
-/// predict: 2.0x over the exact pointer kernel; end-to-end partial-refit
-/// iteration: 1.5x) — so the gate can never ratchet below the contract
-/// even if a slow number is committed.
+/// to deliver over `pwu_forest::reference` (fit: 3.0x; batch predict:
+/// 2.0x; end-to-end partial-refit iteration: 1.5x) — so the gate can never
+/// ratchet below the contract even if a slow number is committed.
 fn speedup_floor(name: &str, committed_speedup: f64) -> f64 {
     let relative = 0.75 * committed_speedup;
     match name {
@@ -432,7 +430,7 @@ fn obs() {
 fn fast() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     run_step(
-        "fast fit+predict suites, engine compiled out (stub falls back to exact)",
+        "fast fit + flat predict suites",
         Command::new(&cargo).args([
             "test",
             "-q",
@@ -445,22 +443,7 @@ fn fast() {
         ]),
     );
     run_step(
-        "fast fit+predict suites (--features fast-path)",
-        Command::new(&cargo).args([
-            "test",
-            "-q",
-            "-p",
-            "pwu-forest",
-            "--test",
-            "fast_path",
-            "--test",
-            "flat_predict",
-            "--features",
-            "fast-path",
-        ]),
-    );
-    run_step(
-        "fast fit+predict suites under the schedule sanitizer (--features fast-path,sanitize)",
+        "fast fit + flat predict suites under the schedule sanitizer (--features sanitize)",
         Command::new(&cargo).args([
             "test",
             "-q",
@@ -471,38 +454,16 @@ fn fast() {
             "--test",
             "flat_predict",
             "--features",
-            "fast-path,sanitize",
+            "sanitize",
         ]),
     );
     run_step(
-        "statistical-equivalence harness, engine compiled out (harness sanity)",
+        "statistical-equivalence harness (>=20 seeds, 18 kernels + kripke/hypre)",
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-core", "--test", "fast_equivalence"]),
     );
     run_step(
-        "statistical-equivalence harness (>=20 seeds, 18 kernels + kripke/hypre, --features fast-path)",
-        Command::new(&cargo).args([
-            "test",
-            "-q",
-            "-p",
-            "pwu-core",
-            "--test",
-            "fast_equivalence",
-            "--features",
-            "fast-path",
-        ]),
-    );
-    run_step(
-        "serve fleet suite with fast sessions (nested fit degrade, --features fast-path)",
-        Command::new(&cargo).args([
-            "test",
-            "-q",
-            "-p",
-            "pwu-serve",
-            "--test",
-            "service",
-            "--features",
-            "fast-path",
-        ]),
+        "serve fleet suite with fast sessions (nested fit degrade)",
+        Command::new(&cargo).args(["test", "-q", "-p", "pwu-serve", "--test", "service"]),
     );
     println!("xtask: fast-engine gate passed");
 }
