@@ -13,9 +13,10 @@
 //! The on-disk format is a hand-rolled line-oriented text file (the
 //! workspace has no serialization dependency). Every `f64` is stored as its
 //! IEEE-754 bit pattern in hex, so round-trips are exact — a resumed run
-//! sees the same bits the killed run saw. Writes go through a temp file in
-//! the same directory followed by an atomic rename, so a crash mid-write
-//! leaves the previous checkpoint intact rather than a torn file.
+//! sees the same bits the killed run saw. Writes go through [`write_durable`]
+//! (a synced temp file in the same directory, an atomic rename, then a sync
+//! of the directory), so a crash or power loss mid-write leaves the previous
+//! checkpoint intact rather than a torn file.
 //!
 //! Two integrity layers sit on top of the text format:
 //!
@@ -187,11 +188,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// text body. The companion [`split_verified_body`] checks and strips it.
 #[must_use]
 pub fn with_integrity_footer(body: &str) -> String {
-    format!(
-        "{body}footer {} {:016x}\n",
-        body.len(),
-        fnv1a64(body.as_bytes())
-    )
+    let mut text = body.to_string();
+    push_integrity_footer(&mut text);
+    text
+}
+
+/// Appends the integrity footer line to `text`, all of which is the body,
+/// and returns the body's checksum.
+fn push_integrity_footer(text: &mut String) -> u64 {
+    use fmt::Write as _;
+    let checksum = fnv1a64(text.as_bytes());
+    let len = text.len();
+    let _ = writeln!(text, "footer {len} {checksum:016x}");
+    checksum
 }
 
 /// Verifies the integrity footer on raw file bytes and returns the body.
@@ -201,9 +210,13 @@ pub fn with_integrity_footer(body: &str) -> String {
 /// footer is missing or malformed, the recorded length does not match the
 /// body, or the checksum disagrees — i.e. on any truncation or bit flip.
 pub fn split_verified_body(bytes: &[u8]) -> Result<&str, CheckpointError> {
+    verify_footer(bytes).map(|(body, _)| body)
+}
+
+/// [`split_verified_body`], also returning the verified checksum.
+fn verify_footer(bytes: &[u8]) -> Result<(&str, u64), CheckpointError> {
     let corrupt = |msg: &str| CheckpointError::Corrupt(msg.to_string());
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| corrupt("file is not valid UTF-8"))?;
+    let text = std::str::from_utf8(bytes).map_err(|_| corrupt("file is not valid UTF-8"))?;
     let at = text
         .rfind("footer ")
         .filter(|&i| i == 0 || text.as_bytes()[i - 1] == b'\n')
@@ -224,24 +237,108 @@ pub fn split_verified_body(bytes: &[u8]) -> Result<&str, CheckpointError> {
     if fnv1a64(body.as_bytes()) != sum {
         return Err(corrupt("body checksum does not match the footer"));
     }
-    Ok(body)
+    Ok((body, sum))
 }
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Writes `bytes` to `path` so that a crash or a power loss leaves either
+/// the previous file or the complete new one: the bytes go to a temp file
+/// next to `path` (`write_all`, then `sync_all`), the temp file is renamed
+/// over `path`, and the parent directory is synced so the rename itself is
+/// durable. Every durable file of the workspace is written through here.
+///
+/// # Errors
+/// Returns the first filesystem error.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    sync_dir(path.parent().unwrap_or(Path::new(".")))
 }
 
-fn levels_line(levels: &[u32]) -> String {
-    let strs: Vec<String> = levels.iter().map(u32::to_string).collect();
-    strs.join(",")
+/// Syncs directory `dir` (the empty path is the current directory), making
+/// the entries created or renamed in it durable.
+///
+/// # Errors
+/// Returns the error from opening or syncing the directory.
+pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+/// Appends `v` in decimal, as `{v}` formats it.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `word` as 16 lowercase hex digits, as `{word:016x}` formats it.
+fn push_hex(out: &mut String, word: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.extend(
+        (0..16)
+            .rev()
+            .map(|nibble| char::from(DIGITS[(word >> (nibble * 4)) as usize & 0xf])),
+    );
+}
+
+/// Appends configuration levels, comma-separated.
+fn push_levels(out: &mut String, levels: &[u32]) {
+    for (i, &level) in levels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_decimal(out, u64::from(level));
+    }
+}
+
+/// Appends `f64` bit patterns in hex, space-separated.
+fn push_hex_floats(out: &mut String, values: &[f64]) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        push_hex(out, v.to_bits());
+    }
 }
 
 impl ActiveCheckpoint {
     /// Serializes to the line-oriented checkpoint text format.
+    ///
+    /// Every line is written straight into one pre-sized `String`. The
+    /// per-row sections (levels, labels, history, selections) bypass the
+    /// formatting machinery: their numbers go through small decimal and hex
+    /// helpers, with no per-row or per-number temporaries. The bytes are
+    /// pinned by `tests/checkpoint_format.rs`.
     #[must_use]
     pub fn to_text(&self) -> String {
         use fmt::Write as _;
-        let mut out = String::new();
+        let _span = pwu_obs::span(
+            "checkpoint.encode",
+            [
+                ("train", pwu_obs::Arg::u(self.train_configs.len() as u64)),
+                ("pool", pwu_obs::Arg::u(self.pool_configs.len() as u64)),
+            ],
+        );
+        let mut out = String::with_capacity(self.text_len_estimate());
         let w = &mut out;
         let _ = writeln!(w, "{MAGIC}");
         let _ = writeln!(w, "target {}", self.target_name);
@@ -253,8 +350,9 @@ impl ActiveCheckpoint {
             self.n_init, self.n_batch, self.n_max, self.repeats
         );
         let _ = writeln!(w, "fit-mode {}", self.fit_mode.token());
-        let alphas: Vec<String> = self.alphas.iter().map(|&a| hex(a)).collect();
-        let _ = writeln!(w, "alphas {}", alphas.join(" "));
+        w.push_str("alphas ");
+        push_hex_floats(w, &self.alphas);
+        w.push('\n');
         for (tag, state) in [
             ("annotator-rng", &self.annotator_rng),
             ("select-rng", &self.select_rng),
@@ -270,7 +368,7 @@ impl ActiveCheckpoint {
         let s = &self.stats;
         let _ = writeln!(
             w,
-            "stats {} {} {} {} {} {} {} {} {}",
+            "stats {} {} {} {} {} {} {} {} {:016x}",
             s.annotations,
             s.readings,
             s.compile_failures,
@@ -279,7 +377,7 @@ impl ActiveCheckpoint {
             s.timeouts,
             s.retries,
             s.failed_annotations,
-            hex(s.wasted_cost)
+            s.wasted_cost.to_bits()
         );
         let _ = writeln!(
             w,
@@ -288,39 +386,49 @@ impl ActiveCheckpoint {
         );
         let _ = writeln!(w, "train {}", self.train_configs.len());
         for (cfg, label) in self.train_configs.iter().zip(&self.train_labels) {
-            let _ = writeln!(w, "{} {}", levels_line(cfg), hex(*label));
+            push_levels(w, cfg);
+            w.push(' ');
+            push_hex(w, label.to_bits());
+            w.push('\n');
         }
-        let _ = writeln!(w, "pool {}", self.pool_configs.len());
-        for cfg in &self.pool_configs {
-            let _ = writeln!(w, "{}", levels_line(cfg));
-        }
-        let _ = writeln!(w, "quarantined {}", self.quarantined.len());
-        for cfg in &self.quarantined {
-            let _ = writeln!(w, "{}", levels_line(cfg));
+        for (tag, configs) in [
+            ("pool", &self.pool_configs),
+            ("quarantined", &self.quarantined),
+        ] {
+            let _ = writeln!(w, "{tag} {}", configs.len());
+            for cfg in configs {
+                push_levels(w, cfg);
+                w.push('\n');
+            }
         }
         let _ = writeln!(w, "history {}", self.history.len());
         for snap in &self.history {
-            let rmse: Vec<String> = snap.rmse.iter().map(|&r| hex(r)).collect();
-            let _ = writeln!(
-                w,
-                "{} {} {}",
-                snap.n_train,
-                hex(snap.cumulative_cost),
-                rmse.join(" ")
-            );
+            push_decimal(w, snap.n_train as u64);
+            w.push(' ');
+            push_hex(w, snap.cumulative_cost.to_bits());
+            w.push(' ');
+            push_hex_floats(w, &snap.rmse);
+            w.push('\n');
         }
         let _ = writeln!(w, "selections {}", self.selections.len());
         for sel in &self.selections {
-            let _ = writeln!(
-                w,
-                "{} {} {}",
-                hex(sel.mean),
-                hex(sel.std),
-                hex(sel.observed)
-            );
+            push_hex_floats(w, &[sel.mean, sel.std, sel.observed]);
+            w.push('\n');
         }
-        let _ = writeln!(w, "end");
+        w.push_str("end\n");
         out
+    }
+
+    /// A generous estimate of [`ActiveCheckpoint::to_text`]'s length, so
+    /// the encoder (and a store appending the footer) rarely regrows its
+    /// buffer: 3 bytes per level, 17 per hex word, and slack for the header
+    /// and section lines, long decimals and the footer.
+    fn text_len_estimate(&self) -> usize {
+        let configs = [&self.train_configs, &self.pool_configs, &self.quarantined];
+        let levels: usize = configs.into_iter().flatten().map(|c| 3 * c.len() + 1).sum();
+        let rmse: usize = self.history.iter().map(|s| 2 + s.rmse.len()).sum();
+        let words = self.alphas.len() + self.train_labels.len() + rmse + 3 * self.selections.len();
+        1024 + self.target_name.len() + levels + 17 * words
     }
 
     /// Parses the checkpoint text format.
@@ -477,22 +585,20 @@ impl ActiveCheckpoint {
         })
     }
 
-    /// Writes the checkpoint atomically: serialize (with the integrity
-    /// footer) to a temp file in the same directory, flush, then rename over
-    /// `path`. A crash mid-write cannot corrupt an existing checkpoint.
+    /// Writes the checkpoint durably: serialize (with the integrity footer)
+    /// and go through [`write_durable`], so a crash or a power loss leaves
+    /// either the previous checkpoint or this one, never a torn file.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Io`] on any filesystem failure.
     pub fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(with_integrity_footer(&self.to_text()).as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
+        let mut text = self.to_text();
+        let _span = pwu_obs::span(
+            "checkpoint.save",
+            [("train", pwu_obs::Arg::u(self.train_configs.len() as u64))],
+        );
+        push_integrity_footer(&mut text);
+        write_durable(path, text.as_bytes())?;
         Ok(())
     }
 
@@ -518,8 +624,15 @@ impl ActiveCheckpoint {
     /// passed the checksum still fails to parse (i.e. a valid footer was
     /// stamped onto a malformed body — possible only for hand-built files).
     pub fn load_verified(path: &Path) -> Result<Self, CheckpointError> {
+        Self::load_verified_with_checksum(path).map(|(checkpoint, _)| checkpoint)
+    }
+
+    /// [`ActiveCheckpoint::load_verified`], also returning the verified
+    /// footer checksum.
+    fn load_verified_with_checksum(path: &Path) -> Result<(Self, u64), CheckpointError> {
         let bytes = fs::read(path)?;
-        Self::from_text(split_verified_body(&bytes)?)
+        let (body, checksum) = verify_footer(&bytes)?;
+        Ok((Self::from_text(body)?, checksum))
     }
 }
 
@@ -545,6 +658,18 @@ pub struct Recovered {
     pub rolled_back: usize,
     /// The recovered checkpoint.
     pub checkpoint: ActiveCheckpoint,
+    /// The integrity-footer checksum of the verified body, i.e.
+    /// `fnv1a64(checkpoint.to_text())`.
+    pub checksum: u64,
+}
+
+/// What [`GenerationStore::save_body`] made durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Saved {
+    /// The new generation number.
+    pub generation: u64,
+    /// The integrity-footer checksum of the saved body.
+    pub checksum: u64,
 }
 
 impl GenerationStore {
@@ -609,14 +734,36 @@ impl GenerationStore {
     /// Returns [`CheckpointError::Io`] on any filesystem failure. Pruning
     /// failures are ignored — a stale extra generation is harmless.
     pub fn save(&self, checkpoint: &ActiveCheckpoint) -> Result<u64, CheckpointError> {
+        self.save_body(checkpoint.to_text())
+            .map(|saved| saved.generation)
+    }
+
+    /// Saves an already-encoded checkpoint body (the output of
+    /// [`ActiveCheckpoint::to_text`]) as the next generation, durably and
+    /// with the integrity footer, then prunes old generations. A caller
+    /// that needs the body's checksum gets it from the returned [`Saved`]
+    /// instead of encoding and hashing the checkpoint a second time.
+    ///
+    /// # Errors
+    /// Returns [`CheckpointError::Io`] on any filesystem failure. Pruning
+    /// failures are ignored — a stale extra generation is harmless.
+    pub fn save_body(&self, mut body: String) -> Result<Saved, CheckpointError> {
         fs::create_dir_all(&self.dir)?;
         let gens = self.generations();
-        let next = gens.last().map_or(0, |g| g + 1);
-        checkpoint.save_atomic(&self.path_for(next))?;
+        let generation = gens.last().map_or(0, |g| g + 1);
+        let _span = pwu_obs::span(
+            "checkpoint.save",
+            [("generation", pwu_obs::Arg::u(generation))],
+        );
+        let checksum = push_integrity_footer(&mut body);
+        write_durable(&self.path_for(generation), body.as_bytes())?;
         for &old in gens.iter().rev().skip(self.keep - 1) {
             let _ = fs::remove_file(self.path_for(old));
         }
-        Ok(next)
+        Ok(Saved {
+            generation,
+            checksum,
+        })
     }
 
     /// Loads the newest generation that passes integrity verification,
@@ -633,12 +780,20 @@ impl GenerationStore {
         }
         let mut rolled_back = 0usize;
         for &generation in gens.iter().rev() {
-            match ActiveCheckpoint::load_verified(&self.path_for(generation)) {
-                Ok(checkpoint) => {
+            let _span = pwu_obs::span(
+                "checkpoint.load",
+                [
+                    ("generation", pwu_obs::Arg::u(generation)),
+                    ("rolled_back", pwu_obs::Arg::u(rolled_back as u64)),
+                ],
+            );
+            match ActiveCheckpoint::load_verified_with_checksum(&self.path_for(generation)) {
+                Ok((checkpoint, checksum)) => {
                     return Ok(Some(Recovered {
                         generation,
                         rolled_back,
                         checkpoint,
+                        checksum,
                     }))
                 }
                 Err(_) => rolled_back += 1,
@@ -814,6 +969,17 @@ mod tests {
         assert_eq!(back, cp);
         // Exact bits, including the subnormal label.
         assert_eq!(back.train_labels[1].to_bits(), cp.train_labels[1].to_bits());
+    }
+
+    /// Pins the text format byte for byte (`crates/core/tests/
+    /// checkpoint_format.rs` pins more checkpoints the same way).
+    #[test]
+    fn sample_text_keeps_its_bytes() {
+        let text = sample().to_text();
+        assert_eq!(
+            (text.len(), fnv1a64(text.as_bytes())),
+            (689, 0x2049683ec3d7b93e)
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use active::{bootstrap, step_once, ActiveConfig, ActiveRun, RefitMode, Snaps
 pub use annotator::{Aggregator, AnnotationFailure, Annotator, MeasurementStats, RetryPolicy};
 pub use checkpoint::{
     fnv1a64, with_integrity_footer, ActiveCheckpoint, CheckpointError, CheckpointPolicy,
-    GenerationStore, Recovered,
+    GenerationStore, Recovered, Saved,
 };
 pub use experiment::{ExperimentResult, Protocol, StrategyCurve};
 pub use metrics::{cost_to_reach, rmse_at_alpha};

@@ -142,10 +142,17 @@ fn deterministic_trace_is_byte_identical_across_widths_and_deal_orders() {
         let _ = one_run("trace");
         pwu_obs::disable();
         let export = pwu_obs::drain().deterministic_jsonl();
-        assert!(
-            export.contains("core.iteration") && export.contains("pool.batch"),
-            "trace must actually cover the run"
-        );
+        for name in [
+            "core.iteration",
+            "pool.batch",
+            "checkpoint.encode",
+            "checkpoint.save",
+        ] {
+            assert!(
+                export.contains(&format!("\"name\":\"{name}\"")),
+                "trace must actually cover the run: no {name}"
+            );
+        }
         match &reference {
             None => reference = Some(export),
             Some(expected) => assert_eq!(

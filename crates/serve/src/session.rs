@@ -11,6 +11,12 @@
 //!   generation after any crash, and rolls back a generation if the newest
 //!   file is damaged.
 //!
+//! Both are written through [`write_durable`] (temp file, `sync_all`,
+//! rename, parent-directory sync), so they survive a power loss as well as
+//! a crash. A committed step encodes its checkpoint once: the session keeps
+//! the footer checksum of the generation it just saved (or, on resume, of
+//! the body it verified) as the response digest.
+//!
 //! The state machine: `Active ⇄ Suspended` (suspend unloads the in-memory
 //! checkpoint; resume reloads it from disk), `Active → Degraded` (watchdog
 //! deadline exhausted or a panicking step), `Degraded → Active` (an explicit
@@ -24,7 +30,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use pwu_apps::{Hypre, Kripke};
-use pwu_core::checkpoint::{split_verified_body, with_integrity_footer, GenerationStore};
+use pwu_core::checkpoint::{
+    split_verified_body, sync_dir, with_integrity_footer, write_durable, GenerationStore,
+};
 use pwu_core::{step_once, ActiveCheckpoint, ActiveConfig, RefitMode, Strategy};
 use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::{FeatureMatrix, FeatureSchema, Pool, TuningTarget};
@@ -408,14 +416,40 @@ pub struct StepReport {
     pub state: SessionState,
 }
 
+/// A loaded checkpoint and its digest: the integrity-footer checksum of the
+/// durable generation it was saved as or loaded from, which equals
+/// `fnv1a64(checkpoint.to_text())`.
+#[derive(Debug)]
+struct Resident {
+    checkpoint: ActiveCheckpoint,
+    digest: u64,
+}
+
+impl Resident {
+    /// Saves `checkpoint` as the next generation of `store`, encoding it
+    /// once; returns the generation number and the resident checkpoint
+    /// with the saved body's checksum as its digest.
+    fn persist(
+        store: &GenerationStore,
+        checkpoint: ActiveCheckpoint,
+    ) -> Result<(u64, Self), ProtocolError> {
+        let saved = store
+            .save_body(checkpoint.to_text())
+            .map_err(|e| internal(&e))?;
+        let digest = saved.checksum;
+        Ok((saved.generation, Self { checkpoint, digest }))
+    }
+}
+
 /// One hosted session.
 #[derive(Debug)]
 pub struct Session {
     spec: SessionSpec,
     target: SessionTarget,
     store: GenerationStore,
-    /// The in-memory checkpoint; `None` while suspended/unloaded.
-    checkpoint: Option<ActiveCheckpoint>,
+    /// The in-memory checkpoint and its digest; `None` while
+    /// suspended/unloaded.
+    resident: Option<Resident>,
     state: SessionState,
     /// Consecutive over-budget step attempts.
     strikes: usize,
@@ -457,18 +491,21 @@ impl Session {
             spec.seed,
         );
         fs::create_dir_all(dir).map_err(|e| internal_io(&e))?;
-        fs::write(
-            dir.join(META_FILE),
-            with_integrity_footer(&spec.to_text()),
+        if let Some(state_dir) = dir.parent() {
+            sync_dir(state_dir).map_err(|e| internal_io(&e))?;
+        }
+        write_durable(
+            &dir.join(META_FILE),
+            with_integrity_footer(&spec.to_text()).as_bytes(),
         )
         .map_err(|e| internal_io(&e))?;
         let store = GenerationStore::new(dir);
-        let generation = store.save(&checkpoint).map_err(|e| internal(&e))?;
+        let (generation, resident) = Resident::persist(&store, checkpoint)?;
         Ok(Self {
             spec,
             target,
             store,
-            checkpoint: Some(checkpoint),
+            resident: Some(resident),
             state: SessionState::Active,
             strikes: 0,
             generation,
@@ -495,7 +532,7 @@ impl Session {
             spec,
             target,
             store,
-            checkpoint: None,
+            resident: None,
             state: SessionState::Suspended,
             strikes: 0,
             generation,
@@ -523,7 +560,7 @@ impl Session {
     /// True when the session occupies memory (checkpoint loaded).
     #[must_use]
     pub fn is_resident(&self) -> bool {
-        self.checkpoint.is_some()
+        self.resident.is_some()
     }
 
     /// The newest durable generation number.
@@ -542,22 +579,23 @@ impl Session {
     /// durable value).
     #[must_use]
     pub fn iteration(&self) -> u64 {
-        self.checkpoint.as_ref().map_or(0, |c| c.iteration)
+        self.checkpoint().map_or(0, |c| c.iteration)
     }
 
     /// The loaded checkpoint, if resident.
     #[must_use]
     pub fn checkpoint(&self) -> Option<&ActiveCheckpoint> {
-        self.checkpoint.as_ref()
+        self.resident.as_ref().map(|r| &r.checkpoint)
     }
 
-    /// FNV-1a digest of the loaded checkpoint's text — the bit-identity
-    /// fingerprint the chaos harness compares across kills.
+    /// The loaded checkpoint's digest, as 16 hex digits: the integrity-footer
+    /// checksum of the newest durable generation, which equals
+    /// `fnv1a64(checkpoint.to_text())` — the bit-identity fingerprint the
+    /// chaos harness compares across kills. Kept from the save or the
+    /// verified load, so reading it encodes nothing.
     #[must_use]
     pub fn digest(&self) -> Option<String> {
-        self.checkpoint
-            .as_ref()
-            .map(|c| format!("{:016x}", pwu_core::fnv1a64(c.to_text().as_bytes())))
+        self.resident.as_ref().map(|r| format!("{:016x}", r.digest))
     }
 
     /// Resumes the session from its last durable generation (also clears a
@@ -581,7 +619,10 @@ impl Session {
         let done = recovered.checkpoint.train_configs.len() >= self.spec.n_max
             || recovered.checkpoint.pool_configs.is_empty();
         self.generation = recovered.generation;
-        self.checkpoint = Some(recovered.checkpoint);
+        self.resident = Some(Resident {
+            checkpoint: recovered.checkpoint,
+            digest: recovered.checksum,
+        });
         self.strikes = 0;
         self.state = if done {
             SessionState::Done
@@ -597,7 +638,7 @@ impl Session {
     /// unloads it; its state token is preserved on resume via the durable
     /// checkpoint.
     pub fn suspend(&mut self) {
-        self.checkpoint = None;
+        self.resident = None;
         if let Some(cache) = self.target.cache() {
             cache.clear();
         }
@@ -637,10 +678,7 @@ impl Session {
                 ))
             }
         }
-        let checkpoint = self
-            .checkpoint
-            .as_ref()
-            .expect("active session must be resident");
+        let checkpoint = self.checkpoint().expect("active session must be resident");
         let config = self.spec.active_config();
         let (_, test_features, test_labels) = {
             // The pool half of materialize is wasted here; it is small (the
@@ -698,8 +736,9 @@ impl Session {
             });
         }
         self.strikes = 0;
-        self.generation = self.store.save(&outcome.checkpoint).map_err(|e| internal(&e))?;
-        self.checkpoint = Some(outcome.checkpoint);
+        let (generation, resident) = Resident::persist(&self.store, outcome.checkpoint)?;
+        self.generation = generation;
+        self.resident = Some(resident);
         if outcome.done {
             self.state = SessionState::Done;
         }

@@ -2,9 +2,9 @@
 //! LRU eviction, crash re-attach and the serve ≡ core identity.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use pwu_core::RetryPolicy;
+use pwu_core::{ActiveCheckpoint, GenerationStore, RetryPolicy};
 use pwu_serve::protocol::{Fields, Value};
 use pwu_serve::session::SessionSpec;
 use pwu_serve::{parse_object, AdmissionPolicy, ErrorKind, Server, SessionState, WatchdogPolicy};
@@ -360,6 +360,8 @@ fn trace_verb_records_exports_and_unifies_stats() {
     assert_eq!(r.str("tracing"), Some("on"));
     send(&mut server, &create_line("tr1", "adi", 21));
     send(&mut server, r#"{"cmd":"step","session":"tr1","n":2}"#);
+    send(&mut server, r#"{"cmd":"suspend","session":"tr1"}"#);
+    send(&mut server, r#"{"cmd":"resume","session":"tr1"}"#);
 
     // Stats folds the registry snapshot into one coherent line: the serve.*
     // mirrors ride along with the per-server fields. Registry counters are
@@ -382,6 +384,15 @@ fn trace_verb_records_exports_and_unifies_stats() {
     assert!(text.lines().next().unwrap().contains("pwu-trace-v1"));
     assert!(text.contains("serve.step"), "missing serve.step span");
     assert!(text.contains(r#""session":"tr1""#), "missing session arg");
+    // `pwu-trace summarize` attributes the served run's checkpoint work:
+    // encoding (create, steps), saving the generations, loading on resume.
+    let summary = pwu_obs::summarize(&text).expect("the export summarizes");
+    for name in ["checkpoint.encode", "checkpoint.save", "checkpoint.load"] {
+        assert!(
+            summary.get(name).is_some_and(|s| s.count > 0),
+            "summarize lists no {name} span"
+        );
+    }
 
     // Chrome export of the (now drained, possibly refilled) buffer is a
     // JSON array Perfetto can load.
@@ -533,4 +544,119 @@ fn tick_advances_the_whole_fleet_deterministically() {
     }
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&dir2);
+}
+
+/// The integrity-footer checksum recorded in a durable file's last line.
+fn footer_checksum(bytes: &[u8]) -> String {
+    let text = std::str::from_utf8(bytes).expect("generations are text");
+    let footer = text.lines().last().expect("a footer line");
+    let words: Vec<&str> = footer.split(' ').collect();
+    assert_eq!((words.len(), words[0]), (3, "footer"), "{footer}");
+    words[2].to_string()
+}
+
+/// Asserts the response's `digest` is the footer checksum of generation
+/// `generation` of session `id`, and `fnv1a64(to_text())` of the checkpoint
+/// parsed from that file.
+fn assert_digest_of_generation(fields: &Fields, dir: &Path, id: &str, generation: u64) {
+    let digest = fields.str("digest").expect("the response carries a digest");
+    let path = GenerationStore::new(dir.join(id)).path_for(generation);
+    let bytes = fs::read(&path).expect("the generation file exists");
+    assert_eq!(
+        digest,
+        footer_checksum(&bytes),
+        "footer checksum of {}",
+        path.display()
+    );
+    let checkpoint = ActiveCheckpoint::load_verified(&path).expect("the generation verifies");
+    let encoded = format!(
+        "{:016x}",
+        pwu_core::fnv1a64(checkpoint.to_text().as_bytes())
+    );
+    assert_eq!(digest, encoded, "fnv1a64(to_text()) of {}", path.display());
+}
+
+/// Asserts the response's `digest` belongs to session `id`'s newest
+/// generation, which is also the response's `generation`.
+fn assert_digest_of_newest(fields: &Fields, dir: &Path, id: &str) -> String {
+    let newest = *GenerationStore::new(dir.join(id))
+        .generations()
+        .last()
+        .expect("the session has generations");
+    assert_eq!(fields.u64("generation"), Some(newest), "{fields:?}");
+    assert_digest_of_generation(fields, dir, id, newest);
+    fields.str("digest").expect("checked above").to_string()
+}
+
+/// Every response that carries a `digest` carries the checksum of the
+/// generation the session stands on: the newest durable one after create,
+/// step, query, suspend/resume and restart/resume, the older one after a
+/// resume that rolled back past a damaged newest generation. A step the
+/// watchdog sheds leaves the digest unchanged.
+#[test]
+fn every_digest_is_the_checksum_of_the_durable_generation() {
+    let dir = tmp("digest-contract");
+    let mut server = server_at(&dir);
+    let create = create_line("d", "adi", 51).replace(r#""n_max":10"#, r#""n_max":20"#);
+    let created = send(&mut server, &create);
+    let mut digest = assert_digest_of_newest(&created, &dir, "d");
+
+    for n in [1, 3] {
+        let r = send(&mut server, &format!(r#"{{"cmd":"step","session":"d","n":{n}}}"#));
+        assert_eq!(r.u64("steps"), Some(n), "{r:?}");
+        let stepped = assert_digest_of_newest(&r, &dir, "d");
+        assert_ne!(stepped, digest, "a committed step must move the digest");
+        digest = stepped;
+    }
+    let q = send(&mut server, r#"{"cmd":"query","session":"d"}"#);
+    assert_eq!(assert_digest_of_newest(&q, &dir, "d"), digest);
+
+    let s = send(&mut server, r#"{"cmd":"suspend","session":"d"}"#);
+    assert_eq!(
+        s.str("digest"),
+        None,
+        "a suspended session holds no checkpoint"
+    );
+    let r = send(&mut server, r#"{"cmd":"resume","session":"d"}"#);
+    assert_eq!(assert_digest_of_newest(&r, &dir, "d"), digest);
+
+    drop(server);
+    let mut server = server_at(&dir);
+    let r = send(&mut server, r#"{"cmd":"resume","session":"d"}"#);
+    assert_eq!(r.u64("rolled_back"), Some(0));
+    assert_eq!(assert_digest_of_newest(&r, &dir, "d"), digest);
+
+    // Damage the newest generation: resume rolls back to the older one and
+    // reports that generation's checksum.
+    send(&mut server, r#"{"cmd":"suspend","session":"d"}"#);
+    let store = GenerationStore::new(dir.join("d"));
+    let gens = store.generations();
+    let (older, newest) = (gens[gens.len() - 2], gens[gens.len() - 1]);
+    let mut bytes = fs::read(store.path_for(newest)).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x5A;
+    fs::write(store.path_for(newest), &bytes).unwrap();
+    let r = send(&mut server, r#"{"cmd":"resume","session":"d"}"#);
+    assert_eq!(r.u64("rolled_back"), Some(1));
+    assert_eq!(r.u64("generation"), Some(older));
+    assert_digest_of_generation(&r, &dir, "d", older);
+    assert_ne!(r.str("digest"), Some(digest.as_str()));
+    let _ = fs::remove_dir_all(&dir);
+
+    // A shed step commits nothing, so the digest stays put.
+    let dir = tmp("digest-shed");
+    let watchdog = WatchdogPolicy {
+        max_step_cost: 0.0,
+        grace: RetryPolicy {
+            max_retries: 3,
+            backoff_cost: 0.0,
+        },
+    };
+    let mut server = Server::open(&dir, AdmissionPolicy::default(), watchdog).unwrap();
+    let created = send(&mut server, &create_line("w", "adi", 52));
+    let digest = assert_digest_of_newest(&created, &dir, "w");
+    let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
+    assert_eq!((r.u64("steps"), r.u64("shed")), (Some(0), Some(1)), "{r:?}");
+    assert_eq!(assert_digest_of_newest(&r, &dir, "w"), digest);
+    let _ = fs::remove_dir_all(&dir);
 }

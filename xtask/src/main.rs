@@ -20,7 +20,11 @@
 //!   release mode at full scale (a 50-session mixed SPAPT + kripke/hypre
 //!   fleet, 20 seeded kills at randomized step boundaries, plus a
 //!   corrupted-generation rollback scenario), asserting bit-identical
-//!   resume against uninterrupted reference runs. See DESIGN.md §12.
+//!   resume against uninterrupted reference runs. See DESIGN.md §12. Then
+//!   runs the `perfbench/` self-test (a reduced shape of every benchmark
+//!   workload, which drives the service and replays its checkpoint store
+//!   and digests through the public API), built under `target/perfbench`
+//!   so nothing is written under `perfbench/`.
 //! - `audit` — the determinism gate: runs the `pwu-audit` static scanner
 //!   against the workspace and `audit.allow.toml` (non-zero on any
 //!   unallowed finding *or* stale allowlist entry), then the scanner's own
@@ -56,7 +60,7 @@ const GATES: [(&str, &str); 9] = [
     ("cargo xtask faults", "fault-injection & retry/quarantine suites"),
     ("cargo xtask perf --check", "perf smoke run vs committed baselines"),
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
-    ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale)"),
+    ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale) + perfbench self-test"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
     ("cargo xtask fast", "fast-engine equivalence + flat predict (± sanitizer) + nested-fit degrade"),
 ];
@@ -376,6 +380,16 @@ fn chaos() {
     run_step(
         "chaos harness (pwu-serve, release, 50 sessions / 20 seeded kills)",
         Command::new(&cargo).args(["test", "-q", "--release", "-p", "pwu-serve", "--test", "chaos"]),
+    );
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("xtask sits in the workspace root");
+    run_step(
+        "perfbench self-test (every benchmark workload, reduced shape)",
+        Command::new(&cargo)
+            .args(["test", "--release", "--locked", "--offline", "--manifest-path"])
+            .arg(root.join("perfbench/Cargo.toml"))
+            .env("CARGO_TARGET_DIR", root.join("target/perfbench")),
     );
     println!("xtask: chaos gate passed");
 }
