@@ -1,18 +1,14 @@
 //! Calibration micro-bench for the fast engine's per-node adaptive split
-//! strategy (`pwu_forest::fast`): times the three counting-column split
-//! searches — stack gather + insertion sort ("small"), flat-array
-//! accumulate ("dense"), pack-and-sort ("sparse") — over an
-//! `(n_seg, n_ranks)` grid, through the engine's own hidden `calib`
-//! surface so the numbers reflect the production code.
+//! strategy (`pwu_forest::fast`): times the two counting-column split
+//! searches — stack gather + insertion sort ("small") and flat-array
+//! accumulate ("dense") — over an `(n_seg, n_ranks)` grid, through the
+//! engine's own hidden `calib` surface so the numbers reflect the
+//! production code.
 //!
-//! This is how the dispatch boundaries in `best_split_counting` were
-//! picked: `SMALL_MAX = 8` (the insertion sort stops winning past ~a dozen
-//! rows) and the `n_ranks <= DENSE_FACTOR · n_seg` dense cutoff (the
-//! branch-free `O(n_ranks)` clear+scan streams flat arrays and beats the
-//! `O(n log n)` sort until the rank range dwarfs the segment; measured
-//! crossover ≈ 6× on this grid). Diagnostic only:
-//! the output is a table on stdout, not a gated BENCH report — rerun it
-//! when the strategies change and adjust the constants if a region flips.
+//! This is how the dispatch boundary `SMALL_MAX = 8` was picked: the
+//! insertion sort stops winning past ~a dozen rows. Diagnostic only: the
+//! output is a table on stdout, not a gated BENCH report — rerun it when
+//! the strategies change and adjust the constant if a region flips.
 //!
 //! ```text
 //! cargo run --release -p pwu-bench --bin split_calib [-- --iters N]
@@ -94,13 +90,12 @@ fn main() {
     let rank_counts = [8usize, 32, 128, 256];
 
     println!(
-        "production cutoffs: small at n_seg <= {}, dense at n_ranks <= {} * n_seg",
-        calib::SMALL_MAX,
-        calib::DENSE_FACTOR
+        "production cutoff: small at n_seg <= {}, dense above",
+        calib::SMALL_MAX
     );
     println!(
-        "{:>6} {:>7} {:>12} {:>12} {:>12}  winner",
-        "n_seg", "n_ranks", "small ns", "dense ns", "sparse ns"
+        "{:>6} {:>7} {:>12} {:>12}  winner",
+        "n_seg", "n_ranks", "small ns", "dense ns"
     );
     for &nr in &rank_counts {
         let mut scratch = calib::Scratch::new(nr);
@@ -131,31 +126,13 @@ fn main() {
                     &mut scratch,
                 ));
             });
-            let sparse_ns = time_ns(iters, || {
-                std::hint::black_box(calib::sparse(
-                    &p.rank_value,
-                    &p.ranks_f,
-                    &p.y,
-                    &p.seg,
-                    p.total,
-                    1,
-                    &p.inv,
-                    &mut scratch,
-                ));
-            });
-            let mut winner = if dense_ns <= sparse_ns { "dense" } else { "sparse" };
-            if small_ns.is_some_and(|s| s <= dense_ns.min(sparse_ns)) {
-                winner = "small";
-            }
-            let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.0}"));
-            println!(
-                "{:>6} {:>7} {:>12} {:>12} {:>12}  {winner}",
-                n,
-                nr,
-                fmt(small_ns),
-                fmt(Some(dense_ns)),
-                fmt(Some(sparse_ns)),
-            );
+            let winner = if small_ns.is_some_and(|s| s <= dense_ns) {
+                "small"
+            } else {
+                "dense"
+            };
+            let small = small_ns.map_or_else(|| "-".to_string(), |v| format!("{v:.0}"));
+            println!("{n:>6} {nr:>7} {small:>12} {dense_ns:>12.0}  {winner}");
         }
     }
 }

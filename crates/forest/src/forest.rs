@@ -8,7 +8,7 @@ use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
 use crate::flat::{FlatForest, StridedPool};
 use crate::hyper::{FitMode, ForestConfig};
-use crate::tree::RegressionTree;
+use crate::tree::{grow, FitTables, RegressionTree};
 
 /// A random-forest regressor with uncertainty estimates.
 ///
@@ -18,7 +18,7 @@ use crate::tree::RegressionTree;
 /// bit-identical regardless of thread count or scheduling — see the
 /// `fit_is_deterministic_per_seed_and_parallelism_invariant` test, which
 /// compares fits across pool widths. Training data lives in a flat column-major
-/// [`FeatureMatrix`], which the presorted split search scans contiguously.
+/// [`FeatureMatrix`], whose columns the split search reads contiguously.
 ///
 /// ```
 /// use pwu_forest::{ForestConfig, RandomForest};
@@ -84,48 +84,10 @@ impl RandomForest {
                 ("mode", pwu_obs::Arg::s(config.fit_mode.token())),
             ],
         );
-        config.validate();
-        assert!(!x.is_empty(), "cannot fit a forest on zero rows");
-        assert_eq!(x.n_rows(), y.len(), "feature/target length mismatch");
-        assert_eq!(
-            x.n_cols(),
-            kinds.len(),
-            "feature matrix width does not match kinds"
-        );
-        crate::flat::assert_width(kinds.len());
-        assert!(y.iter().all(|v| v.is_finite()), "targets must be finite");
-
-        let n = x.n_rows();
-        // Rank tables depend only on (x, kinds): compute once, share across
-        // all trees instead of re-deriving per tree. Same for the fast
-        // engine's per-forest context (None on the exact path).
-        let ranks = crate::tree::numeric_ranks(x, kinds);
-        let fast_ctx = crate::fast::context_for(config, x, kinds, &ranks);
-        let results: Vec<(RegressionTree, Vec<u32>)> = (0..config.n_trees)
-            .into_par_iter()
-            .map(|t| {
-                let mut rng = Xoshiro256PlusPlus::new(derive_seed(seed, t as u64));
-                let (rows, oob) = if config.bootstrap {
-                    bootstrap_rows(n, &mut rng)
-                } else {
-                    ((0..n as u32).collect(), Vec::new())
-                };
-                let tree = match fast_ctx.as_ref() {
-                    Some(ctx) => {
-                        crate::fast::fit_tree_fast(x, y, &rows, config, &mut rng, &ranks, ctx)
-                    }
-                    None => RegressionTree::fit_ranked(x, y, &rows, kinds, config, &mut rng, &ranks),
-                };
-                (tree, oob)
-            })
-            .collect();
-
-        let mut trees = Vec::with_capacity(config.n_trees);
-        let mut oob_rows = Vec::with_capacity(config.n_trees);
-        for (tree, oob) in results {
-            trees.push(tree);
-            oob_rows.push(oob);
-        }
+        let all: Vec<usize> = (0..config.n_trees).collect();
+        let (trees, oob_rows): (Vec<_>, Vec<_>) = fit_trees(config, kinds, x, y, seed, &all)
+            .into_iter()
+            .unzip();
         let flat = FlatForest::compile(&trees);
         Self {
             trees,
@@ -353,7 +315,9 @@ impl RandomForest {
     /// the stale entries.
     ///
     /// # Panics
-    /// Panics on empty data, mismatched lengths or `n_refit` of zero.
+    /// Panics on `n_refit` of zero, on `kinds` that differ in length from
+    /// the forest's features, and on every input [`RandomForest::fit`]
+    /// rejects.
     pub fn update(
         &mut self,
         kinds: &[FeatureKind],
@@ -370,11 +334,13 @@ impl RandomForest {
                 ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        assert!(!x.is_empty(), "cannot update on zero rows");
-        assert_eq!(x.n_rows(), y.len(), "feature/target length mismatch");
         assert!(n_refit > 0, "must refit at least one tree");
+        assert_eq!(
+            kinds.len(),
+            self.n_features,
+            "kinds do not match the forest's feature count"
+        );
         let n_refit = n_refit.min(self.trees.len());
-        let n = x.n_rows();
         // Deterministically pick which trees to regrow from the seed.
         let mut pick_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 0xFEED));
         let mut order: Vec<usize> = (0..self.trees.len()).collect();
@@ -382,42 +348,15 @@ impl RandomForest {
             let j = i + (pick_rng.next() as usize) % (order.len() - i);
             order.swap(i, j);
         }
-        let ranks = crate::tree::numeric_ranks(x, kinds);
-        let fast_ctx = crate::fast::context_for(&self.config, x, kinds, &ranks);
-        let refit: Vec<(usize, (RegressionTree, Vec<u32>))> = order[..n_refit]
-            .par_iter()
-            .map(|&t| {
-                let mut rng = Xoshiro256PlusPlus::new(derive_seed(seed, t as u64));
-                let (rows, oob) = if self.config.bootstrap {
-                    bootstrap_rows(n, &mut rng)
-                } else {
-                    ((0..n as u32).collect(), Vec::new())
-                };
-                let tree = match fast_ctx.as_ref() {
-                    Some(ctx) => {
-                        crate::fast::fit_tree_fast(x, y, &rows, &self.config, &mut rng, &ranks, ctx)
-                    }
-                    None => RegressionTree::fit_ranked(
-                        x,
-                        y,
-                        &rows,
-                        kinds,
-                        &self.config,
-                        &mut rng,
-                        &ranks,
-                    ),
-                };
-                (t, (tree, oob))
-            })
-            .collect();
-        for (t, (tree, oob)) in refit {
+        order.truncate(n_refit);
+        let refit = fit_trees(&self.config, kinds, x, y, seed, &order);
+        for (&t, (tree, oob)) in order.iter().zip(refit) {
             // Partial refits only recompile the refitted flat entries; the
             // untouched trees keep their compiled layout.
             self.flat.recompile(t, &tree);
             self.trees[t] = tree;
             self.oob_rows[t] = oob;
         }
-        order.truncate(n_refit);
         order
     }
 
@@ -490,6 +429,53 @@ impl RandomForest {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
+}
+
+/// Grows the ensemble's trees `tree_ids` on `(x, y)`: the one per-tree path
+/// of [`RandomForest::fit`] and [`RandomForest::update`]. Each tree draws
+/// its bootstrap sample and feature subsets from its own RNG stream,
+/// derived from `seed` and its index, and grows on the `PWU_THREADS` pool;
+/// results come back in `tree_ids` order as `(tree, out-of-bag rows)`.
+///
+/// # Panics
+/// Panics on an invalid configuration, empty data, mismatched lengths, a
+/// matrix whose width differs from `kinds`, more than 64 feature columns
+/// (the flat predict kernel's widest row stride), or non-finite targets.
+fn fit_trees(
+    config: &ForestConfig,
+    kinds: &[FeatureKind],
+    x: &FeatureMatrix,
+    y: &[f64],
+    seed: u64,
+    tree_ids: &[usize],
+) -> Vec<(RegressionTree, Vec<u32>)> {
+    config.validate();
+    assert!(!x.is_empty(), "cannot fit trees on zero rows");
+    assert_eq!(x.n_rows(), y.len(), "feature/target length mismatch");
+    assert_eq!(
+        x.n_cols(),
+        kinds.len(),
+        "feature matrix width does not match kinds"
+    );
+    crate::flat::assert_width(kinds.len());
+    assert!(y.iter().all(|v| v.is_finite()), "targets must be finite");
+
+    let n = x.n_rows();
+    // The tables depend only on (x, kinds, fit mode): build them once and
+    // share them across all trees.
+    let tables = FitTables::new(x, kinds, config.fit_mode);
+    tree_ids
+        .par_iter()
+        .map(|&t| {
+            let mut rng = Xoshiro256PlusPlus::new(derive_seed(seed, t as u64));
+            let (rows, oob) = if config.bootstrap {
+                bootstrap_rows(n, &mut rng)
+            } else {
+                ((0..n as u32).collect(), Vec::new())
+            };
+            (grow(x, y, &rows, kinds, config, &mut rng, &tables), oob)
+        })
+        .collect()
 }
 
 /// Draws a bootstrap resample of `0..n` and returns `(in_bag, out_of_bag)`.
@@ -713,6 +699,49 @@ mod tests {
         );
         assert_eq!(forest.predict(&[0.0, 0.0]), 7.0);
         assert_eq!(forest.predict_one(&[9.0, 9.0]).std, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fit trees on zero rows")]
+    fn fit_rejects_zero_rows() {
+        let _ = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &[], &[], 0);
+    }
+
+    /// `update` rejects what `fit` rejects, with the same messages.
+    #[test]
+    #[should_panic(expected = "cannot fit trees on zero rows")]
+    fn update_rejects_zero_rows() {
+        let (x, y) = grid_xy();
+        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
+        let _ = forest.update(&kinds2(), &FeatureMatrix::from_rows(2, &[]), &[], 8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "targets must be finite")]
+    fn update_rejects_non_finite_targets() {
+        let (x, mut y) = grid_xy();
+        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
+        y[5] = f64::NAN;
+        let _ = forest.update(&kinds2(), &FeatureMatrix::from_rows(2, &x), &y, 8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature matrix width does not match kinds")]
+    fn update_rejects_matrix_wider_than_kinds() {
+        let (x, y) = grid_xy();
+        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
+        let wide: Vec<Vec<f64>> = x.iter().map(|r| vec![r[0], r[1], 0.0]).collect();
+        let _ = forest.update(&kinds2(), &FeatureMatrix::from_rows(3, &wide), &y, 8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "kinds do not match the forest's feature count")]
+    fn update_rejects_kinds_of_another_width() {
+        let (x, y) = grid_xy();
+        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
+        let narrow: Vec<Vec<f64>> = x.iter().map(|r| vec![r[0]]).collect();
+        let kinds = [FeatureKind::Numeric];
+        let _ = forest.update(&kinds, &FeatureMatrix::from_rows(1, &narrow), &y, 8, 1);
     }
 
     #[test]

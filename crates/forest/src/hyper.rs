@@ -31,13 +31,15 @@ impl Mtry {
     }
 }
 
-/// Which fit engine grows the trees.
+/// Which numeric split search grows the trees, and which ensemble fold
+/// predicts with them.
 ///
+/// Both modes grow every tree through the one loop in [`crate::tree`].
 /// `Exact` is the default and the oracle: it reproduces the frozen
 /// [`crate::reference`] implementation bit for bit and is covered by the
 /// bitwise golden/equivalence suites. `Fast` trades bitwise identity for
-/// speed — presorted-per-column partition reuse, counting-sort split search
-/// over the dense rank tables, f32 rank packing — while staying a pure
+/// speed — counting-sort split search over the dense rank tables, a stable
+/// per-node sort for wider columns ([`crate::fast`]) — while staying a pure
 /// function of the seed and invariant to `PWU_THREADS` width and deal order.
 /// Its contract is *statistical* equivalence (DESIGN.md §14): trajectory
 /// RMSE within ε of `Exact` across seeds and bounded best-config quality

@@ -16,28 +16,29 @@
 //! being forced through one-hot encodings — this is the "effectiveness on
 //! categorical features" property the paper relies on for *hypre*.
 //!
-//! The exact fit hot path works on the flat column-major
-//! [`FeatureMatrix`](pwu_space::FeatureMatrix): each node packs its rows as
-//! `(rank, row)` words and sorts them per node, which reproduces the
-//! historical implementation bit for bit (the sort tie order is observable
-//! through gain rounding — see `tree` and DESIGN.md §9). The pre-overhaul
+//! Both fit modes grow every tree through one loop ([`tree`]) over the flat
+//! column-major [`FeatureMatrix`](pwu_space::FeatureMatrix), and the fit
+//! mode ([`FitMode`]) picks only the numeric split search and the ensemble
+//! fold. `Exact` packs each node's rows as `(rank, row)` words and sorts
+//! them per node, which reproduces the historical implementation bit for
+//! bit (the sort tie order is observable through gain rounding — see
+//! `tree` and DESIGN.md §9). The pre-overhaul
 //! implementation is preserved in [`reference`] as a bit-identity oracle and
-//! performance baseline. The opt-in [`fast`] engine
-//! ([`FitMode::Fast`](hyper::FitMode)) trades that bit identity for speed
-//! under a *statistical*-equivalence contract (DESIGN.md §14):
-//! presorted-per-column partition reuse, counting-sort split search, f32
-//! rank routing — still a pure function of the seed and invariant to thread
-//! count and deal order. Every forest *predicts* through the [`flat`]
-//! module: trees are compiled once into a branch-free breadth-first node
-//! layout whose per-tree leaf values match [`RegressionTree::predict_at`]
-//! bitwise; the fit mode picks only the ensemble fold (serial tree order
-//! for `Exact`, accumulator lanes for `Fast`).
+//! performance baseline. The opt-in [`fast`] search trades that bit identity
+//! for speed under a *statistical*-equivalence contract (DESIGN.md §14):
+//! counting-sort split search, and a stable sort for columns too wide to
+//! count — still a pure function of the seed and invariant to thread count
+//! and deal order. Every forest *predicts* through the [`flat`] module:
+//! trees are compiled once into a branch-free breadth-first node layout
+//! whose per-tree leaf values match [`RegressionTree::predict_at`] bitwise;
+//! the fold is serial tree order for `Exact` and accumulator lanes for
+//! `Fast`.
 //!
 //! Modules:
 //! - [`hyper`] — hyper-parameters ([`ForestConfig`], [`Mtry`], [`FitMode`])
 //! - [`split`] — exact best-split search for numeric and categorical columns
-//! - [`tree`] — a single CART regression tree (iterative, rank-packed growth)
-//! - [`fast`] — the statistically-equivalent fast fit engine
+//! - [`tree`] — a single CART regression tree and the one growth loop
+//! - [`fast`] — the statistically-equivalent fast numeric split search
 //! - [`flat`] — the flat-node batch-predict layout and ensemble folds
 //! - [`forest`] — the bagged ensemble with parallel fit/predict
 //! - [`importance`] — impurity-based feature importances

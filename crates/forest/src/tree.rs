@@ -1,21 +1,30 @@
-//! A single CART regression tree.
+//! A single CART regression tree, and the one growth loop both fit modes
+//! share.
 //!
 //! Growth is iterative (an explicit work stack, no recursion) and operates
 //! on the flat column-major [`FeatureMatrix`]. The node's rows live as one
 //! contiguous segment of a shared buffer that is partitioned *in place* at
-//! every split (no per-node allocation), and the numeric split search sorts
-//! packed `(rank, row)` words — a precomputed dense **rank** per column in
-//! the high bits, the row id in the low bits — so the sort comparator is
-//! two shifts and an integer compare with no memory access at all, and the
-//! boundary scan walks one contiguous array instead of chasing `f64`s
-//! through two levels of pointer indirection.
+//! every split (no per-node allocation). Everything but the numeric split
+//! search is the same in both fit modes: the stop tests, the per-node
+//! feature draw, best-split selection, the categorical search, row routing
+//! by integer rank, leaf statistics, and a mask of numeric columns already
+//! found constant in the segment (constancy survives subsetting, and the
+//! search would find no split, so skipping them is bitwise neutral).
 //!
-//! Why a per-node sort at all, rather than presorting each feature once and
-//! partitioning the orders down the nest (the scikit-learn scheme)? Bit
-//! identity. `sort_unstable_by`'s permutation of *tied* values depends on
-//! its internal algorithm state, and exact real-arithmetic gain ties
-//! between different candidate splits are common in small nodes (few rows,
-//! ordinal features), so the winning split is decided by the last-ulp
+//! [`FitMode::Exact`]'s numeric search sorts packed `(rank, row)` words — a
+//! precomputed dense **rank** per column in the high bits, the row id in the
+//! low bits — so the sort comparator is two shifts and an integer compare
+//! with no memory access at all, and the boundary scan walks one contiguous
+//! array instead of chasing `f64`s through two levels of pointer
+//! indirection. [`FitMode::Fast`] searches with counting sorts instead, and
+//! sorts only columns with many distinct values, stably ([`crate::fast`]).
+//!
+//! Why does Exact sort per node at all, rather than presorting each feature
+//! once and partitioning the orders down the nest (the scikit-learn
+//! scheme)? Bit identity. `sort_unstable_by`'s permutation of *tied* values
+//! depends on its internal algorithm state, and exact real-arithmetic gain
+//! ties between different candidate splits are common in small nodes (few
+//! rows, ordinal features), so the winning split is decided by the last-ulp
 //! rounding of sums accumulated in tie order. Any scheme that changes tie
 //! order changes predictions (measured: ~1 tree in 32 on the golden
 //! workloads). For the same reason the comparator looks only at the rank
@@ -33,7 +42,8 @@ use rand::Rng;
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::Xoshiro256PlusPlus;
 
-use crate::hyper::ForestConfig;
+use crate::fast::CountingTables;
+use crate::hyper::{FitMode, ForestConfig};
 use crate::split::{
     best_categorical_split, best_numeric_split_ranked, RankRow, Split, SplitRule, SplitScratch,
 };
@@ -81,10 +91,39 @@ struct Task {
     depth: u32,
     parent: u32,
     is_left: bool,
+    /// Bit `f` set means numeric feature `f` was found constant within this
+    /// segment by an ancestor, so its split search is skipped.
+    constant: u64,
+}
+
+/// The constant-mask bit of feature `f`. Only the first 64 features are
+/// tracked; a wider one just pays the (cheap) rediscovery pass.
+fn constant_bit(f: usize) -> u64 {
+    1u64.checked_shl(f as u32).unwrap_or(0)
+}
+
+/// Tables one fit shares across all its trees: they depend only on the
+/// training matrix and the fit mode, not on the bootstrap sample.
+pub(crate) struct FitTables {
+    /// Dense ranks of every numeric column ([`numeric_ranks`]). Both fit
+    /// modes search and route rows by them.
+    ranks: Vec<Vec<u32>>,
+    /// [`FitMode::Fast`]'s counting-sort tables; `None` under
+    /// [`FitMode::Exact`].
+    counting: Option<CountingTables>,
+}
+
+impl FitTables {
+    pub(crate) fn new(x: &FeatureMatrix, kinds: &[FeatureKind], mode: FitMode) -> Self {
+        let ranks = numeric_ranks(x, kinds);
+        let counting = (mode == FitMode::Fast).then(|| CountingTables::new(x, &ranks));
+        Self { ranks, counting }
+    }
 }
 
 impl RegressionTree {
-    /// Grows a tree on the rows `rows` of `(x, y)`.
+    /// Grows a tree on the rows `rows` of `(x, y)` with the numeric split
+    /// search of `config.fit_mode`.
     ///
     /// `kinds` gives the per-column feature kinds; the random feature subset
     /// at each node is drawn from `rng`.
@@ -100,40 +139,13 @@ impl RegressionTree {
         config: &ForestConfig,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Self {
-        let ranks = numeric_ranks(x, kinds);
-        Self::fit_ranked(x, y, rows, kinds, config, rng, &ranks)
-    }
-
-    /// Grows a tree with the per-column rank tables precomputed by
-    /// [`numeric_ranks`]. The forest computes the tables once and shares
-    /// them across all trees (they depend only on `x`, not on the bootstrap
-    /// sample); [`RegressionTree::fit`] computes them on the fly.
-    ///
-    /// # Panics
-    /// As [`RegressionTree::fit`].
-    #[must_use]
-    pub(crate) fn fit_ranked(
-        x: &FeatureMatrix,
-        y: &[f64],
-        rows: &[u32],
-        kinds: &[FeatureKind],
-        config: &ForestConfig,
-        rng: &mut Xoshiro256PlusPlus,
-        ranks: &[Vec<u32>],
-    ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        debug_assert!(rows.iter().all(|&r| y[r as usize].is_finite()));
-        // Row ids and ranks are both < n_rows, so they fit 16-bit halves
-        // whenever the training set does — the common case by far, and
-        // worth half the per-node sort bandwidth. Both layouts produce the
-        // same permutation (the comparator answers are identical and the
-        // sort is deterministic in them), so path selection cannot affect
-        // results.
-        if x.n_rows() <= 1 << 16 {
-            grow::<u32>(x, y, rows, kinds, config, rng, ranks)
-        } else {
-            grow::<u64>(x, y, rows, kinds, config, rng, ranks)
-        }
+        assert!(
+            rows.iter().all(|&r| y[r as usize].is_finite()),
+            "targets must be finite"
+        );
+        let tables = FitTables::new(x, kinds, config.fit_mode);
+        grow(x, y, rows, kinds, config, rng, &tables)
     }
 
     /// Assembles a tree from raw parts (used by [`crate::reference`]).
@@ -260,19 +272,47 @@ impl RegressionTree {
     }
 }
 
-/// The iterative growth loop, monomorphized over the packed-word layout.
-fn grow<P: RankRow>(
+/// Grows one tree on the rows `rows` of `(x, y)` with the numeric split
+/// search of the fit mode `tables` were built for: the growth loop of
+/// [`RegressionTree::fit`] and of every forest fit and update.
+///
+/// `rows` must be non-empty and reference finite targets only; the callers
+/// check both.
+pub(crate) fn grow(
     x: &FeatureMatrix,
     y: &[f64],
     rows: &[u32],
     kinds: &[FeatureKind],
     config: &ForestConfig,
     rng: &mut Xoshiro256PlusPlus,
-    ranks: &[Vec<u32>],
+    tables: &FitTables,
+) -> RegressionTree {
+    // Row ids and ranks are both < n_rows, so they fit 16-bit halves
+    // whenever the training set does — the common case by far, and worth
+    // half the per-node sort bandwidth. Both layouts produce the same
+    // permutation (the comparator answers are identical and the sort is
+    // deterministic in them), so layout selection cannot affect results.
+    if x.n_rows() <= 1 << 16 {
+        grow_packed::<u32>(x, y, rows, kinds, config, rng, tables)
+    } else {
+        grow_packed::<u64>(x, y, rows, kinds, config, rng, tables)
+    }
+}
+
+/// The iterative growth loop, monomorphized over the packed-word layout.
+fn grow_packed<P: RankRow>(
+    x: &FeatureMatrix,
+    y: &[f64],
+    rows: &[u32],
+    kinds: &[FeatureKind],
+    config: &ForestConfig,
+    rng: &mut Xoshiro256PlusPlus,
+    tables: &FitTables,
 ) -> RegressionTree {
     let d = kinds.len();
     let mtry = config.mtry.resolve(d).min(d);
     let m = rows.len();
+    let ranks = &tables.ranks;
 
     // Shared node-order row buffer: every node is a contiguous segment.
     let mut rows_buf: Vec<u32> = rows.to_vec();
@@ -280,6 +320,8 @@ fn grow<P: RankRow>(
     let mut order: Vec<P> = Vec::with_capacity(m);
     let mut tmp: Vec<u32> = Vec::with_capacity(m);
     let mut scratch = SplitScratch::default();
+    // `FitMode::Fast`'s counting-sort search; `None` under `FitMode::Exact`.
+    let mut counting = tables.counting.as_ref().map(|t| t.for_tree(m));
     let mut feature_ids: Vec<usize> = (0..d).collect();
 
     let mut nodes: Vec<Node> = Vec::new();
@@ -294,6 +336,7 @@ fn grow<P: RankRow>(
         depth: 0,
         parent: NO_PARENT,
         is_left: false,
+        constant: 0,
     }];
     while let Some(task) = stack.pop() {
         let n_seg = task.end - task.start;
@@ -305,9 +348,9 @@ fn grow<P: RankRow>(
             if n_seg < config.min_split || config.max_depth.is_some_and(|dd| task.depth >= dd) {
                 (true, 0.0)
             } else {
-                let (konst, total) = node_stats(y, &rows_buf[task.start..task.end]);
-                (konst, total)
+                node_stats(y, &rows_buf[task.start..task.end])
             };
+        let mut constant = task.constant;
         let split = if stop {
             None
         } else {
@@ -318,41 +361,58 @@ fn grow<P: RankRow>(
                 feature_ids.swap(i, j);
             }
             let seg = &rows_buf[task.start..task.end];
-            let mut best: Option<Split> = None;
-            // Boundary rank of the best split when it is numeric, so the
-            // partition below can route rows by integer rank.
-            let mut best_boundary: Option<u32> = None;
+            // The best split so far, with its boundary rank when numeric,
+            // so the partition below can route rows by integer rank.
+            let mut best: Option<(Split, u32)> = None;
             for &f in &feature_ids[..mtry] {
+                if constant & constant_bit(f) != 0 {
+                    continue;
+                }
                 let s = match kinds[f] {
                     FeatureKind::Numeric => {
                         let ranks_f = &ranks[f];
-                        if n_seg < 2 * config.min_leaf {
+                        let mut col_constant = false;
+                        let s = if n_seg < 2 * config.min_leaf {
                             None
+                        } else if let Some(c) = counting.as_mut().filter(|c| c.covers(f)) {
+                            c.best_split(
+                                f,
+                                ranks_f,
+                                y,
+                                seg,
+                                node_total,
+                                config.min_leaf,
+                                &mut col_constant,
+                            )
                         } else {
                             // Packing doubles as the constant-feature test
                             // (one gather pass instead of two): a constant
                             // column would sort trivially and scan to no
-                            // admissible boundary, so skipping both changes
-                            // nothing observable.
+                            // admissible boundary.
                             order.clear();
                             let first_rank = ranks_f[seg[0] as usize];
-                            let mut constant = true;
+                            col_constant = true;
                             order.extend(seg.iter().map(|&r| {
                                 let rank = ranks_f[r as usize];
-                                constant &= rank == first_rank;
+                                col_constant &= rank == first_rank;
                                 P::pack(rank, r)
                             }));
-                            if constant {
+                            if col_constant {
                                 None
                             } else {
                                 // Compare ONLY the rank bits: the comparator
                                 // then answers exactly like the historical
                                 // float comparator (ranks preserve value
-                                // order and ties), so the sort reproduces
-                                // the historical permutation. Comparing the
-                                // full word would break ties by row id — a
-                                // different permutation, different trees.
-                                order.sort_unstable_by_key(|&a| a.rank());
+                                // order and ties). Exact's unstable sort
+                                // then reproduces the historical permutation;
+                                // comparing the full word would break ties by
+                                // row id — different trees. Fast sorts
+                                // stably: ties stay in segment order.
+                                if counting.is_some() {
+                                    order.sort_by_key(|&a| a.rank());
+                                } else {
+                                    order.sort_unstable_by_key(|&a| a.rank());
+                                }
                                 best_numeric_split_ranked(
                                     x.column(f),
                                     y,
@@ -362,7 +422,11 @@ fn grow<P: RankRow>(
                                     config.min_leaf,
                                 )
                             }
+                        };
+                        if col_constant {
+                            constant |= constant_bit(f);
                         }
+                        s
                     }
                     FeatureKind::Categorical { n_categories } => best_categorical_split(
                         x.column(f),
@@ -376,16 +440,12 @@ fn grow<P: RankRow>(
                     .map(|s| (s, 0)),
                 };
                 if let Some((s, boundary)) = s {
-                    if best.as_ref().is_none_or(|b| s.gain > b.gain) {
-                        best_boundary = match s.rule {
-                            SplitRule::Threshold(_) => Some(boundary),
-                            SplitRule::Categories(_) => None,
-                        };
-                        best = Some(s);
+                    if best.as_ref().is_none_or(|(b, _)| s.gain > b.gain) {
+                        best = Some((s, boundary));
                     }
                 }
             }
-            best.map(|b| (b, best_boundary))
+            best
         };
 
         let idx = nodes.len() as u32;
@@ -414,12 +474,15 @@ fn grow<P: RankRow>(
                 // (`rank <= boundary` ⇔ `value <= threshold`, exactly);
                 // fall back to the rule itself for categorical winners.
                 let seg = &mut rows_buf[task.start..task.end];
-                let n_left = if let Some(b) = boundary {
-                    let ranks_f = &ranks[split.feature];
-                    stable_partition(seg, &mut tmp, |r| ranks_f[r as usize] <= b)
-                } else {
-                    let col = x.column(split.feature);
-                    stable_partition(seg, &mut tmp, |r| split.rule.goes_left(col[r as usize]))
+                let n_left = match split.rule {
+                    SplitRule::Threshold(_) => {
+                        let ranks_f = &ranks[split.feature];
+                        stable_partition(seg, &mut tmp, |r| ranks_f[r as usize] <= boundary)
+                    }
+                    SplitRule::Categories(_) => {
+                        let col = x.column(split.feature);
+                        stable_partition(seg, &mut tmp, |r| split.rule.goes_left(col[r as usize]))
+                    }
                 };
                 debug_assert!(n_left > 0 && n_left < n_seg);
                 debug_assert!({
@@ -439,6 +502,7 @@ fn grow<P: RankRow>(
                     depth: task.depth + 1,
                     parent: idx,
                     is_left: false,
+                    constant,
                 });
                 stack.push(Task {
                     start: task.start,
@@ -446,6 +510,7 @@ fn grow<P: RankRow>(
                     depth: task.depth + 1,
                     parent: idx,
                     is_left: true,
+                    constant,
                 });
             }
         }
@@ -457,7 +522,7 @@ fn grow<P: RankRow>(
 /// One fused pass over a node's segment: whether every target equals the
 /// first (the historical `constant_targets` stop test) and the node-order
 /// target sum (the historical per-feature `total`, hoisted).
-pub(crate) fn node_stats(y: &[f64], rows: &[u32]) -> (bool, f64) {
+fn node_stats(y: &[f64], rows: &[u32]) -> (bool, f64) {
     let first = y[rows[0] as usize];
     let mut all_eq = true;
     let mut sum = 0.0;
@@ -492,7 +557,7 @@ fn sort_key(v: f64) -> u64 {
 /// (`-0.0` collapsed onto `+0.0`), so the per-node packed sort and the
 /// boundary scan can work purely on integers. Computed once per forest fit
 /// and shared across all trees. Categorical columns get an empty table.
-pub(crate) fn numeric_ranks(x: &FeatureMatrix, kinds: &[FeatureKind]) -> Vec<Vec<u32>> {
+fn numeric_ranks(x: &FeatureMatrix, kinds: &[FeatureKind]) -> Vec<Vec<u32>> {
     kinds
         .iter()
         .enumerate()
@@ -525,11 +590,7 @@ fn column_ranks(col: &[f64]) -> Vec<u32> {
 
 /// Stably partitions `seg` so rows accepted by `goes_left` come first,
 /// preserving relative order on both sides; returns the left count.
-pub(crate) fn stable_partition(
-    seg: &mut [u32],
-    tmp: &mut Vec<u32>,
-    goes_left: impl Fn(u32) -> bool,
-) -> usize {
+fn stable_partition(seg: &mut [u32], tmp: &mut Vec<u32>, goes_left: impl Fn(u32) -> bool) -> usize {
     if tmp.len() < seg.len() {
         tmp.resize(seg.len(), 0);
     }
@@ -562,7 +623,7 @@ pub(crate) fn stable_partition(
 /// and integer-valued leaves in particular) and agrees with the two-pass
 /// value to rounding error otherwise (verified against
 /// `reference::leaf_stats` in tests).
-pub(crate) fn leaf_stats(y: &[f64], rows: &[u32]) -> LeafStats {
+fn leaf_stats(y: &[f64], rows: &[u32]) -> LeafStats {
     let mut sum = 0.0f64;
     let mut m2 = 0.0f64;
     for (i, &r) in rows.iter().enumerate() {
@@ -716,6 +777,20 @@ mod tests {
             assert_eq!(tree.predict_at(&m, i), tree.predict(xi));
             assert_eq!(tree.predict_leaf_at(&m, i), tree.predict_leaf(xi));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "targets must be finite")]
+    fn fit_rejects_non_finite_targets() {
+        let x = FeatureMatrix::from_rows(1, &[vec![0.0], vec![1.0]]);
+        let _ = RegressionTree::fit(
+            &x,
+            &[1.0, f64::NAN],
+            &[0, 1],
+            &[FeatureKind::Numeric],
+            &ForestConfig::default(),
+            &mut Xoshiro256PlusPlus::new(0),
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@ use pwu_forest::{FitMode, ForestConfig, RandomForest};
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::Xoshiro256PlusPlus;
 
-/// A mixed dataset exercising all three fast-engine column plans: a
+/// A mixed dataset exercising all three fast-engine column searches: a
 /// low-cardinality numeric column (counting-sort search), a continuous
-/// column with > 256 distinct values (presorted partition reuse), and a
+/// column with > 256 distinct values (the stable per-node sort), and a
 /// categorical column.
 fn dataset(n: usize, seed: u64) -> (FeatureMatrix, Vec<FeatureKind>, Vec<f64>, Vec<Vec<f64>>) {
     let mut rng = Xoshiro256PlusPlus::new(seed);

@@ -39,13 +39,18 @@
 //!   tracing-on runs produce byte-identical checkpoints to tracing-off),
 //!   then checks the committed `BENCH_obs.json` against the <5 % tracing
 //!   overhead budget. See DESIGN.md §13 for the contract.
-//! - `fast` — the fast-engine gate: runs the `pwu-forest` fast-fit and
+//! - `fast` — the fit-engine gate. Both fit modes grow trees through one
+//!   loop, so it holds both contracts. Bitwise (DESIGN.md §9): the root
+//!   `fit_pins` fingerprints of both engines, the `pwu-forest`
+//!   `golden_predictions`, `reference_equivalence`, `categorical_exactness`
+//!   and `predict_tails` suites, and `pwu-core`'s `golden_trajectory`.
+//!   Statistical (DESIGN.md §14): the `pwu-forest` fast-fit and
 //!   flat-predict suites with and without the schedule sanitizer
 //!   (`sanitize` feature), the `pwu-core` statistical-equivalence harness
 //!   (trajectory RMSE over ≥20 seeds, 18-kernel best-config quality,
 //!   determinism/width-invariance), and the `pwu-serve` fleet suite with
 //!   fast sessions (nested parallel fit degrades on pool workers without
-//!   deadlock). See DESIGN.md §14 for the statistical-equivalence contract.
+//!   deadlock).
 //!
 //! With no command, prints the full CI gate list and exits 0.
 
@@ -55,14 +60,14 @@ use std::process::{exit, Command};
 /// `(invocation, what it enforces)`.
 const GATES: [(&str, &str); 9] = [
     ("cargo build --release", "the workspace compiles"),
-    ("cargo test -q", "the full test suite (tier-1)"),
+    ("cargo test -q", "umbrella package tests only (tier-1): integration + fit pins"),
     ("cargo xtask lint", "clippy -D warnings + pwu-lint kernel legality"),
     ("cargo xtask faults", "fault-injection & retry/quarantine suites"),
     ("cargo xtask perf --check", "perf smoke run vs committed baselines"),
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
     ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale) + perfbench self-test"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
-    ("cargo xtask fast", "fast-engine equivalence + flat predict (± sanitizer) + nested-fit degrade"),
+    ("cargo xtask fast", "fit engines: exact goldens + fit pins, fast equivalence, flat predict (± sanitizer)"),
 ];
 
 fn main() {
@@ -444,6 +449,31 @@ fn obs() {
 fn fast() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     run_step(
+        "fit fingerprints of both engines (root fit_pins)",
+        Command::new(&cargo).args(["test", "-q", "-p", "pwu-repro", "--test", "fit_pins"]),
+    );
+    run_step(
+        "exact-engine bit-identity suites (goldens, reference equivalence, categorical, tails)",
+        Command::new(&cargo).args([
+            "test",
+            "-q",
+            "-p",
+            "pwu-forest",
+            "--test",
+            "golden_predictions",
+            "--test",
+            "reference_equivalence",
+            "--test",
+            "categorical_exactness",
+            "--test",
+            "predict_tails",
+        ]),
+    );
+    run_step(
+        "golden tuning trajectories (pwu-core golden_trajectory)",
+        Command::new(&cargo).args(["test", "-q", "-p", "pwu-core", "--test", "golden_trajectory"]),
+    );
+    run_step(
         "fast fit + flat predict suites",
         Command::new(&cargo).args([
             "test",
@@ -479,7 +509,7 @@ fn fast() {
         "serve fleet suite with fast sessions (nested fit degrade)",
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-serve", "--test", "service"]),
     );
-    println!("xtask: fast-engine gate passed");
+    println!("xtask: fit-engine gate passed");
 }
 
 fn faults() {
