@@ -32,7 +32,7 @@ use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
 use crate::annotator::{Aggregator, Annotator, MeasurementStats, RetryPolicy};
 use crate::checkpoint::{ActiveCheckpoint, CheckpointError, CheckpointPolicy};
-use crate::metrics::rmse_at_alpha;
+use crate::metrics::EliteTest;
 use crate::score::PoolScoreCache;
 use crate::strategy::Strategy;
 
@@ -102,6 +102,11 @@ impl ActiveConfig {
         assert!(self.n_max >= self.n_init, "n_max below n_init");
         assert!(self.eval_every > 0, "eval_every must be positive");
         assert!(!self.alphas.is_empty(), "need at least one alpha");
+        assert!(
+            self.alphas.iter().all(|&a| a > 0.0 && a <= 1.0),
+            "every alpha must be in (0, 1], got {:?}",
+            self.alphas
+        );
         if let RefitMode::Partial(n) = self.refit {
             assert!(n > 0, "partial refit must regrow at least one tree");
         }
@@ -188,6 +193,9 @@ struct LoopState<'a> {
     /// [`RefitMode::Partial`]; never checkpointed — a resumed run rebuilds
     /// it on first use. Its fold is bit-identical to `predict_batch`.
     scores: Option<PoolScoreCache>,
+    /// The test set's Eq. 2 evaluator, built at the first snapshot this
+    /// state records and reused for every later one; never checkpointed.
+    elite: Option<EliteTest>,
 }
 
 /// Runs Algorithm 1.
@@ -405,6 +413,7 @@ fn state_from_checkpoint<'a>(
         iteration: checkpoint.iteration,
         lint: checkpoint.lint,
         scores: None,
+        elite: None,
     }
 }
 
@@ -513,7 +522,9 @@ fn init_state<'a>(
         removed,
         config.n_max
     );
-    assert_eq!(test_features.n_rows(), test_labels.len());
+    // The cold start always records a snapshot: check and rank the test
+    // set now, before any measurement is paid for.
+    let elite = EliteTest::new(test_features, test_labels, &config.alphas);
 
     // Observability: the whole cold start (lint + sampling + initial fit)
     // is one span; args carry only deterministic quantities.
@@ -568,12 +579,10 @@ fn init_state<'a>(
     let mut history = Vec::new();
     record(
         &mut history,
+        &elite,
         &model,
         &train,
         annotator.stats().wasted_cost,
-        test_features,
-        test_labels,
-        &config.alphas,
     );
     LoopState {
         schema,
@@ -590,6 +599,7 @@ fn init_state<'a>(
         iteration: 0,
         lint,
         scores: None,
+        elite: Some(elite),
     }
 }
 
@@ -749,14 +759,17 @@ fn one_iteration(
     }
     let done = state.train.len() >= config.n_max || state.pool.is_empty();
     if state.iteration.is_multiple_of(config.eval_every as u64) || done {
+        // A state rebuilt from a checkpoint ranks its test set only once a
+        // snapshot is due: most served steps record none.
+        let elite = state
+            .elite
+            .get_or_insert_with(|| EliteTest::new(test_features, test_labels, &config.alphas));
         record(
             &mut state.history,
+            elite,
             &state.model,
             &state.train,
             state.annotator.stats().wasted_cost,
-            test_features,
-            test_labels,
-            &config.alphas,
         );
     }
     done
@@ -800,24 +813,23 @@ fn make_checkpoint(
     }
 }
 
+/// Appends one snapshot: RMSE@α of `model` on the elite test rows, plus
+/// the cumulative cost so far.
 fn record(
     history: &mut Vec<Snapshot>,
+    elite: &EliteTest,
     model: &RandomForest,
     train: &LabeledSet,
     wasted_cost: f64,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
-    alphas: &[f64],
 ) {
     let _s = pwu_obs::span(
         "core.eval",
-        [("n_test", pwu_obs::Arg::u(test_labels.len() as u64))],
+        [
+            ("n_test", pwu_obs::Arg::u(elite.n_test() as u64)),
+            ("rows", pwu_obs::Arg::u(elite.rows() as u64)),
+        ],
     );
-    let preds = model.predict_batch_mean(test_features);
-    let rmse = alphas
-        .iter()
-        .map(|&a| rmse_at_alpha(test_labels, &preds, a))
-        .collect();
+    let rmse = elite.rmse(model);
     // Wasted wall-clock (failed runs, backoff) is real annotation cost:
     // charge it alongside the labeled measurement time. Zero — and
     // bit-neutral — when no faults fire.
@@ -1206,6 +1218,48 @@ mod tests {
             pool,
             &tf,
             &tl,
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "every alpha must be in (0, 1]")]
+    fn zero_alpha_is_rejected_by_validate() {
+        let mut cfg = quick_config(30);
+        cfg.alphas = vec![0.05, 0.0];
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "every alpha must be in (0, 1]")]
+    fn alpha_above_one_is_rejected_by_validate() {
+        let mut cfg = quick_config(30);
+        cfg.alphas = vec![1.5];
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "every alpha must be in (0, 1]")]
+    fn nan_alpha_is_rejected_by_validate() {
+        let mut cfg = quick_config(30);
+        cfg.alphas = vec![f64::NAN, 0.05];
+        cfg.validate();
+    }
+
+    /// An empty test set fails with a message before the cold start pays
+    /// for any measurement, not on a slice index at the first snapshot.
+    #[test]
+    #[should_panic(expected = "nonempty test set")]
+    fn empty_test_set_is_rejected() {
+        let target = Synthetic::new();
+        let (pool, tf, _) = setup(&target, 60, 0, 3);
+        let _ = run(
+            &target,
+            Strategy::Uniform,
+            &quick_config(30),
+            pool,
+            &tf,
+            &[],
             0,
         );
     }

@@ -1,5 +1,7 @@
 //! Evaluation metrics (Section III-C of the paper).
 
+use pwu_forest::RandomForest;
+use pwu_space::FeatureMatrix;
 use pwu_stats::argsort_by;
 
 /// RMSE over the top `⌊n·α⌋` *observed*-performance test samples (Eq. 2).
@@ -8,23 +10,107 @@ use pwu_stats::argsort_by;
 /// performance first); the error is computed only on the elite slice —
 /// accuracy on poor configurations is irrelevant to tuning.
 ///
+/// This is the reference form of the loop's evaluator, which ranks the
+/// test set once per run and predicts only the elite rows; both use the
+/// same slice size and sum, so their results agree bit for bit.
+///
 /// # Panics
 /// Panics if lengths mismatch, `alpha` is outside `(0, 1]`, or the elite
 /// slice would be empty.
 #[must_use]
 pub fn rmse_at_alpha(observed: &[f64], predicted: &[f64], alpha: f64) -> f64 {
     assert_eq!(observed.len(), predicted.len(), "length mismatch");
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0,1]");
-    let m = ((observed.len() as f64 * alpha).floor() as usize).max(1);
+    let m = elite_len(observed.len(), alpha);
     let order = argsort_by(observed, |&y| y);
-    let sse: f64 = order[..m]
-        .iter()
-        .map(|&i| {
-            let d = observed[i] - predicted[i];
+    elite_rmse(order[..m].iter().map(|&i| (observed[i], predicted[i])), m)
+}
+
+/// Eq. 2's elite-slice size over `n` test samples: `⌊n·α⌋`, at least one.
+///
+/// # Panics
+/// Panics if `alpha` is outside `(0, 1]`.
+fn elite_len(n: usize, alpha: f64) -> usize {
+    assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0,1]");
+    ((n as f64 * alpha).floor() as usize).max(1)
+}
+
+/// Eq. 2's root mean square over the `m` elite `(observed, predicted)`
+/// pairs, summed in rank order (best true time first).
+fn elite_rmse(elite: impl Iterator<Item = (f64, f64)>, m: usize) -> f64 {
+    let sse: f64 = elite
+        .map(|(y, p)| {
+            let d = y - p;
             d * d
         })
         .sum();
     (sse / m as f64).sqrt()
+}
+
+/// Eq. 2 for one fixed test set and α list, ranked once.
+///
+/// The labels never change within a run, so the stable ranking
+/// [`rmse_at_alpha`] redoes per call is done here once, and only the rows
+/// the largest α's elite slice reads are kept, best true time first. Each
+/// evaluation then predicts just those rows. A row's prediction does not
+/// depend on the other rows of its batch, so every RMSE is bitwise
+/// [`rmse_at_alpha`] over the full test set.
+pub(crate) struct EliteTest {
+    /// The kept rows, in rank order.
+    features: FeatureMatrix,
+    /// Their true times, in the same order.
+    labels: Vec<f64>,
+    /// Per configured α, in config order: its elite-slice size.
+    lens: Vec<usize>,
+    /// Size of the whole test set.
+    n_test: usize,
+}
+
+impl EliteTest {
+    /// Ranks `labels` once and keeps the rows of the largest elite slice
+    /// any of `alphas` reads (`alphas` need not be sorted).
+    ///
+    /// # Panics
+    /// Panics if the test set is empty, its features and labels disagree in
+    /// length, or an α is outside `(0, 1]`.
+    pub(crate) fn new(features: &FeatureMatrix, labels: &[f64], alphas: &[f64]) -> Self {
+        assert_eq!(
+            features.n_rows(),
+            labels.len(),
+            "test features and labels disagree"
+        );
+        assert!(!labels.is_empty(), "RMSE@alpha needs a nonempty test set");
+        let n_test = labels.len();
+        let lens: Vec<usize> = alphas.iter().map(|&a| elite_len(n_test, a)).collect();
+        let kept = lens.iter().copied().max().unwrap_or(0);
+        let order = &argsort_by(labels, |&y| y)[..kept];
+        let rows: Vec<Vec<f64>> = order.iter().map(|&i| features.row(i)).collect();
+        Self {
+            features: FeatureMatrix::from_rows(features.n_cols(), &rows),
+            labels: order.iter().map(|&i| labels[i]).collect(),
+            lens,
+            n_test,
+        }
+    }
+
+    /// Size of the whole test set.
+    pub(crate) fn n_test(&self) -> usize {
+        self.n_test
+    }
+
+    /// Number of rows each evaluation predicts.
+    pub(crate) fn rows(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// RMSE@α of `model` for every configured α, in config order.
+    pub(crate) fn rmse(&self, model: &RandomForest) -> Vec<f64> {
+        let preds = model.predict_batch_mean(&self.features);
+        let ranked = || self.labels.iter().copied().zip(preds.iter().copied());
+        self.lens
+            .iter()
+            .map(|&m| elite_rmse(ranked().take(m), m))
+            .collect()
+    }
 }
 
 /// The cumulative cost (Eq. 3) needed to first reach an RMSE at or below
@@ -102,6 +188,21 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn zero_alpha_rejected() {
         let _ = rmse_at_alpha(&[1.0], &[1.0], 0.0);
+    }
+
+    #[test]
+    fn elite_test_keeps_the_largest_slice_in_stable_rank_order() {
+        // Ties at 1.0 keep their input order (rows 1, 3); α = 0.5 of 4
+        // reads two rows, α = 0.25 one, α = 0.1 is clamped to one.
+        let labels = [2.0, 1.0, 5.0, 1.0];
+        let features =
+            FeatureMatrix::from_rows(1, &[vec![20.0], vec![10.0], vec![50.0], vec![30.0]]);
+        let elite = EliteTest::new(&features, &labels, &[0.25, 0.5, 0.1]);
+        assert_eq!(elite.n_test(), 4);
+        assert_eq!(elite.rows(), 2);
+        assert_eq!(elite.lens, vec![1, 2, 1]);
+        assert_eq!(elite.labels, vec![1.0, 1.0]);
+        assert_eq!(elite.features.column(0), &[10.0, 30.0]);
     }
 
     #[test]

@@ -12,14 +12,19 @@
 //! checkpoint, proving the *resumed* trajectory is byte-identical to the same
 //! golden — checkpoint/resume is exactness-preserving, not merely
 //! approximately correct.
+//!
+//! The last test pins the loop's RMSE@α evaluation, in both fit modes, to
+//! [`rmse_at_alpha`] over the whole test set, at a shape the goldens'
+//! one- and two-row elite slices never reach.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pwu_core::{
-    active, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointPolicy, RefitMode, Strategy,
+    active, rmse_at_alpha, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointPolicy, RefitMode,
+    Snapshot, Strategy,
 };
-use pwu_forest::ForestConfig;
+use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::Pool;
 use pwu_space::{
     ConfigLegality, Configuration, FeatureMatrix, FeatureSchema, MeasureOutcome, ParamSpace,
@@ -244,4 +249,135 @@ fn killed_and_resumed_run_reproduces_the_golden_trajectory() {
     let _ = std::fs::remove_file(&path);
 
     assert_matches_golden(&resumed, &FROM_SCRATCH);
+}
+
+/// A gesummv test set of 1100 rows (three 512-row predict chunks, not a
+/// multiple of the 16-row block) whose labels are rounded to a few distinct
+/// values, so the stable order among tied labels decides which rows an
+/// elite slice reads. Returns the pool, the test features and the labels.
+fn tied_test_setup(kernel: &Kernel) -> (Vec<Configuration>, FeatureMatrix, Vec<f64>) {
+    let space = kernel.space();
+    let schema = FeatureSchema::for_space(space);
+    let mut rng = Xoshiro256PlusPlus::new(0xE117E);
+    let all = space.sample_distinct(1300, &mut rng);
+    let (pool_cfgs, test_cfgs) = all.split_at(200);
+    let raw: Vec<f64> = test_cfgs.iter().map(|c| kernel.ideal_time(c)).collect();
+    let lo = raw.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let step = (hi - lo) / 6.0;
+    let labels = raw
+        .iter()
+        .map(|&y| lo + ((y - lo) / step).round() * step)
+        .collect();
+    (
+        pool_cfgs.to_vec(),
+        schema.encode_matrix(space, test_cfgs),
+        labels,
+    )
+}
+
+fn history_bits(history: &[Snapshot]) -> Vec<(usize, u64, Vec<u64>)> {
+    history
+        .iter()
+        .map(|s| {
+            (
+                s.n_train,
+                s.cumulative_cost.to_bits(),
+                s.rmse.iter().map(|r| r.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// Every snapshot predicts only the ranked elite rows, yet its RMSE@α bits
+/// equal [`rmse_at_alpha`] over the full test set's predictions: for
+/// unsorted α's including 1.0 (the whole set) and one whose `⌊n·α⌋` is 0
+/// (clamped to one row), on tied labels, in both fit modes. A chain of
+/// `bootstrap` and `step_once` calls, whose states build the evaluator
+/// lazily, records the same history bit for bit.
+#[test]
+fn elite_slice_evaluation_matches_full_test_set_rmse_bitwise() {
+    let kernel = kernel_by_name("gesummv").expect("kernel registered");
+    let (pool_cfgs, test_features, test_labels) = tied_test_setup(&kernel);
+    assert_eq!(test_labels.len(), 1100);
+    let alphas = vec![0.10, 0.0005, 0.05, 1.0];
+    // The α = 0.10 and α = 0.05 cuts must fall inside a run of tied labels,
+    // else the stable tie order is not being exercised.
+    let mut sorted = test_labels.clone();
+    sorted.sort_by(f64::total_cmp);
+    for m in [110, 55] {
+        assert_eq!(
+            sorted[m - 1].to_bits(),
+            sorted[m].to_bits(),
+            "no tie at the {m}-row cut"
+        );
+    }
+    let schema = FeatureSchema::for_space(kernel.space());
+    let pool = || Pool::new(kernel.space(), &schema, pool_cfgs.clone());
+    let strategy = Strategy::Pwu { alpha: 0.05 };
+    for fit_mode in [FitMode::Exact, FitMode::Fast] {
+        let config = ActiveConfig {
+            n_init: 8,
+            n_batch: 2,
+            n_max: 24,
+            forest: ForestConfig {
+                n_trees: 16,
+                fit_mode,
+                ..ForestConfig::default()
+            },
+            eval_every: 3,
+            alphas: alphas.clone(),
+            repeats: 2,
+            ..ActiveConfig::default()
+        };
+        let run = active::run(
+            &kernel,
+            strategy,
+            &config,
+            pool(),
+            &test_features,
+            &test_labels,
+            91,
+        );
+        let full = run.model.predict_batch_mean(&test_features);
+        let want: Vec<u64> = alphas
+            .iter()
+            .map(|&a| rmse_at_alpha(&test_labels, &full, a).to_bits())
+            .collect();
+        let got: Vec<u64> = run
+            .history
+            .last()
+            .unwrap()
+            .rmse
+            .iter()
+            .map(|r| r.to_bits())
+            .collect();
+        assert_eq!(
+            got, want,
+            "{fit_mode:?}: last snapshot drifted from rmse_at_alpha"
+        );
+
+        let mut checkpoint =
+            active::bootstrap(&kernel, &config, pool(), &test_features, &test_labels, 91);
+        loop {
+            let out = active::step_once(
+                &kernel,
+                strategy,
+                &config,
+                &checkpoint,
+                &test_features,
+                &test_labels,
+            )
+            .expect("step");
+            checkpoint = out.checkpoint;
+            if out.done {
+                break;
+            }
+        }
+        assert_eq!(
+            history_bits(&checkpoint.history),
+            history_bits(&run.history),
+            "{fit_mode:?}: the step chain's history drifted from the run's"
+        );
+    }
 }

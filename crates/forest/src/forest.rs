@@ -194,6 +194,12 @@ impl RandomForest {
     /// deterministic and width/deal-order invariant, covered by the same
     /// statistical-equivalence contract as the fast fit (DESIGN.md §14).
     ///
+    /// Rows are independent: a row's result depends only on that row and
+    /// the forest, never on the other rows of `x`, their order or count, so
+    /// predicting a gathered subset of rows returns bitwise the same values
+    /// for them as predicting all of `x`. pwu-core's RMSE@α evaluation
+    /// predicts only the elite test rows and relies on this.
+    ///
     /// # Panics
     /// Panics if `x` is narrower than the trees' features or wider than 64
     /// features (as do the other batch predictors).
@@ -219,7 +225,9 @@ impl RandomForest {
     }
 
     /// Batch point predictions (same kernel and fold as
-    /// [`RandomForest::predict_batch`]).
+    /// [`RandomForest::predict_batch`]), rows independent as there: a
+    /// gathered subset of rows predicts bitwise as those rows of the full
+    /// batch.
     #[must_use]
     pub fn predict_batch_mean(&self, x: &FeatureMatrix) -> Vec<f64> {
         self.assert_covers(x);
@@ -231,7 +239,9 @@ impl RandomForest {
     /// the bulk form of [`RandomForest::predict_total_variance`], folding
     /// the flat layout's leaf `μ` and second-moment arrays with the same
     /// kernel and fold as [`RandomForest::predict_batch`]: exact forests
-    /// are bit-identical to the scalar call.
+    /// are bit-identical to the scalar call. Rows are independent as there:
+    /// a gathered subset of rows predicts bitwise as those rows of the full
+    /// batch.
     #[must_use]
     pub fn predict_batch_total_variance(&self, x: &FeatureMatrix) -> Vec<Prediction> {
         self.assert_covers(x);

@@ -40,6 +40,41 @@ fn dataset(n: usize, seed: u64) -> (FeatureMatrix, Vec<FeatureKind>, Vec<f64>) {
     (x, kinds, y)
 }
 
+/// A 24-column dataset, wider than the kernel's 16-feature narrow stride,
+/// so batches go through its wide row records. Every fourth column is
+/// categorical.
+fn wide_dataset(n: usize, seed: u64) -> (FeatureMatrix, Vec<FeatureKind>, Vec<f64>) {
+    const D: usize = 24;
+    let mut rng = Xoshiro256PlusPlus::new(seed);
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..D)
+                .map(|j| {
+                    if j % 4 == 0 {
+                        rng.gen_range(0..4) as f64
+                    } else {
+                        rng.next_f64() * 10.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let y = rows
+        .iter()
+        .map(|r| 2.0 * r[0] + r[5] + 0.3 * r[17] * r[23] + 0.5 * rng.next_f64())
+        .collect();
+    let kinds = (0..D)
+        .map(|j| {
+            if j % 4 == 0 {
+                FeatureKind::Categorical { n_categories: 4 }
+            } else {
+                FeatureKind::Numeric
+            }
+        })
+        .collect();
+    (FeatureMatrix::from_rows(D, &rows), kinds, y)
+}
+
 fn fast_config() -> ForestConfig {
     ForestConfig {
         n_trees: 30,
@@ -50,6 +85,15 @@ fn fast_config() -> ForestConfig {
 
 fn batch_bits(preds: &[Prediction]) -> Vec<(u64, u64)> {
     preds.iter().map(|p| (p.mean.to_bits(), p.std.to_bits())).collect()
+}
+
+fn mean_bits(means: &[f64]) -> Vec<u64> {
+    means.iter().map(|m| m.to_bits()).collect()
+}
+
+/// The entries of `all` at `idx`, in `idx` order.
+fn pick<T: Copy>(all: &[T], idx: &[usize]) -> Vec<T> {
+    idx.iter().map(|&i| all[i]).collect()
 }
 
 fn columns_bits(cols: &[Vec<f64>]) -> Vec<Vec<u64>> {
@@ -207,6 +251,56 @@ fn partial_update_recompiles_flat_trees_coherently() {
             folded_oracle(&forest, &pool),
             "step {step}: incrementally recompiled flat layout drifted from the scalar trees"
         );
+    }
+}
+
+/// Row independence, the property pwu-core's elite-slice evaluation rests
+/// on: in both fit modes and both row-record strides, the three batch
+/// predictors return for a gathered subset of rows exactly the bits the
+/// full batch returns for those rows. The subsets are scattered and
+/// unsorted across 16-row blocks and 512-row chunks, a single row, and
+/// every other row in reverse (a subset spanning two chunks of its own).
+#[test]
+fn batch_predictions_of_gathered_rows_equal_the_full_batch_rows_bitwise() {
+    let scattered = vec![
+        1099, 0, 511, 512, 15, 16, 17, 1023, 1024, 700, 31, 513, 300, 1098,
+    ];
+    let single = vec![777];
+    let alternate: Vec<usize> = (0..1100).rev().step_by(2).collect();
+    let narrow = (dataset(300, 71), dataset(1100, 72).0);
+    let wide = (wide_dataset(300, 73), wide_dataset(1100, 74).0);
+    assert!(narrow.1.n_cols() <= 16 && wide.1.n_cols() > 16);
+    for ((x, kinds, y), pool) in [narrow, wide] {
+        for fit_mode in [FitMode::Exact, FitMode::Fast] {
+            let config = ForestConfig {
+                fit_mode,
+                ..fast_config()
+            };
+            let forest = RandomForest::fit(&config, &kinds, &x, &y, 11);
+            let full = batch_bits(&forest.predict_batch(&pool));
+            let full_mean = mean_bits(&forest.predict_batch_mean(&pool));
+            let full_tv = batch_bits(&forest.predict_batch_total_variance(&pool));
+            for idx in [&scattered, &single, &alternate] {
+                let rows: Vec<Vec<f64>> = idx.iter().map(|&i| pool.row(i)).collect();
+                let subset = FeatureMatrix::from_rows(pool.n_cols(), &rows);
+                let context = format!("{fit_mode:?}, {} cols, {} rows", pool.n_cols(), idx.len());
+                assert_eq!(
+                    batch_bits(&forest.predict_batch(&subset)),
+                    pick(&full, idx),
+                    "predict_batch: {context}"
+                );
+                assert_eq!(
+                    mean_bits(&forest.predict_batch_mean(&subset)),
+                    pick(&full_mean, idx),
+                    "predict_batch_mean: {context}"
+                );
+                assert_eq!(
+                    batch_bits(&forest.predict_batch_total_variance(&subset)),
+                    pick(&full_tv, idx),
+                    "predict_batch_total_variance: {context}"
+                );
+            }
+        }
     }
 }
 

@@ -279,8 +279,10 @@ impl SessionSpec {
         if self.repeats == 0 || self.n_trees == 0 {
             return Err(bad("repeats and n_trees must be positive"));
         }
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err(bad("alpha must be in [0, 1]"));
+        // Eq. 2 reads the best ⌊n·α⌋ test points: α = 0 would leave the
+        // first snapshot nothing to evaluate.
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err(bad("alpha must be in (0, 1]"));
         }
         Ok(())
     }
@@ -842,6 +844,7 @@ mod tests {
             SessionSpec { pool_n: 10, ..ok.clone() },
             SessionSpec { test_n: 0, ..ok.clone() },
             SessionSpec { alpha: 1.5, ..ok.clone() },
+            SessionSpec { alpha: 0.0, ..ok.clone() },
         ] {
             assert_eq!(broken.validate().unwrap_err().kind, ErrorKind::BadRequest);
         }

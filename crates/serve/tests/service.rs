@@ -264,6 +264,8 @@ fn mistyped_create_fields_are_typed_bad_requests() {
         ("seed", "1e17"),
         ("seed", r#""7""#),
         ("alpha", r#""0.1""#),
+        // Eq. 2 reads the best ⌊n·α⌋ test points: α = 0 is out of range.
+        ("alpha", "0"),
         ("strategy", "1"),
         ("fit_mode", "1"),
     ];
