@@ -10,18 +10,18 @@
 //! consumes exactly the same RNG streams as the historical implementation,
 //! so fault-free trajectories are bit-identical.
 //!
-//! Long runs can be checkpointed every few iterations
-//! ([`run_with_checkpoints`]) and resumed after a crash ([`resume`]) with
-//! bit-identical results; see [`crate::checkpoint`].
-//!
-//! The loop is also exposed one iteration at a time: [`bootstrap`] runs the
-//! cold start and returns the iteration-0 checkpoint, and [`step_once`]
-//! advances any checkpoint by exactly one iteration, returning the next
-//! checkpoint in a [`StepOutcome`]. Because the from-scratch model is a pure
-//! function of (training set, iteration-derived seed), a chain of
-//! `step_once` calls is bit-identical to the continuous loop — this is the
-//! substrate `pwu-serve` hosts sessions on, and what makes killing a session
-//! between steps free of state loss.
+//! [`ActiveLoop`] is the loop itself: [`ActiveLoop::new`] runs the cold
+//! start, [`ActiveLoop::step`] one iteration, [`ActiveLoop::checkpoint`]
+//! captures the state and [`ActiveLoop::from_checkpoint`] restores it. It
+//! borrows its target, its config and its Eq. 2 evaluator ([`EliteTest`]),
+//! so a caller that keeps the evaluator ranks its test set once however
+//! many loops it restores. The entry points are loops over it: [`run`];
+//! [`run_with_checkpoints`] and [`resume`], which save per a
+//! [`CheckpointPolicy`] and continue bit-identically after a crash (see
+//! [`crate::checkpoint`]); and [`bootstrap`] + [`step_once`], which advance
+//! a checkpoint one iteration per call. Because the from-scratch model is a
+//! pure function of (training set, iteration-derived seed), a chain of
+//! `step_once` calls is bit-identical to the continuous loop.
 
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{
@@ -173,9 +173,13 @@ pub struct ActiveRun {
     pub quarantined: Vec<Configuration>,
 }
 
-/// In-flight state of one run: everything the iteration loop mutates, which
-/// is also exactly what a checkpoint must capture.
-struct LoopState<'a> {
+/// Algorithm 1 in flight: everything the iteration loop mutates, which is
+/// also exactly what a checkpoint captures, plus the three things it
+/// borrows — its target, its config and its Eq. 2 evaluator.
+pub struct ActiveLoop<'a> {
+    target: &'a dyn TuningTarget,
+    config: &'a ActiveConfig,
+    elite: &'a EliteTest,
     schema: FeatureSchema,
     annotator: Annotator<'a>,
     select_rng: Xoshiro256PlusPlus,
@@ -190,12 +194,21 @@ struct LoopState<'a> {
     iteration: u64,
     lint: PoolLintCounts,
     /// Incremental pool scorer, used (and lazily built) only under
-    /// [`RefitMode::Partial`]; never checkpointed — a resumed run rebuilds
-    /// it on first use. Its fold is bit-identical to `predict_batch`.
+    /// [`RefitMode::Partial`]; never checkpointed — a restored loop
+    /// rebuilds it on first use. Its fold is bit-identical to
+    /// `predict_batch`.
     scores: Option<PoolScoreCache>,
-    /// The test set's Eq. 2 evaluator, built at the first snapshot this
-    /// state records and reused for every later one; never checkpointed.
-    elite: Option<EliteTest>,
+}
+
+/// Validates `config`, then ranks the test set into its Eq. 2 evaluator
+/// (which rejects an empty test set) before any measurement is paid for.
+fn evaluator(
+    config: &ActiveConfig,
+    test_features: &FeatureMatrix,
+    test_labels: &[f64],
+) -> EliteTest {
+    config.validate();
+    EliteTest::new(test_features, test_labels, &config.alphas)
 }
 
 /// Runs Algorithm 1.
@@ -212,7 +225,7 @@ struct LoopState<'a> {
 ///
 /// # Panics
 /// Panics if the pool (after removing illegal points) is smaller than
-/// `n_max` or the config is inconsistent.
+/// `n_max`, the test set is empty or the config is inconsistent.
 pub fn run(
     target: &dyn TuningTarget,
     strategy: Strategy,
@@ -222,20 +235,12 @@ pub fn run(
     test_labels: &[f64],
     seed: u64,
 ) -> ActiveRun {
-    let state = init_state(target, config, pool, test_features, test_labels, seed);
-    match drive(
-        target,
-        strategy,
-        config,
-        state,
-        test_features,
-        test_labels,
-        None,
-    ) {
-        Ok(run) => run,
-        // Without a checkpoint policy the loop performs no I/O.
-        Err(e) => unreachable!("checkpoint-free run cannot fail: {e}"),
+    let elite = evaluator(config, test_features, test_labels);
+    let mut active = ActiveLoop::new(target, config, pool, &elite, seed);
+    while !active.is_done() {
+        active.step(strategy);
     }
+    active.into_run()
 }
 
 /// Like [`run`], but saves an [`ActiveCheckpoint`] atomically every
@@ -258,25 +263,13 @@ pub fn run_with_checkpoints(
     seed: u64,
     policy: &CheckpointPolicy,
 ) -> Result<ActiveRun, CheckpointError> {
-    let state = init_state(target, config, pool, test_features, test_labels, seed);
-    drive(
-        target,
-        strategy,
-        config,
-        state,
-        test_features,
-        test_labels,
-        Some(policy),
-    )
+    let elite = evaluator(config, test_features, test_labels);
+    ActiveLoop::new(target, config, pool, &elite, seed).finish(strategy, Some(policy))
 }
 
 /// Resumes a run from a checkpoint, continuing bit-identically to the run
-/// that saved it.
-///
-/// Only [`RefitMode::FromScratch`] runs can resume: the from-scratch model
-/// is a pure function of the training set and the iteration-derived seed,
-/// so it is reconstructed instead of serialized. Pass a `policy` to keep
-/// checkpointing as the resumed run progresses.
+/// that saved it (see [`ActiveLoop::from_checkpoint`]). Pass a `policy` to
+/// keep checkpointing as the resumed run progresses.
 ///
 /// # Errors
 /// Returns [`CheckpointError::Mismatch`] if the checkpoint belongs to a
@@ -291,130 +284,8 @@ pub fn resume(
     test_labels: &[f64],
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ActiveRun, CheckpointError> {
-    check_resume_compat(target, config, checkpoint)?;
-    let state = state_from_checkpoint(target, config, checkpoint);
-    drive(
-        target,
-        strategy,
-        config,
-        state,
-        test_features,
-        test_labels,
-        policy,
-    )
-}
-
-/// Verifies that `checkpoint` belongs to this target/configuration and that
-/// the configuration is resumable at all.
-///
-/// # Errors
-/// Returns [`CheckpointError::Mismatch`] describing the first disagreement.
-fn check_resume_compat(
-    target: &dyn TuningTarget,
-    config: &ActiveConfig,
-    checkpoint: &ActiveCheckpoint,
-) -> Result<(), CheckpointError> {
-    config.validate();
-    if checkpoint.target_name != target.name() {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint is for target '{}', not '{}'",
-            checkpoint.target_name,
-            target.name()
-        )));
-    }
-    if config.refit != RefitMode::FromScratch {
-        return Err(CheckpointError::Mismatch(
-            "resume requires RefitMode::FromScratch (partial-refit forests \
-             are not reconstructible from a checkpoint)"
-                .into(),
-        ));
-    }
-    let same_counts = checkpoint.n_init == config.n_init
-        && checkpoint.n_batch == config.n_batch
-        && checkpoint.n_max == config.n_max
-        && checkpoint.repeats == config.repeats;
-    if !same_counts {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint counts (n_init {}, n_batch {}, n_max {}, repeats {}) \
-             do not match the config",
-            checkpoint.n_init, checkpoint.n_batch, checkpoint.n_max, checkpoint.repeats
-        )));
-    }
-    let same_alphas = checkpoint.alphas.len() == config.alphas.len()
-        && checkpoint
-            .alphas
-            .iter()
-            .zip(&config.alphas)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    if !same_alphas {
-        return Err(CheckpointError::Mismatch(
-            "checkpoint alphas do not match the config".into(),
-        ));
-    }
-    if checkpoint.fit_mode != config.forest.fit_mode {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint was written under fit mode '{}' but the config asks for '{}' \
-             (the engines produce bitwise-different forests, so resuming across \
-             modes would silently fork the trajectory)",
-            checkpoint.fit_mode.token(),
-            config.forest.fit_mode.token()
-        )));
-    }
-    Ok(())
-}
-
-/// Rebuilds the in-flight loop state a checkpoint captured: re-encode the
-/// training set, restore all three RNG streams and refit the model exactly
-/// as the checkpointing run last did. Callers must have passed
-/// `check_resume_compat` first.
-fn state_from_checkpoint<'a>(
-    target: &'a dyn TuningTarget,
-    config: &ActiveConfig,
-    checkpoint: &ActiveCheckpoint,
-) -> LoopState<'a> {
-    let space = target.space();
-    let schema = FeatureSchema::for_space(space);
-    let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
-        levels.iter().cloned().map(Configuration::new).collect()
-    };
-    let train_cfgs = to_cfgs(&checkpoint.train_configs);
-    let train_features = schema.encode_matrix(space, &train_cfgs);
-    let train = LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels.clone());
-    let pool = Pool::new(space, &schema, to_cfgs(&checkpoint.pool_configs));
-    let mut annotator = Annotator::new(target, config.repeats, 0)
-        .with_aggregator(config.aggregator)
-        .with_retry_policy(config.retry);
-    annotator.restore_state(
-        checkpoint.annotator_rng,
-        checkpoint.annotator_evaluations,
-        checkpoint.stats,
-    );
-    // The from-scratch model is a pure function of (train, iteration seed):
-    // refit it exactly as the checkpointing run last did.
-    let model = RandomForest::fit(
-        &config.forest,
-        schema.kinds(),
-        train.features(),
-        train.labels(),
-        derive_seed(checkpoint.forest_seed, checkpoint.iteration),
-    );
-    LoopState {
-        schema,
-        annotator,
-        select_rng: Xoshiro256PlusPlus::from_state(checkpoint.select_rng),
-        pool_rng: Xoshiro256PlusPlus::from_state(checkpoint.pool_rng),
-        forest_seed: checkpoint.forest_seed,
-        pool,
-        train,
-        model,
-        history: checkpoint.history.clone(),
-        selections: checkpoint.selections.clone(),
-        quarantined: to_cfgs(&checkpoint.quarantined),
-        iteration: checkpoint.iteration,
-        lint: checkpoint.lint,
-        scores: None,
-        elite: None,
-    }
+    let elite = evaluator(config, test_features, test_labels);
+    ActiveLoop::from_checkpoint(target, config, checkpoint, &elite)?.finish(strategy, policy)
 }
 
 /// The result of advancing a checkpointed run by one iteration.
@@ -449,8 +320,8 @@ pub fn bootstrap(
     test_labels: &[f64],
     seed: u64,
 ) -> ActiveCheckpoint {
-    let state = init_state(target, config, pool, test_features, test_labels, seed);
-    make_checkpoint(&state, target, config)
+    let elite = evaluator(config, test_features, test_labels);
+    ActiveLoop::new(target, config, pool, &elite, seed).checkpoint()
 }
 
 /// Advances a checkpointed run by exactly one iteration (one batch with
@@ -468,9 +339,9 @@ pub fn bootstrap(
 /// [`RefitMode::FromScratch`].
 ///
 /// # Panics
-/// Panics only where annotation itself panics (e.g. a NaN reading from a
-/// broken target) — in-memory state is the caller's checkpoint, which
-/// stays valid.
+/// Panics where annotation itself panics (e.g. a NaN reading from a broken
+/// target) — in-memory state is the caller's checkpoint, which stays valid
+/// — and on an empty test set or an inconsistent config.
 pub fn step_once(
     target: &dyn TuningTarget,
     strategy: Strategy,
@@ -479,373 +350,485 @@ pub fn step_once(
     test_features: &FeatureMatrix,
     test_labels: &[f64],
 ) -> Result<StepOutcome, CheckpointError> {
-    check_resume_compat(target, config, checkpoint)?;
-    let mut state = state_from_checkpoint(target, config, checkpoint);
-    if state.train.len() >= config.n_max || state.pool.is_empty() {
+    let elite = evaluator(config, test_features, test_labels);
+    let mut active = ActiveLoop::from_checkpoint(target, config, checkpoint, &elite)?;
+    if active.is_done() {
         return Ok(StepOutcome {
             checkpoint: checkpoint.clone(),
             done: true,
             step_cost: 0.0,
         });
     }
-    let cost = |state: &LoopState<'_>| {
-        state.train.cumulative_cost() + state.annotator.stats().wasted_cost
-    };
-    let before = cost(&state);
-    let done = one_iteration(strategy, config, &mut state, test_features, test_labels);
-    let step_cost = cost(&state) - before;
+    let before = active.cost();
+    let done = active.step(strategy);
     Ok(StepOutcome {
-        checkpoint: make_checkpoint(&state, target, config),
+        checkpoint: active.checkpoint(),
         done,
-        step_cost,
+        step_cost: active.cost() - before,
     })
 }
 
-/// Validates inputs, removes illegal pool points, runs the cold start and
-/// fits the initial model — everything up to Algorithm 1's iteration phase.
-fn init_state<'a>(
-    target: &'a dyn TuningTarget,
-    config: &ActiveConfig,
-    mut pool: Pool,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
-    seed: u64,
-) -> LoopState<'a> {
-    config.validate();
-    let lint = PoolLintCounts::tally(target, pool.configs());
-    let removed = pool.retain(|cfg| target.lint_config(cfg) != ConfigLegality::Illegal);
-    debug_assert_eq!(removed, lint.illegal, "retain and tally must agree");
-    assert!(
-        pool.len() >= config.n_max,
-        "pool of {} legal points ({} illegal removed) cannot supply n_max = {}",
-        pool.len(),
-        removed,
-        config.n_max
-    );
-    // The cold start always records a snapshot: check and rank the test
-    // set now, before any measurement is paid for.
-    let elite = EliteTest::new(test_features, test_labels, &config.alphas);
+impl<'a> ActiveLoop<'a> {
+    /// Runs Algorithm 1's cold start (lines 1–4): removes the illegal pool
+    /// points, annotates `n_init` random ones (quarantining failures and
+    /// topping back up), fits the first model and records the first
+    /// snapshot.
+    ///
+    /// # Panics
+    /// Panics if the config is inconsistent, `elite` was built for other
+    /// alphas than `config.alphas`, the pool (after removing illegal
+    /// points) is smaller than `n_max`, or every candidate fails annotation.
+    pub fn new(
+        target: &'a dyn TuningTarget,
+        config: &'a ActiveConfig,
+        mut pool: Pool,
+        elite: &'a EliteTest,
+        seed: u64,
+    ) -> Self {
+        config.validate();
+        assert!(
+            elite.is_for(&config.alphas),
+            "the evaluator was built for other alphas"
+        );
+        let lint = PoolLintCounts::tally(target, pool.configs());
+        let removed = pool.retain(|cfg| target.lint_config(cfg) != ConfigLegality::Illegal);
+        debug_assert_eq!(removed, lint.illegal, "retain and tally must agree");
+        assert!(
+            pool.len() >= config.n_max,
+            "pool of {} legal points ({} illegal removed) cannot supply n_max = {}",
+            pool.len(),
+            removed,
+            config.n_max
+        );
 
-    // Observability: the whole cold start (lint + sampling + initial fit)
-    // is one span; args carry only deterministic quantities.
-    let _bootstrap_span = pwu_obs::span(
-        "core.bootstrap",
-        [
-            ("n_init", pwu_obs::Arg::u(config.n_init as u64)),
-            ("pool", pwu_obs::Arg::u(pool.len() as u64)),
-        ],
-    );
-    // Mirror the pool-lint tally into the unified registry (satellite of
-    // the single-snapshot contract: serve `stats` and `pwu-trace summarize`
-    // see the same numbers).
-    pwu_obs::counter("pool.lint.legal").add(lint.legal as u64);
-    pwu_obs::counter("pool.lint.flagged").add(lint.flagged as u64);
-    pwu_obs::counter("pool.lint.illegal").add(lint.illegal as u64);
+        // Observability: the whole cold start (lint + sampling + initial fit)
+        // is one span; args carry only deterministic quantities.
+        let _bootstrap_span = pwu_obs::span(
+            "core.bootstrap",
+            [
+                ("n_init", pwu_obs::Arg::u(config.n_init as u64)),
+                ("pool", pwu_obs::Arg::u(pool.len() as u64)),
+            ],
+        );
+        // Mirror the pool-lint tally into the unified registry (satellite of
+        // the single-snapshot contract: serve `stats` and `pwu-trace summarize`
+        // see the same numbers).
+        pwu_obs::counter("pool.lint.legal").add(lint.legal as u64);
+        pwu_obs::counter("pool.lint.flagged").add(lint.flagged as u64);
+        pwu_obs::counter("pool.lint.illegal").add(lint.illegal as u64);
 
-    let schema = FeatureSchema::for_space(target.space());
-    let mut annotator = Annotator::new(target, config.repeats, derive_seed(seed, 1))
-        .with_aggregator(config.aggregator)
-        .with_retry_policy(config.retry);
-    let select_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 2));
-    let mut pool_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 3));
-    let forest_seed = derive_seed(seed, 4);
+        let schema = FeatureSchema::for_space(target.space());
+        let mut annotator = Annotator::new(target, config.repeats, derive_seed(seed, 1))
+            .with_aggregator(config.aggregator)
+            .with_retry_policy(config.retry);
+        let select_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 2));
+        let mut pool_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 3));
+        let forest_seed = derive_seed(seed, 4);
 
-    // --- Cold start (lines 1–4) -------------------------------------------
-    // Quarantine failed annotations and top the sample back up, so the cold
-    // start still reaches n_init unless the pool itself drains.
-    let mut train = LabeledSet::new();
-    let mut quarantined = Vec::new();
-    while train.len() < config.n_init && !pool.is_empty() {
-        let need = config.n_init - train.len();
-        for (cfg, row) in pool.take_random(need, &mut pool_rng) {
-            match annotator.try_evaluate(&cfg) {
-                Ok(y) => train.push(cfg, &row, y),
-                Err(_) => quarantined.push(cfg),
+        // Quarantine failed annotations and top the sample back up, so the
+        // cold start still reaches n_init unless the pool itself drains.
+        let mut train = LabeledSet::new();
+        let mut quarantined = Vec::new();
+        while train.len() < config.n_init && !pool.is_empty() {
+            let need = config.n_init - train.len();
+            for (cfg, row) in pool.take_random(need, &mut pool_rng) {
+                match annotator.try_evaluate(&cfg) {
+                    Ok(y) => train.push(cfg, &row, y),
+                    Err(_) => quarantined.push(cfg),
+                }
             }
         }
+        assert!(
+            !train.is_empty(),
+            "every pool candidate failed annotation during the cold start"
+        );
+        let model = RandomForest::fit(
+            &config.forest,
+            schema.kinds(),
+            train.features(),
+            train.labels(),
+            derive_seed(forest_seed, 0),
+        );
+        let mut active = Self {
+            target,
+            config,
+            elite,
+            schema,
+            annotator,
+            select_rng,
+            pool_rng,
+            forest_seed,
+            pool,
+            train,
+            model,
+            history: Vec::new(),
+            selections: Vec::new(),
+            quarantined,
+            iteration: 0,
+            lint,
+            scores: None,
+        };
+        active.record();
+        active
     }
-    assert!(
-        !train.is_empty(),
-        "every pool candidate failed annotation during the cold start"
-    );
-    let model = RandomForest::fit(
-        &config.forest,
-        schema.kinds(),
-        train.features(),
-        train.labels(),
-        derive_seed(forest_seed, 0),
-    );
 
-    let mut history = Vec::new();
-    record(
-        &mut history,
-        &elite,
-        &model,
-        &train,
-        annotator.stats().wasted_cost,
-    );
-    LoopState {
-        schema,
-        annotator,
-        select_rng,
-        pool_rng,
-        forest_seed,
-        pool,
-        train,
-        model,
-        history,
-        selections: Vec::new(),
-        quarantined,
-        iteration: 0,
-        lint,
-        scores: None,
-        elite: Some(elite),
-    }
-}
-
-/// Algorithm 1's iteration phase (lines 5–9), shared by fresh and resumed
-/// runs. Saves checkpoints per `policy` when one is given.
-fn drive(
-    target: &dyn TuningTarget,
-    strategy: Strategy,
-    config: &ActiveConfig,
-    mut state: LoopState<'_>,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
-    policy: Option<&CheckpointPolicy>,
-) -> Result<ActiveRun, CheckpointError> {
-    while state.train.len() < config.n_max && !state.pool.is_empty() {
-        let done = one_iteration(strategy, config, &mut state, test_features, test_labels);
-        if let Some(policy) = policy {
-            if state.iteration.is_multiple_of(policy.every) || done {
-                make_checkpoint(&state, target, config).save_atomic(&policy.path)?;
-            }
+    /// Restores the loop a checkpoint captured: re-encodes the training set,
+    /// restores all three RNG streams and refits the model exactly as the
+    /// checkpointing run last did, so stepping on continues bit-identically.
+    ///
+    /// Only [`RefitMode::FromScratch`] loops restore: the from-scratch
+    /// model is a pure function of the training set and the
+    /// iteration-derived seed, so it is refitted instead of serialized.
+    ///
+    /// # Errors
+    /// Returns [`CheckpointError::Mismatch`] describing the first
+    /// disagreement if the checkpoint belongs to a different target or
+    /// configuration, or if `config.refit` is not [`RefitMode::FromScratch`].
+    ///
+    /// # Panics
+    /// Panics if the config is inconsistent or `elite` was built for other
+    /// alphas than `config.alphas`.
+    pub fn from_checkpoint(
+        target: &'a dyn TuningTarget,
+        config: &'a ActiveConfig,
+        checkpoint: &ActiveCheckpoint,
+        elite: &'a EliteTest,
+    ) -> Result<Self, CheckpointError> {
+        config.validate();
+        assert!(
+            elite.is_for(&config.alphas),
+            "the evaluator was built for other alphas"
+        );
+        let mismatch = |msg: String| Err(CheckpointError::Mismatch(msg));
+        if checkpoint.target_name != target.name() {
+            return mismatch(format!(
+                "checkpoint is for target '{}', not '{}'",
+                checkpoint.target_name,
+                target.name()
+            ));
         }
+        if config.refit != RefitMode::FromScratch {
+            return mismatch(
+                "resume requires RefitMode::FromScratch (partial-refit forests \
+                 are not reconstructible from a checkpoint)"
+                    .into(),
+            );
+        }
+        let same_counts = checkpoint.n_init == config.n_init
+            && checkpoint.n_batch == config.n_batch
+            && checkpoint.n_max == config.n_max
+            && checkpoint.repeats == config.repeats;
+        if !same_counts {
+            return mismatch(format!(
+                "checkpoint counts (n_init {}, n_batch {}, n_max {}, repeats {}) \
+                 do not match the config",
+                checkpoint.n_init, checkpoint.n_batch, checkpoint.n_max, checkpoint.repeats
+            ));
+        }
+        let same_alphas = checkpoint.alphas.len() == config.alphas.len()
+            && checkpoint
+                .alphas
+                .iter()
+                .zip(&config.alphas)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same_alphas {
+            return mismatch("checkpoint alphas do not match the config".into());
+        }
+        if checkpoint.fit_mode != config.forest.fit_mode {
+            return mismatch(format!(
+                "checkpoint was written under fit mode '{}' but the config asks for '{}' \
+                 (the engines produce bitwise-different forests, so resuming across \
+                 modes would silently fork the trajectory)",
+                checkpoint.fit_mode.token(),
+                config.forest.fit_mode.token()
+            ));
+        }
+
+        let space = target.space();
+        let schema = FeatureSchema::for_space(space);
+        let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
+            levels.iter().cloned().map(Configuration::new).collect()
+        };
+        let train_cfgs = to_cfgs(&checkpoint.train_configs);
+        let train_features = schema.encode_matrix(space, &train_cfgs);
+        let train =
+            LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels.clone());
+        let pool = Pool::new(space, &schema, to_cfgs(&checkpoint.pool_configs));
+        let mut annotator = Annotator::new(target, config.repeats, 0)
+            .with_aggregator(config.aggregator)
+            .with_retry_policy(config.retry);
+        annotator.restore_state(
+            checkpoint.annotator_rng,
+            checkpoint.annotator_evaluations,
+            checkpoint.stats,
+        );
+        let model = RandomForest::fit(
+            &config.forest,
+            schema.kinds(),
+            train.features(),
+            train.labels(),
+            derive_seed(checkpoint.forest_seed, checkpoint.iteration),
+        );
+        Ok(Self {
+            target,
+            config,
+            elite,
+            schema,
+            annotator,
+            select_rng: Xoshiro256PlusPlus::from_state(checkpoint.select_rng),
+            pool_rng: Xoshiro256PlusPlus::from_state(checkpoint.pool_rng),
+            forest_seed: checkpoint.forest_seed,
+            pool,
+            train,
+            model,
+            history: checkpoint.history.clone(),
+            selections: checkpoint.selections.clone(),
+            quarantined: to_cfgs(&checkpoint.quarantined),
+            iteration: checkpoint.iteration,
+            lint: checkpoint.lint,
+            scores: None,
+        })
     }
 
-    let measurement = *state.annotator.stats();
-    Ok(ActiveRun {
-        train: state.train,
-        history: state.history,
-        selections: state.selections,
-        model: state.model,
-        lint: state.lint,
-        measurement,
-        quarantined: state.quarantined,
-    })
-}
+    /// Whether the run has reached `n_max` or drained its pool.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.train.len() >= self.config.n_max || self.pool.is_empty()
+    }
 
-/// One pass of Algorithm 1's iteration body (lines 6–9): select and
-/// annotate a batch (topping back up past quarantines), refit, and record a
-/// test-set evaluation when due. Returns whether the run is finished.
-/// Callers must not invoke this on a finished run.
-fn one_iteration(
-    strategy: Strategy,
-    config: &ActiveConfig,
-    state: &mut LoopState<'_>,
-    test_features: &FeatureMatrix,
-    test_labels: &[f64],
-) -> bool {
-    state.iteration += 1;
-    // Observability: one span per iteration, one per loop stage
-    // (rescore/select/measure/refit/eval). Every arg is a deterministic
-    // quantity; the spans change nothing about what the loop computes.
-    let _iter_span = pwu_obs::span(
-        "core.iteration",
-        [("iter", pwu_obs::Arg::u(state.iteration))],
-    );
-    // Top the batch back up after quarantines: keep selecting until the
-    // batch's worth of labels has landed or the pool drains. Fault-free
-    // runs execute this inner loop exactly once.
-    let goal = state.train.len() + config.n_batch.min(config.n_max - state.train.len());
-    while state.train.len() < goal && !state.pool.is_empty() {
-        let need = goal - state.train.len();
-        // Under partial refit, score the pool from the per-tree cache:
-        // only the refitted trees were re-walked after the last batch,
-        // and the fold is bit-identical to `predict_batch`.
-        let preds = {
+    /// Cumulative annotation cost so far, in cost units: labeled
+    /// measurement time plus wall-clock wasted on failed attempts.
+    #[must_use]
+    pub fn cost(&self) -> f64 {
+        self.train.cumulative_cost() + self.annotator.stats().wasted_cost
+    }
+
+    /// One pass of Algorithm 1's iteration body (lines 6–9): select and
+    /// annotate a batch (topping back up past quarantines), refit, and
+    /// record a test-set evaluation when due. Returns whether the run is
+    /// finished; stepping a finished loop changes nothing.
+    pub fn step(&mut self, strategy: Strategy) -> bool {
+        if self.is_done() {
+            return true;
+        }
+        let config = self.config;
+        self.iteration += 1;
+        // Observability: one span per iteration, one per loop stage
+        // (rescore/select/measure/refit/eval). Every arg is a deterministic
+        // quantity; the spans change nothing about what the loop computes.
+        let _iter_span = pwu_obs::span(
+            "core.iteration",
+            [("iter", pwu_obs::Arg::u(self.iteration))],
+        );
+        // Top the batch back up after quarantines: keep selecting until the
+        // batch's worth of labels has landed or the pool drains. Fault-free
+        // runs execute this inner loop exactly once.
+        let goal = self.train.len() + config.n_batch.min(config.n_max - self.train.len());
+        while self.train.len() < goal && !self.pool.is_empty() {
+            let need = goal - self.train.len();
+            // Under partial refit, score the pool from the per-tree cache:
+            // only the refitted trees were re-walked after the last batch,
+            // and the fold is bit-identical to `predict_batch`.
+            let preds = {
+                let _s = pwu_obs::span(
+                    "core.rescore",
+                    [
+                        ("pool", pwu_obs::Arg::u(self.pool.len() as u64)),
+                        (
+                            "mode",
+                            pwu_obs::Arg::s(self.model.config().fit_mode.token()),
+                        ),
+                    ],
+                );
+                match config.refit {
+                    RefitMode::Partial(_) => self
+                        .scores
+                        .get_or_insert_with(|| {
+                            PoolScoreCache::build(&self.model, self.pool.features())
+                        })
+                        .predictions(&self.model),
+                    RefitMode::FromScratch => self.model.predict_batch(self.pool.features()),
+                }
+            };
+            let picked = {
+                let _s = pwu_obs::span("core.select", [("need", pwu_obs::Arg::u(need as u64))]);
+                strategy.select(&preds, need, &mut self.select_rng)
+            };
+            if picked.is_empty() {
+                break;
+            }
+            let traces: Vec<(f64, f64)> = picked
+                .iter()
+                .map(|&i| (preds[i].mean, preds[i].std))
+                .collect();
+            let taken = self.pool.take(&picked);
+            // Mirror the removals (training picks *and* quarantines leave
+            // the pool alike) so cache rows stay pool-aligned.
+            if let Some(cache) = &mut self.scores {
+                cache.remove(&picked);
+            }
+            let _measure_span = pwu_obs::span(
+                "core.measure",
+                [("batch", pwu_obs::Arg::u(taken.len() as u64))],
+            );
+            for ((cfg, row), (mu, sigma)) in taken.into_iter().zip(traces) {
+                match self.annotator.try_evaluate(&cfg) {
+                    Ok(y) => {
+                        self.selections.push(SelectionTrace {
+                            mean: mu,
+                            std: sigma,
+                            observed: y,
+                        });
+                        self.train.push(cfg, &row, y);
+                    }
+                    Err(_) => {
+                        pwu_obs::event(
+                            "core.quarantine",
+                            [(
+                                "quarantined",
+                                pwu_obs::Arg::u(self.quarantined.len() as u64 + 1),
+                            )],
+                        );
+                        self.quarantined.push(cfg);
+                    }
+                }
+            }
+            drop(_measure_span);
+        }
+        {
             let _s = pwu_obs::span(
-                "core.rescore",
-                [
-                    ("pool", pwu_obs::Arg::u(state.pool.len() as u64)),
-                    ("mode", pwu_obs::Arg::s(state.model.config().fit_mode.token())),
-                ],
+                "core.refit",
+                [("train", pwu_obs::Arg::u(self.train.len() as u64))],
             );
             match config.refit {
-                RefitMode::Partial(_) => state
-                    .scores
-                    .get_or_insert_with(|| {
-                        PoolScoreCache::build(&state.model, state.pool.features())
-                    })
-                    .predictions(&state.model),
-                RefitMode::FromScratch => state.model.predict_batch(state.pool.features()),
-            }
-        };
-        let picked = {
-            let _s = pwu_obs::span("core.select", [("need", pwu_obs::Arg::u(need as u64))]);
-            strategy.select(&preds, need, &mut state.select_rng)
-        };
-        if picked.is_empty() {
-            break;
-        }
-        let traces: Vec<(f64, f64)> = picked
-            .iter()
-            .map(|&i| (preds[i].mean, preds[i].std))
-            .collect();
-        let taken = state.pool.take(&picked);
-        // Mirror the removals (training picks *and* quarantines leave
-        // the pool alike) so cache rows stay pool-aligned.
-        if let Some(cache) = &mut state.scores {
-            cache.remove(&picked);
-        }
-        let _measure_span = pwu_obs::span(
-            "core.measure",
-            [("batch", pwu_obs::Arg::u(taken.len() as u64))],
-        );
-        for ((cfg, row), (mu, sigma)) in taken.into_iter().zip(traces) {
-            match state.annotator.try_evaluate(&cfg) {
-                Ok(y) => {
-                    state.selections.push(SelectionTrace {
-                        mean: mu,
-                        std: sigma,
-                        observed: y,
-                    });
-                    state.train.push(cfg, &row, y);
-                }
-                Err(_) => {
-                    pwu_obs::event(
-                        "core.quarantine",
-                        [(
-                            "quarantined",
-                            pwu_obs::Arg::u(state.quarantined.len() as u64 + 1),
-                        )],
+                RefitMode::FromScratch => {
+                    self.model = RandomForest::fit(
+                        &config.forest,
+                        self.schema.kinds(),
+                        self.train.features(),
+                        self.train.labels(),
+                        derive_seed(self.forest_seed, self.iteration),
                     );
-                    state.quarantined.push(cfg);
+                }
+                RefitMode::Partial(n) => {
+                    let refitted = self.model.update(
+                        self.schema.kinds(),
+                        self.train.features(),
+                        self.train.labels(),
+                        n,
+                        derive_seed(self.forest_seed, self.iteration),
+                    );
+                    // Refresh only the regrown trees' pool scores: O(pool · n)
+                    // instead of O(pool · n_trees).
+                    if let Some(cache) = &mut self.scores {
+                        cache.refresh(&self.model, &refitted);
+                    }
                 }
             }
         }
-        drop(_measure_span);
+        let done = self.is_done();
+        if self.iteration.is_multiple_of(config.eval_every as u64) || done {
+            self.record();
+        }
+        done
     }
-    {
+
+    /// Captures the loop as a serializable checkpoint.
+    #[must_use]
+    pub fn checkpoint(&self) -> ActiveCheckpoint {
+        let levels_of = |cfgs: &[Configuration]| -> Vec<Vec<u32>> {
+            cfgs.iter().map(|c| c.levels().to_vec()).collect()
+        };
+        pwu_obs::event(
+            "core.checkpoint",
+            [("iter", pwu_obs::Arg::u(self.iteration))],
+        );
+        let config = self.config;
+        ActiveCheckpoint {
+            target_name: self.target.name().to_string(),
+            iteration: self.iteration,
+            forest_seed: self.forest_seed,
+            n_init: config.n_init,
+            n_batch: config.n_batch,
+            n_max: config.n_max,
+            repeats: config.repeats,
+            fit_mode: config.forest.fit_mode,
+            alphas: config.alphas.clone(),
+            annotator_rng: self.annotator.rng_state(),
+            annotator_evaluations: self.annotator.evaluations(),
+            stats: *self.annotator.stats(),
+            select_rng: self.select_rng.state(),
+            pool_rng: self.pool_rng.state(),
+            lint: self.lint,
+            train_configs: levels_of(self.train.configs()),
+            train_labels: self.train.labels().to_vec(),
+            pool_configs: levels_of(self.pool.configs()),
+            quarantined: levels_of(&self.quarantined),
+            history: self.history.clone(),
+            selections: self.selections.clone(),
+        }
+    }
+
+    /// The finished (or abandoned) run's result.
+    #[must_use]
+    pub fn into_run(self) -> ActiveRun {
+        ActiveRun {
+            measurement: *self.annotator.stats(),
+            train: self.train,
+            history: self.history,
+            selections: self.selections,
+            model: self.model,
+            lint: self.lint,
+            quarantined: self.quarantined,
+        }
+    }
+
+    /// Steps to the end, saving a checkpoint per `policy`: every
+    /// `policy.every` iterations and at completion.
+    fn finish(
+        mut self,
+        strategy: Strategy,
+        policy: Option<&CheckpointPolicy>,
+    ) -> Result<ActiveRun, CheckpointError> {
+        while !self.is_done() {
+            let done = self.step(strategy);
+            if let Some(policy) = policy {
+                if self.iteration.is_multiple_of(policy.every) || done {
+                    self.checkpoint().save_atomic(&policy.path)?;
+                }
+            }
+        }
+        Ok(self.into_run())
+    }
+
+    /// Appends one snapshot: RMSE@α of the model on the elite test rows,
+    /// plus the cumulative cost so far.
+    fn record(&mut self) {
         let _s = pwu_obs::span(
-            "core.refit",
-            [("train", pwu_obs::Arg::u(state.train.len() as u64))],
+            "core.eval",
+            [
+                ("n_test", pwu_obs::Arg::u(self.elite.n_test() as u64)),
+                ("rows", pwu_obs::Arg::u(self.elite.rows() as u64)),
+            ],
         );
-        match config.refit {
-            RefitMode::FromScratch => {
-                state.model = RandomForest::fit(
-                    &config.forest,
-                    state.schema.kinds(),
-                    state.train.features(),
-                    state.train.labels(),
-                    derive_seed(state.forest_seed, state.iteration),
-                );
-            }
-            RefitMode::Partial(n) => {
-                let refitted = state.model.update(
-                    state.schema.kinds(),
-                    state.train.features(),
-                    state.train.labels(),
-                    n,
-                    derive_seed(state.forest_seed, state.iteration),
-                );
-                // Refresh only the regrown trees' pool scores: O(pool · n)
-                // instead of O(pool · n_trees).
-                if let Some(cache) = &mut state.scores {
-                    cache.refresh(&state.model, &refitted);
-                }
-            }
-        }
-    }
-    let done = state.train.len() >= config.n_max || state.pool.is_empty();
-    if state.iteration.is_multiple_of(config.eval_every as u64) || done {
-        // A state rebuilt from a checkpoint ranks its test set only once a
-        // snapshot is due: most served steps record none.
-        let elite = state
-            .elite
-            .get_or_insert_with(|| EliteTest::new(test_features, test_labels, &config.alphas));
-        record(
-            &mut state.history,
-            elite,
-            &state.model,
-            &state.train,
-            state.annotator.stats().wasted_cost,
+        let rmse = self.elite.rmse(&self.model);
+        // Wasted wall-clock (failed runs, backoff) is real annotation cost:
+        // charge it alongside the labeled measurement time. Zero — and
+        // bit-neutral — when no faults fire.
+        let cumulative_cost = self.cost();
+        pwu_obs::event(
+            "core.snapshot",
+            [
+                ("n_train", pwu_obs::Arg::u(self.train.len() as u64)),
+                ("cost", pwu_obs::Arg::f(cumulative_cost)),
+            ],
         );
+        self.history.push(Snapshot {
+            n_train: self.train.len(),
+            cumulative_cost,
+            rmse,
+        });
     }
-    done
-}
-
-/// Captures the loop state as a serializable checkpoint.
-fn make_checkpoint(
-    state: &LoopState<'_>,
-    target: &dyn TuningTarget,
-    config: &ActiveConfig,
-) -> ActiveCheckpoint {
-    let levels_of = |cfgs: &[Configuration]| -> Vec<Vec<u32>> {
-        cfgs.iter().map(|c| c.levels().to_vec()).collect()
-    };
-    pwu_obs::event(
-        "core.checkpoint",
-        [("iter", pwu_obs::Arg::u(state.iteration))],
-    );
-    ActiveCheckpoint {
-        target_name: target.name().to_string(),
-        iteration: state.iteration,
-        forest_seed: state.forest_seed,
-        n_init: config.n_init,
-        n_batch: config.n_batch,
-        n_max: config.n_max,
-        repeats: config.repeats,
-        fit_mode: config.forest.fit_mode,
-        alphas: config.alphas.clone(),
-        annotator_rng: state.annotator.rng_state(),
-        annotator_evaluations: state.annotator.evaluations(),
-        stats: *state.annotator.stats(),
-        select_rng: state.select_rng.state(),
-        pool_rng: state.pool_rng.state(),
-        lint: state.lint,
-        train_configs: levels_of(state.train.configs()),
-        train_labels: state.train.labels().to_vec(),
-        pool_configs: levels_of(state.pool.configs()),
-        quarantined: levels_of(&state.quarantined),
-        history: state.history.clone(),
-        selections: state.selections.clone(),
-    }
-}
-
-/// Appends one snapshot: RMSE@α of `model` on the elite test rows, plus
-/// the cumulative cost so far.
-fn record(
-    history: &mut Vec<Snapshot>,
-    elite: &EliteTest,
-    model: &RandomForest,
-    train: &LabeledSet,
-    wasted_cost: f64,
-) {
-    let _s = pwu_obs::span(
-        "core.eval",
-        [
-            ("n_test", pwu_obs::Arg::u(elite.n_test() as u64)),
-            ("rows", pwu_obs::Arg::u(elite.rows() as u64)),
-        ],
-    );
-    let rmse = elite.rmse(model);
-    // Wasted wall-clock (failed runs, backoff) is real annotation cost:
-    // charge it alongside the labeled measurement time. Zero — and
-    // bit-neutral — when no faults fire.
-    let cumulative_cost = train.cumulative_cost() + wasted_cost;
-    pwu_obs::event(
-        "core.snapshot",
-        [
-            ("n_train", pwu_obs::Arg::u(train.len() as u64)),
-            ("cost", pwu_obs::Arg::f(cumulative_cost)),
-        ],
-    );
-    history.push(Snapshot {
-        n_train: train.len(),
-        cumulative_cost,
-        rmse,
-    });
 }
 
 #[cfg(test)]
@@ -1262,6 +1245,18 @@ mod tests {
             &[],
             0,
         );
+    }
+
+    /// A loop's evaluator must be ranked for the config's alphas: one
+    /// ranked for others would record the wrong elite slices.
+    #[test]
+    #[should_panic(expected = "built for other alphas")]
+    fn loop_rejects_an_evaluator_built_for_other_alphas() {
+        let target = Synthetic::new();
+        let (pool, tf, tl) = setup(&target, 60, 20, 3);
+        let cfg = quick_config(30);
+        let elite = EliteTest::new(&tf, &tl, &[0.5]);
+        let _ = ActiveLoop::new(&target, &cfg, pool, &elite, 0);
     }
 
     /// A synthetic target that permanently fails annotation for a fixed

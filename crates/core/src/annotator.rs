@@ -408,19 +408,6 @@ impl<'a> Annotator<'a> {
         }
     }
 
-    /// Fallibly measures a batch, in order, one result per configuration.
-    pub fn try_evaluate_all(
-        &mut self,
-        cfgs: &[Configuration],
-    ) -> Vec<Result<f64, AnnotationFailure>> {
-        cfgs.iter().map(|c| self.try_evaluate(c)).collect()
-    }
-
-    /// Measures a batch, in order, panicking on any failure.
-    pub fn evaluate_all(&mut self, cfgs: &[Configuration]) -> Vec<f64> {
-        cfgs.iter().map(|c| self.evaluate(c)).collect()
-    }
-
     /// Number of annotations attempted so far (including failed ones).
     #[must_use]
     pub fn evaluations(&self) -> usize {
@@ -545,7 +532,10 @@ mod tests {
         let y = a.evaluate(&Configuration::new(vec![2]));
         assert_eq!(y, 3.0); // noise-free default
         assert_eq!(a.evaluations(), 1);
-        let ys = a.evaluate_all(&[Configuration::new(vec![0]), Configuration::new(vec![3])]);
+        let ys: Vec<f64> = [Configuration::new(vec![0]), Configuration::new(vec![3])]
+            .iter()
+            .map(|c| a.evaluate(c))
+            .collect();
         assert_eq!(ys, vec![1.0, 4.0]);
         assert_eq!(a.evaluations(), 3);
         assert_eq!(a.stats().annotations, 3);

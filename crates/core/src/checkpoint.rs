@@ -602,20 +602,9 @@ impl ActiveCheckpoint {
         Ok(())
     }
 
-    /// Loads a checkpoint from disk without demanding the integrity footer
-    /// (the parser ignores trailing lines, so footered and legacy files both
-    /// load). Prefer [`ActiveCheckpoint::load_verified`] for anything that
-    /// must distinguish damage from absence.
-    ///
-    /// # Errors
-    /// Returns [`CheckpointError::Io`] if the file cannot be read and
-    /// [`CheckpointError::Parse`] if it is malformed.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let text = fs::read_to_string(path)?;
-        Self::from_text(&text)
-    }
-
-    /// Loads a checkpoint, verifying the integrity footer first.
+    /// Loads a checkpoint, verifying the integrity footer first. Every
+    /// on-disk writer ([`ActiveCheckpoint::save_atomic`],
+    /// [`GenerationStore::save_body`]) appends the footer.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Io`] if the file cannot be read,
@@ -636,17 +625,19 @@ impl ActiveCheckpoint {
     }
 }
 
+/// How many generations a [`GenerationStore`] retains.
+const KEEP: usize = 2;
+
 /// A directory of generation-numbered checkpoints (`gen-NNNNNNNNNN.ckpt`).
 ///
 /// Each save lands in a fresh, higher-numbered file (atomically, footer
-/// included) and then prunes all but the newest `keep` generations. Loading
+/// included) and then prunes all but the newest two generations. Loading
 /// walks generations newest-first, *rolling back* past any corrupt file, so
 /// a crash — even one that damages the newest checkpoint — costs at most
 /// the work since the previous durable generation.
 #[derive(Debug, Clone)]
 pub struct GenerationStore {
     dir: PathBuf,
-    keep: usize,
 }
 
 /// What [`GenerationStore::load_latest`] recovered.
@@ -676,21 +667,7 @@ impl GenerationStore {
     /// A store rooted at `dir`, keeping the newest 2 generations.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            keep: 2,
-        }
-    }
-
-    /// Overrides how many generations are retained.
-    ///
-    /// # Panics
-    /// Panics if `keep` is zero.
-    #[must_use]
-    pub fn with_keep(mut self, keep: usize) -> Self {
-        assert!(keep > 0, "must keep at least one generation");
-        self.keep = keep;
-        self
+        Self { dir: dir.into() }
     }
 
     /// The directory this store writes into.
@@ -757,7 +734,7 @@ impl GenerationStore {
         );
         let checksum = push_integrity_footer(&mut body);
         write_durable(&self.path_for(generation), body.as_bytes())?;
-        for &old in gens.iter().rev().skip(self.keep - 1) {
+        for &old in gens.iter().rev().skip(KEEP - 1) {
             let _ = fs::remove_file(self.path_for(old));
         }
         Ok(Saved {
@@ -989,7 +966,7 @@ mod tests {
         let path = dir.join("roundtrip.ckpt");
         let cp = sample();
         cp.save_atomic(&path).unwrap();
-        let back = ActiveCheckpoint::load(&path).unwrap();
+        let back = ActiveCheckpoint::load_verified(&path).unwrap();
         assert_eq!(back, cp);
         // The temp file was renamed away.
         let mut tmp = path.as_os_str().to_owned();
@@ -1007,7 +984,7 @@ mod tests {
         cp.save_atomic(&path).unwrap();
         cp.iteration = 18;
         cp.save_atomic(&path).unwrap();
-        assert_eq!(ActiveCheckpoint::load(&path).unwrap().iteration, 18);
+        assert_eq!(ActiveCheckpoint::load_verified(&path).unwrap().iteration, 18);
         fs::remove_file(&path).unwrap();
     }
 
@@ -1069,14 +1046,12 @@ mod tests {
             Err(CheckpointError::Corrupt(_))
         ));
 
-        // A footer-less (legacy) file is Corrupt under verification but
-        // still loads through the lenient path.
+        // A footer-less file is Corrupt too.
         fs::write(&path, cp.to_text()).unwrap();
         assert!(matches!(
             ActiveCheckpoint::load_verified(&path),
             Err(CheckpointError::Corrupt(_))
         ));
-        assert_eq!(ActiveCheckpoint::load(&path).unwrap(), cp);
         fs::remove_file(&path).unwrap();
     }
 
@@ -1084,7 +1059,7 @@ mod tests {
     fn generation_store_numbers_prunes_and_rolls_back() {
         let dir = std::env::temp_dir().join("pwu-genstore-test");
         let _ = fs::remove_dir_all(&dir);
-        let store = GenerationStore::new(&dir).with_keep(2);
+        let store = GenerationStore::new(&dir);
         assert!(store.load_latest().unwrap().is_none());
 
         let mut cp = sample();
@@ -1092,7 +1067,7 @@ mod tests {
             cp.iteration = 20 + i;
             assert_eq!(store.save(&cp).unwrap(), i);
         }
-        // keep = 2 → only the two newest generations survive.
+        // Only the two newest generations survive.
         assert_eq!(store.generations(), vec![2, 3]);
         let got = store.load_latest().unwrap().unwrap();
         assert_eq!(got.generation, 3);

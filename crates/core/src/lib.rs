@@ -19,9 +19,10 @@
 //! - [`annotator`] — evaluates configurations on a [`pwu_space::TuningTarget`]
 //!   with the paper's repeat-averaging protocol
 //! - [`strategy`] — the scoring/selection rules above
-//! - [`active`] — Algorithm 1 (cold start + iteration loop) with a full
-//!   per-iteration trace
-//! - [`metrics`] — RMSE@α (Eq. 2), cumulative cost (Eq. 3), cost-to-reach
+//! - [`active`] — Algorithm 1 as one loop type, [`ActiveLoop`] (cold start +
+//!   iteration loop, checkpoint and restore), with a full per-iteration trace
+//! - [`metrics`] — RMSE@α (Eq. 2) and its ranked-once evaluator
+//!   [`EliteTest`], cumulative cost (Eq. 3), cost-to-reach
 //! - [`experiment`] — the 10-repetition protocol over pool 7000 / test 3000
 //! - [`score`] — incremental per-tree pool scoring for partial-refit runs
 //! - [`tuning`] — model-based tuning with true vs surrogate annotators (Fig 8)
@@ -35,13 +36,15 @@ pub mod score;
 pub mod strategy;
 pub mod tuning;
 
-pub use active::{bootstrap, step_once, ActiveConfig, ActiveRun, RefitMode, Snapshot, StepOutcome};
+pub use active::{
+    bootstrap, step_once, ActiveConfig, ActiveLoop, ActiveRun, RefitMode, Snapshot, StepOutcome,
+};
 pub use annotator::{Aggregator, AnnotationFailure, Annotator, MeasurementStats, RetryPolicy};
 pub use checkpoint::{
     fnv1a64, with_integrity_footer, ActiveCheckpoint, CheckpointError, CheckpointPolicy,
     GenerationStore, Recovered, Saved,
 };
 pub use experiment::{ExperimentResult, Protocol, StrategyCurve};
-pub use metrics::{cost_to_reach, rmse_at_alpha};
+pub use metrics::{cost_to_reach, rmse_at_alpha, EliteTest};
 pub use score::PoolScoreCache;
 pub use strategy::Strategy;

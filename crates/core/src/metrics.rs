@@ -10,8 +10,8 @@ use pwu_stats::argsort_by;
 /// performance first); the error is computed only on the elite slice —
 /// accuracy on poor configurations is irrelevant to tuning.
 ///
-/// This is the reference form of the loop's evaluator, which ranks the
-/// test set once per run and predicts only the elite rows; both use the
+/// This is the reference form of the loop's evaluator, [`EliteTest`], which
+/// ranks the test set once and predicts only the elite rows; both use the
 /// same slice size and sum, so their results agree bit for bit.
 ///
 /// # Panics
@@ -46,7 +46,8 @@ fn elite_rmse(elite: impl Iterator<Item = (f64, f64)>, m: usize) -> f64 {
     (sse / m as f64).sqrt()
 }
 
-/// Eq. 2 for one fixed test set and α list, ranked once.
+/// Eq. 2 for one fixed test set and α list, ranked once: the evaluator an
+/// [`crate::active::ActiveLoop`] borrows.
 ///
 /// The labels never change within a run, so the stable ranking
 /// [`rmse_at_alpha`] redoes per call is done here once, and only the rows
@@ -54,11 +55,14 @@ fn elite_rmse(elite: impl Iterator<Item = (f64, f64)>, m: usize) -> f64 {
 /// evaluation then predicts just those rows. A row's prediction does not
 /// depend on the other rows of its batch, so every RMSE is bitwise
 /// [`rmse_at_alpha`] over the full test set.
-pub(crate) struct EliteTest {
+#[derive(Debug)]
+pub struct EliteTest {
     /// The kept rows, in rank order.
     features: FeatureMatrix,
     /// Their true times, in the same order.
     labels: Vec<f64>,
+    /// The α list this evaluator was built for, in config order.
+    alphas: Vec<f64>,
     /// Per configured α, in config order: its elite-slice size.
     lens: Vec<usize>,
     /// Size of the whole test set.
@@ -72,7 +76,8 @@ impl EliteTest {
     /// # Panics
     /// Panics if the test set is empty, its features and labels disagree in
     /// length, or an α is outside `(0, 1]`.
-    pub(crate) fn new(features: &FeatureMatrix, labels: &[f64], alphas: &[f64]) -> Self {
+    #[must_use]
+    pub fn new(features: &FeatureMatrix, labels: &[f64], alphas: &[f64]) -> Self {
         assert_eq!(
             features.n_rows(),
             labels.len(),
@@ -87,9 +92,15 @@ impl EliteTest {
         Self {
             features: FeatureMatrix::from_rows(features.n_cols(), &rows),
             labels: order.iter().map(|&i| labels[i]).collect(),
+            alphas: alphas.to_vec(),
             lens,
             n_test,
         }
+    }
+
+    /// Whether this evaluator was built for exactly `alphas`, in order.
+    pub(crate) fn is_for(&self, alphas: &[f64]) -> bool {
+        self.alphas == alphas
     }
 
     /// Size of the whole test set.

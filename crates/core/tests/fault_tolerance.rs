@@ -221,7 +221,8 @@ fn killed_run_resumes_bit_identically_from_its_checkpoint() {
     }));
     assert!(crashed.is_err(), "the budget must kill the run mid-flight");
 
-    let checkpoint = ActiveCheckpoint::load(&path).expect("a checkpoint must have been saved");
+    let checkpoint =
+        ActiveCheckpoint::load_verified(&path).expect("a checkpoint must have been saved");
     assert!(
         checkpoint.train_configs.len() < config.n_max,
         "the checkpoint must capture a mid-run state"

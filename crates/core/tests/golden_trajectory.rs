@@ -230,7 +230,8 @@ fn killed_and_resumed_run_reproduces_the_golden_trajectory() {
     }));
     assert!(crashed.is_err(), "the budget must kill the run mid-flight");
 
-    let checkpoint = ActiveCheckpoint::load(&path).expect("a checkpoint must have been saved");
+    let checkpoint =
+        ActiveCheckpoint::load_verified(&path).expect("a checkpoint must have been saved");
     assert!(
         checkpoint.train_configs.len() < config.n_max,
         "the checkpoint must capture a mid-run state"

@@ -174,12 +174,6 @@ impl Server {
         self.sessions.get(id)
     }
 
-    /// Registered session ids, sorted.
-    #[must_use]
-    pub fn session_ids(&self) -> Vec<String> {
-        self.sessions.keys().cloned().collect()
-    }
-
     fn resident_count(&self) -> usize {
         self.sessions.values().filter(|s| s.is_resident()).count()
     }

@@ -1,7 +1,7 @@
 //! One hosted tuning session: spec, state machine, durable generations.
 //!
-//! A session is a [`pwu_core::active`] run advanced one iteration at a
-//! time. Its durable identity is two things in its directory:
+//! A session is an [`ActiveLoop`] advanced one iteration per step. Its
+//! durable identity is two things in its directory:
 //!
 //! - `meta.pwu` — the [`SessionSpec`], written once at create time with the
 //!   checkpoint integrity footer, so a restarted server can re-derive the
@@ -17,6 +17,12 @@
 //! the footer checksum of the generation it just saved (or, on resume, of
 //! the body it verified) as the response digest.
 //!
+//! Between requests a loaded session holds only that checkpoint, its digest
+//! and its Eq. 2 evaluator ([`EliteTest`], the test set's elite rows),
+//! built when `create` or `resume` derives the spec. A step restores an
+//! [`ActiveLoop`] from the checkpoint, steps it and drops it; it derives
+//! nothing from the spec.
+//!
 //! The state machine: `Active ⇄ Suspended` (suspend unloads the in-memory
 //! checkpoint; resume reloads it from disk), `Active → Degraded` (watchdog
 //! deadline exhausted or a panicking step), `Degraded → Active` (an explicit
@@ -31,9 +37,11 @@ use std::path::{Path, PathBuf};
 
 use pwu_apps::{Hypre, Kripke};
 use pwu_core::checkpoint::{
-    split_verified_body, sync_dir, with_integrity_footer, write_durable, GenerationStore,
+    split_verified_body, sync_dir, with_integrity_footer, write_durable, GenerationStore, Saved,
 };
-use pwu_core::{step_once, ActiveCheckpoint, ActiveConfig, RefitMode, Strategy};
+use pwu_core::{
+    ActiveCheckpoint, ActiveConfig, ActiveLoop, CheckpointError, EliteTest, RefitMode, Strategy,
+};
 use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::{FeatureMatrix, FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{EvalCache, Kernel};
@@ -127,7 +135,7 @@ impl SessionTarget {
 ///
 /// The pool and test set are *not* persisted: they are pure functions of
 /// `(target, pool_n, test_n, seed)` — the checkpoint holds the remaining
-/// pool, and the test set is regenerated on every load.
+/// pool, and the test set is regenerated at create and at every resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Benchmark name (a SPAPT kernel, `kripke` or `hypre`).
@@ -403,6 +411,31 @@ impl SessionSpec {
         let test_labels: Vec<f64> = test_cfgs.iter().map(|c| target.ideal_time(c)).collect();
         (pool, test_features, test_labels)
     }
+
+    /// Checks the sizes against the target's space, from which
+    /// [`SessionSpec::materialize`] draws `pool_n + test_n` distinct
+    /// configurations.
+    fn check_space(&self, target: &dyn TuningTarget) -> Result<(), ProtocolError> {
+        let space = target.space().cardinality();
+        match self.pool_n.checked_add(self.test_n) {
+            Some(n) if n as u128 <= space => Ok(()),
+            _ => Err(ProtocolError::new(
+                ErrorKind::BadRequest,
+                format!(
+                    "pool_n {} + test_n {} exceeds the {space} configurations of target '{}'",
+                    self.pool_n, self.test_n, self.target
+                ),
+            )),
+        }
+    }
+
+    /// [`SessionSpec::materialize`], with the test set ranked into the
+    /// session's Eq. 2 evaluator: only its elite rows outlive this call.
+    fn materialize_evaluator(&self, target: &dyn TuningTarget) -> (Pool, EliteTest) {
+        let (pool, test_features, test_labels) = self.materialize(target);
+        let elite = EliteTest::new(&test_features, &test_labels, &self.active_config().alphas);
+        (pool, elite)
+    }
 }
 
 /// What one watchdogged step attempt produced.
@@ -418,29 +451,23 @@ pub struct StepReport {
     pub state: SessionState,
 }
 
-/// A loaded checkpoint and its digest: the integrity-footer checksum of the
-/// durable generation it was saved as or loaded from, which equals
-/// `fnv1a64(checkpoint.to_text())`.
+/// What a loaded session keeps between requests: its checkpoint, the
+/// digest (the integrity-footer checksum of the durable generation the
+/// checkpoint was saved as or loaded from, which equals
+/// `fnv1a64(checkpoint.to_text())`) and its Eq. 2 evaluator.
 #[derive(Debug)]
 struct Resident {
     checkpoint: ActiveCheckpoint,
     digest: u64,
+    elite: EliteTest,
 }
 
-impl Resident {
-    /// Saves `checkpoint` as the next generation of `store`, encoding it
-    /// once; returns the generation number and the resident checkpoint
-    /// with the saved body's checksum as its digest.
-    fn persist(
-        store: &GenerationStore,
-        checkpoint: ActiveCheckpoint,
-    ) -> Result<(u64, Self), ProtocolError> {
-        let saved = store
-            .save_body(checkpoint.to_text())
-            .map_err(|e| internal(&e))?;
-        let digest = saved.checksum;
-        Ok((saved.generation, Self { checkpoint, digest }))
-    }
+/// Saves `checkpoint` as the next generation of `store`, encoding it once;
+/// the returned [`Saved`] carries the body's checksum.
+fn save(store: &GenerationStore, checkpoint: &ActiveCheckpoint) -> Result<Saved, ProtocolError> {
+    store
+        .save_body(checkpoint.to_text())
+        .map_err(|e| internal(&e))
 }
 
 /// One hosted session.
@@ -449,7 +476,7 @@ pub struct Session {
     spec: SessionSpec,
     target: SessionTarget,
     store: GenerationStore,
-    /// The in-memory checkpoint and its digest; `None` while
+    /// The in-memory checkpoint, its digest and its evaluator; `None` while
     /// suspended/unloaded.
     resident: Option<Resident>,
     state: SessionState,
@@ -472,7 +499,8 @@ impl Session {
     pub fn create(dir: &Path, spec: SessionSpec) -> Result<Self, ProtocolError> {
         spec.validate()?;
         let target = SessionTarget::by_name(&spec.target)?;
-        let (pool, test_features, test_labels) = spec.materialize(target.as_target());
+        spec.check_space(target.as_target())?;
+        let (pool, elite) = spec.materialize_evaluator(target.as_target());
         if pool.len() < spec.n_max {
             return Err(ProtocolError::new(
                 ErrorKind::BadRequest,
@@ -484,14 +512,8 @@ impl Session {
             ));
         }
         let config = spec.active_config();
-        let checkpoint = pwu_core::bootstrap(
-            target.as_target(),
-            &config,
-            pool,
-            &test_features,
-            &test_labels,
-            spec.seed,
-        );
+        let checkpoint =
+            ActiveLoop::new(target.as_target(), &config, pool, &elite, spec.seed).checkpoint();
         fs::create_dir_all(dir).map_err(|e| internal_io(&e))?;
         if let Some(state_dir) = dir.parent() {
             sync_dir(state_dir).map_err(|e| internal_io(&e))?;
@@ -502,32 +524,42 @@ impl Session {
         )
         .map_err(|e| internal_io(&e))?;
         let store = GenerationStore::new(dir);
-        let (generation, resident) = Resident::persist(&store, checkpoint)?;
+        let saved = save(&store, &checkpoint)?;
         Ok(Self {
             spec,
             target,
             store,
-            resident: Some(resident),
+            resident: Some(Resident {
+                checkpoint,
+                digest: saved.checksum,
+                elite,
+            }),
             state: SessionState::Active,
             strikes: 0,
-            generation,
+            generation: saved.generation,
         })
     }
 
-    /// Attaches to an existing session directory after a restart: reads and
-    /// verifies `meta.pwu`, but does *not* load a checkpoint — the session
-    /// comes up [`SessionState::Suspended`] and a `resume` pays for the
-    /// load + refit.
+    /// Attaches to an existing session directory after a restart: reads,
+    /// verifies and checks `meta.pwu` as `create` checks a request, but
+    /// does *not* load a checkpoint — the session comes up
+    /// [`SessionState::Suspended`] and a `resume` pays for the load.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when the spec file is
-    /// damaged and an [`ErrorKind::Internal`] error for I/O failures.
+    /// damaged or its sizes are invalid or exceed the target's space, and
+    /// an [`ErrorKind::Internal`] error for I/O failures.
     pub fn attach(dir: &Path) -> Result<Self, ProtocolError> {
+        let corrupt = |e: &dyn std::fmt::Display| {
+            ProtocolError::new(ErrorKind::Corrupt, format!("{META_FILE}: {e}"))
+        };
         let bytes = fs::read(dir.join(META_FILE)).map_err(|e| internal_io(&e))?;
-        let body = split_verified_body(&bytes)
-            .map_err(|e| ProtocolError::new(ErrorKind::Corrupt, format!("{META_FILE}: {e}")))?;
+        let body = split_verified_body(&bytes).map_err(|e| corrupt(&e))?;
         let spec = SessionSpec::from_text(body)?;
         let target = SessionTarget::by_name(&spec.target)?;
+        spec.validate()
+            .and_then(|()| spec.check_space(target.as_target()))
+            .map_err(|e| corrupt(&e.message))?;
         let store = GenerationStore::new(dir);
         let generation = store.generations().last().copied().unwrap_or(0);
         Ok(Self {
@@ -600,7 +632,8 @@ impl Session {
         self.resident.as_ref().map(|r| format!("{:016x}", r.digest))
     }
 
-    /// Resumes the session from its last durable generation (also clears a
+    /// Resumes the session from its last durable generation, then derives
+    /// the spec once to rebuild the session's evaluator (also clears a
     /// degraded session's strikes — resume is the recovery path). Returns
     /// how many damaged generations were rolled back.
     ///
@@ -620,10 +653,12 @@ impl Session {
             })?;
         let done = recovered.checkpoint.train_configs.len() >= self.spec.n_max
             || recovered.checkpoint.pool_configs.is_empty();
+        let (_, elite) = self.spec.materialize_evaluator(self.target.as_target());
         self.generation = recovered.generation;
         self.resident = Some(Resident {
             checkpoint: recovered.checkpoint,
             digest: recovered.checksum,
+            elite,
         });
         self.strikes = 0;
         self.state = if done {
@@ -635,10 +670,10 @@ impl Session {
     }
 
     /// Suspends the session: drops the in-memory checkpoint (already
-    /// durable — every committed step persisted a generation) and clears
-    /// the warm eval-cache memo. Suspending a done/degraded session just
-    /// unloads it; its state token is preserved on resume via the durable
-    /// checkpoint.
+    /// durable — every committed step persisted a generation) and the
+    /// evaluator, and clears the warm eval-cache memo. Suspending a
+    /// done/degraded session just unloads it; its state token is preserved
+    /// on resume via the durable checkpoint.
     pub fn suspend(&mut self) {
         self.resident = None;
         if let Some(cache) = self.target.cache() {
@@ -651,12 +686,13 @@ impl Session {
 
     /// Attempts one watchdogged step.
     ///
-    /// The step runs against the loaded checkpoint and is *pure* until
-    /// commit: a panic (isolated with `catch_unwind`) or an over-deadline
-    /// cost discards the outcome, leaves the durable state untouched and
-    /// records a strike; exhausting the grace budget degrades the session.
-    /// A committed step replaces the checkpoint and persists it as the next
-    /// generation.
+    /// The step restores an [`ActiveLoop`] from the loaded checkpoint and
+    /// evaluator, steps it and drops it, so it is *pure* until commit: a
+    /// panic (isolated with `catch_unwind`) or an over-deadline cost
+    /// discards the outcome, leaves the resident and durable state
+    /// untouched and records a strike; exhausting the grace budget degrades
+    /// the session. A committed step replaces the checkpoint and persists
+    /// it as the next generation.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::BadState`] error unless the session is
@@ -680,25 +716,23 @@ impl Session {
                 ))
             }
         }
-        let checkpoint = self.checkpoint().expect("active session must be resident");
+        let resident = self
+            .resident
+            .as_mut()
+            .expect("active session must be resident");
         let config = self.spec.active_config();
-        let (_, test_features, test_labels) = {
-            // The pool half of materialize is wasted here; it is small (the
-            // checkpoint's remaining pool is what actually matters) and
-            // keeping one code path is worth more than the clone.
-            self.spec.materialize(self.target.as_target())
-        };
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            step_once(
+            let mut active = ActiveLoop::from_checkpoint(
                 self.target.as_target(),
-                self.spec.strategy,
                 &config,
-                checkpoint,
-                &test_features,
-                &test_labels,
-            )
+                &resident.checkpoint,
+                &resident.elite,
+            )?;
+            let before = active.cost();
+            let done = active.step(self.spec.strategy);
+            Ok::<_, CheckpointError>((active.checkpoint(), done, active.cost() - before))
         }));
-        let outcome = match attempt {
+        let (checkpoint, done, step_cost) = match attempt {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(e)) => {
                 // A mismatch between spec and checkpoint means the durable
@@ -716,7 +750,7 @@ impl Session {
                 ));
             }
         };
-        if watchdog.busted(outcome.step_cost, self.strikes) {
+        if watchdog.busted(step_cost, self.strikes) {
             self.strikes += 1;
             if watchdog.exhausted(self.strikes) {
                 self.state = SessionState::Degraded;
@@ -724,7 +758,7 @@ impl Session {
                     ErrorKind::Degraded,
                     format!(
                         "step cost {} busted the deadline {} on strike {}; session degraded",
-                        outcome.step_cost,
+                        step_cost,
                         watchdog.allowed(self.strikes - 1),
                         self.strikes
                     ),
@@ -733,21 +767,22 @@ impl Session {
             return Ok(StepReport {
                 committed: false,
                 done: false,
-                step_cost: outcome.step_cost,
+                step_cost,
                 state: self.state,
             });
         }
         self.strikes = 0;
-        let (generation, resident) = Resident::persist(&self.store, outcome.checkpoint)?;
-        self.generation = generation;
-        self.resident = Some(resident);
-        if outcome.done {
+        let saved = save(&self.store, &checkpoint)?;
+        resident.checkpoint = checkpoint;
+        resident.digest = saved.checksum;
+        self.generation = saved.generation;
+        if done {
             self.state = SessionState::Done;
         }
         Ok(StepReport {
             committed: true,
-            done: outcome.done,
-            step_cost: outcome.step_cost,
+            done,
+            step_cost,
             state: self.state,
         })
     }
@@ -765,7 +800,7 @@ fn internal_io(e: &std::io::Error) -> ProtocolError {
     ProtocolError::new(ErrorKind::Internal, e.to_string())
 }
 
-fn internal(e: &pwu_core::CheckpointError) -> ProtocolError {
+fn internal(e: &CheckpointError) -> ProtocolError {
     ProtocolError::new(ErrorKind::Internal, e.to_string())
 }
 

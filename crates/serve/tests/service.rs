@@ -4,9 +4,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pwu_core::{ActiveCheckpoint, GenerationStore, RetryPolicy};
+use pwu_core::{ActiveCheckpoint, GenerationStore, RetryPolicy, Strategy};
 use pwu_serve::protocol::{Fields, Value};
-use pwu_serve::session::SessionSpec;
+use pwu_serve::session::{strategy_token, Session, SessionSpec};
 use pwu_serve::{parse_object, AdmissionPolicy, ErrorKind, Server, SessionState, WatchdogPolicy};
 
 /// A fresh scratch directory under the system temp root.
@@ -36,8 +36,25 @@ fn small_spec(target: &str, seed: u64) -> SessionSpec {
 
 /// The create request line for [`small_spec`].
 fn create_line(id: &str, target: &str, seed: u64) -> String {
+    spec_create_line(id, &small_spec(target, seed))
+}
+
+/// The create request line for any spec, every field spelled out.
+fn spec_create_line(id: &str, spec: &SessionSpec) -> String {
     format!(
-        r#"{{"cmd":"create","session":"{id}","target":"{target}","seed":{seed},"n_init":4,"n_batch":2,"n_max":10,"repeats":1,"n_trees":8,"eval_every":5,"pool_n":40,"test_n":20}}"#
+        r#"{{"cmd":"create","session":"{id}","target":"{}","seed":{},"n_init":{},"n_batch":{},"n_max":{},"repeats":{},"n_trees":{},"eval_every":{},"pool_n":{},"test_n":{},"alpha":{},"strategy":"{}"}}"#,
+        spec.target,
+        spec.seed,
+        spec.n_init,
+        spec.n_batch,
+        spec.n_max,
+        spec.repeats,
+        spec.n_trees,
+        spec.eval_every,
+        spec.pool_n,
+        spec.test_n,
+        spec.alpha,
+        strategy_token(spec.strategy)
     )
 }
 
@@ -60,26 +77,10 @@ fn assert_err(fields: &Fields, kind: ErrorKind) {
     );
 }
 
-#[test]
-fn served_session_is_bit_identical_to_the_core_loop() {
-    let dir = tmp("identity");
-    let mut server = server_at(&dir);
-    let created = send(&mut server, &create_line("s1", "adi", 42));
-    assert_eq!(created.str("state"), Some("active"));
-
-    // Drive the served session to done.
-    let mut served_digests = Vec::new();
-    loop {
-        let r = send(&mut server, r#"{"cmd":"step","session":"s1","n":1}"#);
-        served_digests.push(r.str("digest").unwrap().to_string());
-        if r.str("state") == Some("done") {
-            break;
-        }
-    }
-
-    // The same run straight through the core API.
-    let spec = small_spec("adi", 42);
-    let target = pwu_serve::SessionTarget::by_name("adi").unwrap();
+/// The digest after every step of `spec`'s run straight through the core
+/// API: the `bootstrap` + `step_once` chain.
+fn core_digests(spec: &SessionSpec) -> Vec<String> {
+    let target = pwu_serve::SessionTarget::by_name(&spec.target).unwrap();
     let (pool, test_features, test_labels) = spec.materialize(target.as_target());
     let config = spec.active_config();
     let mut checkpoint = pwu_core::bootstrap(
@@ -90,7 +91,7 @@ fn served_session_is_bit_identical_to_the_core_loop() {
         &test_labels,
         spec.seed,
     );
-    let mut core_digests = Vec::new();
+    let mut digests = Vec::new();
     loop {
         let out = pwu_core::step_once(
             target.as_target(),
@@ -102,15 +103,136 @@ fn served_session_is_bit_identical_to_the_core_loop() {
         )
         .unwrap();
         checkpoint = out.checkpoint;
-        core_digests.push(format!(
+        digests.push(format!(
             "{:016x}",
             pwu_core::fnv1a64(checkpoint.to_text().as_bytes())
         ));
         if out.done {
-            break;
+            return digests;
         }
     }
-    assert_eq!(served_digests, core_digests);
+}
+
+#[test]
+fn served_session_is_bit_identical_to_the_core_loop() {
+    // adi runs straight to done with a one-row elite slice. hypre has no
+    // evaluation cache, so every create and resume re-labels its test set;
+    // it records a snapshot of 20 elite rows (200 at α 0.10) every step,
+    // suspends and resumes after every step, and restarts the server once.
+    let hypre = SessionSpec {
+        strategy: Strategy::Pwu { alpha: 0.10 },
+        n_max: 12,
+        eval_every: 1,
+        pool_n: 60,
+        test_n: 200,
+        alpha: 0.10,
+        ..small_spec("hypre", 43)
+    };
+    for (spec, interrupted) in [(small_spec("adi", 42), false), (hypre, true)] {
+        let dir = tmp(&format!("identity-{}", spec.target));
+        let mut server = server_at(&dir);
+        let created = send(&mut server, &spec_create_line("s1", &spec));
+        assert_eq!(created.str("state"), Some("active"));
+        assert_eq!(server.session("s1").unwrap().spec(), &spec);
+
+        // Drive the served session to done.
+        let mut served_digests = Vec::new();
+        loop {
+            let r = send(&mut server, r#"{"cmd":"step","session":"s1","n":1}"#);
+            let digest = r.str("digest").unwrap().to_string();
+            served_digests.push(digest.clone());
+            if r.str("state") == Some("done") {
+                break;
+            }
+            if interrupted {
+                send(&mut server, r#"{"cmd":"suspend","session":"s1"}"#);
+                if served_digests.len() == 2 {
+                    server = server_at(&dir);
+                }
+                let r = send(&mut server, r#"{"cmd":"resume","session":"s1"}"#);
+                assert_eq!(r.str("digest"), Some(digest.as_str()));
+            }
+        }
+        assert_eq!(served_digests, core_digests(&spec), "{}", spec.target);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// A create whose pool and test set together exceed the target's space is
+/// a typed `bad-request` naming both sizes, not a panic in the draw, and
+/// the server keeps serving. A request that fills the space exactly is
+/// accepted.
+#[test]
+fn create_larger_than_the_target_space_is_a_typed_bad_request() {
+    let dir = tmp("oversized");
+    let mut server = server_at(&dir);
+    // kripke has 2304 configurations, hypre 3024; each request adds 20
+    // test points.
+    for (target, pool_n) in [("kripke", 2300), ("kripke", 2285), ("hypre", 3005)] {
+        let line = create_line("big", target, 1)
+            .replace(r#""pool_n":40"#, &format!(r#""pool_n":{pool_n}"#));
+        let r = send(&mut server, &line);
+        assert_err(&r, ErrorKind::BadRequest);
+        let message = r.str("message").unwrap();
+        assert!(
+            message.contains("pool_n") && message.contains("test_n"),
+            "{target} pool_n {pool_n}: error must name the sizes, got {message}"
+        );
+        assert_err(
+            &send(&mut server, r#"{"cmd":"query","session":"big"}"#),
+            ErrorKind::UnknownSession,
+        );
+    }
+    let exact = create_line("exact", "kripke", 2).replace(r#""pool_n":40"#, r#""pool_n":2284"#);
+    for line in [
+        exact,
+        create_line("ok", "kripke", 3),
+        r#"{"cmd":"step","session":"ok","n":1}"#.to_string(),
+    ] {
+        let r = send(&mut server, &line);
+        assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{r:?}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `meta.pwu` that verifies but holds invalid sizes, or sizes larger
+/// than its target's space (their sum overflowing included), is corrupt:
+/// `Server::open` skips and counts it rather than let a later `resume`
+/// derive it.
+#[test]
+fn open_skips_specs_the_target_space_cannot_supply_as_corrupt() {
+    let dir = tmp("oversized-meta");
+    let mut server = server_at(&dir);
+    for id in ["big", "huge", "zero", "fine"] {
+        send(&mut server, &create_line(id, "kripke", 4));
+    }
+    drop(server);
+    // The sizes line: n_init n_batch n_max repeats n_trees eval_every
+    // pool_n test_n. The footer is recomputed, so each file verifies.
+    let huge = format!("sizes 4 2 10 1 8 5 {} 20", usize::MAX);
+    for (id, sizes) in [
+        ("big", "sizes 4 2 10 1 8 5 2300 20"),
+        ("huge", huge.as_str()),
+        ("zero", "sizes 0 2 10 1 8 5 40 20"),
+    ] {
+        let meta = dir.join(id).join("meta.pwu");
+        let bytes = fs::read(&meta).unwrap();
+        let body = pwu_core::checkpoint::split_verified_body(&bytes).unwrap();
+        let edited = body.replacen("sizes 4 2 10 1 8 5 40 20", sizes, 1);
+        assert_ne!(edited, body, "the spec must carry the create line's sizes");
+        fs::write(&meta, pwu_core::checkpoint::with_integrity_footer(&edited)).unwrap();
+        let err = Session::attach(&dir.join(id)).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Corrupt, "{id}: {err:?}");
+    }
+    let mut server = server_at(&dir);
+    assert_eq!(server.session_count(), 1);
+    assert_eq!(server.stats().skipped_corrupt, 3);
+    assert_err(
+        &send(&mut server, r#"{"cmd":"resume","session":"big"}"#),
+        ErrorKind::UnknownSession,
+    );
+    let r = send(&mut server, r#"{"cmd":"resume","session":"fine"}"#);
+    assert_eq!(r.str("state"), Some("active"), "{r:?}");
     let _ = fs::remove_dir_all(&dir);
 }
 

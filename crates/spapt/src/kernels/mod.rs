@@ -92,7 +92,6 @@ pub struct Kernel {
     roles: Vec<ParamRole>,
     machine: MachineModel,
     noise: NoiseModel,
-    repeats: usize,
     /// Per-block legality masks; `None` until a dependence analysis attaches
     /// them (see `pwu-analyze`).
     legality: Option<Vec<BlockLegality>>,
@@ -106,8 +105,8 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Assembles a kernel from its blocks on Platform A with the paper's
-    /// measurement protocol (35 repeats, quiet-node noise).
+    /// Assembles a kernel from its blocks on Platform A with quiet-node
+    /// noise.
     #[must_use]
     pub fn new(name: impl Into<String>, blocks: Vec<BlockSpec>) -> Self {
         let name = name.into();
@@ -178,7 +177,6 @@ impl Kernel {
             roles,
             machine: MachineModel::platform_a(),
             noise: NoiseModel::quiet(),
-            repeats: 35,
             legality: None,
             faults: None,
             cache: EvalCache::new(),
@@ -276,20 +274,6 @@ impl Kernel {
         // is not worth the bookkeeping).
         self.cache.clear();
         self
-    }
-
-    /// Replaces the measurement repeat count.
-    #[must_use]
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        assert!(repeats > 0);
-        self.repeats = repeats;
-        self
-    }
-
-    /// Measurement repeats used by the protocol (35, per the paper).
-    #[must_use]
-    pub fn repeats(&self) -> usize {
-        self.repeats
     }
 
     /// The kernel's blocks.
