@@ -29,8 +29,8 @@
 //! - **`wallclock`** — wall/monotonic clock reads (`SystemTime::now`,
 //!   `Instant::now`, `.elapsed(`, `UNIX_EPOCH`). The only sanctioned home
 //!   for timing in result-adjacent code is the `pwu-obs` wall-clock
-//!   sidecar, which is compiled out by default and write-only when armed
-//!   (DESIGN.md §13); that sidecar and the benchmark harnesses are
+//!   sidecar, which reads no clock until armed at run time and is
+//!   write-only when armed (DESIGN.md §13); that sidecar and the benchmark harnesses are
 //!   allowlisted with reasons, everything else fails the gate.
 //! - **`float-reduce`** — float reductions (`sum`/`product`/`fold`/
 //!   `reduce`) over an iteration order that is not index-stable: hash-map
@@ -119,7 +119,7 @@ impl Rule {
             Rule::FloatCmp => "use f64::total_cmp: total, panic-free, and identical on every platform",
             Rule::RngEntropy => "route randomness through the seeded pwu_stats::Xoshiro256PlusPlus",
             Rule::Ambient => "thread explicit inputs through instead of reading env (PWU_* vars are the documented exception)",
-            Rule::Wallclock => "route timing through the pwu-obs wallclock sidecar (feature-gated, write-only) or allowlist the harness with a reason",
+            Rule::Wallclock => "route timing through the pwu-obs wallclock sidecar (armed at run time, write-only) or allowlist the harness with a reason",
             Rule::FloatReduce => "reduce in index order (collect ordered, then sum) — float addition does not associate",
             Rule::UnsafeNoSafety => "precede the unsafe block with a // SAFETY: comment stating the invariant",
             Rule::AtomicTally => "keep atomic tallies diagnostic-only and allowlist them with a justification",

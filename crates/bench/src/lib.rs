@@ -36,9 +36,9 @@ pub fn take_trace_flag(mut args: Vec<String>) -> (Vec<String>, Option<PathBuf>) 
     (args, Some(PathBuf::from(path)))
 }
 
-/// Arms the tracer for a `--trace` run. The bench harness compiles the
-/// `wallclock` sidecar in and arms it here: these binaries exist to report
-/// real timings, and the sidecar is write-only by contract.
+/// Arms the tracer for a `--trace` run, timing sidecar included: these
+/// binaries exist to report real timings, and the sidecar is write-only by
+/// contract.
 pub fn start_tracing() {
     pwu_obs::clear();
     pwu_obs::set_wallclock(true);

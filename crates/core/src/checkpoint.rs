@@ -632,9 +632,9 @@ const KEEP: usize = 2;
 ///
 /// Each save lands in a fresh, higher-numbered file (atomically, footer
 /// included) and then prunes all but the newest two generations. Loading
-/// walks generations newest-first, *rolling back* past any corrupt file, so
-/// a crash — even one that damages the newest checkpoint — costs at most
-/// the work since the previous durable generation.
+/// walks generations newest-first, *rolling back* past (and deleting) any
+/// corrupt file, so a crash — even one that damages the newest checkpoint —
+/// costs at most the work since the previous durable generation.
 #[derive(Debug, Clone)]
 pub struct GenerationStore {
     dir: PathBuf,
@@ -744,12 +744,15 @@ impl GenerationStore {
     }
 
     /// Loads the newest generation that passes integrity verification,
-    /// rolling back past corrupt ones. `Ok(None)` means the store holds no
+    /// rolling back past corrupt ones, and removes the corrupt ones it
+    /// rolled past: the next save reuses their numbers, so its prune keeps
+    /// the recovered generation. `Ok(None)` means the store holds no
     /// generations at all (nothing was ever saved).
     ///
     /// # Errors
-    /// Returns [`CheckpointError::Corrupt`] when generations exist but every
-    /// one of them is damaged.
+    /// Returns [`CheckpointError::Io`] when a rolled-past generation cannot
+    /// be removed, and [`CheckpointError::Corrupt`] (removing nothing) when
+    /// generations exist but every one of them is damaged.
     pub fn load_latest(&self) -> Result<Option<Recovered>, CheckpointError> {
         let gens = self.generations();
         if gens.is_empty() {
@@ -766,12 +769,15 @@ impl GenerationStore {
             );
             match ActiveCheckpoint::load_verified_with_checksum(&self.path_for(generation)) {
                 Ok((checkpoint, checksum)) => {
+                    for &damaged in &gens[gens.len() - rolled_back..] {
+                        fs::remove_file(self.path_for(damaged))?;
+                    }
                     return Ok(Some(Recovered {
                         generation,
                         rolled_back,
                         checkpoint,
                         checksum,
-                    }))
+                    }));
                 }
                 Err(_) => rolled_back += 1,
             }
@@ -1085,13 +1091,30 @@ mod tests {
         assert_eq!(got.rolled_back, 1);
         assert_eq!(got.checkpoint.iteration, 22);
 
-        // Corrupt every generation: typed Corrupt, not a panic.
+        // The rollback removed the damaged generation, so the next save
+        // reuses its number and prunes nothing: damaging that one too
+        // still rolls back to the generation recovered above.
+        cp.iteration = 24;
+        assert_eq!(store.save(&cp).unwrap(), 3);
+        assert_eq!(store.generations(), vec![2, 3]);
+        let mut bytes = fs::read(&newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        fs::write(&newest, &bytes).unwrap();
+        let got = store.load_latest().unwrap().unwrap();
+        assert_eq!(got.generation, 2);
+        assert_eq!(got.rolled_back, 1);
+        assert_eq!(got.checkpoint.iteration, 22);
+
+        // Corrupt every generation: typed Corrupt, not a panic, and
+        // nothing is removed.
         let older = store.path_for(2);
         fs::write(&older, b"not a checkpoint").unwrap();
         assert!(matches!(
             store.load_latest(),
             Err(CheckpointError::Corrupt(_))
         ));
+        assert_eq!(store.generations(), vec![2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,9 +10,8 @@
 //!    produces bit-identical trajectories and byte-identical checkpoint
 //!    files to the same run with the tracer disabled.
 //! 3. The **wall-clock sidecar never leaks into persisted state**: with
-//!    the sidecar armed (compile with `--features obs-wallclock` to make
-//!    it real), checkpoint bytes are still identical and carry no trace
-//!    artifacts, and the checkpoint text round-trips exactly.
+//!    the sidecar armed, checkpoint bytes are still identical and carry no
+//!    trace artifacts, and the checkpoint text round-trips exactly.
 //!
 //! Tracer, registry and pool width are process globals, so every test in
 //! this binary serializes on one lock.
@@ -174,9 +173,8 @@ fn tracing_and_sidecar_never_touch_trajectories_or_checkpoints() {
     pwu_obs::clear();
     let (fp_off, bytes_off) = one_run("off");
 
-    // Tracing on, sidecar armed. Without the `obs-wallclock` feature the
-    // arm flag is inert by construction; with it, real `Instant` readings
-    // ride every event — and must still be invisible here.
+    // Tracing on, sidecar armed: real `Instant` readings ride every event
+    // — and must still be invisible here.
     pwu_obs::reset_metrics();
     pwu_obs::clear();
     pwu_obs::set_wallclock(true);
@@ -201,9 +199,8 @@ fn tracing_and_sidecar_never_touch_trajectories_or_checkpoints() {
         "checkpoint must round-trip"
     );
 
-    // And with the sidecar compiled in + armed, the full export carries
-    // timestamps while the deterministic export stays clean of them.
-    #[cfg(feature = "obs-wallclock")]
+    // And with the sidecar armed, the full export carries timestamps while
+    // the deterministic export stays clean of them.
     assert!(trace.full_jsonl().contains("wall_ns"));
     assert!(!trace.deterministic_jsonl().contains("wall_ns"));
 }

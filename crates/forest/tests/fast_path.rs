@@ -1,9 +1,8 @@
-//! Fast-engine suites (run with and without the schedule sanitizer by
-//! `cargo xtask fast`).
+//! Fast-engine suites (run by `cargo xtask fast`).
 //!
 //! These prove the fast engine's determinism contract — pure function of
-//! the seed, byte-identical across pool widths (and, with `sanitize`,
-//! across deal orders) — plus its statistical closeness to the exact
+//! the seed, byte-identical across pool widths and the schedule
+//! sanitizer's deal orders — plus its statistical closeness to the exact
 //! engine and bitwise *non*-equivalence (the suite would be vacuous if
 //! `Fast` silently ran the exact engine).
 
@@ -165,10 +164,9 @@ fn fast_engine_is_not_the_exact_engine_bitwise() {
     assert!(any_diff, "fast engine produced bitwise-exact gains on every seed");
 }
 
-/// With the runtime sanitizer compiled in, a fast fit must be byte-identical
-/// across every deal-order perturbation × pool width (the schedule must not
-/// be observable through the fast engine either).
-#[cfg(feature = "sanitize")]
+/// A fast fit must be byte-identical across every deal-order perturbation
+/// of the schedule sanitizer × pool width (the schedule must not be
+/// observable through the fast engine either).
 #[test]
 fn fast_fit_is_deal_order_invariant() {
     use rayon::sanitize::DealMode;

@@ -1,14 +1,13 @@
 //! Predict-side suites for the flat kernel, the batch and column predict
-//! path of every forest (run with and without the schedule sanitizer by
-//! `cargo xtask fast`).
+//! path of every forest (run by `cargo xtask fast`).
 //!
 //! The flat layout's contract (DESIGN.md §14): per-tree leaf values are
 //! **bitwise identical** to the scalar tree walk
 //! ([`RegressionTree::predict_at`](pwu_forest::RegressionTree::predict_at)),
 //! the fit mode picks only the ensemble fold (`fold_lanes`: serial tree
 //! order for Exact, accumulator lanes for Fast), and every result is a pure
-//! function of the inputs — byte-identical across pool widths and (with
-//! `sanitize`) deal orders. The oracles here are scalar: per-tree
+//! function of the inputs — byte-identical across pool widths and the
+//! schedule sanitizer's deal orders. The oracles here are scalar: per-tree
 //! `predict_at` values folded by `fold_lanes`.
 
 use rand::Rng;
@@ -364,11 +363,10 @@ fn fast_mode_predict_is_width_invariant() {
     rayon::set_threads(before);
 }
 
-/// With the runtime sanitizer compiled in, fast pool scoring must be
-/// byte-identical across every deal-order perturbation × pool width —
-/// the schedule must not be observable through the predict side either
-/// (mirror of the fit-side `fast_fit_is_deal_order_invariant`).
-#[cfg(feature = "sanitize")]
+/// Fast pool scoring must be byte-identical across every deal-order
+/// perturbation of the schedule sanitizer × pool width — the schedule must
+/// not be observable through the predict side either (mirror of the
+/// fit-side `fast_fit_is_deal_order_invariant`).
 #[test]
 fn fast_mode_predict_is_deal_order_invariant() {
     use rayon::sanitize::DealMode;

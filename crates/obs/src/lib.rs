@@ -10,11 +10,11 @@
 //!   *itself* part of the bit-identity contract (DESIGN.md §11/§13): the
 //!   bytes are identical across `PWU_THREADS` widths and deal orders, and
 //!   enabling tracing never changes any tuning result.
-//! - **Timing sidecar.** Opt-in wall-clock capture, compiled only under the
-//!   `wallclock` feature and armed only by [`set_wallclock`]. Captured
-//!   nanoseconds are write-only: they ride on events into the full/Chrome
-//!   exports and are excluded from the deterministic export, the registry,
-//!   and every persisted artifact.
+//! - **Timing sidecar.** Opt-in wall-clock capture, always compiled and
+//!   dormant until armed by [`set_wallclock`]. Captured nanoseconds are
+//!   write-only: they ride on events into the full/Chrome exports and are
+//!   excluded from the deterministic export, the registry, and every
+//!   persisted artifact.
 //!
 //! Events recorded on pool worker threads land in per-item branch buffers
 //! (forked by the rayon shim via [`fork_run`]) and are spliced back into
@@ -201,33 +201,46 @@ mod tests {
         assert!(!report.regressed, "identical runs must not regress");
     }
 
+    /// The sidecar is write-only when armed, and dormant until armed: the
+    /// process default (`None`: `set_wallclock` never called, so this case
+    /// must run first) and a disarmed flag read no clock, and the Chrome
+    /// export falls back to sequence-number timestamps.
     #[test]
     fn wallclock_sidecar_is_write_only() {
         let _g = obs_guard();
-        clear();
-        reset_metrics();
-        set_wallclock(true);
-        enable();
-        {
-            let _s = span("timed", []);
+        for arm in [None, Some(false), Some(true)] {
+            clear();
+            reset_metrics();
+            if let Some(on) = arm {
+                set_wallclock(on);
+            }
+            enable();
+            {
+                let _s = span("timed", []);
+                event("tick", []);
+            }
+            disable();
+            set_wallclock(false);
+            let trace = drain();
+            assert!(
+                !trace.deterministic_jsonl().contains("wall_ns"),
+                "deterministic export must strip the sidecar"
+            );
+            let armed = arm == Some(true);
+            assert_eq!(
+                trace.full_jsonl().contains("wall_ns"),
+                armed,
+                "full export must carry sidecar timings exactly when armed ({arm:?})"
+            );
+            if !armed {
+                let chrome = trace.chrome_json();
+                let ts: Vec<&str> = chrome
+                    .split("\"ts\":")
+                    .skip(1)
+                    .filter_map(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                    .collect();
+                assert_eq!(ts, ["0", "1", "2"], "unarmed ts must be sequence numbers");
+            }
         }
-        disable();
-        set_wallclock(false);
-        let trace = drain();
-        let det = trace.deterministic_jsonl();
-        assert!(
-            !det.contains("wall_ns"),
-            "deterministic export must strip the sidecar"
-        );
-        #[cfg(feature = "wallclock")]
-        assert!(
-            trace.full_jsonl().contains("wall_ns"),
-            "full export must carry sidecar timings when armed"
-        );
-        #[cfg(not(feature = "wallclock"))]
-        assert!(
-            !trace.full_jsonl().contains("wall_ns"),
-            "without the feature the runtime flag must be inert"
-        );
     }
 }

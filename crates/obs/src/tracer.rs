@@ -75,8 +75,7 @@ pub(crate) struct Event {
     pub(crate) name: &'static str,
     pub(crate) args: Vec<(&'static str, Arg)>,
     /// Sidecar timestamp (nanoseconds since the process anchor). `None`
-    /// unless the `wallclock` feature is compiled in *and* the runtime
-    /// flag is armed. Excluded from the deterministic export.
+    /// unless the sidecar is armed. Excluded from the deterministic export.
     pub(crate) wall_ns: Option<u64>,
 }
 
@@ -84,8 +83,7 @@ pub(crate) struct Event {
 /// atomic load per instrumentation site.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Runtime arm switch for the timing sidecar (inert without the
-/// `wallclock` feature).
+/// Arm switch for the timing sidecar; off by default.
 static WALLCLOCK: AtomicBool = AtomicBool::new(false);
 
 /// Events recorded outside any branch (the main/caller thread).
@@ -114,18 +112,16 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Arms or disarms the wall-clock sidecar. Without the `wallclock`
-/// feature this flag is stored but can never reach a clock — the crate
-/// contains no timing code in that configuration.
+/// Arms or disarms the wall-clock sidecar. It starts disarmed, and while
+/// disarmed no event reads a clock.
 pub fn set_wallclock(on: bool) {
     WALLCLOCK.store(on, Ordering::SeqCst);
 }
 
-/// Sidecar timestamp for the event being recorded, if the sidecar is both
-/// compiled in and armed. This is the only function in the crate that can
-/// touch a clock, and its output is write-only: it lands on the event's
-/// `wall_ns` field and nowhere else.
-#[cfg(feature = "wallclock")]
+/// Sidecar timestamp for the event being recorded, if the sidecar is
+/// armed. This is the only function in the crate that can touch a clock,
+/// and its output is write-only: it lands on the event's `wall_ns` field
+/// and nowhere else.
 fn wall_now() -> Option<u64> {
     use std::sync::OnceLock;
     use std::time::Instant;
@@ -135,11 +131,6 @@ fn wall_now() -> Option<u64> {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     let anchor = ANCHOR.get_or_init(Instant::now);
     Some(u64::try_from(anchor.elapsed().as_nanos()).unwrap_or(u64::MAX))
-}
-
-#[cfg(not(feature = "wallclock"))]
-fn wall_now() -> Option<u64> {
-    None
 }
 
 /// Appends an event to the current context: the innermost installed

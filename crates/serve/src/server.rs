@@ -268,7 +268,7 @@ impl Server {
         let spec = spec_from_fields(fields)?;
         let _span = pwu_obs::span("serve.create", [("session", pwu_obs::Arg::s(id))]);
         let session = Session::create(&session_dir(&self.state_dir, id), spec)?;
-        let line = session_line(id, &session, &[]);
+        let line = session_line(id, &session).finish();
         self.sessions.insert(id.to_string(), session);
         self.lru.touch(id);
         self.stats.created += 1;
@@ -336,30 +336,27 @@ impl Server {
                 self.stats.degraded += 1;
                 serve_counters().degraded.incr();
             }
-            let session = self.get_mut(id)?;
-            let extras = [
-                ("steps", Value::U(committed)),
-                ("shed", Value::U(shed)),
-                ("error", Value::S(e.kind.token().to_string())),
-            ];
-            return Ok(session_line(id, session, &extras));
+            let mut w = session_line(id, self.get_mut(id)?);
+            w.u64("steps", committed)
+                .u64("shed", shed)
+                .str("error", e.kind.token());
+            return Ok(w.finish());
         }
-        let session = self.get_mut(id)?;
-        let extras = [
-            ("steps", Value::U(committed)),
-            ("shed", Value::U(shed)),
-            ("step_cost", Value::F(last.step_cost)),
-        ];
-        Ok(session_line(id, session, &extras))
+        let mut w = session_line(id, self.get_mut(id)?);
+        w.u64("steps", committed)
+            .u64("shed", shed)
+            .f64("step_cost", last.step_cost);
+        Ok(w.finish())
     }
 
     fn query(&mut self, id: &str) -> Result<String, ProtocolError> {
         let session = self.get_mut(id)?;
-        let extras = [(
+        let mut w = session_line(id, session);
+        w.u64(
             "cache_bytes",
-            Value::U(session.target().cache().map_or(0, pwu_spapt::EvalCache::approx_bytes) as u64),
-        )];
-        Ok(session_line(id, session, &extras))
+            session.target().cache().map_or(0, pwu_spapt::EvalCache::approx_bytes) as u64,
+        );
+        Ok(w.finish())
     }
 
     fn suspend(&mut self, id: &str) -> Result<String, ProtocolError> {
@@ -367,8 +364,7 @@ impl Server {
         session.suspend();
         pwu_obs::event("serve.suspend", [("session", pwu_obs::Arg::s(id))]);
         self.lru.remove(id);
-        let session = self.get_mut(id)?;
-        Ok(session_line(id, session, &[]))
+        Ok(session_line(id, self.get_mut(id)?).finish())
     }
 
     fn resume(&mut self, id: &str) -> Result<String, ProtocolError> {
@@ -392,9 +388,9 @@ impl Server {
         serve_counters().rolled_back.add(rolled_back as u64);
         self.lru.touch(id);
         self.enforce_cache_budget();
-        let session = self.get_mut(id)?;
-        let extras = [("rolled_back", Value::U(rolled_back as u64))];
-        Ok(session_line(id, session, &extras))
+        let mut w = session_line(id, self.get_mut(id)?);
+        w.u64("rolled_back", rolled_back as u64);
+        Ok(w.finish())
     }
 
     fn kill(&mut self, id: &str) -> Result<String, ProtocolError> {
@@ -513,7 +509,7 @@ impl Server {
     /// process-wide tracer, `stop` disarms it (buffered events stay until
     /// exported), `export` drains events plus the metrics snapshot to
     /// `path` as trace JSONL (`format:"jsonl"`, the full plane — sidecar
-    /// timestamps included when compiled in) or a Chrome trace-event JSON
+    /// timestamps included when armed) or a Chrome trace-event JSON
     /// array (`format:"chrome"`, Perfetto-loadable).
     fn trace(
         &mut self,
@@ -631,15 +627,9 @@ impl Server {
 /// (`None` for sessions that were not active).
 type TickedSession = (String, Session, Option<Result<StepReport, ProtocolError>>);
 
-/// Scalar used by the response extras slice.
-enum Value {
-    U(u64),
-    F(f64),
-    S(String),
-}
-
-/// Builds the standard per-session response line.
-fn session_line(id: &str, session: &Session, extras: &[(&str, Value)]) -> String {
+/// Starts the standard per-session response line; the caller appends its
+/// extras and calls `finish()`.
+fn session_line(id: &str, session: &Session) -> ObjectWriter {
     let mut w = ObjectWriter::new();
     w.bool("ok", true);
     w.str("session", id);
@@ -652,14 +642,7 @@ fn session_line(id: &str, session: &Session, extras: &[(&str, Value)]) -> String
     if let Some(digest) = session.digest() {
         w.str("digest", &digest);
     }
-    for (key, value) in extras {
-        match value {
-            Value::U(v) => w.u64(key, *v),
-            Value::F(v) => w.f64(key, *v),
-            Value::S(v) => w.str(key, v),
-        };
-    }
-    w.finish()
+    w
 }
 
 /// Reads optional field `key` through `get`: `Ok(None)` when absent, a typed

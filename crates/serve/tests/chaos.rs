@@ -238,25 +238,41 @@ fn corrupted_newest_generation_rolls_back_and_still_converges() {
     // Damage the newest generation file: flip a byte mid-body, the way a
     // torn write or bad sector would.
     let session_dir = dir.join("r1");
-    let mut gens: Vec<PathBuf> = fs::read_dir(&session_dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("gen-") && n.ends_with(".ckpt"))
-        })
-        .collect();
-    gens.sort();
-    let newest = gens.last().unwrap();
-    let mut bytes = fs::read(newest).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    fs::write(newest, &bytes).unwrap();
+    let damage_newest = || {
+        let mut gens: Vec<PathBuf> = fs::read_dir(&session_dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("gen-") && n.ends_with(".ckpt"))
+            })
+            .collect();
+        gens.sort();
+        let newest = gens.last().unwrap();
+        let mut bytes = fs::read(newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        fs::write(newest, &bytes).unwrap();
+    };
+    damage_newest();
 
     // Resume detects the damage, rolls back one generation (iteration 1),
     // and the session still converges to the bit-identical final state.
+    let mut server = server_at(&dir);
+    let resumed = send(&mut server, r#"{"cmd":"resume","session":"r1"}"#);
+    assert_eq!(resumed.u64("rolled_back"), Some(1));
+    assert_eq!(resumed.u64("iteration"), Some(1));
+    assert_eq!(resumed.str("digest"), Some(chain[1].as_str()));
+
+    // A second damaged generation after the rollback rolls back to the
+    // same recovered generation: the rollback discarded the damaged file,
+    // so the next commit's prune kept the generation it recovered.
+    let stepped = send(&mut server, r#"{"cmd":"step","session":"r1","n":1}"#);
+    assert_eq!(stepped.u64("steps"), Some(1));
+    drop(server);
+    damage_newest();
     let mut server = server_at(&dir);
     let resumed = send(&mut server, r#"{"cmd":"resume","session":"r1"}"#);
     assert_eq!(resumed.u64("rolled_back"), Some(1));

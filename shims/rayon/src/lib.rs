@@ -28,13 +28,12 @@
 //! sequential path. [`set_threads`] overrides the width at runtime for
 //! thread-count-invariance tests.
 //!
-//! With the `sanitize` feature the pool additionally exposes the
-//! [`sanitize`] hooks used by the `pwu-audit` schedule-perturbation
-//! harness: per-batch access-footprint capture (which worker was dealt
-//! which item indices, and the order results were scattered back) and
-//! perturbed deal orders ([`sanitize::DealMode`]). All hooks are
-//! runtime-dormant by default and the default deal mode is bit-for-bit the
-//! production round-robin, so merely compiling the feature changes nothing.
+//! The pool also exposes the [`sanitize`] hooks used by the `pwu-audit`
+//! schedule-perturbation harness: per-batch access-footprint capture (which
+//! worker was dealt which item indices, and the order results were
+//! scattered back) and perturbed deal orders ([`sanitize::DealMode`]). The
+//! hooks are always compiled and dormant until armed at run time: the
+//! default deal mode is the production round-robin and capture is off.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,8 +81,8 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Concurrency-sanitizer hooks for the `pwu-audit` harness (feature
-/// `sanitize`): schedule perturbation and access-footprint capture.
+/// Concurrency-sanitizer hooks for the `pwu-audit` harness: schedule
+/// perturbation and access-footprint capture, dormant until armed.
 ///
 /// The pool's determinism claim is that scheduling can never move a
 /// result. This module makes the claim *testable*: [`set_deal_mode`]
@@ -92,7 +91,6 @@ pub fn set_threads(n: usize) {
 /// deal plus the order results were scattered back — so a harness can
 /// prove both that outputs survived a genuinely different schedule and
 /// that every item was produced exactly once.
-#[cfg(feature = "sanitize")]
 pub mod sanitize {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Mutex;
@@ -185,29 +183,32 @@ pub mod sanitize {
         z ^ (z >> 31)
     }
 
-    /// Deals `0..n` to `width` workers under the current mode. The
-    /// round-robin arm is definitionally identical to the production deal.
-    pub(crate) fn assignment(n: usize, width: usize) -> Vec<Vec<usize>> {
-        let mut buckets: Vec<Vec<usize>> = (0..width)
+    /// Deals `items` to `width` workers, each tagged with its input index
+    /// for the ordered reduction. Round-robin (the production deal, so
+    /// monotone per-item costs still balance) moves item `i` straight into
+    /// bucket `i % width`; a perturbed mode plans its deal as `(bucket,
+    /// index)` pairs in dealing order, then moves each item accordingly.
+    pub(crate) fn deal<T>(items: Vec<T>, width: usize) -> Vec<Vec<(usize, T)>> {
+        let n = items.len();
+        let mut buckets: Vec<Vec<(usize, T)>> = (0..width)
             .map(|_| Vec::with_capacity(n.div_ceil(width)))
             .collect();
-        match deal_mode() {
+        let perturbed: Vec<(usize, usize)> = match deal_mode() {
             DealMode::RoundRobin => {
-                for i in 0..n {
-                    buckets[i % width].push(i);
+                for (i, item) in items.into_iter().enumerate() {
+                    buckets[i % width].push((i, item));
                 }
+                return buckets;
             }
             DealMode::Blocked => {
                 let chunk = n.div_ceil(width);
-                for i in 0..n {
-                    buckets[i / chunk].push(i);
-                }
+                (0..n).map(|i| (i / chunk, i)).collect()
             }
-            DealMode::Reversed => {
-                for (k, i) in (0..n).rev().enumerate() {
-                    buckets[k % width].push(i);
-                }
-            }
+            DealMode::Reversed => (0..n)
+                .rev()
+                .enumerate()
+                .map(|(k, i)| (k % width, i))
+                .collect(),
             DealMode::Shuffled(seed) => {
                 let mut order: Vec<usize> = (0..n).collect();
                 let mut state = seed;
@@ -215,10 +216,16 @@ pub mod sanitize {
                     let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
                     order.swap(i, j);
                 }
-                for (k, i) in order.into_iter().enumerate() {
-                    buckets[k % width].push(i);
-                }
+                order
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, i)| (k % width, i))
+                    .collect()
             }
+        };
+        let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+        for (bucket, i) in perturbed {
+            buckets[bucket].push((i, slots[i].take().expect("each index dealt exactly once")));
         }
         buckets
     }
@@ -241,7 +248,6 @@ where
     let _batch_span = pwu_obs::span("pool.batch", [("items", pwu_obs::Arg::u(n as u64))]);
     let width = current_num_threads().min(n);
     if width <= 1 || IN_WORKER.with(std::cell::Cell::get) {
-        #[cfg(feature = "sanitize")]
         if n > 1 && IN_WORKER.with(std::cell::Cell::get) {
             sanitize::note_nested_degrade();
         }
@@ -253,35 +259,9 @@ where
     // Worker-side tracing: fork one branch buffer per item so events from
     // any worker interleaving can be spliced back in input-index order.
     let tracing = pwu_obs::is_enabled();
-    // Deal items to workers tagged with their input index for the ordered
-    // reduction. Production deal is round-robin so monotone per-item costs
-    // still balance; under `sanitize` the assignment can be perturbed to
-    // prove scheduling never moves a result.
-    #[cfg(feature = "sanitize")]
-    let buckets: Vec<Vec<(usize, T)>> = {
-        let assignment = sanitize::assignment(n, width);
-        let mut slots_in: Vec<Option<T>> = items.into_iter().map(Some).collect();
-        assignment
-            .iter()
-            .map(|ixs| {
-                ixs.iter()
-                    .map(|&i| (i, slots_in[i].take().expect("each index dealt exactly once")))
-                    .collect()
-            })
-            .collect()
-    };
-    #[cfg(not(feature = "sanitize"))]
-    let buckets: Vec<Vec<(usize, T)>> = {
-        let mut buckets: Vec<Vec<(usize, T)>> = (0..width)
-            .map(|_| Vec::with_capacity(n.div_ceil(width)))
-            .collect();
-        for (i, item) in items.into_iter().enumerate() {
-            buckets[i % width].push((i, item));
-        }
-        buckets
-    };
-    #[cfg(feature = "sanitize")]
-    let deal: Vec<Vec<usize>> = if sanitize::capturing() {
+    let capture = sanitize::capturing();
+    let buckets = sanitize::deal(items, width);
+    let deal: Vec<Vec<usize>> = if capture {
         buckets
             .iter()
             .map(|b| b.iter().map(|(i, _)| *i).collect())
@@ -289,7 +269,6 @@ where
     } else {
         Vec::new()
     };
-    #[cfg(feature = "sanitize")]
     let mut fill_order: Vec<usize> = Vec::new();
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     let mut branch_slots: Vec<Option<pwu_obs::BranchEvents>> = (0..n).map(|_| None).collect();
@@ -322,15 +301,12 @@ where
             match handle.join() {
                 Ok(pairs) => {
                     for (i, u, events) in pairs {
-                        #[cfg(feature = "sanitize")]
-                        {
-                            assert!(
-                                slots[i].is_none(),
-                                "sanitizer: item {i} produced twice — the reduction is not index-unique"
-                            );
-                            if sanitize::capturing() {
-                                fill_order.push(i);
-                            }
+                        assert!(
+                            slots[i].is_none(),
+                            "sanitizer: item {i} produced twice — the reduction is not index-unique"
+                        );
+                        if capture {
+                            fill_order.push(i);
                         }
                         slots[i] = Some(u);
                         branch_slots[i] = events;
@@ -355,8 +331,7 @@ where
         // path records, whatever the deal order or join interleaving was.
         pwu_obs::splice(branch_slots.into_iter().flatten());
     }
-    #[cfg(feature = "sanitize")]
-    if sanitize::capturing() {
+    if capture {
         sanitize::record(sanitize::BatchRecord {
             n_items: n,
             width,
@@ -681,7 +656,6 @@ mod tests {
         set_threads(1);
     }
 
-    #[cfg(feature = "sanitize")]
     mod sanitize_hooks {
         use super::super::sanitize::{self, DealMode};
         use super::super::set_threads;

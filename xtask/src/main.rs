@@ -31,26 +31,27 @@
 //!   test suite and the schedule-perturbation harness, which re-runs the
 //!   forest fit and a miniature experiment cell under pool widths 1/2/4/8 ×
 //!   permuted deal orders and asserts byte-identical results, checkpoint
-//!   files included. See DESIGN.md §11 for the contract this enforces.
-//! - `obs` — the observability gate: runs the `pwu-obs` unit suite (both
-//!   with and without the `wallclock` sidecar compiled in), the thread-pool
+//!   files included, then the thread-pool shim's suite with its sanitizer
+//!   hooks. See DESIGN.md §11 for the contract this enforces.
+//! - `obs` — the observability gate: runs the `pwu-obs` unit suite (the
+//!   timing sidecar dormant, disarmed and armed), the thread-pool
 //!   fork/splice byte-identity test, and the trace-determinism suite
 //!   (traces byte-identical across pool widths 1/2/4/8 × deal orders;
-//!   tracing-on runs produce byte-identical checkpoints to tracing-off),
-//!   then checks the committed `BENCH_obs.json` against the <5 % tracing
-//!   overhead budget. See DESIGN.md §13 for the contract.
+//!   tracing-on runs with the sidecar armed produce byte-identical
+//!   checkpoints to tracing-off), then checks the committed
+//!   `BENCH_obs.json` against the <5 % tracing overhead budget. See
+//!   DESIGN.md §13 for the contract.
 //! - `fast` — the fit-engine gate. Both fit modes grow trees through one
 //!   loop, so it holds both contracts. Bitwise (DESIGN.md §9): the root
 //!   `fit_pins` fingerprints of both engines, the `pwu-forest`
 //!   `golden_predictions`, `reference_equivalence`, `categorical_exactness`
 //!   and `predict_tails` suites, and `pwu-core`'s `golden_trajectory`.
 //!   Statistical (DESIGN.md §14): the `pwu-forest` fast-fit and
-//!   flat-predict suites with and without the schedule sanitizer
-//!   (`sanitize` feature), the `pwu-core` statistical-equivalence harness
-//!   (trajectory RMSE over ≥20 seeds, 18-kernel best-config quality,
-//!   determinism/width-invariance), and the `pwu-serve` fleet suite with
-//!   fast sessions (nested parallel fit degrades on pool workers without
-//!   deadlock).
+//!   flat-predict suites (deal-order perturbations included), the
+//!   `pwu-core` statistical-equivalence harness (trajectory RMSE over
+//!   ≥20 seeds, 18-kernel best-config quality, determinism/width-
+//!   invariance), and the `pwu-serve` fleet suite with fast sessions
+//!   (nested parallel fit degrades on pool workers without deadlock).
 //!
 //! With no command, prints the full CI gate list and exits 0.
 
@@ -67,7 +68,7 @@ const GATES: [(&str, &str); 9] = [
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
     ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale) + perfbench self-test"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
-    ("cargo xtask fast", "fit engines: exact goldens + fit pins, fast equivalence, flat predict (± sanitizer)"),
+    ("cargo xtask fast", "fit engines: exact goldens + fit pins, fast equivalence, flat predict"),
 ];
 
 fn main() {
@@ -374,8 +375,8 @@ fn audit() {
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-audit"]),
     );
     run_step(
-        "thread-pool sanitizer hooks (rayon shim, --features sanitize)",
-        Command::new(&cargo).args(["test", "-q", "-p", "rayon", "--features", "sanitize"]),
+        "thread-pool suite with its sanitizer hooks (rayon shim)",
+        Command::new(&cargo).args(["test", "-q", "-p", "rayon"]),
     );
     println!("xtask: determinism audit gate passed");
 }
@@ -402,33 +403,16 @@ fn chaos() {
 fn obs() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     run_step(
-        "pwu-obs unit suite (deterministic plane only)",
+        "pwu-obs unit suite (sidecar dormant, disarmed and armed)",
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-obs"]),
-    );
-    run_step(
-        "pwu-obs unit suite (wallclock sidecar compiled in)",
-        Command::new(&cargo).args(["test", "-q", "-p", "pwu-obs", "--features", "wallclock"]),
     );
     run_step(
         "thread-pool fork/splice byte-identity (rayon shim)",
         Command::new(&cargo).args(["test", "-q", "-p", "rayon", "traces_are_byte_identical"]),
     );
     run_step(
-        "trace-determinism suite (widths 1/2/4/8 x deal orders; on ≡ off checkpoints)",
+        "trace-determinism suite (widths 1/2/4/8 x deal orders; on ≡ off checkpoints, sidecar armed)",
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-core", "--test", "obs_determinism"]),
-    );
-    run_step(
-        "trace-determinism suite with the sidecar compiled in (still byte-identical)",
-        Command::new(&cargo).args([
-            "test",
-            "-q",
-            "-p",
-            "pwu-core",
-            "--test",
-            "obs_determinism",
-            "--features",
-            "obs-wallclock",
-        ]),
     );
     // The committed overhead number must honor the budget, not just avoid
     // regressing: tracing that costs more than ~5% would get turned off in
@@ -474,7 +458,7 @@ fn fast() {
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-core", "--test", "golden_trajectory"]),
     );
     run_step(
-        "fast fit + flat predict suites",
+        "fast fit + flat predict suites (pool widths x deal orders)",
         Command::new(&cargo).args([
             "test",
             "-q",
@@ -484,21 +468,6 @@ fn fast() {
             "fast_path",
             "--test",
             "flat_predict",
-        ]),
-    );
-    run_step(
-        "fast fit + flat predict suites under the schedule sanitizer (--features sanitize)",
-        Command::new(&cargo).args([
-            "test",
-            "-q",
-            "-p",
-            "pwu-forest",
-            "--test",
-            "fast_path",
-            "--test",
-            "flat_predict",
-            "--features",
-            "sanitize",
         ]),
     );
     run_step(
