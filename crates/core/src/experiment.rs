@@ -171,14 +171,18 @@ pub fn run_experiment(
                 .space()
                 .sample_distinct(protocol.surrogate_size, &mut rng);
             let (pool_cfgs, test_cfgs) = all.split_at(protocol.pool_size);
-            // Pre-warm the target's evaluation cache for the test set: every
-            // test configuration is measured `repeats` times here and again
-            // by every strategy's final evaluation, so batching the base
-            // costs up front lets a memoizing target (the SPAPT kernels)
-            // compute each exactly once. Pool configurations are deliberately
-            // not pre-warmed — most are never measured, so eager base costs
-            // would be wasted work. Targets without a cache just evaluate
-            // sequentially; either way the labels below are bit-identical.
+            // Pre-warm the target's evaluation cache for the test set: the
+            // labeling below measures every test configuration `repeats`
+            // times, and batching the base costs up front lets a memoizing
+            // target (the SPAPT kernels) compute each once, fanned out over
+            // the thread pool. The strategies never measure the test set
+            // again: their runs evaluate it through the model only. Pool
+            // configurations are deliberately not pre-warmed — most are
+            // never measured, so eager base costs would be wasted work; the
+            // memo's reuse across strategies comes from the pool's lint
+            // verdicts and from configurations several strategies select.
+            // Targets without a cache just evaluate sequentially; either way
+            // the labels below are bit-identical.
             let _ = target.ideal_times(test_cfgs);
             let mut test_annotator =
                 Annotator::new(target, protocol.active.repeats, derive_seed(rep_seed, 101));

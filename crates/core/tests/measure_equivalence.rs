@@ -159,6 +159,19 @@ fn cache_counters_show_one_model_evaluation_per_35_repeats() {
     let clone = kernel.clone();
     assert!(clone.eval_cache().is_empty());
     assert_eq!(clone.eval_cache().stats(), (0, 0));
+
+    // Pool linting stores a legality-only entry. It does not answer the
+    // base-cost lookup that follows, which runs the cost model: two misses.
+    let _ = clone.lint_config(&cfg);
+    assert_eq!(clone.eval_cache().stats(), (0, 1));
+    let _ = clone.ideal_time(&cfg);
+    assert_eq!(
+        clone.eval_cache().stats(),
+        (0, 2),
+        "a legality-only entry is no base-cost hit"
+    );
+    let _ = clone.ideal_time(&cfg);
+    assert_eq!(clone.eval_cache().stats(), (1, 2));
 }
 
 #[test]

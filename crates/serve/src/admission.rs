@@ -1,10 +1,10 @@
-//! Admission control: bounded registries, bounded requests, bounded memory.
+//! Admission control: bounded registries and bounded requests.
 //!
 //! The server sheds load instead of degrading everyone: a request that
 //! would push past a bound gets a typed `overloaded` response immediately
-//! (the client can retry, back off or target another server), and the warm
-//! [`pwu_spapt::EvalCache`] memos are bounded by count and by approximate
-//! bytes via the [`crate::lru`] tracker.
+//! (the client can retry, back off or target another server). Memory needs
+//! no bound of its own beyond the resident set: a session's
+//! [`pwu_spapt::EvalCache`] memo is empty between requests.
 
 use crate::protocol::{ErrorKind, ProtocolError};
 
@@ -20,10 +20,6 @@ pub struct AdmissionPolicy {
     /// Maximum iterations one `step` request may ask for; bigger requests
     /// are refused (bounded work per request keeps the loop responsive).
     pub max_steps_per_request: usize,
-    /// Maximum kernel sessions allowed to keep a warm eval-cache memo.
-    pub max_warm_caches: usize,
-    /// Maximum total approximate bytes across all warm memos.
-    pub max_cache_bytes: usize,
 }
 
 impl Default for AdmissionPolicy {
@@ -32,8 +28,6 @@ impl Default for AdmissionPolicy {
             max_sessions: 4096,
             max_resident: 1024,
             max_steps_per_request: 64,
-            max_warm_caches: 256,
-            max_cache_bytes: 256 << 20,
         }
     }
 }
@@ -109,8 +103,6 @@ mod tests {
             max_sessions: 2,
             max_resident: 1,
             max_steps_per_request: 8,
-            max_warm_caches: 1,
-            max_cache_bytes: 1024,
         };
         assert!(p.admit_create(1).is_ok());
         assert_eq!(p.admit_create(2).unwrap_err().kind, ErrorKind::Overloaded);

@@ -25,8 +25,13 @@ fn main() -> ExitCode {
                 state_dir = dir;
             }
             "--max-step-cost" => {
-                let Some(cost) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return usage("--max-step-cost needs a number");
+                // `>=` is false for NaN, which would switch the watchdog off.
+                let Some(cost) = args
+                    .next()
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|c| *c >= 0.0)
+                else {
+                    return usage("--max-step-cost needs a non-negative number (inf disables it)");
                 };
                 watchdog = WatchdogPolicy::with_deadline(cost);
             }

@@ -14,10 +14,12 @@
 //!   over-deadline step is simply discarded; the watchdog
 //!   ([`WatchdogPolicy`]) degrades runaway sessions instead of wedging the
 //!   server.
-//! - **Admission control** — bounded registries, bounded per-request work
-//!   and bounded warm-cache memory ([`AdmissionPolicy`] + the eval-cache
-//!   LRU) shed load with typed `overloaded` responses instead of degrading
-//!   every session at once.
+//! - **Admission control** — bounded registries and bounded per-request
+//!   work ([`AdmissionPolicy`]) shed load with typed `overloaded` responses
+//!   instead of degrading every session at once.
+//! - **Bounded memory** — between requests a session holds only its
+//!   checkpoint, digest and evaluator: a kernel's eval-cache memo is
+//!   request-scoped, emptied by every request that fills it.
 //!
 //! The wire protocol ([`protocol`]) is one flat JSON object per line over
 //! stdin/stdout — dependency-free, newline-framed, deterministic field
@@ -25,7 +27,6 @@
 //! `target/serve-state`.
 
 pub mod admission;
-pub mod lru;
 pub mod protocol;
 pub mod server;
 pub mod session;

@@ -453,11 +453,28 @@ pub enum Request {
     Shutdown,
 }
 
+/// Reads optional field `key` through `get`: `Ok(None)` when absent, a typed
+/// `bad-request` naming `want` when present but of the wrong type or range.
+pub(crate) fn field<'a, T>(
+    fields: &'a Fields,
+    key: &str,
+    get: impl Fn(&'a Fields, &str) -> Option<T>,
+    want: &str,
+) -> Result<Option<T>, ProtocolError> {
+    match fields.get(key) {
+        None => Ok(None),
+        Some(_) => get(fields, key)
+            .map(Some)
+            .ok_or_else(|| bad(format!("field '{key}' must be {want}"))),
+    }
+}
+
 /// Parses one request line.
 ///
 /// # Errors
 /// Returns a [`ErrorKind::BadRequest`] error on syntax problems, unknown
-/// commands or missing required fields.
+/// commands, missing required fields or optional fields that are present
+/// but mistyped (an absent optional field keeps its default).
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     let fields = parse_object(line)?;
     let cmd = fields
@@ -478,7 +495,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         }),
         "step" => Ok(Request::Step {
             session: session(&fields)?,
-            n: fields.usize("n").unwrap_or(1),
+            n: field(&fields, "n", Fields::usize, "a non-negative integer")?.unwrap_or(1),
         }),
         "query" => Ok(Request::Query {
             session: session(&fields)?,
@@ -500,7 +517,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 .ok_or_else(|| bad("missing string field 'action' (start/stop/export)"))?
                 .to_string(),
             path: fields.str("path").map(str::to_string),
-            format: fields.str("format").unwrap_or("jsonl").to_string(),
+            format: field(&fields, "format", Fields::str, "a string")?
+                .unwrap_or("jsonl")
+                .to_string(),
         }),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(bad(format!(
@@ -600,8 +619,24 @@ mod tests {
         ));
         assert!(matches!(
             parse_request(r#"{"cmd":"trace","action":"export","path":"/tmp/t.jsonl"}"#),
-            Ok(Request::Trace { .. })
+            Ok(Request::Trace { format, .. }) if format == "jsonl"
         ));
+        // A present but mistyped optional field is a bad request naming the
+        // field, never its default.
+        for (line, key) in [
+            (r#"{"cmd":"step","session":"s1","n":"4"}"#, "'n'"),
+            (r#"{"cmd":"step","session":"s1","n":-3}"#, "'n'"),
+            (r#"{"cmd":"step","session":"s1","n":2.5}"#, "'n'"),
+            (r#"{"cmd":"step","session":"s1","n":1e20}"#, "'n'"),
+            (
+                r#"{"cmd":"trace","action":"export","path":"t.jsonl","format":5}"#,
+                "'format'",
+            ),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::BadRequest, "{line}");
+            assert!(err.message.contains(key), "{line}: {}", err.message);
+        }
         assert!(parse_request(r#"{"cmd":"trace"}"#).is_err());
         assert!(parse_request(r#"{"cmd":"nope"}"#).is_err());
         assert!(parse_request(r#"{"cmd":"kill"}"#).is_err());

@@ -2,8 +2,8 @@
 //!
 //! One [`Server`] owns a state directory, a `BTreeMap` session registry
 //! (sorted — serialization and parallel ticks iterate it in a
-//! deterministic order), an admission policy, a watchdog policy and the
-//! eval-cache LRU. [`Server::serve`] runs the framed line loop;
+//! deterministic order), an admission policy and a watchdog policy.
+//! [`Server::serve`] runs the framed line loop;
 //! [`Server::handle`] is the same dispatch exposed for in-process use
 //! (tests, the chaos harness and the load generator drive it directly).
 //!
@@ -20,9 +20,8 @@ use std::path::{Path, PathBuf};
 use rayon::prelude::*;
 
 use crate::admission::AdmissionPolicy;
-use crate::lru::CacheLru;
 use crate::protocol::{
-    parse_request, ErrorKind, Fields, ObjectWriter, ProtocolError, Request,
+    field, parse_request, ErrorKind, Fields, ObjectWriter, ProtocolError, Request,
 };
 use crate::session::{
     parse_strategy, session_dir, Session, SessionSpec, SessionState, StepReport,
@@ -42,8 +41,6 @@ pub struct ServerStats {
     pub degraded: usize,
     /// Requests refused by admission control.
     pub overloaded: usize,
-    /// Warm eval-cache memos cleared by the LRU.
-    pub cache_evictions: usize,
     /// Successful resumes.
     pub resumes: usize,
     /// Damaged generations rolled back across all resumes.
@@ -63,7 +60,6 @@ struct ServeCounters {
     steps_shed: pwu_obs::Counter,
     degraded: pwu_obs::Counter,
     overloaded: pwu_obs::Counter,
-    cache_evictions: pwu_obs::Counter,
     resumes: pwu_obs::Counter,
     rolled_back: pwu_obs::Counter,
     skipped_corrupt: pwu_obs::Counter,
@@ -78,7 +74,6 @@ fn serve_counters() -> &'static ServeCounters {
         steps_shed: pwu_obs::counter("serve.steps_shed"),
         degraded: pwu_obs::counter("serve.degraded"),
         overloaded: pwu_obs::counter("serve.overloaded"),
-        cache_evictions: pwu_obs::counter("serve.cache_evictions"),
         resumes: pwu_obs::counter("serve.resumes"),
         rolled_back: pwu_obs::counter("serve.rolled_back"),
         skipped_corrupt: pwu_obs::counter("serve.skipped_corrupt"),
@@ -92,7 +87,6 @@ pub struct Server {
     admission: AdmissionPolicy,
     watchdog: WatchdogPolicy,
     sessions: BTreeMap<String, Session>,
-    lru: CacheLru,
     stats: ServerStats,
 }
 
@@ -142,7 +136,6 @@ impl Server {
             admission,
             watchdog,
             sessions,
-            lru: CacheLru::new(),
             stats: ServerStats {
                 skipped_corrupt,
                 ..ServerStats::default()
@@ -270,10 +263,8 @@ impl Server {
         let session = Session::create(&session_dir(&self.state_dir, id), spec)?;
         let line = session_line(id, &session).finish();
         self.sessions.insert(id.to_string(), session);
-        self.lru.touch(id);
         self.stats.created += 1;
         serve_counters().created.incr();
-        self.enforce_cache_budget();
         Ok(line)
     }
 
@@ -323,8 +314,6 @@ impl Server {
         }
         serve_counters().steps_committed.add(committed);
         serve_counters().steps_shed.add(shed);
-        self.lru.touch(id);
-        self.enforce_cache_budget();
         if let Some(e) = error {
             if committed == 0 {
                 // handle() tallies the degraded/overloaded stats on the Err
@@ -350,21 +339,14 @@ impl Server {
     }
 
     fn query(&mut self, id: &str) -> Result<String, ProtocolError> {
-        let session = self.get_mut(id)?;
-        let mut w = session_line(id, session);
-        w.u64(
-            "cache_bytes",
-            session.target().cache().map_or(0, pwu_spapt::EvalCache::approx_bytes) as u64,
-        );
-        Ok(w.finish())
+        Ok(session_line(id, self.get_mut(id)?).finish())
     }
 
     fn suspend(&mut self, id: &str) -> Result<String, ProtocolError> {
         let session = self.get_mut(id)?;
         session.suspend();
         pwu_obs::event("serve.suspend", [("session", pwu_obs::Arg::s(id))]);
-        self.lru.remove(id);
-        Ok(session_line(id, self.get_mut(id)?).finish())
+        Ok(session_line(id, session).finish())
     }
 
     fn resume(&mut self, id: &str) -> Result<String, ProtocolError> {
@@ -386,8 +368,6 @@ impl Server {
         self.stats.rolled_back += rolled_back;
         serve_counters().resumes.incr();
         serve_counters().rolled_back.add(rolled_back as u64);
-        self.lru.touch(id);
-        self.enforce_cache_budget();
         let mut w = session_line(id, self.get_mut(id)?);
         w.u64("rolled_back", rolled_back as u64);
         Ok(w.finish())
@@ -397,7 +377,6 @@ impl Server {
         let session = self.sessions.remove(id).ok_or_else(|| {
             ProtocolError::new(ErrorKind::UnknownSession, format!("no session '{id}'"))
         })?;
-        self.lru.remove(id);
         session.destroy(&session_dir(&self.state_dir, id))?;
         pwu_obs::event("serve.kill", [("session", pwu_obs::Arg::s(id))]);
         let mut w = ObjectWriter::new();
@@ -440,7 +419,6 @@ impl Server {
                         stepped += 1;
                         self.stats.steps_committed += 1;
                         serve_counters().steps_committed.incr();
-                        self.lru.touch(&id);
                     } else if !r.done {
                         shed += 1;
                         self.stats.steps_shed += 1;
@@ -459,7 +437,6 @@ impl Server {
             }
             self.sessions.insert(id, session);
         }
-        self.enforce_cache_budget();
         let mut w = ObjectWriter::new();
         w.bool("ok", true);
         w.u64("stepped", stepped);
@@ -488,7 +465,6 @@ impl Server {
         w.u64("steps_shed", s.steps_shed as u64);
         w.u64("degraded", s.degraded as u64);
         w.u64("overloaded", s.overloaded as u64);
-        w.u64("cache_evictions", s.cache_evictions as u64);
         w.u64("resumes", s.resumes as u64);
         w.u64("rolled_back", s.rolled_back as u64);
         w.u64("skipped_corrupt", s.skipped_corrupt as u64);
@@ -567,60 +543,6 @@ impl Server {
         }
         Ok(w.finish())
     }
-
-    /// Clears the coldest warm eval-cache memos until the cache count and
-    /// byte bounds hold. Returns how many memos were cleared.
-    fn enforce_cache_budget(&mut self) -> usize {
-        let warm = |s: &Session| s.target().cache().is_some_and(|c| c.approx_bytes() > 0);
-        let mut warm_count = self.sessions.values().filter(|s| warm(s)).count();
-        let mut total_bytes: usize = self
-            .sessions
-            .values()
-            .filter_map(|s| s.target().cache())
-            .map(pwu_spapt::EvalCache::approx_bytes)
-            .sum();
-        if warm_count <= self.admission.max_warm_caches
-            && total_bytes <= self.admission.max_cache_bytes
-        {
-            return 0;
-        }
-        let order: Vec<String> = self.lru.coldest_first().map(str::to_string).collect();
-        let mut evicted = 0;
-        // Coldest first; ids the LRU never saw (e.g. attached but never
-        // stepped) cannot be warm, so the tracked order covers everything.
-        for id in order {
-            if warm_count <= self.admission.max_warm_caches
-                && total_bytes <= self.admission.max_cache_bytes
-            {
-                break;
-            }
-            let Some(session) = self.sessions.get(&id) else {
-                continue;
-            };
-            let Some(cache) = session.target().cache() else {
-                continue;
-            };
-            let bytes = cache.approx_bytes();
-            if bytes == 0 {
-                continue;
-            }
-            cache.clear();
-            total_bytes -= bytes;
-            warm_count -= 1;
-            evicted += 1;
-            self.stats.cache_evictions += 1;
-            serve_counters().cache_evictions.incr();
-            pwu_obs::event(
-                "serve.evict",
-                [
-                    ("session", pwu_obs::Arg::s(id.as_str())),
-                    ("bytes", pwu_obs::Arg::u(bytes as u64)),
-                ],
-            );
-            self.lru.remove(&id);
-        }
-        evicted
-    }
 }
 
 /// One session after a tick shard: id, the session, and the step outcome
@@ -643,25 +565,6 @@ fn session_line(id: &str, session: &Session) -> ObjectWriter {
         w.str("digest", &digest);
     }
     w
-}
-
-/// Reads optional field `key` through `get`: `Ok(None)` when absent, a typed
-/// `bad-request` naming `want` when present but of the wrong type or range.
-fn field<'a, T>(
-    fields: &'a Fields,
-    key: &str,
-    get: impl Fn(&'a Fields, &str) -> Option<T>,
-    want: &str,
-) -> Result<Option<T>, ProtocolError> {
-    match fields.get(key) {
-        None => Ok(None),
-        Some(_) => get(fields, key).map(Some).ok_or_else(|| {
-            ProtocolError::new(
-                ErrorKind::BadRequest,
-                format!("field '{key}' must be {want}"),
-            )
-        }),
-    }
 }
 
 /// Builds a [`SessionSpec`] from a `create` request's fields. Every field

@@ -21,7 +21,9 @@
 //! and its Eq. 2 evaluator ([`EliteTest`], the test set's elite rows),
 //! built when `create` or `resume` derives the spec. A step restores an
 //! [`ActiveLoop`] from the checkpoint, steps it and drops it; it derives
-//! nothing from the spec.
+//! nothing from the spec. A kernel's [`EvalCache`] memo is request-scoped:
+//! `create`, `resume` and every step attempt empty it before they return,
+//! because no later request reads what an earlier one memoized.
 //!
 //! The state machine: `Active ⇄ Suspended` (suspend unloads the in-memory
 //! checkpoint; resume reloads it from disk), `Active → Degraded` (watchdog
@@ -78,12 +80,13 @@ impl SessionState {
 }
 
 /// The target a session tunes. Owned concretely (not as a trait object) so
-/// the serve layer can reach the kernel's [`EvalCache`] for the memory LRU.
+/// the session can reach the kernel's [`EvalCache`] and empty it at the end
+/// of every request that fills it.
 #[derive(Debug, Clone)]
 pub enum SessionTarget {
-    /// A SPAPT kernel (owns a warm [`EvalCache`]). Boxed — the kernel is an
-    /// order of magnitude larger than the proxy apps and sessions are
-    /// numerous.
+    /// A SPAPT kernel (owns an [`EvalCache`], empty between requests).
+    /// Boxed — the kernel is an order of magnitude larger than the proxy
+    /// apps and sessions are numerous.
     Kernel(Box<Kernel>),
     /// The Kripke proxy application.
     Kripke(Kripke),
@@ -127,6 +130,13 @@ impl SessionTarget {
         match self {
             SessionTarget::Kernel(k) => Some(k.eval_cache()),
             SessionTarget::Kripke(_) | SessionTarget::Hypre(_) => None,
+        }
+    }
+
+    /// Empties the memo at the end of a request that filled it.
+    fn end_request(&self) {
+        if let Some(cache) = self.cache() {
+            cache.clear();
         }
     }
 }
@@ -514,6 +524,7 @@ impl Session {
         let config = spec.active_config();
         let checkpoint =
             ActiveLoop::new(target.as_target(), &config, pool, &elite, spec.seed).checkpoint();
+        target.end_request();
         fs::create_dir_all(dir).map_err(|e| internal_io(&e))?;
         if let Some(state_dir) = dir.parent() {
             sync_dir(state_dir).map_err(|e| internal_io(&e))?;
@@ -654,6 +665,7 @@ impl Session {
         let done = recovered.checkpoint.train_configs.len() >= self.spec.n_max
             || recovered.checkpoint.pool_configs.is_empty();
         let (_, elite) = self.spec.materialize_evaluator(self.target.as_target());
+        self.target.end_request();
         self.generation = recovered.generation;
         self.resident = Some(Resident {
             checkpoint: recovered.checkpoint,
@@ -671,14 +683,10 @@ impl Session {
 
     /// Suspends the session: drops the in-memory checkpoint (already
     /// durable — every committed step persisted a generation) and the
-    /// evaluator, and clears the warm eval-cache memo. Suspending a
-    /// done/degraded session just unloads it; its state token is preserved
-    /// on resume via the durable checkpoint.
+    /// evaluator. Suspending a done/degraded session just unloads it; its
+    /// state token is preserved on resume via the durable checkpoint.
     pub fn suspend(&mut self) {
         self.resident = None;
-        if let Some(cache) = self.target.cache() {
-            cache.clear();
-        }
         if self.state == SessionState::Active {
             self.state = SessionState::Suspended;
         }
@@ -692,7 +700,8 @@ impl Session {
     /// discards the outcome, leaves the resident and durable state
     /// untouched and records a strike; exhausting the grace budget degrades
     /// the session. A committed step replaces the checkpoint and persists
-    /// it as the next generation.
+    /// it as the next generation. Every attempt that ran, whatever its
+    /// outcome, empties the memo it filled.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::BadState`] error unless the session is
@@ -732,6 +741,7 @@ impl Session {
             let done = active.step(self.spec.strategy);
             Ok::<_, CheckpointError>((active.checkpoint(), done, active.cost() - before))
         }));
+        self.target.end_request();
         let (checkpoint, done, step_cost) = match attempt {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(e)) => {

@@ -1,5 +1,5 @@
 //! End-to-end service behavior: protocol dispatch, admission, watchdogs,
-//! LRU eviction, crash re-attach and the serve ≡ core identity.
+//! request-scoped memos, crash re-attach and the serve ≡ core identity.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -243,7 +243,6 @@ fn admission_sheds_load_with_typed_overloads() {
         max_sessions: 2,
         max_resident: 1,
         max_steps_per_request: 3,
-        ..AdmissionPolicy::default()
     };
     let mut server = Server::open(&dir, admission, WatchdogPolicy::default()).unwrap();
     send(&mut server, &create_line("a", "adi", 1));
@@ -321,26 +320,66 @@ fn watchdog_degrades_runaways_and_resume_recovers_them() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A kernel session's eval-cache memo is request-scoped: every request
+/// that fills it (create, a committed step, a shed step, tick, resume)
+/// empties it before it returns, and suspend finds it empty.
 #[test]
-fn lru_clears_the_coldest_warm_cache_first() {
-    let dir = tmp("lru");
-    let admission = AdmissionPolicy {
-        max_warm_caches: 1,
-        ..AdmissionPolicy::default()
+fn a_served_session_keeps_no_memo_between_requests() {
+    let dir = tmp("memo");
+    // The memo's length, and its lookups so far (which survive a clear).
+    let memo = |server: &Server| {
+        let cache = server
+            .session("m")
+            .unwrap()
+            .target()
+            .cache()
+            .expect("a kernel memo");
+        let (hits, misses) = cache.stats();
+        (cache.len(), hits + misses)
     };
-    let mut server = Server::open(&dir, admission, WatchdogPolicy::default()).unwrap();
-    send(&mut server, &create_line("cold", "adi", 1));
-    send(&mut server, &create_line("hot", "atax", 2));
-    send(&mut server, r#"{"cmd":"step","session":"cold","n":1}"#);
-    send(&mut server, r#"{"cmd":"step","session":"hot","n":1}"#);
-    // Both kernels memoized evaluations; only one warm cache is allowed, and
-    // "cold" was touched least recently.
-    let cold = send(&mut server, r#"{"cmd":"query","session":"cold"}"#);
-    let hot = send(&mut server, r#"{"cmd":"query","session":"hot"}"#);
-    assert_eq!(cold.u64("cache_bytes"), Some(0), "coldest memo not cleared");
-    assert!(hot.u64("cache_bytes").unwrap() > 0, "hottest memo was cleared");
-    let stats = send(&mut server, r#"{"cmd":"stats"}"#);
-    assert!(stats.u64("cache_evictions").unwrap() >= 1);
+    let mut server = server_at(&dir);
+    let mut lookups = 0;
+    for (request, fills) in [
+        create_line("m", "adi", 61).replace(r#""n_max":10"#, r#""n_max":20"#),
+        r#"{"cmd":"step","session":"m","n":1}"#.to_string(),
+        r#"{"cmd":"tick"}"#.to_string(),
+        r#"{"cmd":"suspend","session":"m"}"#.to_string(),
+        r#"{"cmd":"resume","session":"m"}"#.to_string(),
+    ]
+    .into_iter()
+    .zip([true, true, true, false, true])
+    {
+        let r = send(&mut server, &request);
+        assert_eq!(r.get("ok"), Some(&Value::Bool(true)), "{request}: {r:?}");
+        let (len, after) = memo(&server);
+        assert_eq!(len, 0, "{request} left {len} memo entries behind");
+        assert_eq!(
+            after > lookups,
+            fills,
+            "{request}: lookups {lookups} -> {after}"
+        );
+        lookups = after;
+    }
+    assert_eq!(server.stats().steps_committed, 2);
+    drop(server);
+
+    // Reopened with a zero deadline, the next step is shed, not committed.
+    let watchdog = WatchdogPolicy {
+        max_step_cost: 0.0,
+        grace: RetryPolicy {
+            max_retries: 3,
+            backoff_cost: 0.0,
+        },
+    };
+    let mut server = Server::open(&dir, AdmissionPolicy::default(), watchdog).unwrap();
+    send(&mut server, r#"{"cmd":"resume","session":"m"}"#);
+    let (len, lookups) = memo(&server);
+    assert_eq!(len, 0, "a resume after a restart left {len} entries");
+    let r = send(&mut server, r#"{"cmd":"step","session":"m","n":1}"#);
+    assert_eq!((r.u64("steps"), r.u64("shed")), (Some(0), Some(1)), "{r:?}");
+    let (len, after) = memo(&server);
+    assert_eq!(len, 0, "a shed step left {len} memo entries behind");
+    assert!(after > lookups, "the shed step measured nothing");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -28,7 +28,7 @@
 //! same pure values, so whichever insert wins stores the same bits.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use pwu_space::{ConfigLegality, Configuration, MeasureOutcome, ParamSpace, TuningTarget};
@@ -65,20 +65,6 @@ pub struct EvalCache {
     map: RwLock<HashMap<Vec<u32>, CachedEval>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Approximate heap bytes held by the memo, maintained as a counter on
-    /// insert/clear so memory governors (the `pwu-serve` cache LRU) can read
-    /// it without iterating the map.
-    approx_bytes: AtomicUsize,
-}
-
-/// Estimated heap bytes one cache entry costs: the boxed key levels plus
-/// the hash-map slot (key header + value + bucket overhead). A bookkeeping
-/// estimate for admission decisions, not an allocator measurement.
-const fn entry_bytes(n_levels: usize) -> usize {
-    n_levels * std::mem::size_of::<u32>()
-        + std::mem::size_of::<Vec<u32>>()
-        + std::mem::size_of::<CachedEval>()
-        + 16
 }
 
 impl Clone for EvalCache {
@@ -107,29 +93,31 @@ impl EvalCache {
         Self::default()
     }
 
-    /// The cached entry for `levels`, if any.
-    fn lookup(&self, levels: &[u32]) -> Option<CachedEval> {
-        let guard = self
+    /// What the cached entry for `levels` answers through `answer`. Counted
+    /// as a hit only when it answers: an absent entry, or one lacking the
+    /// half `answer` reads (a legality-only entry asked for the base cost),
+    /// is a miss.
+    fn lookup<T>(&self, levels: &[u32], answer: impl FnOnce(CachedEval) -> Option<T>) -> Option<T> {
+        let found = self
             .map
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = guard.get(levels).copied();
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(levels)
+            .copied()
+            .and_then(answer);
         // The global mirrors are *diagnostic*-plane: hit/miss increments
         // depend on scheduling (parallel repetitions share one kernel's
         // cache, so whether the second arrival hits depends on who filled
         // first), so they are excluded from the deterministic trace export.
         let mirrors = evalcache_counters();
-        match entry {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                mirrors.0.incr();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                mirrors.1.incr();
-            }
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            mirrors.0.incr();
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            mirrors.1.incr();
         }
-        entry
+        found
     }
 
     /// Stores (or upgrades) the entry for `levels`, respecting the size cap.
@@ -141,10 +129,7 @@ impl EvalCache {
         if guard.len() >= MAX_ENTRIES && !guard.contains_key(levels) {
             return;
         }
-        if guard.insert(levels.to_vec(), entry).is_none() {
-            self.approx_bytes
-                .fetch_add(entry_bytes(levels.len()), Ordering::Relaxed);
-        }
+        guard.insert(levels.to_vec(), entry);
     }
 
     /// Number of memoized configurations.
@@ -171,22 +156,15 @@ impl EvalCache {
         )
     }
 
-    /// Approximate heap bytes held by the memo (see [`EvalCache::store`]'s
-    /// per-entry estimate). O(1) — read from a counter, not by iteration.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.approx_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Drops every entry (builders call this when the surface changes; the
-    /// serve-layer cache LRU calls it to evict a cold session's memo).
+    /// Drops every entry and frees the map's table, which
+    /// `HashMap::clear` would keep. Builders call this when the surface
+    /// changes; a served session calls it at the end of every request that
+    /// fills the memo.
     pub fn clear(&self) {
-        let mut guard = self
+        *self
             .map
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.clear();
-        self.approx_bytes.store(0, Ordering::Relaxed);
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = HashMap::new();
     }
 
     /// The decode-derived half of the entry for `cfg`, memoized.
@@ -199,7 +177,7 @@ impl EvalCache {
         cfg: &Configuration,
         decode: impl FnOnce() -> CachedEval,
     ) -> CachedEval {
-        if let Some(entry) = self.lookup(cfg.levels()) {
+        if let Some(entry) = self.lookup(cfg.levels(), Some) {
             return entry;
         }
         let entry = decode();
@@ -214,11 +192,7 @@ impl EvalCache {
         cfg: &Configuration,
         compute: impl FnOnce() -> CachedEval,
     ) -> f64 {
-        if let Some(CachedEval {
-            ideal_time: Some(t),
-            ..
-        }) = self.lookup(cfg.levels())
-        {
+        if let Some(t) = self.lookup(cfg.levels(), |e| e.ideal_time) {
             return t;
         }
         let entry = compute();
@@ -304,32 +278,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn approx_bytes_tracks_inserts_and_clear() {
+    fn clear_frees_the_table() {
         let cache = EvalCache::new();
-        assert_eq!(cache.approx_bytes(), 0);
         let entry = CachedEval {
             legality: ConfigLegality::Legal,
             aggressive: false,
             ideal_time: None,
         };
-        cache.store(&[1, 2, 3], entry);
-        let one = cache.approx_bytes();
-        assert_eq!(one, entry_bytes(3));
-        // Upgrading an existing key does not double-count.
-        cache.store(
-            &[1, 2, 3],
-            CachedEval {
-                ideal_time: Some(1.0),
-                ..entry
-            },
-        );
-        assert_eq!(cache.approx_bytes(), one);
-        cache.store(&[4, 5, 6], entry);
-        assert_eq!(cache.approx_bytes(), 2 * one);
-        // Clones are cold; clear resets the counter with the map.
-        assert_eq!(cache.clone().approx_bytes(), 0);
+        for key in 0..64 {
+            cache.store(&[key, 1, 2], entry);
+        }
+        assert_eq!(cache.len(), 64);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.approx_bytes(), 0);
+        assert_eq!(
+            cache.map.read().unwrap().capacity(),
+            0,
+            "the table must be freed"
+        );
     }
 }

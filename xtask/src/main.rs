@@ -16,8 +16,10 @@
 //!   CI-budget runtime) to scratch files, validates every report schema,
 //!   and fails if any benchmark's speedup regressed below 75 % of its
 //!   committed baseline.
-//! - `chaos` — the crash-safety gate: runs the `pwu-serve` chaos harness in
-//!   release mode at full scale (a 50-session mixed SPAPT + kripke/hypre
+//! - `chaos` — the crash-safety gate: runs the whole `pwu-serve` package in
+//!   release mode — its protocol, session, admission and watchdog unit
+//!   tests, the binary's command-line tests, the service suite, and the
+//!   chaos harness at full scale (a 50-session mixed SPAPT + kripke/hypre
 //!   fleet, 20 seeded kills at randomized step boundaries, plus a
 //!   corrupted-generation rollback scenario), asserting bit-identical
 //!   resume against uninterrupted reference runs. See DESIGN.md §12. Then
@@ -66,7 +68,7 @@ const GATES: [(&str, &str); 9] = [
     ("cargo xtask faults", "fault-injection & retry/quarantine suites"),
     ("cargo xtask perf --check", "perf smoke run vs committed baselines"),
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
-    ("cargo xtask chaos", "seeded kill/resume chaos harness (full scale) + perfbench self-test"),
+    ("cargo xtask chaos", "pwu-serve suites + seeded kill/resume chaos harness (full scale) + perfbench self-test"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
     ("cargo xtask fast", "fit engines: exact goldens + fit pins, fast equivalence, flat predict"),
 ];
@@ -384,8 +386,8 @@ fn audit() {
 fn chaos() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     run_step(
-        "chaos harness (pwu-serve, release, 50 sessions / 20 seeded kills)",
-        Command::new(&cargo).args(["test", "-q", "--release", "-p", "pwu-serve", "--test", "chaos"]),
+        "pwu-serve package (release): unit, CLI and service suites + chaos harness (50 sessions / 20 seeded kills)",
+        Command::new(&cargo).args(["test", "-q", "--release", "-p", "pwu-serve"]),
     );
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
