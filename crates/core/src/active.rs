@@ -19,9 +19,16 @@
 //! [`run_with_checkpoints`] and [`resume`], which save per a
 //! [`CheckpointPolicy`] and continue bit-identically after a crash (see
 //! [`crate::checkpoint`]); and [`bootstrap`] + [`step_once`], which advance
-//! a checkpoint one iteration per call. Because the from-scratch model is a
-//! pure function of (training set, iteration-derived seed), a chain of
-//! `step_once` calls is bit-identical to the continuous loop.
+//! a checkpoint one iteration per call.
+//!
+//! The from-scratch model is a pure function of (training set,
+//! iteration-derived seed), so it is fitted lazily: a refit only marks it
+//! stale, and it is fitted where it is first read — pool scoring, a
+//! test-set snapshot or [`ActiveLoop::into_run`]. The training set never
+//! changes between the mark and that read, so each fit sees the rows and
+//! seed an eager refit would have. A restored loop starts stale, so a
+//! chain of `step_once` calls is bit-identical to the continuous loop, and
+//! each call fits once, plus once more when a snapshot is due.
 
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{
@@ -175,7 +182,11 @@ pub struct ActiveRun {
 
 /// Algorithm 1 in flight: everything the iteration loop mutates, which is
 /// also exactly what a checkpoint captures, plus the three things it
-/// borrows — its target, its config and its Eq. 2 evaluator.
+/// borrows — its target, its config and its Eq. 2 evaluator. The model is
+/// the one thing it holds that a checkpoint does not: under
+/// [`RefitMode::FromScratch`] it is fitted where it is first read, so a
+/// loop that is restored, stepped and checkpointed fits it once, or twice
+/// when the step records a snapshot.
 pub struct ActiveLoop<'a> {
     target: &'a dyn TuningTarget,
     config: &'a ActiveConfig,
@@ -187,7 +198,11 @@ pub struct ActiveLoop<'a> {
     forest_seed: u64,
     pool: Pool,
     train: LabeledSet,
-    model: RandomForest,
+    /// `None` while stale: a from-scratch refit drops the old forest and
+    /// [`Self::fitted`] fits the new one at its first read.
+    model: Option<RandomForest>,
+    /// The iteration whose derived seed the next fit uses.
+    fit_iteration: u64,
     history: Vec<Snapshot>,
     selections: Vec<SelectionTrace>,
     quarantined: Vec<Configuration>,
@@ -325,8 +340,9 @@ pub fn bootstrap(
 }
 
 /// Advances a checkpointed run by exactly one iteration (one batch with
-/// quarantine top-up, one refit, one test-set evaluation if due) and
-/// returns the next checkpoint.
+/// quarantine top-up, one test-set evaluation if due) and returns the next
+/// checkpoint. It fits the model once, to score the pool, and once more
+/// when the evaluation is due.
 ///
 /// The step is *pure with respect to the checkpoint*: the input is not
 /// mutated, so a caller that aborts (watchdog, crash, load shedding) simply
@@ -442,13 +458,6 @@ impl<'a> ActiveLoop<'a> {
             !train.is_empty(),
             "every pool candidate failed annotation during the cold start"
         );
-        let model = RandomForest::fit(
-            &config.forest,
-            schema.kinds(),
-            train.features(),
-            train.labels(),
-            derive_seed(forest_seed, 0),
-        );
         let mut active = Self {
             target,
             config,
@@ -460,7 +469,8 @@ impl<'a> ActiveLoop<'a> {
             forest_seed,
             pool,
             train,
-            model,
+            model: None,
+            fit_iteration: 0,
             history: Vec::new(),
             selections: Vec::new(),
             quarantined,
@@ -472,9 +482,11 @@ impl<'a> ActiveLoop<'a> {
         active
     }
 
-    /// Restores the loop a checkpoint captured: re-encodes the training set,
-    /// restores all three RNG streams and refits the model exactly as the
-    /// checkpointing run last did, so stepping on continues bit-identically.
+    /// Restores the loop a checkpoint captured: re-encodes the training set
+    /// and restores all three RNG streams, so stepping on continues
+    /// bit-identically. The model starts stale and is fitted at its first
+    /// read with the seed the checkpointing run last fitted with; restoring
+    /// fits nothing.
     ///
     /// Only [`RefitMode::FromScratch`] loops restore: the from-scratch
     /// model is a pure function of the training set and the
@@ -562,13 +574,6 @@ impl<'a> ActiveLoop<'a> {
             checkpoint.annotator_evaluations,
             checkpoint.stats,
         );
-        let model = RandomForest::fit(
-            &config.forest,
-            schema.kinds(),
-            train.features(),
-            train.labels(),
-            derive_seed(checkpoint.forest_seed, checkpoint.iteration),
-        );
         Ok(Self {
             target,
             config,
@@ -580,7 +585,8 @@ impl<'a> ActiveLoop<'a> {
             forest_seed: checkpoint.forest_seed,
             pool,
             train,
-            model,
+            model: None,
+            fit_iteration: checkpoint.iteration,
             history: checkpoint.history.clone(),
             selections: checkpoint.selections.clone(),
             quarantined: to_cfgs(&checkpoint.quarantined),
@@ -606,7 +612,11 @@ impl<'a> ActiveLoop<'a> {
     /// One pass of Algorithm 1's iteration body (lines 6–9): select and
     /// annotate a batch (topping back up past quarantines), refit, and
     /// record a test-set evaluation when due. Returns whether the run is
-    /// finished; stepping a finished loop changes nothing.
+    /// finished; stepping a finished loop changes nothing and fits nothing.
+    ///
+    /// Under [`RefitMode::FromScratch`] the refit only marks the model
+    /// stale: the snapshot, if due, fits it, and otherwise the next step's
+    /// scoring does.
     pub fn step(&mut self, strategy: Strategy) -> bool {
         if self.is_done() {
             return true;
@@ -630,24 +640,21 @@ impl<'a> ActiveLoop<'a> {
             // only the refitted trees were re-walked after the last batch,
             // and the fold is bit-identical to `predict_batch`.
             let preds = {
+                self.fitted();
+                let model = self.model.as_ref().expect("fitted above");
                 let _s = pwu_obs::span(
                     "core.rescore",
                     [
                         ("pool", pwu_obs::Arg::u(self.pool.len() as u64)),
-                        (
-                            "mode",
-                            pwu_obs::Arg::s(self.model.config().fit_mode.token()),
-                        ),
+                        ("mode", pwu_obs::Arg::s(config.forest.fit_mode.token())),
                     ],
                 );
                 match config.refit {
                     RefitMode::Partial(_) => self
                         .scores
-                        .get_or_insert_with(|| {
-                            PoolScoreCache::build(&self.model, self.pool.features())
-                        })
-                        .predictions(&self.model),
-                    RefitMode::FromScratch => self.model.predict_batch(self.pool.features()),
+                        .get_or_insert_with(|| PoolScoreCache::build(model, self.pool.features()))
+                        .predictions(model),
+                    RefitMode::FromScratch => model.predict_batch(self.pool.features()),
                 }
             };
             let picked = {
@@ -695,34 +702,32 @@ impl<'a> ActiveLoop<'a> {
             }
             drop(_measure_span);
         }
-        {
-            let _s = pwu_obs::span(
-                "core.refit",
-                [("train", pwu_obs::Arg::u(self.train.len() as u64))],
-            );
-            match config.refit {
-                RefitMode::FromScratch => {
-                    self.model = RandomForest::fit(
-                        &config.forest,
-                        self.schema.kinds(),
-                        self.train.features(),
-                        self.train.labels(),
-                        derive_seed(self.forest_seed, self.iteration),
-                    );
-                }
-                RefitMode::Partial(n) => {
-                    let refitted = self.model.update(
-                        self.schema.kinds(),
-                        self.train.features(),
-                        self.train.labels(),
-                        n,
-                        derive_seed(self.forest_seed, self.iteration),
-                    );
-                    // Refresh only the regrown trees' pool scores: O(pool · n)
-                    // instead of O(pool · n_trees).
-                    if let Some(cache) = &mut self.scores {
-                        cache.refresh(&self.model, &refitted);
-                    }
+        match config.refit {
+            RefitMode::FromScratch => {
+                // Drop the old forest now, so no two are alive at once.
+                self.model = None;
+                self.fit_iteration = self.iteration;
+            }
+            RefitMode::Partial(n) => {
+                let _s = pwu_obs::span(
+                    "core.refit",
+                    [("train", pwu_obs::Arg::u(self.train.len() as u64))],
+                );
+                let model = self
+                    .model
+                    .as_mut()
+                    .expect("a partial refit updates the forest the cold start fitted");
+                let refitted = model.update(
+                    self.schema.kinds(),
+                    self.train.features(),
+                    self.train.labels(),
+                    n,
+                    derive_seed(self.forest_seed, self.iteration),
+                );
+                // Refresh only the regrown trees' pool scores: O(pool · n)
+                // instead of O(pool · n_trees).
+                if let Some(cache) = &mut self.scores {
+                    cache.refresh(model, &refitted);
                 }
             }
         }
@@ -769,15 +774,17 @@ impl<'a> ActiveLoop<'a> {
         }
     }
 
-    /// The finished (or abandoned) run's result.
+    /// The finished (or abandoned) run's result, with its model fitted on
+    /// the final training set.
     #[must_use]
-    pub fn into_run(self) -> ActiveRun {
+    pub fn into_run(mut self) -> ActiveRun {
+        self.fitted();
         ActiveRun {
             measurement: *self.annotator.stats(),
             train: self.train,
             history: self.history,
             selections: self.selections,
-            model: self.model,
+            model: self.model.expect("fitted above"),
             lint: self.lint,
             quarantined: self.quarantined,
         }
@@ -801,17 +808,41 @@ impl<'a> ActiveLoop<'a> {
         Ok(self.into_run())
     }
 
+    /// The model, fitted first if it is stale: after the cold start's
+    /// sampling, a restore or a from-scratch refit. The training set has
+    /// not changed since then, so this fit uses the rows and the seed an
+    /// eager fit would have used.
+    fn fitted(&mut self) -> &RandomForest {
+        let (config, schema, train) = (self.config, &self.schema, &self.train);
+        let seed = derive_seed(self.forest_seed, self.fit_iteration);
+        self.model.get_or_insert_with(|| {
+            let _s = pwu_obs::span(
+                "core.refit",
+                [("train", pwu_obs::Arg::u(train.len() as u64))],
+            );
+            RandomForest::fit(
+                &config.forest,
+                schema.kinds(),
+                train.features(),
+                train.labels(),
+                seed,
+            )
+        })
+    }
+
     /// Appends one snapshot: RMSE@α of the model on the elite test rows,
     /// plus the cumulative cost so far.
     fn record(&mut self) {
+        let elite = self.elite;
+        let model = self.fitted();
         let _s = pwu_obs::span(
             "core.eval",
             [
-                ("n_test", pwu_obs::Arg::u(self.elite.n_test() as u64)),
-                ("rows", pwu_obs::Arg::u(self.elite.rows() as u64)),
+                ("n_test", pwu_obs::Arg::u(elite.n_test() as u64)),
+                ("rows", pwu_obs::Arg::u(elite.rows() as u64)),
             ],
         );
-        let rmse = self.elite.rmse(&self.model);
+        let rmse = elite.rmse(model);
         // Wasted wall-clock (failed runs, backoff) is real annotation cost:
         // charge it alongside the labeled measurement time. Zero — and
         // bit-neutral — when no faults fire.

@@ -13,12 +13,16 @@
 //!    the sidecar armed, checkpoint bytes are still identical and carry no
 //!    trace artifacts, and the checkpoint text round-trips exactly.
 //!
+//! A fourth test reads the trace to pin where the loop fits its forest.
+//!
 //! Tracer, registry and pool width are process globals, so every test in
 //! this binary serializes on one lock.
 
 use std::sync::{Mutex, MutexGuard};
 
-use pwu_core::{active, ActiveConfig, ActiveRun, CheckpointPolicy, RefitMode, Strategy};
+use pwu_core::{
+    active, ActiveConfig, ActiveLoop, ActiveRun, CheckpointPolicy, EliteTest, RefitMode, Strategy,
+};
 use pwu_forest::{FitMode, ForestConfig, RandomForest};
 use pwu_space::{Configuration, FeatureKind, FeatureMatrix, FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Kernel};
@@ -271,4 +275,140 @@ fn predict_and_rescore_spans_carry_the_kernel_mode() {
             );
         }
     }
+}
+
+/// Runs `f` with the tracer on and returns its deterministic export.
+fn traced(f: impl FnOnce()) -> String {
+    pwu_obs::reset_metrics();
+    pwu_obs::clear();
+    pwu_obs::enable();
+    f();
+    pwu_obs::disable();
+    pwu_obs::drain().deterministic_jsonl()
+}
+
+/// The `"key":"value"` string field of one export line.
+fn field<'l>(line: &'l str, key: &str) -> Option<&'l str> {
+    let pat = format!("\"{key}\":\"");
+    let start = line.find(&pat)? + pat.len();
+    line[start..].split('"').next()
+}
+
+/// The number of forest fits in a deterministic export. Every fit must run
+/// inside a `core.refit` span, which counts the fits, and outside
+/// `core.rescore` and `core.eval`, so those spans time scoring and
+/// evaluation alone.
+fn fits(export: &str) -> u64 {
+    let mut open: Vec<&str> = Vec::new();
+    for line in export.lines().skip(1) {
+        let (Some(ph), Some(name)) = (field(line, "ph"), field(line, "name")) else {
+            continue;
+        };
+        match ph {
+            "B" => {
+                if name == "forest.fit" {
+                    assert!(
+                        open.contains(&"core.refit"),
+                        "a fit ran outside core.refit: {open:?}"
+                    );
+                    assert!(
+                        !open
+                            .iter()
+                            .any(|n| *n == "core.rescore" || *n == "core.eval"),
+                        "a fit ran inside a scoring or evaluation span: {open:?}"
+                    );
+                }
+                open.push(name);
+            }
+            "E" => assert_eq!(open.pop(), Some(name), "unbalanced span end"),
+            _ => {}
+        }
+    }
+    let summary = pwu_obs::summarize(export).expect("deterministic export must summarize");
+    let count = |name| summary.get(name).map_or(0, |s| s.count);
+    assert_eq!(
+        count("core.refit"),
+        count("forest.fit"),
+        "core.refit must open exactly where a fit runs"
+    );
+    count("forest.fit")
+}
+
+/// A refit only marks the from-scratch model stale, and the model is fitted
+/// where it is read (DESIGN.md §8). A served step — restore, step,
+/// checkpoint — fits once to score the pool, and once more when a snapshot
+/// is due; stepping a finished checkpoint fits nothing. A batch run still
+/// fits once for the cold start and once per iteration.
+#[test]
+fn a_served_step_fits_where_the_model_is_read() {
+    let _guard = obs_lock();
+    let (kernel, pool_cfgs, test_features, test_labels) = setup();
+    let schema = FeatureSchema::for_space(kernel.space());
+    let strategy = Strategy::Pwu { alpha: 0.05 };
+    let mut cfg = config();
+    cfg.eval_every = 2;
+    let elite = EliteTest::new(&test_features, &test_labels, &cfg.alphas);
+
+    let pool = Pool::new(kernel.space(), &schema, pool_cfgs.clone());
+    let mut checkpoint = None;
+    let export = traced(|| {
+        checkpoint = Some(ActiveLoop::new(&kernel, &cfg, pool, &elite, 31).checkpoint());
+    });
+    assert_eq!(
+        fits(&export),
+        1,
+        "the cold start fits once, for its snapshot"
+    );
+    let mut checkpoint = checkpoint.expect("the cold start ran");
+
+    let mut done = false;
+    while !done {
+        let export = traced(|| {
+            let mut active = ActiveLoop::from_checkpoint(&kernel, &cfg, &checkpoint, &elite)
+                .expect("own checkpoint restores");
+            done = active.step(strategy);
+            checkpoint = active.checkpoint();
+        });
+        let snapshot = checkpoint.iteration % cfg.eval_every as u64 == 0 || done;
+        assert_eq!(
+            fits(&export),
+            1 + u64::from(snapshot),
+            "iteration {} (snapshot due: {snapshot})",
+            checkpoint.iteration
+        );
+    }
+    assert_eq!(checkpoint.iteration, 4, "the chain takes four steps");
+
+    let export = traced(|| {
+        let mut active = ActiveLoop::from_checkpoint(&kernel, &cfg, &checkpoint, &elite)
+            .expect("own checkpoint restores");
+        assert!(active.step(strategy), "the run is finished");
+        assert_eq!(
+            active.checkpoint(),
+            checkpoint,
+            "a finished step changes nothing"
+        );
+    });
+    assert_eq!(
+        fits(&export),
+        0,
+        "stepping a finished checkpoint fits nothing"
+    );
+
+    let pool = Pool::new(kernel.space(), &schema, pool_cfgs);
+    let mut run = None;
+    let export = traced(|| {
+        run = Some(active::run(
+            &kernel,
+            strategy,
+            &cfg,
+            pool,
+            &test_features,
+            &test_labels,
+            31,
+        ));
+    });
+    assert_eq!(fits(&export), 1 + checkpoint.iteration, "one fit per model");
+    let run = run.expect("the batch run ran");
+    assert_eq!(run.history, checkpoint.history, "served chain = batch run");
 }

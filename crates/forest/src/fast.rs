@@ -37,8 +37,6 @@
 //! because target sums accumulate in bucket/rank order instead of the
 //! historical tie order.
 
-use rayon::prelude::*;
-
 use pwu_space::FeatureMatrix;
 
 use crate::split::{Split, SplitRule};
@@ -48,18 +46,16 @@ use crate::tree::RegressionTree;
 /// over every leaf of every tree. This is the irreducible-noise diagnostic
 /// the statistical-equivalence suite uses to compare engines (impure leaves
 /// indicate under-splitting; a fast fit must not be systematically more
-/// impure than an exact fit).
-///
-/// The per-tree terms are reduced on the `PWU_THREADS` pool. The reduction
-/// is deterministic despite the `float-reduce` audit findings on these
-/// lines: the shim's `collect` is index-ordered, so the final sequential
-/// `sum` always folds in tree order (see `audit.allow.toml`).
+/// impure than an exact fit). Both sums fold in tree order.
 pub(crate) fn mean_leaf_variance(trees: &[RegressionTree]) -> f64 {
     if trees.is_empty() {
         return 0.0;
     }
-    let weighted: f64 = trees.par_iter().map(RegressionTree::weighted_leaf_variance).collect::<Vec<f64>, f64>().iter().sum();
-    let count: f64 = trees.par_iter().map(RegressionTree::leaf_count_total).collect::<Vec<f64>, f64>().iter().sum();
+    let weighted: f64 = trees
+        .iter()
+        .map(RegressionTree::weighted_leaf_variance)
+        .sum();
+    let count: f64 = trees.iter().map(RegressionTree::leaf_count_total).sum();
     if count == 0.0 {
         0.0
     } else {

@@ -7,11 +7,32 @@
 //! ```
 //!
 //! Works on both planes: deterministic traces have no wall column (the
-//! sidecar is stripped), full traces show sidecar milliseconds.
+//! sidecar is stripped), full traces show sidecar milliseconds. `PCT`
+//! defaults to 10 and must be a non-negative number or `inf`, which makes
+//! the diff report-only; `N` defaults to 10. Any other argument is a usage
+//! error (exit 2).
 
 use std::process::exit;
 
 use pwu_obs::{diff_summaries, summarize, Summary};
+
+fn usage() -> ! {
+    eprintln!("usage: pwu-trace <summarize FILE | diff BASE NEW [--threshold PCT] | top FILE [N]>");
+    exit(2);
+}
+
+/// The fractional regression threshold from `diff`'s optional
+/// `--threshold PCT` (NaN and negative percentages are refused).
+fn threshold(args: &[String]) -> f64 {
+    match args {
+        [] => 0.10,
+        [flag, pct] if flag == "--threshold" => match pct.parse::<f64>() {
+            Ok(pct) if pct >= 0.0 => pct / 100.0,
+            _ => usage(),
+        },
+        _ => usage(),
+    }
+}
 
 fn load(path: &str) -> Summary {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -56,19 +77,14 @@ fn print_summary(s: &Summary) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("summarize") if args.len() == 2 => {
-            print_summary(&load(&args[1]));
+    match args.as_slice() {
+        [cmd, path] if cmd == "summarize" => {
+            print_summary(&load(path));
         }
-        Some("diff") if args.len() >= 3 => {
-            let threshold = args
-                .iter()
-                .position(|a| a == "--threshold")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<f64>().ok())
-                .map_or(0.10, |pct| pct / 100.0);
-            let base = load(&args[1]);
-            let new = load(&args[2]);
+        [cmd, base, new, rest @ ..] if cmd == "diff" => {
+            let threshold = threshold(rest);
+            let base = load(base);
+            let new = load(new);
             let report = diff_summaries(&base, &new, threshold);
             print!("{}", report.text);
             if report.regressed {
@@ -80,12 +96,13 @@ fn main() {
             }
             println!("no regression over {:.0}% threshold", threshold * 100.0);
         }
-        Some("top") if args.len() >= 2 => {
-            let n = args
-                .get(2)
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(10);
-            let s = load(&args[1]);
+        [cmd, path, rest @ ..] if cmd == "top" => {
+            let n = match rest {
+                [] => 10,
+                [n] => n.parse::<usize>().unwrap_or_else(|_| usage()),
+                _ => usage(),
+            };
+            let s = load(path);
             let mut spans = s.spans.clone();
             spans.sort_by(|a, b| {
                 (b.wall_total_ns, b.seq_extent, b.count).cmp(&(
@@ -109,11 +126,6 @@ fn main() {
                 );
             }
         }
-        _ => {
-            eprintln!(
-                "usage: pwu-trace <summarize FILE | diff BASE NEW [--threshold PCT] | top FILE [N]>"
-            );
-            exit(2);
-        }
+        _ => usage(),
     }
 }
