@@ -22,7 +22,7 @@
 use std::path::Path;
 
 use pwu_core::experiment::run_experiment;
-use pwu_core::{active, ActiveConfig, CheckpointPolicy, Protocol, RefitMode, Strategy};
+use pwu_core::{active, ActiveConfig, CheckpointPolicy, Protocol, Strategy};
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Kernel};
@@ -159,7 +159,6 @@ pub fn checkpointed_cell_bytes(seed: u64, ckpt_path: &Path) -> (Vec<u8>, Vec<u8>
             n_trees: 12,
             ..ForestConfig::default()
         },
-        refit: RefitMode::FromScratch,
         eval_every: 5,
         alphas: vec![0.05],
         repeats: 3,
@@ -218,7 +217,6 @@ pub fn experiment_cell_bytes(seed: u64) -> Vec<u8> {
                 n_trees: 8,
                 ..ForestConfig::default()
             },
-            refit: RefitMode::FromScratch,
             eval_every: 4,
             alphas: vec![0.05],
             repeats: 3,

@@ -20,9 +20,9 @@
 //! Both halves run under `cargo xtask audit`; the scanner also self-audits
 //! in this crate's test suite, so plain `cargo test` keeps the workspace
 //! honest between CI runs. The auditor is the prerequisite oracle for any
-//! future relaxation of the contract (ROADMAP item 5): once every
-//! order-sensitive site is enumerated here, a fast-math path becomes a
-//! reviewed allowlist diff rather than a leap of faith.
+//! future relaxation of the contract, such as a fast-math reduction path:
+//! once every order-sensitive site is enumerated here, such a path becomes
+//! a reviewed allowlist diff rather than a leap of faith.
 
 pub mod allow;
 pub mod harness;

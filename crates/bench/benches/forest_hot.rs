@@ -8,7 +8,6 @@
 use criterion::Criterion;
 use std::hint::black_box;
 
-use pwu_core::PoolScoreCache;
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::Xoshiro256PlusPlus;
@@ -57,34 +56,10 @@ fn bench_predict(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_partial_iteration(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tuning_iteration");
-    group.sample_size(10).warm_up_iters(2);
-    let d = 12;
-    let (train, y) = data(240, d, 5);
-    let kinds = vec![FeatureKind::Numeric; d];
-    let (pool, _) = data(4000, d, 6);
-    let forest = RandomForest::fit(&ForestConfig::default(), &kinds, &train, &y, 5);
-    let cache = PoolScoreCache::build(&forest, &pool);
-    group.bench_function("partial8_pool4000", |b| {
-        let mut forest = forest.clone();
-        let mut cache = cache.clone();
-        let mut step = 0u64;
-        b.iter(|| {
-            step += 1;
-            let refitted = forest.update(&kinds, &train, &y, 8, step);
-            cache.refresh(&forest, &refitted);
-            black_box(cache.predictions(&forest))
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     let mut c = Criterion::default();
     bench_fit(&mut c);
     bench_predict(&mut c);
-    bench_partial_iteration(&mut c);
     let out = std::path::Path::new("target").join("forest_hot.json");
     if let Err(e) = c.write_json(&out) {
         eprintln!("warning: could not write {}: {e}", out.display());

@@ -23,9 +23,9 @@
 //! `--out` (default `BENCH_forest.json`) under the `pwu-bench-forest-v3`
 //! schema (v2 added the `fast/`-prefixed [`FitMode::Fast`] engine entries,
 //! recorded in the same run as the exact entries so the interleaved-timing
-//! methodology stays comparable; v3 added the fast *predict* and fast
-//! partial-refit iteration entries, whose baseline is the same frozen
-//! reference path); the measurement results go to
+//! methodology stays comparable; v3 added the fast *predict* entry, whose
+//! baseline is the same frozen reference path); the measurement results go
+//! to
 //! `--measure-out` (default `BENCH_measure.json`) under
 //! `pwu-bench-measure-v1`. Both reports are
 //! `{"schema":...,"mode":...,"results":[{name, baseline_ns, optimized_ns,
@@ -36,7 +36,7 @@
 use std::time::Instant;
 
 use pwu_core::experiment::run_experiment;
-use pwu_core::{Annotator, PoolScoreCache, Protocol, Strategy};
+use pwu_core::{Annotator, Protocol, Strategy};
 use pwu_forest::{reference, FitMode, ForestConfig, RandomForest};
 use pwu_space::{FeatureKind, FeatureMatrix, PoolLintCounts, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Uncached};
@@ -200,93 +200,6 @@ fn bench_fast_batch_predict(samples: usize) -> Row {
     );
     Row {
         name: "fast/predict_batch/pool4000_d12",
-        baseline_ns,
-        optimized_ns,
-    }
-}
-
-/// One `RefitMode::Partial(8)` iteration at fast-engine settings vs the
-/// frozen reference path, as `tuning_iteration/partial8` measures the exact
-/// engine: the baseline regrows 8 trees through [`reference::update`] and
-/// rescans the whole pool row by row; the optimized side fast-fits 8
-/// replacement trees, refreshes their columns in the incremental
-/// [`PoolScoreCache`] and folds the cache.
-///
-/// The pool is 16k points — the large-candidate-pool regime (μ/σ over the
-/// whole pool every refit, on spaces whose exhaustive size runs to the tens
-/// of thousands), where the per-iteration cost is scoring-dominated.
-fn bench_fast_tuning_iteration(samples: usize) -> Row {
-    let d = 12;
-    let (train_rows, train, y) = data(240, d, 31);
-    let kinds = vec![FeatureKind::Numeric; d];
-    let (pool_rows, pool, _) = data(16000, d, 32);
-    let config = ForestConfig {
-        fit_mode: FitMode::Fast,
-        ..ForestConfig::default()
-    };
-    let forest = RandomForest::fit(&config, &kinds, &train, &y, 5);
-
-    let mut base_forest = forest.clone();
-    let mut base_step = 0u64;
-    let mut opt_cache = PoolScoreCache::build(&forest, &pool);
-    let mut opt_forest = forest;
-    let mut opt_step = 0u64;
-    let (baseline_ns, optimized_ns) = time_pair(
-        samples,
-        || {
-            base_step += 1;
-            reference::update(&mut base_forest, &kinds, &train_rows, &y, 8, base_step);
-            std::hint::black_box(reference::predict_batch(&base_forest, &pool_rows));
-        },
-        || {
-            opt_step += 1;
-            let refitted = opt_forest.update(&kinds, &train, &y, 8, opt_step);
-            opt_cache.refresh(&opt_forest, &refitted);
-            std::hint::black_box(opt_cache.predictions(&opt_forest));
-        },
-    );
-    Row {
-        name: "fast/tuning_iteration/partial8_pool16k",
-        baseline_ns,
-        optimized_ns,
-    }
-}
-
-/// One `RefitMode::Partial(8)` iteration's model work: regrow 8 of 64 trees
-/// on the training set, then rescore the whole pool. The baseline rescans
-/// every pool row with every tree, as Algorithm 1 did before the
-/// [`PoolScoreCache`]; the optimized path refreshes only the refitted
-/// trees' cached columns.
-fn bench_tuning_iteration(samples: usize) -> Row {
-    let d = 12;
-    let (train_rows, train, y) = data(240, d, 31);
-    let kinds = vec![FeatureKind::Numeric; d];
-    let (pool_rows, pool, _) = data(4000, d, 32);
-    let config = ForestConfig::default();
-    let forest = RandomForest::fit(&config, &kinds, &train, &y, 5);
-    let cache = PoolScoreCache::build(&forest, &pool);
-
-    let mut base_step = 0u64;
-    let mut base_forest = forest.clone();
-    let mut opt_forest = forest.clone();
-    let mut opt_cache = cache.clone();
-    let mut opt_step = 0u64;
-    let (baseline_ns, optimized_ns) = time_pair(
-        samples,
-        || {
-            base_step += 1;
-            reference::update(&mut base_forest, &kinds, &train_rows, &y, 8, base_step);
-            std::hint::black_box(reference::predict_batch(&base_forest, &pool_rows));
-        },
-        || {
-            opt_step += 1;
-            let refitted = opt_forest.update(&kinds, &train, &y, 8, opt_step);
-            opt_cache.refresh(&opt_forest, &refitted);
-            std::hint::black_box(opt_cache.predictions(&opt_forest));
-        },
-    );
-    Row {
-        name: "tuning_iteration/partial8",
         baseline_ns,
         optimized_ns,
     }
@@ -457,9 +370,7 @@ fn main() {
         bench_fit_fast("fast/fit/n500_d20", 500, 20, 1, samples),
         bench_fit_fast("fast/fit/n500_d20_t4", 500, 20, 4, samples),
         bench_predict_batch(samples),
-        bench_tuning_iteration(samples),
         bench_fast_batch_predict(samples),
-        bench_fast_tuning_iteration(samples),
     ];
     print_table(&forest_results);
     write_json(&out_path, "pwu-bench-forest-v3", mode, &forest_results)

@@ -21,14 +21,16 @@
 //! [`crate::checkpoint`]); and [`bootstrap`] + [`step_once`], which advance
 //! a checkpoint one iteration per call.
 //!
-//! The from-scratch model is a pure function of (training set,
-//! iteration-derived seed), so it is fitted lazily: a refit only marks it
-//! stale, and it is fitted where it is first read — pool scoring, a
-//! test-set snapshot or [`ActiveLoop::into_run`]. The training set never
-//! changes between the mark and that read, so each fit sees the rows and
-//! seed an eager refit would have. A restored loop starts stale, so a
-//! chain of `step_once` calls is bit-identical to the continuous loop, and
-//! each call fits once, plus once more when a snapshot is due.
+//! Every refit constructs the forest from scratch (Algorithm 1 line 9 also
+//! allows a partial update, which this loop does not implement), so the
+//! model is a pure function of (training set, iteration-derived seed) and
+//! is fitted lazily: a refit only marks it stale, and it is fitted where it
+//! is first read — pool scoring, a test-set snapshot or
+//! [`ActiveLoop::into_run`]. The training set never changes between the
+//! mark and that read, so each fit sees the rows and seed an eager refit
+//! would have. A restored loop starts stale, so a chain of `step_once`
+//! calls is bit-identical to the continuous loop, and each call fits once,
+//! plus once more when a snapshot is due.
 
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{
@@ -40,19 +42,7 @@ use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 use crate::annotator::{Aggregator, Annotator, MeasurementStats, RetryPolicy};
 use crate::checkpoint::{ActiveCheckpoint, CheckpointError, CheckpointPolicy};
 use crate::metrics::EliteTest;
-use crate::score::PoolScoreCache;
 use crate::strategy::Strategy;
-
-/// How the model is rebuilt after each batch (Algorithm 1 line 9:
-/// "construct a random forest from scratch or update it partially").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefitMode {
-    /// Retrain every tree on the enlarged training set (the default).
-    FromScratch,
-    /// Regrow only this many trees per iteration; the rest keep their
-    /// structure. Cuts per-iteration cost by ~`n_trees / n`.
-    Partial(usize),
-}
 
 /// Configuration of one active-learning run.
 #[derive(Debug, Clone)]
@@ -65,8 +55,6 @@ pub struct ActiveConfig {
     pub n_max: usize,
     /// Forest hyper-parameters.
     pub forest: ForestConfig,
-    /// Model-rebuild policy per iteration.
-    pub refit: RefitMode,
     /// Evaluate the model on the test set every this many iterations
     /// (1 = the paper's every-iteration protocol).
     pub eval_every: usize,
@@ -88,7 +76,6 @@ impl Default for ActiveConfig {
             n_batch: 1,
             n_max: 500,
             forest: ForestConfig::default(),
-            refit: RefitMode::FromScratch,
             eval_every: 1,
             alphas: vec![0.01, 0.05, 0.10],
             repeats: 35,
@@ -114,9 +101,6 @@ impl ActiveConfig {
             "every alpha must be in (0, 1], got {:?}",
             self.alphas
         );
-        if let RefitMode::Partial(n) = self.refit {
-            assert!(n > 0, "partial refit must regrow at least one tree");
-        }
         if let Aggregator::TrimmedMean { trim } = self.aggregator {
             assert!(
                 (0.0..0.5).contains(&trim),
@@ -183,10 +167,10 @@ pub struct ActiveRun {
 /// Algorithm 1 in flight: everything the iteration loop mutates, which is
 /// also exactly what a checkpoint captures, plus the three things it
 /// borrows — its target, its config and its Eq. 2 evaluator. The model is
-/// the one thing it holds that a checkpoint does not: under
-/// [`RefitMode::FromScratch`] it is fitted where it is first read, so a
-/// loop that is restored, stepped and checkpointed fits it once, or twice
-/// when the step records a snapshot.
+/// the one thing it holds that a checkpoint does not: every refit is from
+/// scratch and the model is fitted where it is first read, so a loop that
+/// is restored, stepped and checkpointed fits it once, or twice when the
+/// step records a snapshot.
 pub struct ActiveLoop<'a> {
     target: &'a dyn TuningTarget,
     config: &'a ActiveConfig,
@@ -198,7 +182,7 @@ pub struct ActiveLoop<'a> {
     forest_seed: u64,
     pool: Pool,
     train: LabeledSet,
-    /// `None` while stale: a from-scratch refit drops the old forest and
+    /// `None` while stale: a refit drops the old forest and
     /// [`Self::fitted`] fits the new one at its first read.
     model: Option<RandomForest>,
     /// The iteration whose derived seed the next fit uses.
@@ -208,11 +192,6 @@ pub struct ActiveLoop<'a> {
     quarantined: Vec<Configuration>,
     iteration: u64,
     lint: PoolLintCounts,
-    /// Incremental pool scorer, used (and lazily built) only under
-    /// [`RefitMode::Partial`]; never checkpointed — a restored loop
-    /// rebuilds it on first use. Its fold is bit-identical to
-    /// `predict_batch`.
-    scores: Option<PoolScoreCache>,
 }
 
 /// Validates `config`, then ranks the test set into its Eq. 2 evaluator
@@ -321,8 +300,7 @@ pub struct StepOutcome {
 /// checkpoint, ready to be advanced with [`step_once`].
 ///
 /// A chain of `bootstrap` + `step_once` calls produces bit-identical
-/// training sets, history and RNG streams to [`run`] with the same inputs
-/// (for [`RefitMode::FromScratch`] configs — the only resumable kind).
+/// training sets, history and RNG streams to [`run`] with the same inputs.
 ///
 /// # Panics
 /// As [`run`].
@@ -351,8 +329,7 @@ pub fn bootstrap(
 ///
 /// # Errors
 /// Returns [`CheckpointError::Mismatch`] if the checkpoint belongs to a
-/// different target or configuration, or if `config.refit` is not
-/// [`RefitMode::FromScratch`].
+/// different target or configuration (see [`ActiveLoop::from_checkpoint`]).
 ///
 /// # Panics
 /// Panics where annotation itself panics (e.g. a NaN reading from a broken
@@ -476,7 +453,6 @@ impl<'a> ActiveLoop<'a> {
             quarantined,
             iteration: 0,
             lint,
-            scores: None,
         };
         active.record();
         active
@@ -486,16 +462,16 @@ impl<'a> ActiveLoop<'a> {
     /// and restores all three RNG streams, so stepping on continues
     /// bit-identically. The model starts stale and is fitted at its first
     /// read with the seed the checkpointing run last fitted with; restoring
-    /// fits nothing.
-    ///
-    /// Only [`RefitMode::FromScratch`] loops restore: the from-scratch
-    /// model is a pure function of the training set and the
-    /// iteration-derived seed, so it is refitted instead of serialized.
+    /// fits nothing. The model is a pure function of the training set and
+    /// the iteration-derived seed, so it is refitted instead of serialized.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Mismatch`] describing the first
     /// disagreement if the checkpoint belongs to a different target or
-    /// configuration, or if `config.refit` is not [`RefitMode::FromScratch`].
+    /// configuration, or if it holds what no run of this target records: a
+    /// train or pool configuration outside the target's space, an empty
+    /// training set, or a non-finite label. These are checked before
+    /// anything is encoded or fitted.
     ///
     /// # Panics
     /// Panics if the config is inconsistent or `elite` was built for other
@@ -518,13 +494,6 @@ impl<'a> ActiveLoop<'a> {
                 checkpoint.target_name,
                 target.name()
             ));
-        }
-        if config.refit != RefitMode::FromScratch {
-            return mismatch(
-                "resume requires RefitMode::FromScratch (partial-refit forests \
-                 are not reconstructible from a checkpoint)"
-                    .into(),
-            );
         }
         let same_counts = checkpoint.n_init == config.n_init
             && checkpoint.n_batch == config.n_batch
@@ -557,15 +526,35 @@ impl<'a> ActiveLoop<'a> {
         }
 
         let space = target.space();
-        let schema = FeatureSchema::for_space(space);
         let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
             levels.iter().cloned().map(Configuration::new).collect()
         };
         let train_cfgs = to_cfgs(&checkpoint.train_configs);
+        let pool_cfgs = to_cfgs(&checkpoint.pool_configs);
+        // Encoding and fitting assert on what follows; a checkpoint read
+        // from disk gets a typed error instead.
+        for (set, cfgs) in [("train", &train_cfgs), ("pool", &pool_cfgs)] {
+            for (i, cfg) in cfgs.iter().enumerate() {
+                if let Err(e) = space.try_validate(cfg) {
+                    return mismatch(format!("{set} configuration {i}: {}", e.message));
+                }
+            }
+        }
+        if train_cfgs.is_empty() {
+            return mismatch("checkpoint has an empty training set".into());
+        }
+        if let Some(i) = checkpoint.train_labels.iter().position(|y| !y.is_finite()) {
+            return mismatch(format!(
+                "train label {i} is not finite ({})",
+                checkpoint.train_labels[i]
+            ));
+        }
+
+        let schema = FeatureSchema::for_space(space);
         let train_features = schema.encode_matrix(space, &train_cfgs);
         let train =
             LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels.clone());
-        let pool = Pool::new(space, &schema, to_cfgs(&checkpoint.pool_configs));
+        let pool = Pool::new(space, &schema, pool_cfgs);
         let mut annotator = Annotator::new(target, config.repeats, 0)
             .with_aggregator(config.aggregator)
             .with_retry_policy(config.retry);
@@ -592,7 +581,6 @@ impl<'a> ActiveLoop<'a> {
             quarantined: to_cfgs(&checkpoint.quarantined),
             iteration: checkpoint.iteration,
             lint: checkpoint.lint,
-            scores: None,
         })
     }
 
@@ -614,9 +602,8 @@ impl<'a> ActiveLoop<'a> {
     /// record a test-set evaluation when due. Returns whether the run is
     /// finished; stepping a finished loop changes nothing and fits nothing.
     ///
-    /// Under [`RefitMode::FromScratch`] the refit only marks the model
-    /// stale: the snapshot, if due, fits it, and otherwise the next step's
-    /// scoring does.
+    /// The refit only marks the model stale: the snapshot, if due, fits it
+    /// from scratch, and otherwise the next step's scoring does.
     pub fn step(&mut self, strategy: Strategy) -> bool {
         if self.is_done() {
             return true;
@@ -636,9 +623,6 @@ impl<'a> ActiveLoop<'a> {
         let goal = self.train.len() + config.n_batch.min(config.n_max - self.train.len());
         while self.train.len() < goal && !self.pool.is_empty() {
             let need = goal - self.train.len();
-            // Under partial refit, score the pool from the per-tree cache:
-            // only the refitted trees were re-walked after the last batch,
-            // and the fold is bit-identical to `predict_batch`.
             let preds = {
                 self.fitted();
                 let model = self.model.as_ref().expect("fitted above");
@@ -649,13 +633,7 @@ impl<'a> ActiveLoop<'a> {
                         ("mode", pwu_obs::Arg::s(config.forest.fit_mode.token())),
                     ],
                 );
-                match config.refit {
-                    RefitMode::Partial(_) => self
-                        .scores
-                        .get_or_insert_with(|| PoolScoreCache::build(model, self.pool.features()))
-                        .predictions(model),
-                    RefitMode::FromScratch => model.predict_batch(self.pool.features()),
-                }
+                model.predict_batch(self.pool.features())
             };
             let picked = {
                 let _s = pwu_obs::span("core.select", [("need", pwu_obs::Arg::u(need as u64))]);
@@ -669,11 +647,6 @@ impl<'a> ActiveLoop<'a> {
                 .map(|&i| (preds[i].mean, preds[i].std))
                 .collect();
             let taken = self.pool.take(&picked);
-            // Mirror the removals (training picks *and* quarantines leave
-            // the pool alike) so cache rows stay pool-aligned.
-            if let Some(cache) = &mut self.scores {
-                cache.remove(&picked);
-            }
             let _measure_span = pwu_obs::span(
                 "core.measure",
                 [("batch", pwu_obs::Arg::u(taken.len() as u64))],
@@ -702,35 +675,9 @@ impl<'a> ActiveLoop<'a> {
             }
             drop(_measure_span);
         }
-        match config.refit {
-            RefitMode::FromScratch => {
-                // Drop the old forest now, so no two are alive at once.
-                self.model = None;
-                self.fit_iteration = self.iteration;
-            }
-            RefitMode::Partial(n) => {
-                let _s = pwu_obs::span(
-                    "core.refit",
-                    [("train", pwu_obs::Arg::u(self.train.len() as u64))],
-                );
-                let model = self
-                    .model
-                    .as_mut()
-                    .expect("a partial refit updates the forest the cold start fitted");
-                let refitted = model.update(
-                    self.schema.kinds(),
-                    self.train.features(),
-                    self.train.labels(),
-                    n,
-                    derive_seed(self.forest_seed, self.iteration),
-                );
-                // Refresh only the regrown trees' pool scores: O(pool · n)
-                // instead of O(pool · n_trees).
-                if let Some(cache) = &mut self.scores {
-                    cache.refresh(model, &refitted);
-                }
-            }
-        }
+        // Drop the old forest now, so no two are alive at once.
+        self.model = None;
+        self.fit_iteration = self.iteration;
         let done = self.is_done();
         if self.iteration.is_multiple_of(config.eval_every as u64) || done {
             self.record();
@@ -809,7 +756,7 @@ impl<'a> ActiveLoop<'a> {
     }
 
     /// The model, fitted first if it is stale: after the cold start's
-    /// sampling, a restore or a from-scratch refit. The training set has
+    /// sampling, a restore or a refit. The training set has
     /// not changed since then, so this fit uses the rows and the seed an
     /// eager fit would have used.
     fn fitted(&mut self) -> &RandomForest {
@@ -1029,62 +976,6 @@ mod tests {
         assert!(a.train.cumulative_cost() < b.train.cumulative_cost());
     }
 
-    #[test]
-    fn partial_refit_still_learns() {
-        let target = Synthetic::new();
-        let (pool, tf, tl) = setup(&target, 180, 80, 8);
-        let mut cfg = quick_config(80);
-        cfg.refit = RefitMode::Partial(6);
-        let run = run(
-            &target,
-            Strategy::Pwu { alpha: 0.05 },
-            &cfg,
-            pool,
-            &tf,
-            &tl,
-            4,
-        );
-        let first = run.history.first().unwrap().rmse[0];
-        let last = run.history.last().unwrap().rmse[0];
-        assert!(
-            last < first,
-            "partial refit should still reduce RMSE: {first} → {last}"
-        );
-    }
-
-    #[test]
-    fn partial_and_full_refit_agree_on_direction() {
-        let target = Synthetic::new();
-        let (pool1, tf, tl) = setup(&target, 180, 80, 9);
-        let (pool2, _, _) = setup(&target, 180, 80, 9);
-        let full_cfg = quick_config(60);
-        let mut part_cfg = quick_config(60);
-        part_cfg.refit = RefitMode::Partial(4);
-        let full = run(
-            &target,
-            Strategy::Pwu { alpha: 0.05 },
-            &full_cfg,
-            pool1,
-            &tf,
-            &tl,
-            5,
-        );
-        let part = run(
-            &target,
-            Strategy::Pwu { alpha: 0.05 },
-            &part_cfg,
-            pool2,
-            &tf,
-            &tl,
-            5,
-        );
-        // Partial updates lag but must stay within a small factor of the
-        // from-scratch model's final error.
-        let f = full.history.last().unwrap().rmse[0];
-        let p = part.history.last().unwrap().rmse[0];
-        assert!(p < f * 3.0 + 1e-9, "partial {p} vs full {f}");
-    }
-
     /// The synthetic target with a lint rule: `flag = 1` together with
     /// `a > 8` is declared Illegal (and `a == 8` Flagged).
     struct LintedSynthetic(Synthetic);
@@ -1174,20 +1065,20 @@ mod tests {
         assert_eq!(again.checkpoint, cp);
     }
 
+    /// A checkpoint that cannot belong to the target or the config is a
+    /// typed `Mismatch`, never a panic: one from another config, and ones
+    /// holding a configuration outside the space (a level past a
+    /// parameter's arity, or one level short — a session written before the
+    /// space changed), an empty training set or a non-finite label. Each
+    /// mutated checkpoint is round-tripped through its text form first, as
+    /// a footer-valid file on disk would be.
     #[test]
-    fn step_once_rejects_partial_refit_and_foreign_checkpoints() {
+    fn step_once_rejects_foreign_checkpoints() {
         let target = Synthetic::new();
         let (pool, tf, tl) = setup(&target, 150, 60, 42);
         let cfg = quick_config(30);
         let cp = bootstrap(&target, &cfg, pool, &tf, &tl, 9);
         let strategy = Strategy::Uniform;
-
-        let mut partial = cfg.clone();
-        partial.refit = RefitMode::Partial(4);
-        assert!(matches!(
-            step_once(&target, strategy, &partial, &cp, &tf, &tl),
-            Err(CheckpointError::Mismatch(_))
-        ));
 
         let mut wrong = cfg.clone();
         wrong.n_batch = 3;
@@ -1195,6 +1086,46 @@ mod tests {
             step_once(&target, strategy, &wrong, &cp, &tf, &tl),
             Err(CheckpointError::Mismatch(_))
         ));
+
+        let rejects = |what: &str, mutate: &dyn Fn(&mut ActiveCheckpoint), names: &str| {
+            let mut bad = cp.clone();
+            mutate(&mut bad);
+            let bad = ActiveCheckpoint::from_text(&bad.to_text()).expect("the text form parses");
+            match step_once(&target, strategy, &cfg, &bad, &tf, &tl) {
+                Err(CheckpointError::Mismatch(msg)) => assert!(
+                    msg.contains(names),
+                    "{what}: message {msg:?} does not name {names:?}"
+                ),
+                other => panic!("{what}: expected a Mismatch, got {other:?}"),
+            }
+        };
+        let train = "train configuration 2";
+        rejects("train level 999", &|c| c.train_configs[2][0] = 999, train);
+        rejects(
+            "short train config",
+            &|c| c.train_configs[2].truncate(2),
+            train,
+        );
+        let pool = "pool configuration 7";
+        rejects("pool level 999", &|c| c.pool_configs[7][1] = 999, pool);
+        rejects(
+            "short pool config",
+            &|c| c.pool_configs[7].truncate(2),
+            pool,
+        );
+        rejects(
+            "NaN label",
+            &|c| c.train_labels[3] = f64::NAN,
+            "train label 3",
+        );
+        rejects(
+            "empty training set",
+            &|c| {
+                c.train_configs.clear();
+                c.train_labels.clear();
+            },
+            "empty training set",
+        );
     }
 
     /// The exact and fast engines produce bitwise-different forests, so a

@@ -24,7 +24,6 @@
 //! - [`metrics`] — RMSE@α (Eq. 2) and its ranked-once evaluator
 //!   [`EliteTest`], cumulative cost (Eq. 3), cost-to-reach
 //! - [`experiment`] — the 10-repetition protocol over pool 7000 / test 3000
-//! - [`score`] — incremental per-tree pool scoring for partial-refit runs
 //! - [`tuning`] — model-based tuning with true vs surrogate annotators (Fig 8)
 
 pub mod active;
@@ -32,12 +31,11 @@ pub mod annotator;
 pub mod checkpoint;
 pub mod experiment;
 pub mod metrics;
-pub mod score;
 pub mod strategy;
 pub mod tuning;
 
 pub use active::{
-    bootstrap, step_once, ActiveConfig, ActiveLoop, ActiveRun, RefitMode, Snapshot, StepOutcome,
+    bootstrap, step_once, ActiveConfig, ActiveLoop, ActiveRun, Snapshot, StepOutcome,
 };
 pub use annotator::{Aggregator, AnnotationFailure, Annotator, MeasurementStats, RetryPolicy};
 pub use checkpoint::{
@@ -46,5 +44,4 @@ pub use checkpoint::{
 };
 pub use experiment::{ExperimentResult, Protocol, StrategyCurve};
 pub use metrics::{cost_to_reach, rmse_at_alpha, EliteTest};
-pub use score::PoolScoreCache;
 pub use strategy::Strategy;

@@ -15,8 +15,7 @@
 use proptest::prelude::*;
 use pwu_core::active::{SelectionTrace, Snapshot};
 use pwu_core::{
-    bootstrap, fnv1a64, step_once, ActiveCheckpoint, ActiveConfig, MeasurementStats, RefitMode,
-    Strategy,
+    bootstrap, fnv1a64, step_once, ActiveCheckpoint, ActiveConfig, MeasurementStats, Strategy,
 };
 use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::{FeatureSchema, Pool, PoolLintCounts, TuningTarget};
@@ -48,7 +47,6 @@ fn gesummv_after_five_steps(fit_mode: FitMode) -> ActiveCheckpoint {
             fit_mode,
             ..ForestConfig::default()
         },
-        refit: RefitMode::FromScratch,
         eval_every: 2,
         alphas: vec![0.01, 0.05],
         repeats: 2,

@@ -4,8 +4,7 @@
 //! contract is statistical: trajectories learn equally well, best-config
 //! quality matches, and every run is still a pure function of its seed.
 //! These tests are that contract, over the SPAPT kernel grid *and* the two
-//! Platform B application targets (kripke, hypre), plus the fold-dispatch
-//! regressions of the incremental pool-score cache (`cargo xtask fast`
+//! Platform B application targets, kripke and hypre (`cargo xtask fast`
 //! drives them).
 //!
 //! ε calibration (measured on the committed protocol):
@@ -17,9 +16,9 @@
 //! inflation, orders above ε).
 
 use pwu_apps::{Hypre, Kripke};
-use pwu_core::{active, ActiveConfig, ActiveRun, PoolScoreCache, Strategy};
-use pwu_forest::{FitMode, ForestConfig, RandomForest};
-use pwu_space::{FeatureKind, FeatureMatrix, FeatureSchema, Pool, TuningTarget};
+use pwu_core::{active, ActiveConfig, ActiveRun, Strategy};
+use pwu_forest::{FitMode, ForestConfig};
+use pwu_space::{FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{all_kernels, extended_kernels, kernel_by_name, Kernel};
 use pwu_stats::Xoshiro256PlusPlus;
 
@@ -340,110 +339,4 @@ fn fast_application_trajectories_are_deterministic_and_width_invariant() {
             );
         }
     }
-}
-
-/// Synthetic regression problem for the pool-score-cache suites below.
-fn cache_problem(n: usize, d: usize, seed: u64) -> (FeatureMatrix, Vec<f64>, Vec<FeatureKind>) {
-    let mut rng = Xoshiro256PlusPlus::new(seed);
-    let mut x = FeatureMatrix::new(d);
-    let mut y = Vec::with_capacity(n);
-    let mut row = vec![0.0; d];
-    for _ in 0..n {
-        for (f, v) in row.iter_mut().enumerate() {
-            *v = (rng.next() as usize % (5 + f)) as f64;
-        }
-        x.push_row(&row);
-        y.push(row.iter().sum::<f64>() + 0.2 * rng.next_f64());
-    }
-    (x, y, vec![FeatureKind::Numeric; d])
-}
-
-fn prediction_bits(preds: &[pwu_forest::forest::Prediction]) -> Vec<(u64, u64)> {
-    preds.iter().map(|p| (p.mean.to_bits(), p.std.to_bits())).collect()
-}
-
-/// Regression test for the mid-session fit-mode swap: `with_fit_mode`
-/// changes which ensemble fold the model applies without touching the
-/// trees. A [`PoolScoreCache`] built before the swap holds mode-independent
-/// columns and folds with the model it is handed, so its scores must match
-/// `predict_batch` bitwise right after the swap and after a refresh — even
-/// an empty one — in both swap directions.
-#[test]
-fn pool_score_cache_follows_a_mid_session_fit_mode_swap() {
-    let (x, y, kinds) = cache_problem(140, 5, 71);
-    let (pool, _, _) = cache_problem(420, 5, 72);
-    let fast_cfg = ForestConfig {
-        n_trees: 24,
-        fit_mode: FitMode::Fast,
-        ..ForestConfig::default()
-    };
-    let mut model = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 7);
-    let mut cache = PoolScoreCache::build(&model, &pool);
-    assert_eq!(
-        prediction_bits(&cache.predictions(&model)),
-        prediction_bits(&model.predict_batch(&pool))
-    );
-    for (swap_to, label) in [(FitMode::Exact, "Fast→Exact"), (FitMode::Fast, "Exact→Fast")] {
-        model = model.with_fit_mode(swap_to);
-        let live = prediction_bits(&model.predict_batch(&pool));
-        assert_eq!(
-            prediction_bits(&cache.predictions(&model)),
-            live,
-            "{label}: the cache did not fold with the swapped model's mode"
-        );
-        cache.refresh(&model, &[]);
-        assert_eq!(
-            prediction_bits(&cache.predictions(&model)),
-            live,
-            "{label}: an empty refresh changed the cache's scores"
-        );
-    }
-}
-
-/// Fast-mode pool scoring through the cache is width- and deal-order
-/// invariant: the fingerprint of the scored pool is byte-identical at
-/// `PWU_THREADS` 1/2/4/8 under every sanitizer deal order, across builds,
-/// empty refreshes, and partial refreshes.
-#[test]
-fn fast_pool_score_cache_is_width_and_deal_order_invariant() {
-    use rayon::sanitize::{self, DealMode};
-    let (x, y, kinds) = cache_problem(130, 4, 81);
-    let (x2, y2, _) = cache_problem(150, 4, 82);
-    let (pool, _, _) = cache_problem(900, 4, 83);
-    let fast_cfg = ForestConfig {
-        n_trees: 20,
-        fit_mode: FitMode::Fast,
-        ..ForestConfig::default()
-    };
-    let scored = || {
-        let mut model = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 11);
-        let mut cache = PoolScoreCache::build(&model, &pool);
-        let mut bits = prediction_bits(&cache.predictions(&model));
-        let refitted = model.update(&kinds, &x2, &y2, 6, 300);
-        cache.refresh(&model, &refitted);
-        bits.extend(prediction_bits(&cache.predictions(&model)));
-        bits
-    };
-    let before = rayon::current_num_threads();
-    rayon::set_threads(1);
-    sanitize::set_deal_mode(DealMode::RoundRobin);
-    let baseline = scored();
-    for deal in [
-        DealMode::RoundRobin,
-        DealMode::Blocked,
-        DealMode::Reversed,
-        DealMode::Shuffled(0x0005_C07E),
-    ] {
-        for width in [1usize, 2, 4, 8] {
-            rayon::set_threads(width);
-            sanitize::set_deal_mode(deal);
-            assert_eq!(
-                scored(),
-                baseline,
-                "cached pool scores drifted at width {width} under {deal:?}"
-            );
-        }
-    }
-    sanitize::set_deal_mode(DealMode::RoundRobin);
-    rayon::set_threads(before);
 }

@@ -1,14 +1,14 @@
 //! Golden-snapshot tests for full tuning trajectories.
 //!
 //! The fingerprints below were captured from the implementation *before* the
-//! forest hot-path refactor (flat feature matrix, integer-key splitter,
-//! incremental pool scoring) via `cargo run --release --example golden_gen`.
-//! They pin three facets of a fixed-seed, fault-injected run of Algorithm 1:
-//! the training labels, the per-selection `(μ, σ, observed)` traces, and the
-//! RMSE history — all hashed bitwise. Any change that perturbs a single ulp
-//! anywhere in the trajectory fails these tests loudly.
+//! forest hot-path refactor (flat feature matrix, integer-key splitter) via
+//! `cargo run --release --example golden_gen`. They pin three facets of a
+//! fixed-seed, fault-injected run of Algorithm 1: the training labels, the
+//! per-selection `(μ, σ, observed)` traces, and the RMSE history — all
+//! hashed bitwise. Any change that perturbs a single ulp anywhere in the
+//! trajectory fails these tests loudly.
 //!
-//! The third test kills the run mid-flight and resumes it from its
+//! The second test kills the run mid-flight and resumes it from its
 //! checkpoint, proving the *resumed* trajectory is byte-identical to the same
 //! golden — checkpoint/resume is exactness-preserving, not merely
 //! approximately correct.
@@ -21,8 +21,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pwu_core::{
-    active, rmse_at_alpha, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointPolicy, RefitMode,
-    Snapshot, Strategy,
+    active, rmse_at_alpha, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointPolicy, Snapshot,
+    Strategy,
 };
 use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::Pool;
@@ -49,14 +49,6 @@ const FROM_SCRATCH: Golden = Golden {
     history_fp: 0xe083_e212_512d_dfc9,
     train_len: 40,
     quarantined: 1,
-};
-
-const PARTIAL4: Golden = Golden {
-    labels_fp: 0x8053_e640_ab2b_e66a,
-    selections_fp: 0x31d9_8650_20fc_0c77,
-    history_fp: 0x55c9_2120_7f27_2f40,
-    train_len: 40,
-    quarantined: 0,
 };
 
 /// FNV-1a over a stream of u64 words — the same fingerprint `golden_gen`
@@ -117,7 +109,7 @@ fn setup() -> (Kernel, Vec<Configuration>, FeatureMatrix, Vec<f64>) {
     (kernel, pool_cfgs.to_vec(), test_features, test_labels)
 }
 
-fn config(refit: RefitMode) -> ActiveConfig {
+fn config() -> ActiveConfig {
     ActiveConfig {
         n_init: 8,
         n_batch: 2,
@@ -126,7 +118,6 @@ fn config(refit: RefitMode) -> ActiveConfig {
             n_trees: 16,
             ..ForestConfig::default()
         },
-        refit,
         eval_every: 5,
         alphas: vec![0.05],
         repeats: 3,
@@ -134,14 +125,14 @@ fn config(refit: RefitMode) -> ActiveConfig {
     }
 }
 
-fn run(target: &dyn TuningTarget, pool_cfgs: &[Configuration], refit: RefitMode) -> ActiveRun {
+fn run(target: &dyn TuningTarget, pool_cfgs: &[Configuration]) -> ActiveRun {
     let schema = FeatureSchema::for_space(target.space());
     let (_, _, test_features, test_labels) = setup();
     let pool = Pool::new(target.space(), &schema, pool_cfgs.to_vec());
     active::run(
         target,
         Strategy::Pwu { alpha: 0.05 },
-        &config(refit),
+        &config(),
         pool,
         &test_features,
         &test_labels,
@@ -152,18 +143,8 @@ fn run(target: &dyn TuningTarget, pool_cfgs: &[Configuration], refit: RefitMode)
 #[test]
 fn from_scratch_trajectory_matches_pre_refactor_golden() {
     let (kernel, pool_cfgs, _, _) = setup();
-    let run = run(&kernel, &pool_cfgs, RefitMode::FromScratch);
+    let run = run(&kernel, &pool_cfgs);
     assert_matches_golden(&run, &FROM_SCRATCH);
-}
-
-/// Also proves the incremental pool-score cache is bitwise neutral: the
-/// partial-refit golden was captured before `PoolScoreCache` existed, when
-/// every iteration rescanned the pool with `predict_batch`.
-#[test]
-fn partial_refit_trajectory_matches_pre_refactor_golden() {
-    let (kernel, pool_cfgs, _, _) = setup();
-    let run = run(&kernel, &pool_cfgs, RefitMode::Partial(4));
-    assert_matches_golden(&run, &PARTIAL4);
 }
 
 /// Wraps a kernel with a measurement budget; exceeding it panics, simulating
@@ -204,7 +185,7 @@ impl TuningTarget for KillSwitch {
 fn killed_and_resumed_run_reproduces_the_golden_trajectory() {
     let (kernel, pool_cfgs, test_features, test_labels) = setup();
     let schema = FeatureSchema::for_space(kernel.space());
-    let config = config(RefitMode::FromScratch);
+    let config = config();
     let strategy = Strategy::Pwu { alpha: 0.05 };
 
     let path = std::env::temp_dir().join(format!("pwu-golden-resume-{}.ckpt", std::process::id()));

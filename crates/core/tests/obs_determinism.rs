@@ -21,7 +21,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use pwu_core::{
-    active, ActiveConfig, ActiveLoop, ActiveRun, CheckpointPolicy, EliteTest, RefitMode, Strategy,
+    active, ActiveConfig, ActiveLoop, ActiveRun, CheckpointPolicy, EliteTest, Strategy,
 };
 use pwu_forest::{FitMode, ForestConfig, RandomForest};
 use pwu_space::{Configuration, FeatureKind, FeatureMatrix, FeatureSchema, Pool, TuningTarget};
@@ -80,7 +80,6 @@ fn config() -> ActiveConfig {
             n_trees: 8,
             ..ForestConfig::default()
         },
-        refit: RefitMode::FromScratch,
         eval_every: 4,
         alphas: vec![0.05],
         repeats: 2,
@@ -235,7 +234,7 @@ fn predict_and_rescore_spans_carry_the_kernel_mode() {
             &test_labels,
             99,
         );
-        // Column scoring (the partial-refit surface) must be tagged too.
+        // Per-tree column scoring (`predict_columns`) must be tagged too.
         let rows: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![f64::from(i % 7), f64::from(i % 5)])
             .collect();

@@ -12,7 +12,7 @@
 //! every parallel result in the workspace is width-invariant by
 //! construction, so that cannot affect their outcomes.
 
-use pwu_core::{active, ActiveConfig, ActiveRun, CheckpointPolicy, RefitMode, Strategy};
+use pwu_core::{active, ActiveConfig, ActiveRun, CheckpointPolicy, Strategy};
 use pwu_forest::ForestConfig;
 use pwu_space::{Configuration, FeatureMatrix, FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Kernel};
@@ -71,7 +71,6 @@ fn trajectory_and_checkpoints_are_identical_at_widths_1_2_and_8() {
             n_trees: 16,
             ..ForestConfig::default()
         },
-        refit: RefitMode::FromScratch,
         eval_every: 5,
         alphas: vec![0.05],
         repeats: 3,

@@ -62,14 +62,6 @@
 //! predictions stay deterministic and width/deal-order invariant, the same
 //! freedom the fast *fit* engine already exercises (DESIGN.md §14). Per-tree
 //! columns carry no fold and are mode-independent.
-//!
-//! Two pieces serve the incremental pool-score cache's partial-refit loop:
-//! [`StridedPool`] keeps the (static) candidate pool pre-transposed into
-//! the kernel's stride records so each refresh descends it directly, and
-//! [`fold_columns`] folds the cached per-tree columns blocked and
-//! tree-outer — bit-identical to [`fold_lanes`] per row, but streaming
-//! every column sequentially instead of gathering across all columns per
-//! row (the gather pattern falls out of cache at realistic pool sizes).
 
 use rayon::prelude::*;
 
@@ -410,9 +402,8 @@ fn combine<const L: usize>(l: &[f64; L]) -> f64 {
 
 /// Folds per-tree values (in tree order) the way `mode`'s predictions do
 /// (`by_fold!`): returns `(Σv, Σv²)`. This is the scalar statement of
-/// the fold every batch kernel and the pool-score cache reproduce bit for
-/// bit — the fold order is a pure function of the tree index, never of the
-/// schedule.
+/// the fold every batch kernel reproduces bit for bit — the fold order is a
+/// pure function of the tree index, never of the schedule.
 pub fn fold_lanes(mode: FitMode, values: impl IntoIterator<Item = f64>) -> (f64, f64) {
     by_fold!(mode, L => fold_lanes_n::<L>(values))
 }
@@ -424,64 +415,6 @@ fn fold_lanes_n<const L: usize>(values: impl IntoIterator<Item = f64>) -> (f64, 
         acc[1][t % L] += v * v;
     }
     (combine(&acc[0]), combine(&acc[1]))
-}
-
-/// Folds cached per-tree prediction columns into per-row `(Σv, Σv²)` pairs,
-/// bit-identical to calling [`fold_lanes`] with the same `mode` on each
-/// row's tree-order values but blocked for throughput: rows are chunked,
-/// and within a chunk the loop runs **tree-outer**, streaming each column
-/// sequentially into the chunk's lane accumulators. Per lane the
-/// accumulation order is still ascending tree order — exactly
-/// [`fold_lanes`]' order — so the result is bitwise identical; what changes
-/// is the memory pattern (sequential column reads and check-free slice zips
-/// instead of a strided, bounds-checked gather across every column per row).
-///
-/// # Panics
-/// Panics if a column's length differs from `n_rows`.
-#[must_use]
-pub fn fold_columns(mode: FitMode, columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
-    for col in columns {
-        assert_eq!(col.len(), n_rows, "ragged prediction column");
-    }
-    by_fold!(mode, L => fold_columns_n::<L>(columns, n_rows))
-}
-
-fn fold_columns_n<const L: usize>(columns: &[Vec<f64>], n_rows: usize) -> Vec<(f64, f64)> {
-    let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
-    let per_chunk: Vec<Vec<(f64, f64)>> = starts
-        .par_iter()
-        .map(|&lo| {
-            let m = CHUNK.min(n_rows - lo);
-            let mut acc: Vec<Acc<L>> = vec![[[0.0; L]; 2]; m];
-            // Whole rounds of `L` trees per pass: the lane indices are
-            // literals after unrolling, so the updates are straight-line
-            // code over `L` sequential column streams. Tree `L·k + l` still
-            // lands in lane `l` with `k` ascending — `fold_lanes`' exact
-            // per-lane order.
-            for round in columns.chunks_exact(L) {
-                let cols: [&[f64]; L] = std::array::from_fn(|l| &round[l][lo..lo + m]);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    for (l, col) in cols.iter().enumerate() {
-                        let v = col[j];
-                        a[0][l] += v;
-                        a[1][l] += v * v;
-                    }
-                }
-            }
-            // Leftover trees: their global index is ≡ their remainder
-            // index mod L (the rounds consumed a multiple of it).
-            for (lane, col) in columns.chunks_exact(L).remainder().iter().enumerate() {
-                for (a, &v) in acc.iter_mut().zip(&col[lo..lo + m]) {
-                    a[0][lane] += v;
-                    a[1][lane] += v * v;
-                }
-            }
-            acc.iter()
-                .map(|a| (combine(&a[0]), combine(&a[1])))
-                .collect()
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
 }
 
 /// Transposes `x[start..end]` into fixed-stride row records (`buf[j][f]` =
@@ -510,70 +443,6 @@ fn transpose<const S: usize>(x: &FeatureMatrix, start: usize, end: usize) -> Vec
 #[inline]
 fn block_rows<const S: usize>(buf: &[[f64; S]], lo: usize, k: usize) -> [&[f64; S]; LANES] {
     std::array::from_fn(|j| &buf[lo + if j < k { j } else { 0 }])
-}
-
-/// A pool held in the flat kernel's fixed-stride row records, transposed
-/// **once** so repeated partial rescans skip the per-call transpose. The
-/// incremental pool-score cache builds one of these next to its per-tree
-/// columns: the pool is static across refit iterations (rows only leave,
-/// via [`StridedPool::swap_remove`]), so re-deriving the strided form on
-/// every refresh would redo identical work each iteration.
-#[derive(Debug, Clone)]
-pub struct StridedPool {
-    repr: StridedRepr,
-}
-
-#[derive(Debug, Clone)]
-enum StridedRepr {
-    Narrow(Vec<[f64; STRIDE_NARROW]>),
-    Wide(Vec<[f64; STRIDE_WIDE]>),
-}
-
-impl StridedPool {
-    /// Transposes `x` into stride records, choosing the narrow or wide
-    /// stride by width.
-    ///
-    /// # Panics
-    /// Panics if `x` is wider than 64 features, the widest space a forest
-    /// can be fitted on.
-    #[must_use]
-    pub fn new(x: &FeatureMatrix) -> Self {
-        let n = x.n_rows();
-        let repr = if x.n_cols() <= STRIDE_NARROW {
-            StridedRepr::Narrow(transpose::<STRIDE_NARROW>(x, 0, n))
-        } else {
-            assert_width(x.n_cols());
-            StridedRepr::Wide(transpose::<STRIDE_WIDE>(x, 0, n))
-        };
-        Self { repr }
-    }
-
-    /// Number of row records.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        match &self.repr {
-            StridedRepr::Narrow(records) => records.len(),
-            StridedRepr::Wide(records) => records.len(),
-        }
-    }
-
-    /// Removes row `i` by swapping the last row into its place — the exact
-    /// removal primitive [`Pool::take`](pwu_space::Pool::take) uses, so a
-    /// caller mirroring pool removals keeps record `i` aligned with pool
-    /// row `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn swap_remove(&mut self, i: usize) {
-        match &mut self.repr {
-            StridedRepr::Narrow(records) => {
-                records.swap_remove(i);
-            }
-            StridedRepr::Wide(records) => {
-                records.swap_remove(i);
-            }
-        }
-    }
 }
 
 /// One chunk's worth of per-tree column segments: every requested tree
@@ -618,11 +487,6 @@ impl FlatForest {
         Self {
             trees: trees.iter().map(FlatTree::compile).collect(),
         }
-    }
-
-    /// Recompiles one tree after a partial update.
-    pub(crate) fn recompile(&mut self, t: usize, tree: &RegressionTree) {
-        self.trees[t] = FlatTree::compile(tree);
     }
 
     /// Blocked batch fold over the pool: rows are chunked across the
@@ -725,35 +589,38 @@ impl FlatForest {
         )
     }
 
-    /// Per-tree point-prediction columns over a pool held in stride
-    /// records: `out[k][i]` is tree `tree_idx[k]`'s prediction for row `i`.
-    /// Values are bit-identical to [`RegressionTree::predict_at`] — the
-    /// descent decisions match bitwise, and the column holds raw leaf
-    /// means, no fold — so columns are the same in every fit mode.
+    /// Per-tree point-prediction columns: `out[k][i]` is tree
+    /// `tree_idx[k]`'s prediction for row `i` of `x`. Rows are chunked
+    /// across the `PWU_THREADS` pool and each chunk is transposed once into
+    /// fixed-stride row records, as [`FlatForest::fold_batch`] does. Values
+    /// are bit-identical to [`RegressionTree::predict_at`] — the descent
+    /// decisions match bitwise, and the column holds raw leaf means, no
+    /// fold — so columns are the same in every fit mode.
     ///
     /// # Panics
-    /// Panics if a tree index is out of range.
-    pub(crate) fn columns(&self, pool: &StridedPool, tree_idx: &[usize]) -> Vec<Vec<f64>> {
-        match &pool.repr {
-            StridedRepr::Narrow(records) => {
-                self.columns_records::<STRIDE_NARROW>(records, tree_idx)
-            }
-            StridedRepr::Wide(records) => self.columns_records::<STRIDE_WIDE>(records, tree_idx),
+    /// Panics if a tree index is out of range or the feature width exceeds
+    /// [`STRIDE_WIDE`].
+    pub(crate) fn columns(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
+        if x.n_cols() <= STRIDE_NARROW {
+            self.columns_strided::<STRIDE_NARROW>(x, tree_idx)
+        } else {
+            assert_width(x.n_cols());
+            self.columns_strided::<STRIDE_WIDE>(x, tree_idx)
         }
     }
 
-    fn columns_records<const S: usize>(
+    fn columns_strided<const S: usize>(
         &self,
-        records: &[[f64; S]],
+        x: &FeatureMatrix,
         tree_idx: &[usize],
     ) -> Vec<Vec<f64>> {
-        let n_rows = records.len();
+        let n_rows = x.n_rows();
         let starts: Vec<usize> = (0..n_rows).step_by(CHUNK).collect();
         let per_chunk: Vec<Vec<Vec<f64>>> = starts
             .par_iter()
             .map(|&start| {
                 let end = (start + CHUNK).min(n_rows);
-                columns_chunk(&self.trees, tree_idx, &records[start..end])
+                columns_chunk(&self.trees, tree_idx, &transpose::<S>(x, start, end))
             })
             .collect();
         stitch_columns(n_rows, tree_idx.len(), per_chunk)
@@ -857,36 +724,5 @@ mod tests {
             ss += v * v;
         }
         assert_eq!(fold_lanes(FitMode::Exact, vals), (s, ss));
-    }
-
-    /// The blocked tree-outer column fold must be bitwise identical to the
-    /// per-row fold it replaces, in both fit modes — including at chunk
-    /// boundaries, tail chunks, and tree counts that don't divide the lane
-    /// count.
-    #[test]
-    fn fold_columns_matches_fold_lanes_bitwise() {
-        let mut rng = Xoshiro256PlusPlus::new(29);
-        for (n_trees, n_rows) in [(1, 7), (6, CHUNK - 1), (64, CHUNK + 33), (17, 3 * CHUNK)] {
-            let columns: Vec<Vec<f64>> = (0..n_trees)
-                .map(|_| (0..n_rows).map(|_| rng.next_f64() * 20.0 - 10.0).collect())
-                .collect();
-            for mode in [FitMode::Exact, FitMode::Fast] {
-                let folded = fold_columns(mode, &columns, n_rows);
-                assert_eq!(folded.len(), n_rows);
-                for (i, &(s, ss)) in folded.iter().enumerate() {
-                    let (es, ess) = fold_lanes(mode, columns.iter().map(|col| col[i]));
-                    assert_eq!(
-                        s.to_bits(),
-                        es.to_bits(),
-                        "{mode:?} sum, {n_trees} trees, row {i}"
-                    );
-                    assert_eq!(
-                        ss.to_bits(),
-                        ess.to_bits(),
-                        "{mode:?} sum_sq, {n_trees} trees, row {i}"
-                    );
-                }
-            }
-        }
     }
 }

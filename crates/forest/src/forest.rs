@@ -6,7 +6,7 @@ use rayon::prelude::*;
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
-use crate::flat::{FlatForest, StridedPool};
+use crate::flat::FlatForest;
 use crate::hyper::{FitMode, ForestConfig};
 use crate::tree::{grow, FitTables, RegressionTree};
 
@@ -45,8 +45,8 @@ pub struct RandomForest {
     /// Per-tree out-of-bag row indices (empty when `bootstrap` is off).
     oob_rows: Vec<Vec<u32>>,
     /// Flat-node predict layout of `trees` ([`crate::flat`]), the batch and
-    /// column predict kernel. Kept in lock-step with `trees` by every
-    /// mutation below.
+    /// column predict kernel, compiled once when the forest is built: a
+    /// fitted forest never changes.
     flat: FlatForest,
     config: ForestConfig,
     n_features: usize,
@@ -84,10 +84,8 @@ impl RandomForest {
                 ("mode", pwu_obs::Arg::s(config.fit_mode.token())),
             ],
         );
-        let all: Vec<usize> = (0..config.n_trees).collect();
-        let (trees, oob_rows): (Vec<_>, Vec<_>) = fit_trees(config, kinds, x, y, seed, &all)
-            .into_iter()
-            .unzip();
+        let (trees, oob_rows): (Vec<_>, Vec<_>) =
+            fit_trees(config, kinds, x, y, seed).into_iter().unzip();
         let flat = FlatForest::compile(&trees);
         Self {
             trees,
@@ -266,10 +264,9 @@ impl RandomForest {
     /// Per-tree point-prediction columns: `out[k][i]` is tree
     /// `tree_idx[k]`'s prediction for row `i` of `x`.
     ///
-    /// This is the bulk form of [`RegressionTree::predict_at`] used by the
-    /// incremental pool-score cache, descended through the flat layout.
-    /// Values are bit-identical to `predict_at` and independent of the fit
-    /// mode: columns carry no fold (see `pwu_core`'s `PoolScoreCache`).
+    /// This is the bulk form of [`RegressionTree::predict_at`], descended
+    /// through the flat layout. Values are bit-identical to `predict_at`
+    /// and independent of the fit mode: columns carry no fold.
     ///
     /// # Panics
     /// Panics if a tree index is out of range or `x` is narrower than the
@@ -277,26 +274,15 @@ impl RandomForest {
     #[must_use]
     pub fn predict_columns(&self, x: &FeatureMatrix, tree_idx: &[usize]) -> Vec<Vec<f64>> {
         self.assert_covers(x);
-        self.predict_columns_strided(&StridedPool::new(x), tree_idx)
-    }
-
-    /// [`RandomForest::predict_columns`] over a pool already held in the
-    /// flat kernel's stride records ([`StridedPool`]): the descent skips
-    /// the per-call transpose entirely, and the columns are bit-identical.
-    ///
-    /// # Panics
-    /// Panics if a tree index is out of range.
-    #[must_use]
-    pub fn predict_columns_strided(&self, pool: &StridedPool, tree_idx: &[usize]) -> Vec<Vec<f64>> {
         let _s = pwu_obs::span(
             "forest.predict_columns",
             [
-                ("rows", pwu_obs::Arg::u(pool.n_rows() as u64)),
+                ("rows", pwu_obs::Arg::u(x.n_rows() as u64)),
                 ("trees", pwu_obs::Arg::u(tree_idx.len() as u64)),
                 ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        self.flat.columns(pool, tree_idx)
+        self.flat.columns(x, tree_idx)
     }
 
     /// Panics unless `x` has every feature column the trees test: the flat
@@ -309,65 +295,6 @@ impl RandomForest {
             x.n_cols(),
             self.n_features
         );
-    }
-
-    /// Partially updates the forest on an enlarged training set.
-    ///
-    /// Algorithm 1's model step may "construct a random forest from scratch
-    /// or update it partially"; this is the partial option: `n_refit` trees
-    /// (chosen round-robin by update counter embedded in `seed`) are regrown
-    /// on the new data, the rest keep their old structure. Cheaper than a
-    /// full refit by roughly `n_trees / n_refit`, at the cost of part of the
-    /// ensemble lagging the newest observations.
-    ///
-    /// Returns the indices of the refitted trees, so callers that cache
-    /// per-tree state (e.g. the incremental pool scorer) can refresh only
-    /// the stale entries.
-    ///
-    /// # Panics
-    /// Panics on `n_refit` of zero, on `kinds` that differ in length from
-    /// the forest's features, and on every input [`RandomForest::fit`]
-    /// rejects.
-    pub fn update(
-        &mut self,
-        kinds: &[FeatureKind],
-        x: &FeatureMatrix,
-        y: &[f64],
-        n_refit: usize,
-        seed: u64,
-    ) -> Vec<usize> {
-        let _s = pwu_obs::span(
-            "forest.update",
-            [
-                ("rows", pwu_obs::Arg::u(x.n_rows() as u64)),
-                ("refit", pwu_obs::Arg::u(n_refit as u64)),
-                ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
-            ],
-        );
-        assert!(n_refit > 0, "must refit at least one tree");
-        assert_eq!(
-            kinds.len(),
-            self.n_features,
-            "kinds do not match the forest's feature count"
-        );
-        let n_refit = n_refit.min(self.trees.len());
-        // Deterministically pick which trees to regrow from the seed.
-        let mut pick_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 0xFEED));
-        let mut order: Vec<usize> = (0..self.trees.len()).collect();
-        for i in 0..n_refit {
-            let j = i + (pick_rng.next() as usize) % (order.len() - i);
-            order.swap(i, j);
-        }
-        order.truncate(n_refit);
-        let refit = fit_trees(&self.config, kinds, x, y, seed, &order);
-        for (&t, (tree, oob)) in order.iter().zip(refit) {
-            // Partial refits only recompile the refitted flat entries; the
-            // untouched trees keep their compiled layout.
-            self.flat.recompile(t, &tree);
-            self.trees[t] = tree;
-            self.oob_rows[t] = oob;
-        }
-        order
     }
 
     /// The trees of the ensemble.
@@ -410,13 +337,6 @@ impl RandomForest {
         }
     }
 
-    /// Replaces one tree and its OOB rows (used by [`crate::reference`]).
-    pub(crate) fn replace_tree(&mut self, t: usize, tree: RegressionTree, oob: Vec<u32>) {
-        self.flat.recompile(t, &tree);
-        self.trees[t] = tree;
-        self.oob_rows[t] = oob;
-    }
-
     /// Retags the forest's fit mode in place, keeping the fitted trees.
     ///
     /// This does *not* refit, and the trees and per-tree columns stay
@@ -441,11 +361,11 @@ impl RandomForest {
     }
 }
 
-/// Grows the ensemble's trees `tree_ids` on `(x, y)`: the one per-tree path
-/// of [`RandomForest::fit`] and [`RandomForest::update`]. Each tree draws
-/// its bootstrap sample and feature subsets from its own RNG stream,
-/// derived from `seed` and its index, and grows on the `PWU_THREADS` pool;
-/// results come back in `tree_ids` order as `(tree, out-of-bag rows)`.
+/// Grows the ensemble's trees `0..n_trees` on `(x, y)` for
+/// [`RandomForest::fit`]. Each tree draws its bootstrap sample and feature
+/// subsets from its own RNG stream, derived from `seed` and its index, and
+/// grows on the `PWU_THREADS` pool; results come back in tree order as
+/// `(tree, out-of-bag rows)`.
 ///
 /// # Panics
 /// Panics on an invalid configuration, empty data, mismatched lengths, a
@@ -457,7 +377,6 @@ fn fit_trees(
     x: &FeatureMatrix,
     y: &[f64],
     seed: u64,
-    tree_ids: &[usize],
 ) -> Vec<(RegressionTree, Vec<u32>)> {
     config.validate();
     assert!(!x.is_empty(), "cannot fit trees on zero rows");
@@ -474,9 +393,9 @@ fn fit_trees(
     // The tables depend only on (x, kinds, fit mode): build them once and
     // share them across all trees.
     let tables = FitTables::new(x, kinds, config.fit_mode);
-    tree_ids
-        .par_iter()
-        .map(|&t| {
+    (0..config.n_trees)
+        .into_par_iter()
+        .map(|t| {
             let mut rng = Xoshiro256PlusPlus::new(derive_seed(seed, t as u64));
             let (rows, oob) = if config.bootstrap {
                 bootstrap_rows(n, &mut rng)
@@ -652,53 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_update_incorporates_new_data() {
-        let (x, y) = grid_xy();
-        // Fit on the first half only.
-        let half = x.len() / 2;
-        let mut forest = RandomForest::fit_rows(
-            &ForestConfig::default(),
-            &kinds2(),
-            &x[..half],
-            &y[..half],
-            21,
-        );
-        let probe = &x[x.len() - 1];
-        let before = (forest.predict(probe) - y[y.len() - 1]).abs();
-        // Update most of the ensemble on the full set.
-        let m = FeatureMatrix::from_rows(2, &x);
-        let refitted = forest.update(&kinds2(), &m, &y, 48, 22);
-        assert_eq!(refitted.len(), 48);
-        let after = (forest.predict(probe) - y[y.len() - 1]).abs();
-        assert!(
-            after < before,
-            "update should improve unseen-region error: {before} → {after}"
-        );
-    }
-
-    #[test]
-    fn partial_update_is_deterministic_and_partial() {
-        let (x, y) = grid_xy();
-        let base = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 5);
-        let m = FeatureMatrix::from_rows(2, &x);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let ra = a.update(&kinds2(), &m, &y, 8, 99);
-        let rb = b.update(&kinds2(), &m, &y, 8, 99);
-        assert_eq!(ra, rb);
-        assert_eq!(ra.len(), 8);
-        let probe = [2.5, 3.5];
-        assert_eq!(a.predict_one(&probe), b.predict_one(&probe));
-        // Exactly the reported trees changed; the rest must predict
-        // identically to the original ensemble.
-        for (t, (t0, t1)) in base.trees().iter().zip(a.trees()).enumerate() {
-            if !ra.contains(&t) {
-                assert_eq!(t0.predict(&probe).to_bits(), t1.predict(&probe).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn single_row_training_works() {
         let forest = RandomForest::fit_rows(
             &ForestConfig::default(),
@@ -717,41 +589,21 @@ mod tests {
         let _ = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &[], &[], 0);
     }
 
-    /// `update` rejects what `fit` rejects, with the same messages.
-    #[test]
-    #[should_panic(expected = "cannot fit trees on zero rows")]
-    fn update_rejects_zero_rows() {
-        let (x, y) = grid_xy();
-        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
-        let _ = forest.update(&kinds2(), &FeatureMatrix::from_rows(2, &[]), &[], 8, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "targets must be finite")]
-    fn update_rejects_non_finite_targets() {
-        let (x, mut y) = grid_xy();
-        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
-        y[5] = f64::NAN;
-        let _ = forest.update(&kinds2(), &FeatureMatrix::from_rows(2, &x), &y, 8, 1);
-    }
-
     #[test]
     #[should_panic(expected = "feature matrix width does not match kinds")]
-    fn update_rejects_matrix_wider_than_kinds() {
+    fn fit_rejects_matrix_wider_than_kinds() {
         let (x, y) = grid_xy();
-        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
         let wide: Vec<Vec<f64>> = x.iter().map(|r| vec![r[0], r[1], 0.0]).collect();
-        let _ = forest.update(&kinds2(), &FeatureMatrix::from_rows(3, &wide), &y, 8, 1);
+        let m = FeatureMatrix::from_rows(3, &wide);
+        let _ = RandomForest::fit(&ForestConfig::default(), &kinds2(), &m, &y, 0);
     }
 
     #[test]
-    #[should_panic(expected = "kinds do not match the forest's feature count")]
-    fn update_rejects_kinds_of_another_width() {
+    #[should_panic(expected = "feature/target length mismatch")]
+    fn fit_rejects_targets_of_another_length() {
         let (x, y) = grid_xy();
-        let mut forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds2(), &x, &y, 0);
-        let narrow: Vec<Vec<f64>> = x.iter().map(|r| vec![r[0]]).collect();
-        let kinds = [FeatureKind::Numeric];
-        let _ = forest.update(&kinds, &FeatureMatrix::from_rows(1, &narrow), &y, 8, 1);
+        let m = FeatureMatrix::from_rows(2, &x);
+        let _ = RandomForest::fit(&ForestConfig::default(), &kinds2(), &m, &y[1..], 0);
     }
 
     #[test]

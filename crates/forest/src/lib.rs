@@ -55,7 +55,7 @@ pub mod reference;
 pub mod split;
 pub mod tree;
 
-pub use flat::{fold_columns, fold_lanes, StridedPool};
+pub use flat::fold_lanes;
 
 /// Always `true`: the fast engine is compiled into every build. Kept only
 /// because the `perfbench/` benchmark checks it.

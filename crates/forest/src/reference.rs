@@ -74,45 +74,6 @@ pub fn fit(
     RandomForest::from_parts(trees, oob_rows, *config, kinds.len())
 }
 
-/// Partially updates a forest through the historical path (the counterpart
-/// of [`RandomForest::update`]); regrows `n_refit` trees on `(x, y)`.
-///
-/// # Panics
-/// As [`RandomForest::update`].
-pub fn update(
-    forest: &mut RandomForest,
-    kinds: &[FeatureKind],
-    x: &[Vec<f64>],
-    y: &[f64],
-    n_refit: usize,
-    seed: u64,
-) -> Vec<usize> {
-    assert!(!x.is_empty(), "cannot update on zero rows");
-    assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-    assert!(n_refit > 0, "must refit at least one tree");
-    let n_refit = n_refit.min(forest.trees().len());
-    let n = x.len();
-    let config = *forest.config();
-    let mut pick_rng = Xoshiro256PlusPlus::new(derive_seed(seed, 0xFEED));
-    let mut order: Vec<usize> = (0..forest.trees().len()).collect();
-    for i in 0..n_refit {
-        let j = i + (pick_rng.next() as usize) % (order.len() - i);
-        order.swap(i, j);
-    }
-    for &t in &order[..n_refit] {
-        let mut rng = Xoshiro256PlusPlus::new(derive_seed(seed, t as u64));
-        let (rows, oob) = if config.bootstrap {
-            bootstrap_rows(n, &mut rng)
-        } else {
-            ((0..n as u32).collect(), Vec::new())
-        };
-        let tree = fit_tree(x, y, &rows, kinds, &config, &mut rng);
-        forest.replace_tree(t, tree, oob);
-    }
-    order.truncate(n_refit);
-    order
-}
-
 /// Batch prediction through the historical row-major path.
 #[must_use]
 pub fn predict_batch(forest: &RandomForest, rows: &[Vec<f64>]) -> Vec<Prediction> {

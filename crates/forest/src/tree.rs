@@ -274,7 +274,7 @@ impl RegressionTree {
 
 /// Grows one tree on the rows `rows` of `(x, y)` with the numeric split
 /// search of the fit mode `tables` were built for: the growth loop of
-/// [`RegressionTree::fit`] and of every forest fit and update.
+/// [`RegressionTree::fit`] and of every forest fit.
 ///
 /// `rows` must be non-empty and reference finite targets only; the callers
 /// check both.

@@ -90,18 +90,6 @@ fn fast_fit_is_width_invariant() {
 }
 
 #[test]
-fn fast_partial_update_stays_deterministic() {
-    let (x, kinds, y, rows) = dataset(300, 13);
-    let base = RandomForest::fit(&fast_config(), &kinds, &x, &y, 21);
-    let mut a = base.clone();
-    let mut b = base.clone();
-    let ra = a.update(&kinds, &x, &y, 8, 99);
-    let rb = b.update(&kinds, &x, &y, 8, 99);
-    assert_eq!(ra, rb);
-    assert_eq!(prediction_bits(&a, &rows), prediction_bits(&b, &rows));
-}
-
-#[test]
 fn fast_fit_predictions_are_statistically_close_to_exact() {
     // The fast engine must model the same surface: across-engine prediction
     // RMSE small relative to the target spread, and ensembles comparably

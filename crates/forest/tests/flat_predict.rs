@@ -234,25 +234,6 @@ fn with_fit_mode_changes_only_the_fold() {
     );
 }
 
-/// Partial refits keep the flat layout coherent: after every `update`,
-/// batch predictions still equal the fold of the updated trees' scalar
-/// values bitwise.
-#[test]
-fn partial_update_recompiles_flat_trees_coherently() {
-    let (x, kinds, y) = dataset(300, 31);
-    let (x2, _, y2) = dataset(320, 32);
-    let (pool, _, _) = dataset(500, 33);
-    let mut forest = RandomForest::fit(&fast_config(), &kinds, &x, &y, 13);
-    for step in 0..3u64 {
-        forest.update(&kinds, &x2, &y2, 7, 200 + step);
-        assert_eq!(
-            batch_bits(&forest.predict_batch(&pool)),
-            folded_oracle(&forest, &pool),
-            "step {step}: incrementally recompiled flat layout drifted from the scalar trees"
-        );
-    }
-}
-
 /// Row independence, the property pwu-core's elite-slice evaluation rests
 /// on: in both fit modes and both row-record strides, the three batch
 /// predictors return for a gathered subset of rows exactly the bits the

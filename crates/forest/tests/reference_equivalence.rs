@@ -131,31 +131,6 @@ fn fit_matches_reference_on_exact_integer_data() {
 }
 
 #[test]
-fn update_matches_reference_and_reports_same_trees() {
-    let (x, y, kinds) = noisy_problem(220, 7, 0xBEE);
-    let m = FeatureMatrix::from_rows(kinds.len(), &x);
-    let config = ForestConfig {
-        n_trees: 20,
-        ..ForestConfig::default()
-    };
-    let mut fast = RandomForest::fit(&config, &kinds, &m, &y, 5);
-    let mut slow = reference::fit(&config, &kinds, &x, &y, 5);
-
-    // Grow the training set and update both paths several times.
-    let (x2, y2, _) = noisy_problem(260, 7, 0xBEE2);
-    let m2 = FeatureMatrix::from_rows(kinds.len(), &x2);
-    for step in 0..3u64 {
-        let refit_fast = fast.update(&kinds, &m2, &y2, 6, 1000 + step);
-        let refit_slow = reference::update(&mut slow, &kinds, &x2, &y2, 6, 1000 + step);
-        assert_eq!(
-            refit_fast, refit_slow,
-            "refit choice differs at step {step}"
-        );
-        assert_forests_bit_identical(&fast, &slow, &x2[..16]);
-    }
-}
-
-#[test]
 fn batch_prediction_matches_reference_path() {
     let (x, y, kinds) = noisy_problem(180, 6, 0xD0E);
     let m = FeatureMatrix::from_rows(kinds.len(), &x);

@@ -41,9 +41,7 @@ use pwu_apps::{Hypre, Kripke};
 use pwu_core::checkpoint::{
     split_verified_body, sync_dir, with_integrity_footer, write_durable, GenerationStore, Saved,
 };
-use pwu_core::{
-    ActiveCheckpoint, ActiveConfig, ActiveLoop, CheckpointError, EliteTest, RefitMode, Strategy,
-};
+use pwu_core::{ActiveCheckpoint, ActiveConfig, ActiveLoop, CheckpointError, EliteTest, Strategy};
 use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::{FeatureMatrix, FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{EvalCache, Kernel};
@@ -254,8 +252,7 @@ pub fn parse_strategy(token: &str) -> Result<Strategy, ProtocolError> {
 }
 
 impl SessionSpec {
-    /// The `ActiveConfig` this spec describes. Always
-    /// [`RefitMode::FromScratch`] — the only resumable mode.
+    /// The `ActiveConfig` this spec describes.
     #[must_use]
     pub fn active_config(&self) -> ActiveConfig {
         ActiveConfig {
@@ -267,7 +264,6 @@ impl SessionSpec {
                 fit_mode: self.fit_mode,
                 ..ForestConfig::default()
             },
-            refit: RefitMode::FromScratch,
             eval_every: self.eval_every,
             alphas: vec![self.alpha],
             repeats: self.repeats,

@@ -8,7 +8,7 @@
 //! them so any future change that alters per-seed predictions or tuning
 //! trajectories fails loudly instead of silently drifting.
 
-use pwu_core::{active, ActiveConfig, RefitMode, Strategy};
+use pwu_core::{active, ActiveConfig, Strategy};
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel};
@@ -71,52 +71,46 @@ fn trajectory_goldens() {
     let test_features = schema.encode_matrix(space, test_cfgs);
     let test_labels: Vec<f64> = test_cfgs.iter().map(|c| kernel.ideal_time(c)).collect();
 
-    for (label, refit) in [
-        ("from-scratch", RefitMode::FromScratch),
-        ("partial4", RefitMode::Partial(4)),
-    ] {
-        let config = ActiveConfig {
-            n_init: 8,
-            n_batch: 2,
-            n_max: 40,
-            forest: ForestConfig {
-                n_trees: 16,
-                ..ForestConfig::default()
-            },
-            refit,
-            eval_every: 5,
-            alphas: vec![0.05],
-            repeats: 3,
-            ..ActiveConfig::default()
-        };
-        let pool = Pool::new(space, &schema, pool_cfgs.to_vec());
-        let run = active::run(
-            &kernel,
-            Strategy::Pwu { alpha: 0.05 },
-            &config,
-            pool,
-            &test_features,
-            &test_labels,
-            42,
-        );
-        let labels_fp = fnv1a(run.train.labels().iter().map(|y| y.to_bits()));
-        let selections_fp = fnv1a(
-            run.selections
-                .iter()
-                .flat_map(|s| [s.mean.to_bits(), s.std.to_bits(), s.observed.to_bits()]),
-        );
-        let history_fp = fnv1a(
-            run.history
-                .iter()
-                .flat_map(|s| s.rmse.iter().map(|r| r.to_bits())),
-        );
-        println!(
-            "GOLD trajectory {label} labels {labels_fp:#018x} selections {selections_fp:#018x} \
-             history {history_fp:#018x} train {} quarantined {}",
-            run.train.len(),
-            run.quarantined.len()
-        );
-    }
+    let config = ActiveConfig {
+        n_init: 8,
+        n_batch: 2,
+        n_max: 40,
+        forest: ForestConfig {
+            n_trees: 16,
+            ..ForestConfig::default()
+        },
+        eval_every: 5,
+        alphas: vec![0.05],
+        repeats: 3,
+        ..ActiveConfig::default()
+    };
+    let pool = Pool::new(space, &schema, pool_cfgs.to_vec());
+    let run = active::run(
+        &kernel,
+        Strategy::Pwu { alpha: 0.05 },
+        &config,
+        pool,
+        &test_features,
+        &test_labels,
+        42,
+    );
+    let labels_fp = fnv1a(run.train.labels().iter().map(|y| y.to_bits()));
+    let selections_fp = fnv1a(
+        run.selections
+            .iter()
+            .flat_map(|s| [s.mean.to_bits(), s.std.to_bits(), s.observed.to_bits()]),
+    );
+    let history_fp = fnv1a(
+        run.history
+            .iter()
+            .flat_map(|s| s.rmse.iter().map(|r| r.to_bits())),
+    );
+    println!(
+        "GOLD trajectory from-scratch labels {labels_fp:#018x} selections {selections_fp:#018x} \
+         history {history_fp:#018x} train {} quarantined {}",
+        run.train.len(),
+        run.quarantined.len()
+    );
 }
 
 fn main() {

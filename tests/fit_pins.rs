@@ -8,7 +8,7 @@
 //!
 //! - a mixed matrix at 400 and 1500 rows with a 6-level, a 120-level, a
 //!   continuous and a tied wide (more than 256 distinct values) numeric
-//!   column plus a 4-category column, fitted and then partially updated;
+//!   column plus a 4-category column;
 //! - 500-row samples of the gesummv and mm kernels and 400-row samples of
 //!   the kripke and hypre application targets.
 //!
@@ -28,13 +28,9 @@ use rand::Rng;
 /// `(input/mode/stage, fingerprint)`.
 const PINS: &[(&str, u64)] = &[
     ("mixed400/exact/fit", 0x9ced47920d1f2790),
-    ("mixed400/exact/update", 0xb7f5b35620970be9),
     ("mixed400/fast/fit", 0x04953661fbacb92c),
-    ("mixed400/fast/update", 0x7eafd8e6cafaba2b),
     ("mixed1500/exact/fit", 0x911ecda0acd0a0fe),
-    ("mixed1500/exact/update", 0x50ab1a54a4b7d203),
     ("mixed1500/fast/fit", 0x4b817e031edb544a),
-    ("mixed1500/fast/update", 0x66915f2293377d53),
     ("gesummv500/exact/fit", 0x0a5cf9b0bb465067),
     ("gesummv500/fast/fit", 0x85dbd43bf40ce7ba),
     ("mm500/exact/fit", 0xaa20acf261a942a7),
@@ -136,29 +132,21 @@ fn fingerprints() -> Vec<(String, u64)> {
     let gesummv = kernel_by_name("gesummv").expect("gesummv is registered");
     let mm = kernel_by_name("mm").expect("mm is registered");
     let inputs = [
-        ("mixed400", mixed(400), true),
-        ("mixed1500", mixed(1500), true),
-        ("gesummv500", sample(&gesummv, 500, 31), false),
-        ("mm500", sample(&mm, 500, 32), false),
-        ("kripke400", sample(&Kripke::new(), 400, 33), false),
-        ("hypre400", sample(&Hypre::new(), 400, 34), false),
+        ("mixed400", mixed(400)),
+        ("mixed1500", mixed(1500)),
+        ("gesummv500", sample(&gesummv, 500, 31)),
+        ("mm500", sample(&mm, 500, 32)),
+        ("kripke400", sample(&Kripke::new(), 400, 33)),
+        ("hypre400", sample(&Hypre::new(), 400, 34)),
     ];
     let mut out = Vec::new();
-    for (name, (kinds, x, y), update) in inputs {
+    for (name, (kinds, x, y)) in inputs {
         for mode in [FitMode::Exact, FitMode::Fast] {
-            let mut forest = RandomForest::fit(&config(mode), &kinds, &x, &y, 41);
+            let forest = RandomForest::fit(&config(mode), &kinds, &x, &y, 41);
             out.push((
                 format!("{name}/{}/fit", mode.token()),
                 fingerprint(&forest, &x),
             ));
-            if update {
-                let refit = forest.update(&kinds, &x, &y, 8, 42);
-                assert_eq!(refit.len(), 8);
-                out.push((
-                    format!("{name}/{}/update", mode.token()),
-                    fingerprint(&forest, &x),
-                ));
-            }
         }
     }
     out
