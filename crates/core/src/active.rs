@@ -37,7 +37,7 @@ use pwu_space::{
     ConfigLegality, Configuration, FeatureMatrix, FeatureSchema, LabeledSet, Pool, PoolLintCounts,
     TuningTarget,
 };
-use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
+use pwu_stats::{derive_seed, InvalidInput, Xoshiro256PlusPlus};
 
 use crate::annotator::{Aggregator, Annotator, MeasurementStats, RetryPolicy};
 use crate::checkpoint::{ActiveCheckpoint, CheckpointError, CheckpointPolicy};
@@ -470,8 +470,8 @@ impl<'a> ActiveLoop<'a> {
     /// disagreement if the checkpoint belongs to a different target or
     /// configuration, or if it holds what no run of this target records: a
     /// train or pool configuration outside the target's space, an empty
-    /// training set, or a non-finite label. These are checked before
-    /// anything is encoded or fitted.
+    /// training set, or a non-finite label. Configurations are checked as
+    /// they are encoded, everything else before; nothing is fitted.
     ///
     /// # Panics
     /// Panics if the config is inconsistent or `elite` was built for other
@@ -525,22 +525,9 @@ impl<'a> ActiveLoop<'a> {
             ));
         }
 
-        let space = target.space();
-        let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
-            levels.iter().cloned().map(Configuration::new).collect()
-        };
-        let train_cfgs = to_cfgs(&checkpoint.train_configs);
-        let pool_cfgs = to_cfgs(&checkpoint.pool_configs);
         // Encoding and fitting assert on what follows; a checkpoint read
         // from disk gets a typed error instead.
-        for (set, cfgs) in [("train", &train_cfgs), ("pool", &pool_cfgs)] {
-            for (i, cfg) in cfgs.iter().enumerate() {
-                if let Err(e) = space.try_validate(cfg) {
-                    return mismatch(format!("{set} configuration {i}: {}", e.message));
-                }
-            }
-        }
-        if train_cfgs.is_empty() {
+        if checkpoint.train_configs.is_empty() {
             return mismatch("checkpoint has an empty training set".into());
         }
         if let Some(i) = checkpoint.train_labels.iter().position(|y| !y.is_finite()) {
@@ -549,12 +536,22 @@ impl<'a> ActiveLoop<'a> {
                 checkpoint.train_labels[i]
             ));
         }
-
+        let space = target.space();
         let schema = FeatureSchema::for_space(space);
-        let train_features = schema.encode_matrix(space, &train_cfgs);
+        let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
+            levels.iter().cloned().map(Configuration::new).collect()
+        };
+        let outside = |set: &str, (i, e): (usize, InvalidInput)| {
+            CheckpointError::Mismatch(format!("{set} configuration {i}: {}", e.message))
+        };
+        let train_cfgs = to_cfgs(&checkpoint.train_configs);
+        let train_features = schema
+            .try_encode_matrix(space, &train_cfgs)
+            .map_err(|e| outside("train", e))?;
         let train =
             LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels.clone());
-        let pool = Pool::new(space, &schema, pool_cfgs);
+        let pool = Pool::try_new(space, &schema, to_cfgs(&checkpoint.pool_configs))
+            .map_err(|e| outside("pool", e))?;
         let mut annotator = Annotator::new(target, config.repeats, 0)
             .with_aggregator(config.aggregator)
             .with_retry_policy(config.retry);

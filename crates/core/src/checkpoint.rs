@@ -13,10 +13,11 @@
 //! The on-disk format is a hand-rolled line-oriented text file (the
 //! workspace has no serialization dependency). Every `f64` is stored as its
 //! IEEE-754 bit pattern in hex, so round-trips are exact — a resumed run
-//! sees the same bits the killed run saw. Writes go through [`write_durable`]
-//! (a synced temp file in the same directory, an atomic rename, then a sync
-//! of the directory), so a crash or power loss mid-write leaves the previous
-//! checkpoint intact rather than a torn file.
+//! sees the same bits the killed run saw. [`ActiveCheckpoint::save_atomic`]
+//! writes through [`write_durable`] (a synced temp file in the same
+//! directory, an atomic rename, then a sync of the directory), so a crash or
+//! power loss mid-write leaves the previous checkpoint intact rather than a
+//! torn file.
 //!
 //! Two integrity layers sit on top of the text format:
 //!
@@ -25,13 +26,14 @@
 //!   demands it and returns a typed [`CheckpointError::Corrupt`] — never a
 //!   panic, never a silent misparse — when the file is truncated, bit-flipped
 //!   or otherwise damaged;
-//! - [`GenerationStore`] keeps the last few checkpoints as numbered
-//!   generations (`gen-NNNN.ckpt`), so a corrupt newest generation rolls
-//!   back to the previous durable one instead of losing the session.
+//! - [`GenerationStore`] keeps the newest checkpoints in three slot files
+//!   it overwrites in turn (`slot-{iteration mod 3}.ckpt`), so a torn or
+//!   corrupt newest generation rolls back to the previous durable one
+//!   instead of losing the session.
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::str::SplitWhitespace;
 
@@ -244,7 +246,9 @@ fn verify_footer(bytes: &[u8]) -> Result<(&str, u64), CheckpointError> {
 /// the previous file or the complete new one: the bytes go to a temp file
 /// next to `path` (`write_all`, then `sync_all`), the temp file is renamed
 /// over `path`, and the parent directory is synced so the rename itself is
-/// durable. Every durable file of the workspace is written through here.
+/// durable. The single-file writers (`save_atomic`, a served session's
+/// spec) go through here; [`GenerationStore`] overwrites its slot files in
+/// place instead.
 ///
 /// # Errors
 /// Returns the first filesystem error.
@@ -604,7 +608,7 @@ impl ActiveCheckpoint {
 
     /// Loads a checkpoint, verifying the integrity footer first. Every
     /// on-disk writer ([`ActiveCheckpoint::save_atomic`],
-    /// [`GenerationStore::save_body`]) appends the footer.
+    /// [`GenerationStore::commit`]) appends the footer.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Io`] if the file cannot be read,
@@ -625,16 +629,21 @@ impl ActiveCheckpoint {
     }
 }
 
-/// How many generations a [`GenerationStore`] retains.
-const KEEP: usize = 2;
+/// How many slot files a [`GenerationStore`] rotates.
+const SLOTS: u64 = 3;
 
-/// A directory of generation-numbered checkpoints (`gen-NNNNNNNNNN.ckpt`).
+/// A directory of three checkpoint slot files (`slot-0.ckpt` …
+/// `slot-2.ckpt`) holding the newest generations.
 ///
-/// Each save lands in a fresh, higher-numbered file (atomically, footer
-/// included) and then prunes all but the newest two generations. Loading
-/// walks generations newest-first, *rolling back* past (and deleting) any
-/// corrupt file, so a crash — even one that damages the newest checkpoint —
-/// costs at most the work since the previous durable generation.
+/// Generation g is the saved checkpoint's `iteration` and lives in
+/// `slot-{g mod 3}.ckpt`. A save overwrites that slot in place (footer
+/// included), cuts it to exactly the new bytes and makes it durable with
+/// one `sync_data`; only the save that creates a slot file also syncs the
+/// directory. While one slot is being overwritten the other two still hold
+/// the two previous generations complete, so a crash — even one that tears
+/// the slot being written — costs at most the work since the previous
+/// durable generation. Loading reads each slot's `iteration` line, verifies
+/// newest-first and *rolls back* past (and removes) damaged slots.
 #[derive(Debug, Clone)]
 pub struct GenerationStore {
     dir: PathBuf,
@@ -645,7 +654,9 @@ pub struct GenerationStore {
 pub struct Recovered {
     /// The generation number that loaded cleanly.
     pub generation: u64,
-    /// Newer generations that were corrupt and rolled past.
+    /// Damaged slots removed: the newer ones rolled past, and older ones
+    /// that could hide a newer generation (see
+    /// [`GenerationStore::load_latest`]).
     pub rolled_back: usize,
     /// The recovered checkpoint.
     pub checkpoint: ActiveCheckpoint,
@@ -654,17 +665,17 @@ pub struct Recovered {
     pub checksum: u64,
 }
 
-/// What [`GenerationStore::save_body`] made durable.
+/// What [`GenerationStore::commit`] made durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Saved {
-    /// The new generation number.
+    /// The new generation number (the checkpoint's `iteration`).
     pub generation: u64,
     /// The integrity-footer checksum of the saved body.
     pub checksum: u64,
 }
 
 impl GenerationStore {
-    /// A store rooted at `dir`, keeping the newest 2 generations.
+    /// A store rooted at `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self { dir: dir.into() }
@@ -676,116 +687,201 @@ impl GenerationStore {
         &self.dir
     }
 
-    /// The on-disk path of generation `generation`.
+    /// The on-disk path of generation `generation`: its slot file.
     #[must_use]
     pub fn path_for(&self, generation: u64) -> PathBuf {
-        self.dir.join(format!("gen-{generation:010}.ckpt"))
+        self.slot_path(generation % SLOTS)
     }
 
-    /// Existing generation numbers, ascending. A missing directory is an
-    /// empty store; unrelated files are ignored.
-    #[must_use]
-    pub fn generations(&self) -> Vec<u64> {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return Vec::new();
+    fn slot_path(&self, slot: u64) -> PathBuf {
+        self.dir.join(format!("slot-{slot}.ckpt"))
+    }
+
+    /// The generation slot `slot` holds, read from its `iteration` line:
+    /// `None` when the slot file does not exist, `Some(None)` when the line
+    /// is unreadable or names a generation that belongs in another slot.
+    ///
+    /// # Errors
+    /// Any failure to open or read the slot file other than its absence.
+    fn slot_generation(&self, slot: u64) -> std::io::Result<Option<Option<u64>>> {
+        let file = match fs::File::open(self.slot_path(slot)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
         };
-        let mut gens: Vec<u64> = entries
-            .filter_map(Result::ok)
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                name.strip_prefix("gen-")?
-                    .strip_suffix(".ckpt")?
-                    .parse()
-                    .ok()
-            })
-            .collect();
-        gens.sort_unstable();
-        gens
+        // The `iteration` line is the third: magic, target, iteration. The
+        // header lines are short, so a small buffer reads little more.
+        let mut reader = BufReader::with_capacity(256, file);
+        let mut line = Vec::new();
+        for _ in 0..3 {
+            line.clear();
+            reader.read_until(b'\n', &mut line)?;
+        }
+        Ok(Some(
+            std::str::from_utf8(&line)
+                .ok()
+                .and_then(|l| {
+                    l.strip_suffix('\n')?
+                        .strip_prefix("iteration ")?
+                        .parse()
+                        .ok()
+                })
+                .filter(|g: &u64| g % SLOTS == slot),
+        ))
     }
 
-    /// Saves `checkpoint` as the next generation and prunes old ones.
-    /// Returns the new generation number.
+    /// Whether generation `generation`'s slot passes the footer check.
+    fn verifies(&self, generation: u64) -> bool {
+        fs::read(self.path_for(generation)).is_ok_and(|bytes| verify_footer(&bytes).is_ok())
+    }
+
+    /// Saves `checkpoint` as generation `checkpoint.iteration` and returns
+    /// that generation.
     ///
     /// # Errors
-    /// Returns [`CheckpointError::Io`] on any filesystem failure. Pruning
-    /// failures are ignored — a stale extra generation is harmless.
+    /// Returns [`CheckpointError::Io`] on any filesystem failure.
     pub fn save(&self, checkpoint: &ActiveCheckpoint) -> Result<u64, CheckpointError> {
-        self.save_body(checkpoint.to_text())
-            .map(|saved| saved.generation)
+        self.commit(checkpoint).map(|saved| saved.generation)
     }
 
-    /// Saves an already-encoded checkpoint body (the output of
-    /// [`ActiveCheckpoint::to_text`]) as the next generation, durably and
-    /// with the integrity footer, then prunes old generations. A caller
-    /// that needs the body's checksum gets it from the returned [`Saved`]
-    /// instead of encoding and hashing the checkpoint a second time.
+    /// Saves `checkpoint` as generation `checkpoint.iteration`, encoding it
+    /// once: its slot is overwritten with the body and the integrity
+    /// footer, cut to that length and synced. A caller that needs the
+    /// body's checksum gets it from the returned [`Saved`] instead of
+    /// encoding and hashing the checkpoint a second time.
     ///
     /// # Errors
-    /// Returns [`CheckpointError::Io`] on any filesystem failure. Pruning
-    /// failures are ignored — a stale extra generation is harmless.
-    pub fn save_body(&self, mut body: String) -> Result<Saved, CheckpointError> {
-        fs::create_dir_all(&self.dir)?;
-        let gens = self.generations();
-        let generation = gens.last().map_or(0, |g| g + 1);
+    /// Returns [`CheckpointError::Io`] on any filesystem failure.
+    pub fn commit(&self, checkpoint: &ActiveCheckpoint) -> Result<Saved, CheckpointError> {
+        let generation = checkpoint.iteration;
+        let mut body = checkpoint.to_text();
         let _span = pwu_obs::span(
             "checkpoint.save",
             [("generation", pwu_obs::Arg::u(generation))],
         );
         let checksum = push_integrity_footer(&mut body);
-        write_durable(&self.path_for(generation), body.as_bytes())?;
-        for &old in gens.iter().rev().skip(KEEP - 1) {
-            let _ = fs::remove_file(self.path_for(old));
-        }
+        self.overwrite(&self.path_for(generation), body.as_bytes())?;
         Ok(Saved {
             generation,
             checksum,
         })
     }
 
-    /// Loads the newest generation that passes integrity verification,
-    /// rolling back past corrupt ones, and removes the corrupt ones it
-    /// rolled past: the next save reuses their numbers, so its prune keeps
-    /// the recovered generation. `Ok(None)` means the store holds no
-    /// generations at all (nothing was ever saved).
+    /// Overwrites slot file `path` with `bytes` in place: write, cut to
+    /// length, `sync_data`. A slot file this call creates also gets its
+    /// directory synced, so its entry is durable too.
+    fn overwrite(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        let created = !path.exists();
+        if created {
+            fs::create_dir_all(&self.dir)?;
+        }
+        // No truncation at open: the new bytes go over the old in place, and
+        // `set_len` cuts what is left only once they are written.
+        let mut file = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        file.write_all(bytes)?;
+        file.set_len(bytes.len() as u64)?;
+        file.sync_data()?;
+        if created {
+            sync_dir(&self.dir)?;
+        }
+        Ok(())
+    }
+
+    /// Loads the newest generation that passes integrity verification.
+    ///
+    /// Each slot's `iteration` line is read once to order the slots; they
+    /// are verified newest-first. Newer slots that fail, and slots whose
+    /// `iteration` line is unreadable or names a generation that belongs in
+    /// another slot, are rolled past and removed, so the next save recreates
+    /// them. Once generation r verifies, the other slots may hold only r − 1
+    /// and r − 2: a line damaged into a smaller generation its slot could
+    /// hold (15 read as 12) reads as older, so a slot naming less than r − 2
+    /// is removed too, and the one naming r − 2 is removed unless it
+    /// verifies. Every removed slot counts in [`Recovered::rolled_back`], so
+    /// an old slot found damaged reports a rollback too, and damage to the
+    /// newest slot alone always does. `Ok(None)` means the store holds no slot at
+    /// all (nothing was ever saved).
     ///
     /// # Errors
-    /// Returns [`CheckpointError::Io`] when a rolled-past generation cannot
-    /// be removed, and [`CheckpointError::Corrupt`] (removing nothing) when
-    /// generations exist but every one of them is damaged.
+    /// Returns [`CheckpointError::Io`] when a slot's `iteration` line
+    /// cannot be read for any reason but the file's absence, or a damaged
+    /// slot cannot be removed, and [`CheckpointError::Corrupt`] (removing
+    /// nothing) when slots exist but every one of them is damaged, or when
+    /// the directory holds only `gen-*.ckpt` files of the retired
+    /// one-file-per-generation layout.
     pub fn load_latest(&self) -> Result<Option<Recovered>, CheckpointError> {
-        let gens = self.generations();
-        if gens.is_empty() {
-            return Ok(None);
+        let (mut placed, mut damaged) = (Vec::new(), Vec::new());
+        for slot in 0..SLOTS {
+            match self.slot_generation(slot)? {
+                Some(Some(generation)) => placed.push(generation),
+                Some(None) => damaged.push(self.slot_path(slot)),
+                None => {}
+            }
         }
-        let mut rolled_back = 0usize;
-        for &generation in gens.iter().rev() {
+        if placed.is_empty() && damaged.is_empty() {
+            return self.refuse_retired_layout().map(|()| None);
+        }
+        placed.sort_unstable_by(|a, b| b.cmp(a));
+        for (newer, &generation) in placed.iter().enumerate() {
             let _span = pwu_obs::span(
                 "checkpoint.load",
                 [
                     ("generation", pwu_obs::Arg::u(generation)),
-                    ("rolled_back", pwu_obs::Arg::u(rolled_back as u64)),
+                    (
+                        "rolled_back",
+                        pwu_obs::Arg::u((damaged.len() + newer) as u64),
+                    ),
                 ],
             );
-            match ActiveCheckpoint::load_verified_with_checksum(&self.path_for(generation)) {
-                Ok((checkpoint, checksum)) => {
-                    for &damaged in &gens[gens.len() - rolled_back..] {
-                        fs::remove_file(self.path_for(damaged))?;
-                    }
-                    return Ok(Some(Recovered {
-                        generation,
-                        rolled_back,
-                        checkpoint,
-                        checksum,
-                    }));
+            let Ok((checkpoint, checksum)) =
+                ActiveCheckpoint::load_verified_with_checksum(&self.path_for(generation))
+            else {
+                continue;
+            };
+            damaged.extend(placed[..newer].iter().map(|&g| self.path_for(g)));
+            for &older in &placed[newer + 1..] {
+                if older + 2 < generation || (older + 2 == generation && !self.verifies(older)) {
+                    damaged.push(self.path_for(older));
                 }
-                Err(_) => rolled_back += 1,
             }
+            for path in &damaged {
+                fs::remove_file(path)?;
+            }
+            return Ok(Some(Recovered {
+                generation,
+                rolled_back: damaged.len(),
+                checkpoint,
+                checksum,
+            }));
         }
         Err(CheckpointError::Corrupt(format!(
-            "all {rolled_back} generation(s) under {} are damaged",
+            "all {} slot(s) under {} are damaged",
+            placed.len() + damaged.len(),
             self.dir.display()
         )))
+    }
+
+    /// Refuses a directory that holds no slot file but `gen-*.ckpt` files:
+    /// checkpoints saved in the retired one-file-per-generation layout,
+    /// which this store neither reads nor migrates.
+    fn refuse_retired_layout(&self) -> Result<(), CheckpointError> {
+        let retired = fs::read_dir(&self.dir).into_iter().flatten().flatten().any(|e| {
+            e.file_name()
+                .to_str()
+                .is_some_and(|n| n.starts_with("gen-") && n.ends_with(".ckpt"))
+        });
+        if retired {
+            return Err(CheckpointError::Corrupt(format!(
+                "{} holds gen-*.ckpt files of the retired one-file-per-generation layout, \
+                 which is not read or migrated; only slot-*.ckpt files are",
+                self.dir.display()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -1061,60 +1157,131 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// The generations the slot files' `iteration` lines name, ascending.
+    fn held(store: &GenerationStore) -> Vec<u64> {
+        let mut gens: Vec<u64> = (0..SLOTS)
+            .filter_map(|slot| store.slot_generation(slot).unwrap().flatten())
+            .collect();
+        gens.sort_unstable();
+        gens
+    }
+
+    /// Flips the middle byte of `path`: damage the footer check catches.
+    fn flip_middle(path: &Path) {
+        let mut bytes = fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        fs::write(path, &bytes).unwrap();
+    }
+
     #[test]
-    fn generation_store_numbers_prunes_and_rolls_back() {
+    fn generation_store_rotates_slots_and_rolls_back() {
         let dir = std::env::temp_dir().join("pwu-genstore-test");
         let _ = fs::remove_dir_all(&dir);
         let store = GenerationStore::new(&dir);
         assert!(store.load_latest().unwrap().is_none());
 
+        // The generation is the checkpoint's iteration; 23 overwrites the
+        // slot 20 was in, cut to exactly its own bytes.
         let mut cp = sample();
-        for i in 0..4 {
-            cp.iteration = 20 + i;
+        for i in 20..24 {
+            cp.iteration = i;
             assert_eq!(store.save(&cp).unwrap(), i);
         }
-        // Only the two newest generations survive.
-        assert_eq!(store.generations(), vec![2, 3]);
+        assert_eq!(held(&store), vec![21, 22, 23]);
+        assert_eq!(store.path_for(23), store.path_for(20));
+        assert_eq!(
+            fs::read(store.path_for(23)).unwrap(),
+            with_integrity_footer(&cp.to_text()).into_bytes()
+        );
         let got = store.load_latest().unwrap().unwrap();
-        assert_eq!(got.generation, 3);
+        assert_eq!(got.generation, 23);
         assert_eq!(got.rolled_back, 0);
         assert_eq!(got.checkpoint.iteration, 23);
 
-        // Corrupt the newest generation: recovery rolls back to gen 2.
-        let newest = store.path_for(3);
-        let mut bytes = fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&newest, &bytes).unwrap();
+        // Corrupt the newest generation: recovery rolls back to 22 and
+        // removes the damaged slot.
+        flip_middle(&store.path_for(23));
         let got = store.load_latest().unwrap().unwrap();
-        assert_eq!(got.generation, 2);
+        assert_eq!(got.generation, 22);
+        assert_eq!(got.rolled_back, 1);
+        assert_eq!(got.checkpoint.iteration, 22);
+        assert_eq!(held(&store), vec![21, 22]);
+
+        // The next save is generation 23 again and recreates the damaged
+        // slot, leaving 21 and 22 alone: damaging it too still rolls back
+        // to the generation recovered above.
+        cp.iteration = 23;
+        assert_eq!(store.save(&cp).unwrap(), 23);
+        assert_eq!(held(&store), vec![21, 22, 23]);
+        flip_middle(&store.path_for(23));
+        let got = store.load_latest().unwrap().unwrap();
+        assert_eq!(got.generation, 22);
         assert_eq!(got.rolled_back, 1);
         assert_eq!(got.checkpoint.iteration, 22);
 
-        // The rollback removed the damaged generation, so the next save
-        // reuses its number and prunes nothing: damaging that one too
-        // still rolls back to the generation recovered above.
-        cp.iteration = 24;
-        assert_eq!(store.save(&cp).unwrap(), 3);
-        assert_eq!(store.generations(), vec![2, 3]);
-        let mut bytes = fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&newest, &bytes).unwrap();
-        let got = store.load_latest().unwrap().unwrap();
-        assert_eq!(got.generation, 2);
-        assert_eq!(got.rolled_back, 1);
-        assert_eq!(got.checkpoint.iteration, 22);
-
-        // Corrupt every generation: typed Corrupt, not a panic, and
-        // nothing is removed.
-        let older = store.path_for(2);
-        fs::write(&older, b"not a checkpoint").unwrap();
+        // Corrupt every slot: typed Corrupt, not a panic, and nothing is
+        // removed.
+        flip_middle(&store.path_for(22));
+        fs::write(store.path_for(21), b"not a checkpoint").unwrap();
         assert!(matches!(
             store.load_latest(),
             Err(CheckpointError::Corrupt(_))
         ));
-        assert_eq!(store.generations(), vec![2]);
+        assert!(store.path_for(21).exists() && store.path_for(22).exists());
+        assert_eq!(held(&store), vec![22]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A slot whose `iteration` line names a generation of another slot is
+    /// damaged whatever its checksum says; one whose line was damaged into
+    /// an older generation of its own slot is found and counted as rolled
+    /// back; a directory holding only the retired `gen-*.ckpt` files is
+    /// refused, not read as empty.
+    #[test]
+    fn misplaced_slots_and_the_retired_layout_are_refused() {
+        let dir = std::env::temp_dir().join("pwu-genstore-misplaced-test");
+        let _ = fs::remove_dir_all(&dir);
+        let store = GenerationStore::new(&dir);
+        let mut cp = sample();
+        for i in 30..32 {
+            cp.iteration = i;
+            store.save(&cp).unwrap();
+        }
+        fs::copy(store.path_for(31), store.path_for(32)).unwrap();
+        let got = store.load_latest().unwrap().unwrap();
+        assert_eq!((got.generation, got.rolled_back), (31, 1));
+        assert!(!store.path_for(32).exists());
+
+        // 32 and 33 saved: the newest slot's line damaged into 30 (one byte)
+        // or 27 (two) reads as an older generation of the same slot.
+        for i in 32..34 {
+            cp.iteration = i;
+            store.save(&cp).unwrap();
+        }
+        for renumbered in ["iteration 30\n", "iteration 27\n"] {
+            let text = fs::read_to_string(store.path_for(33)).unwrap();
+            let damaged = text.replacen("iteration 33\n", renumbered, 1);
+            assert_ne!(damaged, text);
+            fs::write(store.path_for(33), damaged).unwrap();
+            let got = store.load_latest().unwrap().unwrap();
+            assert_eq!((got.generation, got.rolled_back), (32, 1), "{renumbered}");
+            assert!(!store.path_for(33).exists(), "{renumbered}");
+            assert_eq!(held(&store), vec![31, 32]);
+            store.save(&cp).unwrap();
+        }
+        // Generation 31, two behind 33, is read and kept when it verifies.
+        let got = store.load_latest().unwrap().unwrap();
+        assert_eq!((got.generation, got.rolled_back), (33, 0));
+        assert_eq!(held(&store), vec![31, 32, 33]);
+        fs::remove_dir_all(&dir).unwrap();
+
+        fs::create_dir_all(&dir).unwrap();
+        cp.save_atomic(&dir.join("gen-0000000017.ckpt")).unwrap();
+        match store.load_latest() {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("gen-*.ckpt"), "{msg}"),
+            other => panic!("expected the retired layout refused, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,12 +6,16 @@
 //! overwrite, truncation, or tail garbage) at a pseudo-random offset, so
 //! the damage lands everywhere: the body, the hex-encoded labels, the
 //! footer line, the final newline.
+//!
+//! The same fifty seeds then damage the newest slot of a three-generation
+//! [`GenerationStore`], adding a torn overwrite to the mutations: recovery
+//! must cost at most that one generation.
 
 use std::fs;
 
 use pwu_core::active::{SelectionTrace, Snapshot};
-use pwu_core::checkpoint::split_verified_body;
-use pwu_core::{ActiveCheckpoint, CheckpointError, MeasurementStats};
+use pwu_core::checkpoint::{split_verified_body, with_integrity_footer};
+use pwu_core::{ActiveCheckpoint, CheckpointError, GenerationStore, MeasurementStats};
 use pwu_space::PoolLintCounts;
 use pwu_stats::Xoshiro256PlusPlus;
 
@@ -143,4 +147,104 @@ fn fifty_seeds_of_damage_all_surface_as_corrupt() {
     }
     assert!(exercised >= 40, "only {exercised} seeds produced damage");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Generation `iteration` of the store test: each generation carries one
+/// more history snapshot than the one before, so a slot's bytes change
+/// length when it is overwritten — longer after `grow`, shorter without.
+fn generation(iteration: u64, grow: bool) -> ActiveCheckpoint {
+    let mut checkpoint = sample();
+    checkpoint.iteration = iteration;
+    let snapshots = if grow { iteration } else { 20 - iteration };
+    for n in 0..snapshots {
+        checkpoint.history.push(Snapshot {
+            n_train: 6 + n as usize,
+            cumulative_cost: 2.25 + n as f64,
+            rmse: vec![0.4 / (n + 1) as f64],
+        });
+    }
+    checkpoint
+}
+
+/// A torn overwrite: the first `k` bytes of `new` over the bytes `old` left
+/// in the slot, with no length cut. `k` starts past the first byte where
+/// the two differ, so the slot never still reads as `old`.
+fn torn(new: &[u8], old: &[u8], rng: &mut Xoshiro256PlusPlus) -> Vec<u8> {
+    let first_diff = new.iter().zip(old).take_while(|(a, b)| a == b).count();
+    #[allow(clippy::cast_possible_truncation)]
+    let k = first_diff + 1 + (rng.next() % (new.len() - first_diff) as u64) as usize;
+    let mut bytes = old.to_vec();
+    bytes.resize(bytes.len().max(k), 0);
+    bytes[..k].copy_from_slice(&new[..k]);
+    bytes
+}
+
+#[test]
+fn fifty_seeds_of_damage_to_the_newest_slot_cost_at_most_one_generation() {
+    let base = std::env::temp_dir().join(format!("pwu-slot-damage-{}", std::process::id()));
+    let mut exercised = 0;
+    for seed in 0..50u64 {
+        let mut rng = Xoshiro256PlusPlus::new(0x5107_DA3A + seed);
+        let store = GenerationStore::new(base.join(seed.to_string()));
+        // Generations 12..=15: 15 overwrites the slot 12 was in.
+        let grow = seed % 2 == 0;
+        let gens: Vec<ActiveCheckpoint> = (12..=15).map(|i| generation(i, grow)).collect();
+        for checkpoint in &gens[..3] {
+            store.save(checkpoint).unwrap();
+        }
+        let slot = store.path_for(15);
+        let old = fs::read(&slot).unwrap();
+        assert_eq!(store.save(&gens[3]).unwrap(), 15);
+        let newest = fs::read(&slot).unwrap();
+        assert_eq!(newest, with_integrity_footer(&gens[3].to_text()).into_bytes());
+
+        let damaged = if rng.next() % 5 == 4 {
+            Some(torn(&newest, &old, &mut rng))
+        } else {
+            mutate(&newest, &mut rng)
+        };
+        let Some(damaged) = damaged else {
+            continue;
+        };
+        exercised += 1;
+        fs::write(&slot, &damaged).unwrap();
+        match store.load_latest() {
+            Ok(Some(r)) if r.generation == 15 => {
+                // Damage the footer cannot see left the body untouched.
+                assert_eq!(r.checkpoint, gens[3], "seed {seed}: silent corruption");
+                assert_eq!(r.rolled_back, 0, "seed {seed}");
+            }
+            Ok(Some(r)) if r.generation == 14 && r.rolled_back == 1 => {
+                assert_eq!(r.checkpoint, gens[2], "seed {seed}: wrong rollback");
+                assert!(!slot.exists(), "seed {seed}: the damaged slot survived");
+            }
+            other => panic!("seed {seed}: expected generation 15 or 14, got {other:?}"),
+        }
+
+        // Damage every slot left: a typed Corrupt that removes nothing.
+        let mut left = Vec::new();
+        for path in (0..3)
+            .map(|slot| store.path_for(slot))
+            .filter(|p| p.exists())
+        {
+            let pristine = fs::read(&path).unwrap();
+            let bytes = loop {
+                match mutate(&pristine, &mut rng) {
+                    Some(bytes) if split_verified_body(&bytes).is_err() => break bytes,
+                    _ => {}
+                }
+            };
+            fs::write(&path, &bytes).unwrap();
+            left.push((path, bytes));
+        }
+        assert!(
+            matches!(store.load_latest(), Err(CheckpointError::Corrupt(_))),
+            "seed {seed}: every slot damaged must be Corrupt"
+        );
+        for (path, bytes) in &left {
+            assert_eq!(&fs::read(path).unwrap(), bytes, "seed {seed}: a slot changed");
+        }
+    }
+    assert!(exercised >= 40, "only {exercised} seeds produced damage");
+    let _ = fs::remove_dir_all(&base);
 }

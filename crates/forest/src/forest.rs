@@ -7,7 +7,7 @@ use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
 use crate::flat::FlatForest;
-use crate::hyper::{FitMode, ForestConfig};
+use crate::hyper::ForestConfig;
 use crate::tree::{grow, FitTables, RegressionTree};
 
 /// A random-forest regressor with uncertainty estimates.
@@ -186,8 +186,9 @@ impl RandomForest {
     /// Every tree descends the flat layout ([`crate::flat`]), whose
     /// per-tree leaf values equal [`RegressionTree::predict_at`] bitwise;
     /// the fit mode picks only the ensemble fold ([`crate::flat::fold_lanes`]).
-    /// [`FitMode::Exact`] folds in ascending tree order, so each row is
-    /// bit-identical to [`RandomForest::predict_one_at`]. [`FitMode::Fast`]
+    /// [`FitMode::Exact`](crate::FitMode::Exact) folds in ascending tree
+    /// order, so each row is bit-identical to
+    /// [`RandomForest::predict_one_at`]. [`FitMode::Fast`](crate::FitMode::Fast)
     /// folds through accumulator lanes, which rounds differently —
     /// deterministic and width/deal-order invariant, covered by the same
     /// statistical-equivalence contract as the fast fit (DESIGN.md §14).
@@ -335,17 +336,6 @@ impl RandomForest {
             config,
             n_features,
         }
-    }
-
-    /// Retags the forest's fit mode in place, keeping the fitted trees.
-    ///
-    /// This does *not* refit, and the trees and per-tree columns stay
-    /// untouched: only the ensemble fold of batch predictions follows the
-    /// new mode, from the next call on.
-    #[must_use]
-    pub fn with_fit_mode(mut self, mode: FitMode) -> Self {
-        self.config.fit_mode = mode;
-        self
     }
 
     /// The configuration the forest was fitted with.

@@ -160,77 +160,43 @@ fn flat_columns_match_scalar_tree_predictions_bitwise() {
 
 /// Batch predictions are the fit mode's fold over the scalar per-tree
 /// values, bitwise: Fast folds through accumulator lanes, Exact folds in
-/// tree order. The lane fold must also differ from the serial fold in its
-/// last ulps on at least one pool row, else the two folds are not both
-/// being exercised and the equivalence suites are vacuous.
+/// tree order. Folding one forest's per-tree columns both ways, the lane
+/// fold must also differ from the serial fold in its last ulps on at least
+/// one pool row, else the two folds are not both being exercised and the
+/// equivalence suites are vacuous.
 #[test]
 fn predict_batch_is_the_fit_modes_fold_of_scalar_tree_values() {
     let mut any_diff = false;
     for seed in [7u64, 8, 9] {
         let (x, kinds, y) = dataset(350, seed);
         let (pool, _, _) = dataset(700, 50 + seed);
-        let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, seed);
-        let lanes = batch_bits(&fast.predict_batch(&pool));
-        assert_eq!(lanes, folded_oracle(&fast, &pool), "seed {seed}: Fast fold");
-        let serial_forest = fast.with_fit_mode(FitMode::Exact);
-        let serial = batch_bits(&serial_forest.predict_batch(&pool));
-        assert_eq!(
-            serial,
-            folded_oracle(&serial_forest, &pool),
-            "seed {seed}: Exact fold"
-        );
-        any_diff |= lanes != serial;
-        // Means agree with the full predictions' means in both folds.
-        let fast = serial_forest.clone().with_fit_mode(FitMode::Fast);
-        for (forest, preds) in [(&serial_forest, &serial), (&fast, &lanes)] {
-            let means: Vec<u64> = forest
-                .predict_batch_mean(&pool)
-                .iter()
-                .map(|m| m.to_bits())
-                .collect();
-            assert_eq!(means, preds.iter().map(|&(m, _)| m).collect::<Vec<_>>());
+        for mode in [FitMode::Fast, FitMode::Exact] {
+            let config = ForestConfig {
+                fit_mode: mode,
+                ..fast_config()
+            };
+            let forest = RandomForest::fit(&config, &kinds, &x, &y, seed);
+            let preds = batch_bits(&forest.predict_batch(&pool));
+            assert_eq!(preds, folded_oracle(&forest, &pool), "seed {seed}: {mode:?} fold");
+            // Means agree with the full predictions' means.
+            assert_eq!(
+                mean_bits(&forest.predict_batch_mean(&pool)),
+                preds.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
+                "seed {seed}: {mode:?} means"
+            );
+            let all: Vec<usize> = (0..forest.trees().len()).collect();
+            let cols = forest.predict_columns(&pool, &all);
+            let fold = |mode| {
+                (0..pool.n_rows())
+                    .map(|i| fold_lanes(mode, cols.iter().map(|c| c[i])))
+                    .collect::<Vec<_>>()
+            };
+            any_diff |= fold(FitMode::Fast) != fold(FitMode::Exact);
         }
     }
     assert!(
         any_diff,
         "the lane fold never diverged from the serial fold"
-    );
-}
-
-/// `with_fit_mode` changes only the fold: the trees and the per-tree
-/// columns stay bitwise untouched in both directions, the batch
-/// predictions follow the new mode's fold, and round-tripping the mode
-/// restores the original predictions bit for bit.
-#[test]
-fn with_fit_mode_changes_only_the_fold() {
-    let (x, kinds, y) = dataset(300, 21);
-    let (pool, _, _) = dataset(500, 22);
-    let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, 5);
-    let all: Vec<usize> = (0..fast.trees().len()).collect();
-    let cols = columns_bits(&fast.predict_columns(&pool, &all));
-    let fast_preds = batch_bits(&fast.predict_batch(&pool));
-
-    let demoted = fast.clone().with_fit_mode(FitMode::Exact);
-    assert_eq!(demoted.config().fit_mode, FitMode::Exact);
-    // `Debug` prints every node with round-trip float formatting, so equal
-    // text means structurally and bitwise equal trees.
-    assert_eq!(
-        format!("{:?}", demoted.trees()),
-        format!("{:?}", fast.trees()),
-        "with_fit_mode changed the trees"
-    );
-    assert_eq!(columns_bits(&demoted.predict_columns(&pool, &all)), cols);
-    assert_eq!(
-        batch_bits(&demoted.predict_batch(&pool)),
-        folded_oracle(&demoted, &pool)
-    );
-
-    let promoted = demoted.with_fit_mode(FitMode::Fast);
-    assert_eq!(columns_bits(&promoted.predict_columns(&pool, &all)), cols);
-    assert_eq!(
-        batch_bits(&promoted.predict_batch(&pool)),
-        fast_preds,
-        "round-tripping the fit mode must restore the lane fold bitwise"
     );
 }
 

@@ -5,11 +5,12 @@
 //! steppable sessions behind a framed line protocol, built for operation
 //! under faults:
 //!
-//! - **Durability** — every committed step persists a generation-numbered
-//!   checkpoint atomically ([`pwu_core::GenerationStore`]); a crash at any
-//!   instant loses at most the step in flight, and resume is bit-identical
-//!   to never having crashed (the chaos harness in `tests/chaos.rs` proves
-//!   this at randomized kill points).
+//! - **Durability** — every committed step overwrites one of three
+//!   checkpoint slot files in place and syncs it once
+//!   ([`pwu_core::GenerationStore`]); the other two keep the previous
+//!   generations whole, so a crash at any instant loses at most the step in
+//!   flight, and resume is bit-identical to never having crashed (the chaos
+//!   harness in `tests/chaos.rs` proves this at randomized kill points).
 //! - **Containment** — steps are pure until commit, so a panicking or
 //!   over-deadline step is simply discarded; the watchdog
 //!   ([`WatchdogPolicy`]) degrades runaway sessions instead of wedging the

@@ -43,7 +43,7 @@ pub struct ServerStats {
     pub overloaded: usize,
     /// Successful resumes.
     pub resumes: usize,
-    /// Damaged generations rolled back across all resumes.
+    /// Damaged checkpoint slots removed across all resumes.
     pub rolled_back: usize,
     /// Session directories skipped at open because their spec was corrupt.
     pub skipped_corrupt: usize,

@@ -6,16 +6,18 @@
 //! - `meta.pwu` — the [`SessionSpec`], written once at create time with the
 //!   checkpoint integrity footer, so a restarted server can re-derive the
 //!   target, the pool and the test set (all pure functions of the spec);
-//! - `gen-*.ckpt` — a [`GenerationStore`] of checkpoints, one per committed
-//!   step, so the session resumes bit-identically from its last durable
+//! - `slot-{0,1,2}.ckpt` — a [`GenerationStore`] of checkpoints. Each
+//!   committed step saves generation = its iteration into slot `iteration
+//!   mod 3`, so the session resumes bit-identically from its last durable
 //!   generation after any crash, and rolls back a generation if the newest
-//!   file is damaged.
+//!   slot is damaged.
 //!
-//! Both are written through [`write_durable`] (temp file, `sync_all`,
-//! rename, parent-directory sync), so they survive a power loss as well as
-//! a crash. A committed step encodes its checkpoint once: the session keeps
-//! the footer checksum of the generation it just saved (or, on resume, of
-//! the body it verified) as the response digest.
+//! `meta.pwu` is written through [`write_durable`] (temp file, `sync_all`,
+//! rename, parent-directory sync); a step overwrites its slot in place and
+//! makes it durable with one `sync_data`. Both survive a power loss as well
+//! as a crash. A committed step encodes its checkpoint once: the session
+//! keeps the footer checksum of the generation it just saved (or, on
+//! resume, of the body it verified) as the response digest.
 //!
 //! Between requests a loaded session holds only that checkpoint, its digest
 //! and its Eq. 2 evaluator ([`EliteTest`], the test set's elite rows),
@@ -468,12 +470,10 @@ struct Resident {
     elite: EliteTest,
 }
 
-/// Saves `checkpoint` as the next generation of `store`, encoding it once;
-/// the returned [`Saved`] carries the body's checksum.
+/// Saves `checkpoint` as generation `checkpoint.iteration` of `store`,
+/// encoding it once; the returned [`Saved`] carries the body's checksum.
 fn save(store: &GenerationStore, checkpoint: &ActiveCheckpoint) -> Result<Saved, ProtocolError> {
-    store
-        .save_body(checkpoint.to_text())
-        .map_err(|e| internal(&e))
+    store.commit(checkpoint).map_err(|e| internal(&e))
 }
 
 /// One hosted session.
@@ -488,16 +488,14 @@ pub struct Session {
     state: SessionState,
     /// Consecutive over-budget step attempts.
     strikes: usize,
-    /// The newest durable generation number.
-    generation: u64,
 }
 
 /// The spec file's name inside a session directory.
 const META_FILE: &str = "meta.pwu";
 
 impl Session {
-    /// Creates a brand-new session under `dir`: runs the cold start, writes
-    /// `meta.pwu` and persists generation 0.
+    /// Creates a brand-new session under `dir`: runs the cold start, removes
+    /// whatever `dir` held, writes `meta.pwu` and persists generation 0.
     ///
     /// # Errors
     /// Returns a typed error for bad specs and an [`ErrorKind::Internal`]
@@ -521,6 +519,13 @@ impl Session {
         let checkpoint =
             ActiveLoop::new(target.as_target(), &config, pool, &elite, spec.seed).checkpoint();
         target.end_request();
+        // A directory already here is no live session (the server refuses a
+        // hosted id): one skipped at open or left by a crashed create. Its
+        // slots would outrank this session's generations, so it goes first.
+        match fs::remove_dir_all(dir) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(internal_io(&e)),
+            _ => {}
+        }
         fs::create_dir_all(dir).map_err(|e| internal_io(&e))?;
         if let Some(state_dir) = dir.parent() {
             sync_dir(state_dir).map_err(|e| internal_io(&e))?;
@@ -543,13 +548,12 @@ impl Session {
             }),
             state: SessionState::Active,
             strikes: 0,
-            generation: saved.generation,
         })
     }
 
     /// Attaches to an existing session directory after a restart: reads,
     /// verifies and checks `meta.pwu` as `create` checks a request, but
-    /// does *not* load a checkpoint — the session comes up
+    /// opens no checkpoint slot — the session comes up
     /// [`SessionState::Suspended`] and a `resume` pays for the load.
     ///
     /// # Errors
@@ -567,16 +571,13 @@ impl Session {
         spec.validate()
             .and_then(|()| spec.check_space(target.as_target()))
             .map_err(|e| corrupt(&e.message))?;
-        let store = GenerationStore::new(dir);
-        let generation = store.generations().last().copied().unwrap_or(0);
         Ok(Self {
             spec,
             target,
-            store,
+            store: GenerationStore::new(dir),
             resident: None,
             state: SessionState::Suspended,
             strikes: 0,
-            generation,
         })
     }
 
@@ -604,10 +605,12 @@ impl Session {
         self.resident.is_some()
     }
 
-    /// The newest durable generation number.
+    /// The durable generation the loaded checkpoint was saved as or loaded
+    /// from, which is its iteration (0 when unloaded, like
+    /// [`Session::iteration`]).
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.iteration()
     }
 
     /// Consecutive watchdog strikes so far.
@@ -642,11 +645,13 @@ impl Session {
     /// Resumes the session from its last durable generation, then derives
     /// the spec once to rebuild the session's evaluator (also clears a
     /// degraded session's strikes — resume is the recovery path). Returns
-    /// how many damaged generations were rolled back.
+    /// how many damaged slots the load removed
+    /// ([`pwu_core::Recovered::rolled_back`]).
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when no generation survives
-    /// on disk.
+    /// on disk, or when the directory holds checkpoints in the retired
+    /// `gen-*.ckpt` layout.
     pub fn resume(&mut self) -> Result<usize, ProtocolError> {
         let recovered = self
             .store
@@ -662,7 +667,6 @@ impl Session {
             || recovered.checkpoint.pool_configs.is_empty();
         let (_, elite) = self.spec.materialize_evaluator(self.target.as_target());
         self.target.end_request();
-        self.generation = recovered.generation;
         self.resident = Some(Resident {
             checkpoint: recovered.checkpoint,
             digest: recovered.checksum,
@@ -781,7 +785,6 @@ impl Session {
         let saved = save(&self.store, &checkpoint)?;
         resident.checkpoint = checkpoint;
         resident.digest = saved.checksum;
-        self.generation = saved.generation;
         if done {
             self.state = SessionState::Done;
         }

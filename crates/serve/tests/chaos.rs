@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
 
+use pwu_core::{ActiveCheckpoint, GenerationStore};
 use pwu_serve::protocol::Fields;
 use pwu_serve::session::{SessionSpec, SessionTarget};
 use pwu_serve::{parse_object, AdmissionPolicy, Server, WatchdogPolicy};
@@ -237,24 +238,22 @@ fn corrupted_newest_generation_rolls_back_and_still_converges() {
 
     // Damage the newest generation file: flip a byte mid-body, the way a
     // torn write or bad sector would.
-    let session_dir = dir.join("r1");
+    let store = GenerationStore::new(dir.join("r1"));
     let damage_newest = || {
-        let mut gens: Vec<PathBuf> = fs::read_dir(&session_dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("gen-") && n.ends_with(".ckpt"))
+        // The newest generation: the slot that verifies with the largest
+        // iteration.
+        let (_, newest) = (0..3)
+            .map(|slot| store.path_for(slot))
+            .filter_map(|path| {
+                let checkpoint = ActiveCheckpoint::load_verified(&path).ok()?;
+                Some((checkpoint.iteration, path))
             })
-            .collect();
-        gens.sort();
-        let newest = gens.last().unwrap();
-        let mut bytes = fs::read(newest).unwrap();
+            .max()
+            .expect("the session has a generation");
+        let mut bytes = fs::read(&newest).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        fs::write(newest, &bytes).unwrap();
+        fs::write(&newest, &bytes).unwrap();
     };
     damage_newest();
 
@@ -267,8 +266,8 @@ fn corrupted_newest_generation_rolls_back_and_still_converges() {
     assert_eq!(resumed.str("digest"), Some(chain[1].as_str()));
 
     // A second damaged generation after the rollback rolls back to the
-    // same recovered generation: the rollback discarded the damaged file,
-    // so the next commit's prune kept the generation it recovered.
+    // same recovered generation: the rollback removed the damaged slot, and
+    // the next commit recreated that slot, leaving the recovered one whole.
     let stepped = send(&mut server, r#"{"cmd":"step","session":"r1","n":1}"#);
     assert_eq!(stepped.u64("steps"), Some(1));
     drop(server);

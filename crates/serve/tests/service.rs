@@ -236,6 +236,40 @@ fn open_skips_specs_the_target_space_cannot_supply_as_corrupt() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A create whose id names a directory skipped at open starts from an
+/// empty store: the skipped session's slots, holding newer generations,
+/// must not outrank the new session's after a restart.
+#[test]
+fn a_create_over_a_skipped_session_directory_starts_an_empty_store() {
+    let dir = tmp("recreate-skipped");
+    let mut server = server_at(&dir);
+    send(&mut server, &create_line("x", "adi", 61));
+    send(&mut server, r#"{"cmd":"step","session":"x","n":2}"#);
+    drop(server);
+    let meta = dir.join("x").join("meta.pwu");
+    let mut bytes = fs::read(&meta).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    fs::write(&meta, &bytes).unwrap();
+
+    let mut server = server_at(&dir);
+    assert_eq!(server.stats().skipped_corrupt, 1);
+    let spec = small_spec("adi", 62);
+    let chain = core_digests(&spec);
+    let created = send(&mut server, &spec_create_line("x", &spec));
+    assert_eq!(created.u64("generation"), Some(0), "{created:?}");
+    let r = send(&mut server, r#"{"cmd":"step","session":"x","n":1}"#);
+    assert_eq!(r.str("digest"), Some(chain[0].as_str()), "{r:?}");
+    drop(server);
+
+    let mut server = server_at(&dir);
+    let r = send(&mut server, r#"{"cmd":"resume","session":"x"}"#);
+    assert_eq!(r.u64("rolled_back"), Some(0), "{r:?}");
+    assert_eq!(r.u64("generation"), Some(1), "{r:?}");
+    assert_eq!(r.str("digest"), Some(chain[0].as_str()), "{r:?}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn admission_sheds_load_with_typed_overloads() {
     let dir = tmp("admission");
@@ -672,6 +706,35 @@ fn cross_mode_resume_is_refused_with_an_error_naming_the_fit_mode() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A session directory in the retired one-file-per-generation layout (its
+/// checkpoints only in `gen-*.ckpt` files) is refused at resume with a typed
+/// `corrupt` error naming that layout; nothing migrates it.
+#[test]
+fn a_session_in_the_retired_generation_file_layout_is_refused_at_resume() {
+    let dir = tmp("retired-layout");
+    let mut server = server_at(&dir);
+    send(&mut server, &create_line("old", "adi", 33));
+    send(&mut server, r#"{"cmd":"step","session":"old","n":2}"#);
+    drop(server);
+
+    let store = GenerationStore::new(dir.join("old"));
+    assert_eq!(newest_generation(&store), 2);
+    for generation in 0..3 {
+        let retired = dir.join("old").join(format!("gen-{generation:010}.ckpt"));
+        fs::rename(store.path_for(generation), retired).unwrap();
+    }
+
+    let mut server = server_at(&dir);
+    let r = send(&mut server, r#"{"cmd":"resume","session":"old"}"#);
+    assert_err(&r, ErrorKind::Corrupt);
+    let message = r.str("message").unwrap();
+    assert!(
+        message.contains("gen-*.ckpt") && message.contains("retired"),
+        "the error must name the retired layout: {message}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tick_advances_the_whole_fleet_deterministically() {
     let dir = tmp("tick");
@@ -739,13 +802,20 @@ fn assert_digest_of_generation(fields: &Fields, dir: &Path, id: &str, generation
     assert_eq!(digest, encoded, "fnv1a64(to_text()) of {}", path.display());
 }
 
+/// The newest generation on disk, found without the store's recovery: the
+/// largest iteration among the slot files that verify.
+fn newest_generation(store: &GenerationStore) -> u64 {
+    (0..3)
+        .filter_map(|slot| ActiveCheckpoint::load_verified(&store.path_for(slot)).ok())
+        .map(|checkpoint| checkpoint.iteration)
+        .max()
+        .expect("the session has a generation")
+}
+
 /// Asserts the response's `digest` belongs to session `id`'s newest
 /// generation, which is also the response's `generation`.
 fn assert_digest_of_newest(fields: &Fields, dir: &Path, id: &str) -> String {
-    let newest = *GenerationStore::new(dir.join(id))
-        .generations()
-        .last()
-        .expect("the session has generations");
+    let newest = newest_generation(&GenerationStore::new(dir.join(id)));
     assert_eq!(fields.u64("generation"), Some(newest), "{fields:?}");
     assert_digest_of_generation(fields, dir, id, newest);
     fields.str("digest").expect("checked above").to_string()
@@ -793,8 +863,8 @@ fn every_digest_is_the_checksum_of_the_durable_generation() {
     // reports that generation's checksum.
     send(&mut server, r#"{"cmd":"suspend","session":"d"}"#);
     let store = GenerationStore::new(dir.join("d"));
-    let gens = store.generations();
-    let (older, newest) = (gens[gens.len() - 2], gens[gens.len() - 1]);
+    let newest = newest_generation(&store);
+    let older = newest - 1;
     let mut bytes = fs::read(store.path_for(newest)).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x5A;

@@ -14,6 +14,8 @@ use crate::matrix::FeatureMatrix;
 use crate::param::Domain;
 use crate::space::ParamSpace;
 
+use pwu_stats::InvalidInput;
+
 /// Kind of one encoded feature column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureKind {
@@ -73,26 +75,13 @@ impl FeatureSchema {
     /// Encodes one configuration into a feature row.
     ///
     /// # Panics
-    /// Panics if the configuration does not match the space the schema was
-    /// built from (wrong dimensionality).
+    /// Panics if the configuration does not belong to `space` (wrong
+    /// dimensionality or a level out of range), or if the schema was not
+    /// built from a space of `space`'s dimensionality.
     #[must_use]
     pub fn encode(&self, space: &ParamSpace, cfg: &Configuration) -> Vec<f64> {
-        space.validate(cfg);
-        assert_eq!(
-            space.dim(),
-            self.dim(),
-            "schema dimensionality does not match space"
-        );
-        space
-            .params()
-            .iter()
-            .zip(cfg.levels())
-            .map(|(p, &l)| match p.domain() {
-                Domain::Ordinal(vs) => vs[l as usize],
-                Domain::Bool => f64::from(l),
-                Domain::Categorical(_) => f64::from(l),
-            })
-            .collect()
+        self.try_encode(space, cfg)
+            .unwrap_or_else(|e| panic!("{}", e.message))
     }
 
     /// Encodes many configurations into a row-major feature matrix.
@@ -106,13 +95,60 @@ impl FeatureSchema {
     ///
     /// Entry-for-entry identical to [`FeatureSchema::encode_all`]; only the
     /// storage layout differs.
+    ///
+    /// # Panics
+    /// Panics as [`FeatureSchema::encode`] does, on the first configuration
+    /// that does not belong to `space`.
     #[must_use]
     pub fn encode_matrix(&self, space: &ParamSpace, cfgs: &[Configuration]) -> FeatureMatrix {
+        self.try_encode_matrix(space, cfgs)
+            .unwrap_or_else(|(_, e)| panic!("{}", e.message))
+    }
+
+    /// [`FeatureSchema::encode_matrix`] for untrusted configurations.
+    ///
+    /// # Errors
+    /// Returns the index of the first configuration that does not belong to
+    /// `space`, and why ([`ParamSpace::try_validate`]'s error).
+    ///
+    /// # Panics
+    /// Panics if the schema was not built from a space of `space`'s
+    /// dimensionality.
+    pub fn try_encode_matrix(
+        &self,
+        space: &ParamSpace,
+        cfgs: &[Configuration],
+    ) -> Result<FeatureMatrix, (usize, InvalidInput)> {
         let mut m = FeatureMatrix::new(self.dim());
-        for cfg in cfgs {
-            m.push_row(&self.encode(space, cfg));
+        for (i, cfg) in cfgs.iter().enumerate() {
+            m.push_row(&self.try_encode(space, cfg).map_err(|e| (i, e))?);
         }
-        m
+        Ok(m)
+    }
+
+    /// Validates `cfg` against `space` and encodes it: the one encoder
+    /// behind every public form.
+    fn try_encode(
+        &self,
+        space: &ParamSpace,
+        cfg: &Configuration,
+    ) -> Result<Vec<f64>, InvalidInput> {
+        space.try_validate(cfg)?;
+        assert_eq!(
+            space.dim(),
+            self.dim(),
+            "schema dimensionality does not match space"
+        );
+        Ok(space
+            .params()
+            .iter()
+            .zip(cfg.levels())
+            .map(|(p, &l)| match p.domain() {
+                Domain::Ordinal(vs) => vs[l as usize],
+                Domain::Bool => f64::from(l),
+                Domain::Categorical(_) => f64::from(l),
+            })
+            .collect())
     }
 }
 
@@ -186,5 +222,31 @@ mod tests {
         assert_eq!(m.n_rows(), rows.len());
         assert_eq!(m.n_cols(), schema.dim());
         assert_eq!(m.to_rows(), rows);
+    }
+
+    #[test]
+    fn try_encode_matrix_names_the_first_configuration_outside_the_space() {
+        let s = space();
+        let schema = FeatureSchema::for_space(&s);
+        let cfgs = vec![
+            Configuration::new(vec![2, 1, 0]),
+            Configuration::new(vec![0, 0, 9]),
+            Configuration::new(vec![0, 0]),
+        ];
+        let (i, e) = schema.try_encode_matrix(&s, &cfgs).unwrap_err();
+        assert_eq!(i, 1);
+        assert_eq!(
+            e.message,
+            "level 9 out of range for parameter layout (arity 3)"
+        );
+        let ok = schema.try_encode_matrix(&s, &cfgs[..1]).unwrap();
+        assert_eq!(ok.to_rows(), schema.encode_all(&s, &cfgs[..1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "level 9 out of range for parameter layout (arity 3)")]
+    fn encode_panics_with_the_validation_message() {
+        let s = space();
+        let _ = FeatureSchema::for_space(&s).encode(&s, &Configuration::new(vec![0, 0, 9]));
     }
 }

@@ -17,7 +17,7 @@ use crate::encode::FeatureSchema;
 use crate::matrix::FeatureMatrix;
 use crate::space::ParamSpace;
 
-use pwu_stats::Xoshiro256PlusPlus;
+use pwu_stats::{InvalidInput, Xoshiro256PlusPlus};
 
 /// An unlabeled candidate pool with pre-encoded features.
 #[derive(Debug, Clone)]
@@ -28,10 +28,27 @@ pub struct Pool {
 
 impl Pool {
     /// Builds a pool by encoding `configs` with `schema`.
+    ///
+    /// # Panics
+    /// Panics if a configuration does not belong to `space`.
     #[must_use]
     pub fn new(space: &ParamSpace, schema: &FeatureSchema, configs: Vec<Configuration>) -> Self {
         let features = schema.encode_matrix(space, &configs);
         Self { configs, features }
+    }
+
+    /// [`Pool::new`] for untrusted configurations.
+    ///
+    /// # Errors
+    /// Returns the index of the first configuration that does not belong to
+    /// `space`, and why ([`FeatureSchema::try_encode_matrix`]).
+    pub fn try_new(
+        space: &ParamSpace,
+        schema: &FeatureSchema,
+        configs: Vec<Configuration>,
+    ) -> Result<Self, (usize, InvalidInput)> {
+        let features = schema.try_encode_matrix(space, &configs)?;
+        Ok(Self { configs, features })
     }
 
     /// Number of remaining candidates.
