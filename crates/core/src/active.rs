@@ -12,7 +12,9 @@
 //!
 //! [`ActiveLoop`] is the loop itself: [`ActiveLoop::new`] runs the cold
 //! start, [`ActiveLoop::step`] one iteration, [`ActiveLoop::checkpoint`]
-//! captures the state and [`ActiveLoop::from_checkpoint`] restores it. It
+//! captures the state ([`ActiveLoop::into_checkpoint`] by value) and
+//! [`ActiveLoop::from_checkpoint`] restores it, taking the checkpoint by
+//! value so its level vectors become the loop's configurations. It
 //! borrows its target, its config and its Eq. 2 evaluator ([`EliteTest`]),
 //! so a caller that keeps the evaluator ranks its test set once however
 //! many loops it restores. The entry points are loops over it: [`run`];
@@ -279,7 +281,8 @@ pub fn resume(
     policy: Option<&CheckpointPolicy>,
 ) -> Result<ActiveRun, CheckpointError> {
     let elite = evaluator(config, test_features, test_labels);
-    ActiveLoop::from_checkpoint(target, config, checkpoint, &elite)?.finish(strategy, policy)
+    ActiveLoop::from_checkpoint(target, config, checkpoint.clone(), &elite)?
+        .finish(strategy, policy)
 }
 
 /// The result of advancing a checkpointed run by one iteration.
@@ -314,7 +317,7 @@ pub fn bootstrap(
     seed: u64,
 ) -> ActiveCheckpoint {
     let elite = evaluator(config, test_features, test_labels);
-    ActiveLoop::new(target, config, pool, &elite, seed).checkpoint()
+    ActiveLoop::new(target, config, pool, &elite, seed).into_checkpoint()
 }
 
 /// Advances a checkpointed run by exactly one iteration (one batch with
@@ -344,7 +347,7 @@ pub fn step_once(
     test_labels: &[f64],
 ) -> Result<StepOutcome, CheckpointError> {
     let elite = evaluator(config, test_features, test_labels);
-    let mut active = ActiveLoop::from_checkpoint(target, config, checkpoint, &elite)?;
+    let mut active = ActiveLoop::from_checkpoint(target, config, checkpoint.clone(), &elite)?;
     if active.is_done() {
         return Ok(StepOutcome {
             checkpoint: checkpoint.clone(),
@@ -354,10 +357,11 @@ pub fn step_once(
     }
     let before = active.cost();
     let done = active.step(strategy);
+    let step_cost = active.cost() - before;
     Ok(StepOutcome {
-        checkpoint: active.checkpoint(),
+        checkpoint: active.into_checkpoint(),
         done,
-        step_cost: active.cost() - before,
+        step_cost,
     })
 }
 
@@ -460,10 +464,12 @@ impl<'a> ActiveLoop<'a> {
 
     /// Restores the loop a checkpoint captured: re-encodes the training set
     /// and restores all three RNG streams, so stepping on continues
-    /// bit-identically. The model starts stale and is fitted at its first
-    /// read with the seed the checkpointing run last fitted with; restoring
-    /// fits nothing. The model is a pure function of the training set and
-    /// the iteration-derived seed, so it is refitted instead of serialized.
+    /// bit-identically. The checkpoint is taken by value: its level vectors
+    /// become the loop's configurations, copied nowhere. The model starts
+    /// stale and is fitted at its first read with the seed the
+    /// checkpointing run last fitted with; restoring fits nothing. The
+    /// model is a pure function of the training set and the
+    /// iteration-derived seed, so it is refitted instead of serialized.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Mismatch`] describing the first
@@ -479,7 +485,7 @@ impl<'a> ActiveLoop<'a> {
     pub fn from_checkpoint(
         target: &'a dyn TuningTarget,
         config: &'a ActiveConfig,
-        checkpoint: &ActiveCheckpoint,
+        checkpoint: ActiveCheckpoint,
         elite: &'a EliteTest,
     ) -> Result<Self, CheckpointError> {
         config.validate();
@@ -538,19 +544,18 @@ impl<'a> ActiveLoop<'a> {
         }
         let space = target.space();
         let schema = FeatureSchema::for_space(space);
-        let to_cfgs = |levels: &[Vec<u32>]| -> Vec<Configuration> {
-            levels.iter().cloned().map(Configuration::new).collect()
+        let to_cfgs = |levels: Vec<Vec<u32>>| -> Vec<Configuration> {
+            levels.into_iter().map(Configuration::new).collect()
         };
         let outside = |set: &str, (i, e): (usize, InvalidInput)| {
             CheckpointError::Mismatch(format!("{set} configuration {i}: {}", e.message))
         };
-        let train_cfgs = to_cfgs(&checkpoint.train_configs);
+        let train_cfgs = to_cfgs(checkpoint.train_configs);
         let train_features = schema
             .try_encode_matrix(space, &train_cfgs)
             .map_err(|e| outside("train", e))?;
-        let train =
-            LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels.clone());
-        let pool = Pool::try_new(space, &schema, to_cfgs(&checkpoint.pool_configs))
+        let train = LabeledSet::from_parts(train_cfgs, train_features, checkpoint.train_labels);
+        let pool = Pool::try_new(space, &schema, to_cfgs(checkpoint.pool_configs))
             .map_err(|e| outside("pool", e))?;
         let mut annotator = Annotator::new(target, config.repeats, 0)
             .with_aggregator(config.aggregator)
@@ -573,9 +578,9 @@ impl<'a> ActiveLoop<'a> {
             train,
             model: None,
             fit_iteration: checkpoint.iteration,
-            history: checkpoint.history.clone(),
-            selections: checkpoint.selections.clone(),
-            quarantined: to_cfgs(&checkpoint.quarantined),
+            history: checkpoint.history,
+            selections: checkpoint.selections,
+            quarantined: to_cfgs(checkpoint.quarantined),
             iteration: checkpoint.iteration,
             lint: checkpoint.lint,
         })
@@ -688,6 +693,40 @@ impl<'a> ActiveLoop<'a> {
         let levels_of = |cfgs: &[Configuration]| -> Vec<Vec<u32>> {
             cfgs.iter().map(|c| c.levels().to_vec()).collect()
         };
+        ActiveCheckpoint {
+            train_configs: levels_of(self.train.configs()),
+            train_labels: self.train.labels().to_vec(),
+            pool_configs: levels_of(self.pool.configs()),
+            quarantined: levels_of(&self.quarantined),
+            history: self.history.clone(),
+            selections: self.selections.clone(),
+            ..self.header()
+        }
+    }
+
+    /// [`ActiveLoop::checkpoint`] by value: the configurations' level
+    /// vectors and the recorded rows move into the checkpoint.
+    #[must_use]
+    pub fn into_checkpoint(self) -> ActiveCheckpoint {
+        let levels_of = |cfgs: Vec<Configuration>| -> Vec<Vec<u32>> {
+            cfgs.into_iter().map(Configuration::into_levels).collect()
+        };
+        let header = self.header();
+        let (train_configs, _, train_labels) = self.train.into_parts();
+        ActiveCheckpoint {
+            train_configs: levels_of(train_configs),
+            train_labels,
+            pool_configs: levels_of(self.pool.into_configs()),
+            quarantined: levels_of(self.quarantined),
+            history: self.history,
+            selections: self.selections,
+            ..header
+        }
+    }
+
+    /// The checkpoint's scalar part, every row section empty; emits the
+    /// `core.checkpoint` event each capture reports.
+    fn header(&self) -> ActiveCheckpoint {
         pwu_obs::event(
             "core.checkpoint",
             [("iter", pwu_obs::Arg::u(self.iteration))],
@@ -709,12 +748,12 @@ impl<'a> ActiveLoop<'a> {
             select_rng: self.select_rng.state(),
             pool_rng: self.pool_rng.state(),
             lint: self.lint,
-            train_configs: levels_of(self.train.configs()),
-            train_labels: self.train.labels().to_vec(),
-            pool_configs: levels_of(self.pool.configs()),
-            quarantined: levels_of(&self.quarantined),
-            history: self.history.clone(),
-            selections: self.selections.clone(),
+            train_configs: Vec::new(),
+            train_labels: Vec::new(),
+            pool_configs: Vec::new(),
+            quarantined: Vec::new(),
+            history: Vec::new(),
+            selections: Vec::new(),
         }
     }
 

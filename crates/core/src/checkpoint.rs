@@ -437,6 +437,14 @@ impl ActiveCheckpoint {
 
     /// Parses the checkpoint text format.
     ///
+    /// The row sections are read in one pass over the text: a level or
+    /// label row as [`ActiveCheckpoint::to_text`] writes it is parsed
+    /// straight off the bytes, and only a row written any other way goes
+    /// through the per-line, per-token path with the standard integer
+    /// parsers, so every text parses exactly as that path alone would parse
+    /// it. A section count larger than the lines left is a parse error, so
+    /// no section reserves room for more rows than the text holds.
+    ///
     /// # Errors
     /// Returns [`CheckpointError::Parse`] with a 1-based line number on any
     /// malformed line.
@@ -454,17 +462,16 @@ impl ActiveCheckpoint {
             .trim()
             .parse()
             .map_err(|e: std::num::ParseIntError| lines.err(format!("bad forest-seed: {e}")))?;
-        let counts = lines.tagged_rest("counts")?.to_string();
-        let mut it = counts.split_whitespace();
+        let mut it = lines.tagged_rest("counts")?.split_whitespace();
         let n_init = lines.next_usize(&mut it, "counts")?;
         let n_batch = lines.next_usize(&mut it, "counts")?;
         let n_max = lines.next_usize(&mut it, "counts")?;
         let repeats = lines.next_usize(&mut it, "counts")?;
-        let fit_mode_token = lines.tagged_rest("fit-mode")?.trim().to_string();
-        let fit_mode = FitMode::parse(&fit_mode_token)
+        let fit_mode_token = lines.tagged_rest("fit-mode")?.trim();
+        let fit_mode = FitMode::parse(fit_mode_token)
             .ok_or_else(|| lines.err(format!("unknown fit-mode {fit_mode_token:?}")))?;
-        let alphas_line = lines.tagged_rest("alphas")?.to_string();
-        let alphas = alphas_line
+        let alphas = lines
+            .tagged_rest("alphas")?
             .split_whitespace()
             .map(|tok| lines.parse_hex_f64(tok))
             .collect::<Result<Vec<f64>, _>>()?;
@@ -476,8 +483,7 @@ impl ActiveCheckpoint {
             .trim()
             .parse()
             .map_err(|e: std::num::ParseIntError| lines.err(format!("bad evaluations: {e}")))?;
-        let stats_line = lines.tagged_rest("stats")?.to_string();
-        let mut it = stats_line.split_whitespace();
+        let mut it = lines.tagged_rest("stats")?.split_whitespace();
         let stats = MeasurementStats {
             annotations: lines.next_usize(&mut it, "stats")?,
             readings: lines.next_usize(&mut it, "stats")?,
@@ -494,8 +500,7 @@ impl ActiveCheckpoint {
                 lines.parse_hex_f64(tok)?
             },
         };
-        let lint_line = lines.tagged_rest("lint")?.to_string();
-        let mut it = lint_line.split_whitespace();
+        let mut it = lines.tagged_rest("lint")?.split_whitespace();
         let lint = PoolLintCounts {
             legal: lines.next_usize(&mut it, "lint")?,
             flagged: lines.next_usize(&mut it, "lint")?,
@@ -506,30 +511,16 @@ impl ActiveCheckpoint {
         let mut train_configs = Vec::with_capacity(n_train);
         let mut train_labels = Vec::with_capacity(n_train);
         for _ in 0..n_train {
-            let line = lines.next_line()?.to_string();
-            let (levels, label) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| lines.err("train line needs 'levels label'".into()))?;
-            train_configs.push(lines.parse_levels(levels)?);
-            train_labels.push(lines.parse_hex_f64(label)?);
+            let (levels, label) = lines.train_row(train_configs.last().map_or(0, Vec::len))?;
+            train_configs.push(levels);
+            train_labels.push(label);
         }
-        let n_pool = lines.counted_section("pool")?;
-        let mut pool_configs = Vec::with_capacity(n_pool);
-        for _ in 0..n_pool {
-            let line = lines.next_line()?.to_string();
-            pool_configs.push(lines.parse_levels(&line)?);
-        }
-        let n_quarantined = lines.counted_section("quarantined")?;
-        let mut quarantined = Vec::with_capacity(n_quarantined);
-        for _ in 0..n_quarantined {
-            let line = lines.next_line()?.to_string();
-            quarantined.push(lines.parse_levels(&line)?);
-        }
+        let pool_configs = lines.level_rows("pool")?;
+        let quarantined = lines.level_rows("quarantined")?;
         let n_history = lines.counted_section("history")?;
         let mut history = Vec::with_capacity(n_history);
         for _ in 0..n_history {
-            let line = lines.next_line()?.to_string();
-            let mut it = line.split_whitespace();
+            let mut it = lines.next_line()?.split_whitespace();
             let n_train = lines.next_usize(&mut it, "history")?;
             let cumulative_cost = {
                 let tok = it
@@ -549,8 +540,7 @@ impl ActiveCheckpoint {
         let n_selections = lines.counted_section("selections")?;
         let mut selections = Vec::with_capacity(n_selections);
         for _ in 0..n_selections {
-            let line = lines.next_line()?.to_string();
-            let mut it = line.split_whitespace();
+            let mut it = lines.next_line()?.split_whitespace();
             let mut next = |what: &str| -> Result<f64, CheckpointError> {
                 let tok = it
                     .next()
@@ -617,16 +607,16 @@ impl ActiveCheckpoint {
     /// passed the checksum still fails to parse (i.e. a valid footer was
     /// stamped onto a malformed body — possible only for hand-built files).
     pub fn load_verified(path: &Path) -> Result<Self, CheckpointError> {
-        Self::load_verified_with_checksum(path).map(|(checkpoint, _)| checkpoint)
+        Self::from_text(&read_verified(path)?.0)
     }
+}
 
-    /// [`ActiveCheckpoint::load_verified`], also returning the verified
-    /// footer checksum.
-    fn load_verified_with_checksum(path: &Path) -> Result<(Self, u64), CheckpointError> {
-        let bytes = fs::read(path)?;
-        let (body, checksum) = verify_footer(&bytes)?;
-        Ok((Self::from_text(body)?, checksum))
-    }
+/// Reads a footered file and returns its verified body, without the footer
+/// and at exactly its length, with the body's checksum.
+fn read_verified(path: &Path) -> Result<(String, u64), CheckpointError> {
+    let bytes = fs::read(path)?;
+    let (body, checksum) = verify_footer(&bytes)?;
+    Ok((body.to_string(), checksum))
 }
 
 /// How many slot files a [`GenerationStore`] rotates.
@@ -663,15 +653,21 @@ pub struct Recovered {
     /// The integrity-footer checksum of the verified body, i.e.
     /// `fnv1a64(checkpoint.to_text())`.
     pub checksum: u64,
+    /// The verified body the checkpoint was parsed from, i.e.
+    /// `checkpoint.to_text()`, without the footer and at its exact length.
+    pub body: String,
 }
 
 /// What [`GenerationStore::commit`] made durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Saved {
     /// The new generation number (the checkpoint's `iteration`).
     pub generation: u64,
     /// The integrity-footer checksum of the saved body.
     pub checksum: u64,
+    /// The saved body, i.e. the checkpoint's `to_text()`, without the
+    /// footer and at its exact length.
+    pub body: String,
 }
 
 impl GenerationStore {
@@ -747,8 +743,8 @@ impl GenerationStore {
     /// Saves `checkpoint` as generation `checkpoint.iteration`, encoding it
     /// once: its slot is overwritten with the body and the integrity
     /// footer, cut to that length and synced. A caller that needs the
-    /// body's checksum gets it from the returned [`Saved`] instead of
-    /// encoding and hashing the checkpoint a second time.
+    /// body or its checksum gets them from the returned [`Saved`] instead
+    /// of encoding and hashing the checkpoint a second time.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Io`] on any filesystem failure.
@@ -759,11 +755,15 @@ impl GenerationStore {
             "checkpoint.save",
             [("generation", pwu_obs::Arg::u(generation))],
         );
+        let len = body.len();
         let checksum = push_integrity_footer(&mut body);
         self.overwrite(&self.path_for(generation), body.as_bytes())?;
+        body.truncate(len);
+        body.shrink_to_fit();
         Ok(Saved {
             generation,
             checksum,
+            body,
         })
     }
 
@@ -837,9 +837,10 @@ impl GenerationStore {
                     ),
                 ],
             );
-            let Ok((checkpoint, checksum)) =
-                ActiveCheckpoint::load_verified_with_checksum(&self.path_for(generation))
-            else {
+            let Ok((body, checksum)) = read_verified(&self.path_for(generation)) else {
+                continue;
+            };
+            let Ok(checkpoint) = ActiveCheckpoint::from_text(&body) else {
                 continue;
             };
             damaged.extend(placed[..newer].iter().map(|&g| self.path_for(g)));
@@ -856,6 +857,7 @@ impl GenerationStore {
                 rolled_back: damaged.len(),
                 checkpoint,
                 checksum,
+                body,
             }));
         }
         Err(CheckpointError::Corrupt(format!(
@@ -885,17 +887,22 @@ impl GenerationStore {
     }
 }
 
-/// Line cursor with 1-based error positions.
+/// Line cursor with 1-based error positions. It splits lines as
+/// `str::lines` does and knows how many are left.
 struct Lines<'a> {
-    iter: std::str::Lines<'a>,
+    rest: &'a str,
     line_no: usize,
+    /// Lines in the whole text, as `str::lines` counts them.
+    total: usize,
 }
 
 impl<'a> Lines<'a> {
     fn new(text: &'a str) -> Self {
+        let newlines = text.bytes().filter(|&b| b == b'\n').count();
         Self {
-            iter: text.lines(),
+            rest: text,
             line_no: 0,
+            total: newlines + usize::from(!text.is_empty() && !text.ends_with('\n')),
         }
     }
 
@@ -908,10 +915,23 @@ impl<'a> Lines<'a> {
 
     fn next_line(&mut self) -> Result<&'a str, CheckpointError> {
         self.line_no += 1;
-        self.iter.next().ok_or(CheckpointError::Parse {
-            line: self.line_no,
-            message: "unexpected end of file".into(),
+        if self.rest.is_empty() {
+            return Err(self.err("unexpected end of file".into()));
+        }
+        Ok(match self.rest.split_once('\n') {
+            Some((line, rest)) => {
+                self.rest = rest;
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => std::mem::take(&mut self.rest),
         })
+    }
+
+    /// Consumes the first `len` bytes of the text, a whole line with its
+    /// `\n`, which a fast row path has parsed.
+    fn skip_line(&mut self, len: usize) {
+        self.line_no += 1;
+        self.rest = &self.rest[len..];
     }
 
     fn expect_exact(&mut self, expected: &str) -> Result<(), CheckpointError> {
@@ -934,12 +954,60 @@ impl<'a> Lines<'a> {
             .ok_or_else(|| self.err(format!("expected '{tag} ...', found '{line}'")))
     }
 
-    /// Consumes a `tag <count>` section header and returns the count.
+    /// Consumes a `tag <count>` section header and returns the count. A
+    /// section holds one line per row, so a count past the lines left is
+    /// an error here, before anything is sized by it.
     fn counted_section(&mut self, tag: &str) -> Result<usize, CheckpointError> {
         let rest = self.tagged_rest(tag)?;
-        rest.trim()
+        let count: usize = rest
+            .trim()
             .parse()
-            .map_err(|e| self.err(format!("bad {tag} count: {e}")))
+            .map_err(|e| self.err(format!("bad {tag} count: {e}")))?;
+        let left = self.total - self.line_no;
+        if count > left {
+            return Err(self.err(format!("{tag} count {count} exceeds the {left} lines left")));
+        }
+        Ok(count)
+    }
+
+    /// Consumes a `tag <count>` section of level rows.
+    fn level_rows(&mut self, tag: &str) -> Result<Vec<Vec<u32>>, CheckpointError> {
+        let n = self.counted_section(tag)?;
+        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut levels = Vec::with_capacity(rows.last().map_or(0, Vec::len));
+            match scan_levels(self.rest.as_bytes(), &mut levels) {
+                Some(end) if self.rest.as_bytes().get(end) == Some(&b'\n') => {
+                    self.skip_line(end + 1);
+                }
+                _ => {
+                    let line = self.next_line()?;
+                    levels = self.parse_levels(line)?;
+                }
+            }
+            rows.push(levels);
+        }
+        Ok(rows)
+    }
+
+    /// Consumes one `levels label` train row; `dim` sizes its levels.
+    fn train_row(&mut self, dim: usize) -> Result<(Vec<u32>, f64), CheckpointError> {
+        let bytes = self.rest.as_bytes();
+        let mut levels = Vec::with_capacity(dim);
+        if let Some(end) = scan_levels(bytes, &mut levels) {
+            let label = bytes.get(end + 1..end + 17).and_then(hex16);
+            if let (Some(b' '), Some(word), Some(b'\n')) =
+                (bytes.get(end), label, bytes.get(end + 17))
+            {
+                self.skip_line(end + 18);
+                return Ok((levels, f64::from_bits(word)));
+            }
+        }
+        let line = self.next_line()?;
+        let (levels, label) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| self.err("train line needs 'levels label'".into()))?;
+        Ok((self.parse_levels(levels)?, self.parse_hex_f64(label)?))
     }
 
     fn next_usize(
@@ -955,7 +1023,12 @@ impl<'a> Lines<'a> {
     }
 
     fn parse_hex_u64(&self, tok: &str) -> Result<u64, CheckpointError> {
-        u64::from_str_radix(tok, 16).map_err(|e| self.err(format!("bad hex '{tok}': {e}")))
+        match hex16(tok.as_bytes()) {
+            Some(word) => Ok(word),
+            None => {
+                u64::from_str_radix(tok, 16).map_err(|e| self.err(format!("bad hex '{tok}': {e}")))
+            }
+        }
     }
 
     fn parse_hex_f64(&self, tok: &str) -> Result<f64, CheckpointError> {
@@ -963,8 +1036,7 @@ impl<'a> Lines<'a> {
     }
 
     fn rng_state(&mut self, tag: &str) -> Result<[u64; 4], CheckpointError> {
-        let rest = self.tagged_rest(tag)?.to_string();
-        let mut it = rest.split_whitespace();
+        let mut it = self.tagged_rest(tag)?.split_whitespace();
         let mut state = [0u64; 4];
         for slot in &mut state {
             let tok = it
@@ -984,6 +1056,47 @@ impl<'a> Lines<'a> {
             })
             .collect()
     }
+}
+
+/// Reads levels as `to_text` writes them off the front of `bytes`:
+/// decimals of one to nine digits (so none overflows a `u32`) joined by
+/// commas. Returns the index of the byte after the last digit, or `None`
+/// when the bytes start any other way.
+fn scan_levels(bytes: &[u8], levels: &mut Vec<u32>) -> Option<usize> {
+    let mut at = 0;
+    loop {
+        let start = at;
+        let mut level = 0u32;
+        while let Some(digit) = bytes.get(at).map(|b| b.wrapping_sub(b'0')) {
+            if digit > 9 {
+                break;
+            }
+            if at - start == 9 {
+                return None;
+            }
+            level = level * 10 + u32::from(digit);
+            at += 1;
+        }
+        if at == start {
+            return None;
+        }
+        levels.push(level);
+        if bytes.get(at) != Some(&b',') {
+            return Some(at);
+        }
+        at += 1;
+    }
+}
+
+/// Parses exactly 16 hex digits, as `to_text` writes a word.
+fn hex16(word: &[u8]) -> Option<u64> {
+    if word.len() != 16 {
+        return None;
+    }
+    word.iter().try_fold(0u64, |acc, &b| {
+        let digit = char::from(b).to_digit(16)?;
+        Some(acc << 4 | u64::from(digit))
+    })
 }
 
 #[cfg(test)]
@@ -1122,6 +1235,69 @@ mod tests {
         ));
     }
 
+    /// A section count past the lines left is a parse error at the
+    /// section's line, raised before anything is sized by the count: the
+    /// sections once reserved room for the count they read, so `train
+    /// 4000000000` aborted the process on a 96 GB allocation.
+    #[test]
+    fn a_section_count_past_the_text_is_a_parse_error() {
+        let text = sample().to_text();
+        for (header, huge) in [
+            ("train 2", "train 4000000000"),
+            ("pool 1", "pool 4000000000"),
+            ("pool 1", "pool 18446744073709551615"),
+            ("selections 1", "selections 3"),
+        ] {
+            let line = text.lines().position(|l| l == header).unwrap() + 1;
+            let damaged = text.replacen(&format!("{header}\n"), &format!("{huge}\n"), 1);
+            match ActiveCheckpoint::from_text(&damaged) {
+                Err(CheckpointError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{huge}: {message}");
+                    assert!(message.contains("lines left"), "{huge}: {message}");
+                }
+                other => panic!("{huge}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Rows written other than as `to_text` writes them still parse as the
+    /// standard integer parsers read them.
+    #[test]
+    fn rows_off_the_fast_path_parse_as_the_std_parsers_do() {
+        let cp = sample();
+        let text = cp.to_text();
+        for (row, variant) in [
+            ("0,1,2 3fd0000000000000", "+0,001,2 3FD0000000000000"),
+            ("0,1,2 3fd0000000000000", "  0,1,2 +3fd0000000000000"),
+            ("6,7,8", "6,7,0000000008"),
+            ("6,7,8", "6,7,8\r"),
+        ] {
+            let damaged = text.replacen(&format!("{row}\n"), &format!("{variant}\n"), 1);
+            assert_ne!(damaged, text, "{row}");
+            assert_eq!(
+                ActiveCheckpoint::from_text(&damaged).unwrap(),
+                cp,
+                "{variant}"
+            );
+        }
+        for (row, variant) in [
+            ("6,7,8", "6,7,4294967296"),
+            ("6,7,8", "6,-7,8"),
+            ("6,7,8", "6,,8"),
+            ("6,7,8", "6, 7,8"),
+            ("0,1,2 3fd0000000000000", "0,1,2 13fd0000000000000"),
+        ] {
+            let damaged = text.replacen(&format!("{row}\n"), &format!("{variant}\n"), 1);
+            assert!(
+                matches!(
+                    ActiveCheckpoint::from_text(&damaged),
+                    Err(CheckpointError::Parse { .. })
+                ),
+                "{variant}"
+            );
+        }
+    }
+
     #[test]
     fn verified_load_round_trips_and_rejects_damage() {
         let dir = std::env::temp_dir().join("pwu-checkpoint-test");
@@ -1198,6 +1374,14 @@ mod tests {
         assert_eq!(got.generation, 23);
         assert_eq!(got.rolled_back, 0);
         assert_eq!(got.checkpoint.iteration, 23);
+        // The bodies a commit wrote and a load verified are the text, kept
+        // at exactly its length.
+        let saved = store.commit(&cp).unwrap();
+        let got = store.load_latest().unwrap().unwrap();
+        for body in [&saved.body, &got.body] {
+            assert_eq!(body, &cp.to_text());
+            assert_eq!(body.capacity(), body.len());
+        }
 
         // Corrupt the newest generation: recovery rolls back to 22 and
         // removes the damaged slot.

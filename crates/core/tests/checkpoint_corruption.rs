@@ -10,6 +10,13 @@
 //! The same fifty seeds then damage the newest slot of a three-generation
 //! [`GenerationStore`], adding a torn overwrite to the mutations: recovery
 //! must cost at most that one generation.
+//!
+//! Fifty more seeds mutate a bare body, with no footer to catch the damage,
+//! and hand it straight to [`ActiveCheckpoint::from_text`]: byte damage, a
+//! duplicated or deleted line, a section count moved by one, or a level
+//! replaced by a token the standard parser reads otherwise than the
+//! encoder writes. The parser must return a typed [`CheckpointError::Parse`]
+//! or a checkpoint whose text parses back to the same bytes — never panic.
 
 use std::fs;
 
@@ -247,4 +254,142 @@ fn fifty_seeds_of_damage_to_the_newest_slot_cost_at_most_one_generation() {
     }
     assert!(exercised >= 40, "only {exercised} seeds produced damage");
     let _ = fs::remove_dir_all(&base);
+}
+
+/// The level rows of `lines`: every line of the train, pool and
+/// quarantined sections.
+fn level_lines(lines: &[&str]) -> Vec<usize> {
+    let mut rows = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        if let Some((tag, count)) = lines[i].split_once(' ') {
+            if matches!(tag, "train" | "pool" | "quarantined") {
+                let count: usize = count.parse().expect("a pristine count");
+                rows.extend(i + 1..=i + count);
+                i += count;
+            }
+        }
+        i += 1;
+    }
+    rows
+}
+
+/// Tokens the encoder never writes for a level: two the standard parser
+/// reads as 7, and three it rejects.
+const ODD_LEVELS: [&str; 5] = ["+7", "007", "-1", "4294967296", ""];
+
+/// Applies mutation `kind` of the parser property to `body`, with offsets
+/// and choices drawn from `rng`; `None` when the draw changes nothing.
+fn mutate_body(body: &str, kind: u64, odd: &str, rng: &mut Xoshiro256PlusPlus) -> Option<String> {
+    #[allow(clippy::cast_possible_truncation)]
+    let mut pick = |n: usize| (rng.next() % n as u64) as usize;
+    let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+    match kind {
+        0..=2 => {
+            let mut bytes = body.as_bytes().to_vec();
+            let offset = pick(bytes.len());
+            match kind {
+                0 => bytes[offset] ^= 1 << pick(8),
+                #[allow(clippy::cast_possible_truncation)]
+                1 => bytes[offset] = pick(256) as u8,
+                _ => bytes.truncate(offset),
+            }
+            // Damage that leaves no UTF-8 reaches the parser as U+FFFD.
+            return Some(String::from_utf8_lossy(&bytes).into_owned());
+        }
+        3 => {
+            let at = pick(lines.len());
+            let line = lines[at].clone();
+            lines.insert(at, line);
+        }
+        4 => {
+            lines.remove(pick(lines.len()));
+        }
+        5 => {
+            let headers: Vec<usize> = (0..lines.len())
+                .filter(|&i| {
+                    lines[i].split_once(' ').is_some_and(|(tag, _)| {
+                        matches!(
+                            tag,
+                            "train" | "pool" | "quarantined" | "history" | "selections"
+                        )
+                    })
+                })
+                .collect();
+            let at = headers[pick(headers.len())];
+            let (tag, count) = lines[at].split_once(' ').expect("a header");
+            let count: usize = count.parse().expect("a pristine count");
+            let moved = if count == 0 || pick(2) == 0 {
+                count + 1
+            } else {
+                count - 1
+            };
+            lines[at] = format!("{tag} {moved}");
+        }
+        _ => {
+            let rows = level_lines(&body.lines().collect::<Vec<_>>());
+            let at = rows[pick(rows.len())];
+            // A train row ends in its label; only the levels before it move.
+            let (levels, label) = match lines[at].rsplit_once(' ') {
+                Some((levels, label)) => (levels.to_string(), format!(" {label}")),
+                None => (lines[at].clone(), String::new()),
+            };
+            let mut tokens: Vec<&str> = levels.split(',').collect();
+            let t = pick(tokens.len());
+            tokens[t] = odd;
+            lines[at] = format!("{}{label}", tokens.join(","));
+        }
+    }
+    let mut text = lines.join("\n");
+    text.push('\n');
+    (text != body).then_some(text)
+}
+
+#[test]
+fn fifty_seeds_of_damage_to_a_bare_body_parse_or_fail_typed() {
+    // The sample with a pool and training set large enough that every
+    // mutation has rows of several shapes to land on.
+    let mut checkpoint = sample();
+    for i in 0..24u32 {
+        let row = vec![i % 7, 100 + i, 123_456_789 - i];
+        if i % 3 == 0 {
+            checkpoint.train_configs.push(row);
+            checkpoint.train_labels.push(f64::from(i) * 0.75);
+        } else {
+            checkpoint.pool_configs.push(row);
+        }
+    }
+    let body = checkpoint.to_text();
+    assert_eq!(ActiveCheckpoint::from_text(&body).unwrap(), checkpoint);
+
+    let (mut parsed, mut refused) = (0, 0);
+    for seed in 0..50u64 {
+        let mut rng = Xoshiro256PlusPlus::new(0x0DD_B0D1 + seed);
+        // Every kind lands on seven or more seeds, and every odd token on
+        // at least one.
+        let (kind, odd) = (seed % 7, ODD_LEVELS[(seed / 7) as usize % ODD_LEVELS.len()]);
+        let Some(damaged) = mutate_body(&body, kind, odd, &mut rng) else {
+            continue;
+        };
+        match ActiveCheckpoint::from_text(&damaged) {
+            Err(CheckpointError::Parse { .. }) => refused += 1,
+            Ok(got) => {
+                parsed += 1;
+                let text = got.to_text();
+                let back = ActiveCheckpoint::from_text(&text)
+                    .unwrap_or_else(|e| panic!("seed {seed}: its own text fails: {e}"));
+                assert_eq!(
+                    back.to_text(),
+                    text,
+                    "seed {seed}: the text does not round-trip"
+                );
+            }
+            Err(other) => panic!("seed {seed}: wrong error class {other}"),
+        }
+    }
+    assert!(refused >= 30, "only {refused} seeds were refused");
+    assert!(
+        parsed >= 1,
+        "no mutation parsed, so the round trip went unchecked"
+    );
 }

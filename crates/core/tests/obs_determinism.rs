@@ -363,7 +363,7 @@ fn a_served_step_fits_where_the_model_is_read() {
     let mut done = false;
     while !done {
         let export = traced(|| {
-            let mut active = ActiveLoop::from_checkpoint(&kernel, &cfg, &checkpoint, &elite)
+            let mut active = ActiveLoop::from_checkpoint(&kernel, &cfg, checkpoint.clone(), &elite)
                 .expect("own checkpoint restores");
             done = active.step(strategy);
             checkpoint = active.checkpoint();
@@ -379,7 +379,7 @@ fn a_served_step_fits_where_the_model_is_read() {
     assert_eq!(checkpoint.iteration, 4, "the chain takes four steps");
 
     let export = traced(|| {
-        let mut active = ActiveLoop::from_checkpoint(&kernel, &cfg, &checkpoint, &elite)
+        let mut active = ActiveLoop::from_checkpoint(&kernel, &cfg, checkpoint.clone(), &elite)
             .expect("own checkpoint restores");
         assert!(active.step(strategy), "the run is finished");
         assert_eq!(

@@ -18,8 +18,11 @@
 //! - **Admission control** — bounded registries and bounded per-request
 //!   work ([`AdmissionPolicy`]) shed load with typed `overloaded` responses
 //!   instead of degrading every session at once.
-//! - **Bounded memory** — between requests a session holds only its
-//!   checkpoint, digest and evaluator: a kernel's eval-cache memo is
+//! - **Bounded memory** — between requests a session holds only the body
+//!   of its newest durable generation (the committed checkpoint text, not
+//!   a parsed checkpoint), its digest and its evaluator; a step parses a
+//!   private copy of the body. The `stats` verb reports the resident
+//!   bodies' total as `resident_bytes`. A kernel's eval-cache memo is
 //!   request-scoped, emptied by every request that fills it.
 //!
 //! The wire protocol ([`protocol`]) is one flat JSON object per line over

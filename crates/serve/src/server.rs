@@ -171,6 +171,11 @@ impl Server {
         self.sessions.values().filter(|s| s.is_resident()).count()
     }
 
+    /// The summed body lengths of the resident sessions.
+    fn resident_bytes(&self) -> usize {
+        self.sessions.values().map(Session::resident_bytes).sum()
+    }
+
     /// Runs the framed line loop until EOF or a `shutdown` request: one
     /// request per line in, one response per line out.
     ///
@@ -460,6 +465,7 @@ impl Server {
         w.u64("sessions_fast", fast as u64);
         w.u64("sessions_exact", (self.sessions.len() - fast) as u64);
         w.u64("resident", self.resident_count() as u64);
+        w.u64("resident_bytes", self.resident_bytes() as u64);
         w.u64("created", s.created as u64);
         w.u64("steps_committed", s.steps_committed as u64);
         w.u64("steps_shed", s.steps_shed as u64);
@@ -560,7 +566,7 @@ fn session_line(id: &str, session: &Session) -> ObjectWriter {
     w.bool("resident", session.is_resident());
     w.u64("iteration", session.iteration());
     w.u64("generation", session.generation());
-    w.u64("n_train", session.checkpoint().map_or(0, |c| c.train_configs.len() as u64));
+    w.u64("n_train", session.n_train() as u64);
     if let Some(digest) = session.digest() {
         w.str("digest", &digest);
     }

@@ -16,19 +16,24 @@
 //! rename, parent-directory sync); a step overwrites its slot in place and
 //! makes it durable with one `sync_data`. Both survive a power loss as well
 //! as a crash. A committed step encodes its checkpoint once: the session
-//! keeps the footer checksum of the generation it just saved (or, on
-//! resume, of the body it verified) as the response digest.
+//! keeps the body of the generation it just saved (or, on resume, the body
+//! it verified) and that body's footer checksum as the response digest.
 //!
-//! Between requests a loaded session holds only that checkpoint, its digest
-//! and its Eq. 2 evaluator ([`EliteTest`], the test set's elite rows),
-//! built when `create` or `resume` derives the spec. A step restores an
-//! [`ActiveLoop`] from the checkpoint, steps it and drops it; it derives
-//! nothing from the spec. A kernel's [`EvalCache`] memo is request-scoped:
-//! `create`, `resume` and every step attempt empty it before they return,
-//! because no later request reads what an earlier one memoized.
+//! Between requests a loaded session holds only that body, its digest, the
+//! `iteration` and `n_train` responses report, and its Eq. 2 evaluator
+//! ([`EliteTest`], the test set's elite rows), built when `create` or
+//! `resume` derives the spec. The body is the committed checkpoint text
+//! itself, at its exact length: a few bytes per configuration where a
+//! parsed checkpoint holds a heap vector each. A step parses a private copy
+//! of it, restores an [`ActiveLoop`] from that copy by value, steps it and
+//! captures the result by value; it derives nothing from the spec, and
+//! only a committed step replaces the body. A kernel's [`EvalCache`] memo
+//! is request-scoped: `create`, `resume` and every step attempt empty it
+//! before they return, because no later request reads what an earlier one
+//! memoized.
 //!
 //! The state machine: `Active ⇄ Suspended` (suspend unloads the in-memory
-//! checkpoint; resume reloads it from disk), `Active → Degraded` (watchdog
+//! body; resume reloads it from disk), `Active → Degraded` (watchdog
 //! deadline exhausted or a panicking step), `Degraded → Active` (an explicit
 //! resume reloads the last durable generation and clears the strikes),
 //! `Active → Done` (the run reached `n_max`). Every transition leaves the
@@ -459,19 +464,37 @@ pub struct StepReport {
     pub state: SessionState,
 }
 
-/// What a loaded session keeps between requests: its checkpoint, the
-/// digest (the integrity-footer checksum of the durable generation the
-/// checkpoint was saved as or loaded from, which equals
-/// `fnv1a64(checkpoint.to_text())`) and its Eq. 2 evaluator.
+/// What a loaded session keeps between requests: the body of the durable
+/// generation it stands on (the checkpoint text, without the footer and at
+/// its exact length), the body's footer checksum as its digest, the
+/// checkpoint's `iteration` and training-set size, and its Eq. 2
+/// evaluator.
 #[derive(Debug)]
 struct Resident {
-    checkpoint: ActiveCheckpoint,
+    body: String,
     digest: u64,
+    iteration: u64,
+    n_train: usize,
     elite: EliteTest,
 }
 
+impl Resident {
+    /// The resident state of generation `checkpoint`, whose body and
+    /// checksum are `body` and `digest`.
+    fn new(checkpoint: &ActiveCheckpoint, body: String, digest: u64, elite: EliteTest) -> Self {
+        Self {
+            body,
+            digest,
+            iteration: checkpoint.iteration,
+            n_train: checkpoint.train_configs.len(),
+            elite,
+        }
+    }
+}
+
 /// Saves `checkpoint` as generation `checkpoint.iteration` of `store`,
-/// encoding it once; the returned [`Saved`] carries the body's checksum.
+/// encoding it once; the returned [`Saved`] carries the body and its
+/// checksum.
 fn save(store: &GenerationStore, checkpoint: &ActiveCheckpoint) -> Result<Saved, ProtocolError> {
     store.commit(checkpoint).map_err(|e| internal(&e))
 }
@@ -482,7 +505,7 @@ pub struct Session {
     spec: SessionSpec,
     target: SessionTarget,
     store: GenerationStore,
-    /// The in-memory checkpoint, its digest and its evaluator; `None` while
+    /// The in-memory body, its digest and its evaluator; `None` while
     /// suspended/unloaded.
     resident: Option<Resident>,
     state: SessionState,
@@ -517,7 +540,7 @@ impl Session {
         }
         let config = spec.active_config();
         let checkpoint =
-            ActiveLoop::new(target.as_target(), &config, pool, &elite, spec.seed).checkpoint();
+            ActiveLoop::new(target.as_target(), &config, pool, &elite, spec.seed).into_checkpoint();
         target.end_request();
         // A directory already here is no live session (the server refuses a
         // hosted id): one skipped at open or left by a crashed create. Its
@@ -541,11 +564,12 @@ impl Session {
             spec,
             target,
             store,
-            resident: Some(Resident {
-                checkpoint,
-                digest: saved.checksum,
+            resident: Some(Resident::new(
+                &checkpoint,
+                saved.body,
+                saved.checksum,
                 elite,
-            }),
+            )),
             state: SessionState::Active,
             strikes: 0,
         })
@@ -599,10 +623,16 @@ impl Session {
         self.state
     }
 
-    /// True when the session occupies memory (checkpoint loaded).
+    /// True when the session occupies memory (checkpoint body loaded).
     #[must_use]
     pub fn is_resident(&self) -> bool {
         self.resident.is_some()
+    }
+
+    /// The length of the resident checkpoint body (0 when unloaded).
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.resident.as_ref().map_or(0, |r| r.body.len())
     }
 
     /// The durable generation the loaded checkpoint was saved as or loaded
@@ -623,16 +653,16 @@ impl Session {
     /// durable value).
     #[must_use]
     pub fn iteration(&self) -> u64 {
-        self.checkpoint().map_or(0, |c| c.iteration)
+        self.resident.as_ref().map_or(0, |r| r.iteration)
     }
 
-    /// The loaded checkpoint, if resident.
+    /// The resident checkpoint's training-set size (0 when unloaded).
     #[must_use]
-    pub fn checkpoint(&self) -> Option<&ActiveCheckpoint> {
-        self.resident.as_ref().map(|r| &r.checkpoint)
+    pub fn n_train(&self) -> usize {
+        self.resident.as_ref().map_or(0, |r| r.n_train)
     }
 
-    /// The loaded checkpoint's digest, as 16 hex digits: the integrity-footer
+    /// The resident body's digest, as 16 hex digits: the integrity-footer
     /// checksum of the newest durable generation, which equals
     /// `fnv1a64(checkpoint.to_text())` — the bit-identity fingerprint the
     /// chaos harness compares across kills. Kept from the save or the
@@ -642,11 +672,11 @@ impl Session {
         self.resident.as_ref().map(|r| format!("{:016x}", r.digest))
     }
 
-    /// Resumes the session from its last durable generation, then derives
-    /// the spec once to rebuild the session's evaluator (also clears a
-    /// degraded session's strikes — resume is the recovery path). Returns
-    /// how many damaged slots the load removed
-    /// ([`pwu_core::Recovered::rolled_back`]).
+    /// Resumes the session from its last durable generation, keeping the
+    /// body the load verified, then derives the spec once to rebuild the
+    /// session's evaluator (also clears a degraded session's strikes —
+    /// resume is the recovery path). Returns how many damaged slots the
+    /// load removed ([`pwu_core::Recovered::rolled_back`]).
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when no generation survives
@@ -667,11 +697,12 @@ impl Session {
             || recovered.checkpoint.pool_configs.is_empty();
         let (_, elite) = self.spec.materialize_evaluator(self.target.as_target());
         self.target.end_request();
-        self.resident = Some(Resident {
-            checkpoint: recovered.checkpoint,
-            digest: recovered.checksum,
+        self.resident = Some(Resident::new(
+            &recovered.checkpoint,
+            recovered.body,
+            recovered.checksum,
             elite,
-        });
+        ));
         self.strikes = 0;
         self.state = if done {
             SessionState::Done
@@ -681,10 +712,10 @@ impl Session {
         Ok(recovered.rolled_back)
     }
 
-    /// Suspends the session: drops the in-memory checkpoint (already
-    /// durable — every committed step persisted a generation) and the
-    /// evaluator. Suspending a done/degraded session just unloads it; its
-    /// state token is preserved on resume via the durable checkpoint.
+    /// Suspends the session: drops the in-memory body (already durable —
+    /// every committed step persisted a generation) and the evaluator.
+    /// Suspending a done/degraded session just unloads it; its state token
+    /// is preserved on resume via the durable checkpoint.
     pub fn suspend(&mut self) {
         self.resident = None;
         if self.state == SessionState::Active {
@@ -694,14 +725,15 @@ impl Session {
 
     /// Attempts one watchdogged step.
     ///
-    /// The step restores an [`ActiveLoop`] from the loaded checkpoint and
-    /// evaluator, steps it and drops it, so it is *pure* until commit: a
-    /// panic (isolated with `catch_unwind`) or an over-deadline cost
-    /// discards the outcome, leaves the resident and durable state
-    /// untouched and records a strike; exhausting the grace budget degrades
-    /// the session. A committed step replaces the checkpoint and persists
-    /// it as the next generation. Every attempt that ran, whatever its
-    /// outcome, empties the memo it filled.
+    /// The step parses a private copy of the resident body, restores an
+    /// [`ActiveLoop`] from it and the evaluator, steps it and captures it,
+    /// so it is *pure* until commit: a panic (isolated with
+    /// `catch_unwind`) or an over-deadline cost discards the outcome,
+    /// leaves the resident and durable state untouched and records a
+    /// strike; exhausting the grace budget degrades the session. A
+    /// committed step persists the captured checkpoint as the next
+    /// generation and keeps the body it wrote. Every attempt that ran,
+    /// whatever its outcome, empties the memo it filled.
     ///
     /// # Errors
     /// Returns an [`ErrorKind::BadState`] error unless the session is
@@ -734,19 +766,20 @@ impl Session {
             let mut active = ActiveLoop::from_checkpoint(
                 self.target.as_target(),
                 &config,
-                &resident.checkpoint,
+                ActiveCheckpoint::from_text(&resident.body)?,
                 &resident.elite,
             )?;
             let before = active.cost();
             let done = active.step(self.spec.strategy);
-            Ok::<_, CheckpointError>((active.checkpoint(), done, active.cost() - before))
+            let step_cost = active.cost() - before;
+            Ok::<_, CheckpointError>((active.into_checkpoint(), done, step_cost))
         }));
         self.target.end_request();
         let (checkpoint, done, step_cost) = match attempt {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(e)) => {
-                // A mismatch between spec and checkpoint means the durable
-                // state cannot be trusted.
+                // A body that does not parse, or a mismatch between spec and
+                // checkpoint, means the durable state cannot be trusted.
                 return Err(ProtocolError::new(ErrorKind::Corrupt, e.to_string()));
             }
             Err(_panic) => {
@@ -783,8 +816,10 @@ impl Session {
         }
         self.strikes = 0;
         let saved = save(&self.store, &checkpoint)?;
-        resident.checkpoint = checkpoint;
+        resident.body = saved.body;
         resident.digest = saved.checksum;
+        resident.iteration = checkpoint.iteration;
+        resident.n_train = checkpoint.train_configs.len();
         if done {
             self.state = SessionState::Done;
         }

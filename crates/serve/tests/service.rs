@@ -1,9 +1,11 @@
 //! End-to-end service behavior: protocol dispatch, admission, watchdogs,
-//! request-scoped memos, crash re-attach and the serve ≡ core identity.
+//! request-scoped memos, resident bytes, crash re-attach and the serve ≡
+//! core identity.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use pwu_core::checkpoint::split_verified_body;
 use pwu_core::{ActiveCheckpoint, GenerationStore, RetryPolicy, Strategy};
 use pwu_serve::protocol::{Fields, Value};
 use pwu_serve::session::{strategy_token, Session, SessionSpec};
@@ -329,12 +331,22 @@ fn watchdog_degrades_runaways_and_resume_recovers_them() {
     let created = send(&mut server, &create_line("w", "adi", 7));
     let durable_digest = created.str("digest").unwrap().to_string();
     let generation = created.u64("generation").unwrap();
+    let standing = |f: &Fields| {
+        (
+            f.str("digest").map(str::to_string),
+            f.u64("iteration"),
+            f.u64("n_train"),
+        )
+    };
 
     // Strike 1: shed but still active. Strike 2: degraded.
     let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
     assert_eq!(r.str("state"), Some("active"));
     assert_eq!(r.u64("steps"), Some(0));
     assert_eq!(r.u64("shed"), Some(1));
+    // The shed step ran on a private copy: the resident state is untouched.
+    let q = send(&mut server, r#"{"cmd":"query","session":"w"}"#);
+    assert_eq!(standing(&q), standing(&created));
     let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
     assert_err(&r, ErrorKind::Degraded);
     let q = send(&mut server, r#"{"cmd":"query","session":"w"}"#);
@@ -351,6 +363,18 @@ fn watchdog_degrades_runaways_and_resume_recovers_them() {
     assert_eq!(r.str("digest"), Some(durable_digest.as_str()));
     assert_eq!(r.u64("generation"), Some(generation));
     assert_eq!(r.u64("rolled_back"), Some(0));
+
+    // Reopened under the default watchdog, the first committed step is
+    // the core chain's first step: the strikes left no trace.
+    drop(server);
+    let mut server = server_at(&dir);
+    send(&mut server, r#"{"cmd":"resume","session":"w"}"#);
+    let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
+    assert_eq!(r.u64("steps"), Some(1), "{r:?}");
+    assert_eq!(
+        r.str("digest"),
+        Some(core_digests(&small_spec("adi", 7))[0].as_str())
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -891,5 +915,55 @@ fn every_digest_is_the_checksum_of_the_durable_generation() {
     let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
     assert_eq!((r.u64("steps"), r.u64("shed")), (Some(0), Some(1)), "{r:?}");
     assert_eq!(assert_digest_of_newest(&r, &dir, "w"), digest);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The `stats` line's `resident_bytes`, and the summed body lengths
+/// (footer excluded) of the resident sessions' newest slots.
+fn resident_bytes(server: &mut Server, dir: &Path, ids: &[&str]) -> (Option<u64>, u64) {
+    let on_disk = ids
+        .iter()
+        .filter(|id| server.session(id).unwrap().is_resident())
+        .map(|id| {
+            let store = GenerationStore::new(dir.join(id));
+            let bytes = fs::read(store.path_for(newest_generation(&store))).unwrap();
+            split_verified_body(&bytes).unwrap().len() as u64
+        })
+        .sum();
+    let stats = send(server, r#"{"cmd":"stats"}"#);
+    (stats.u64("resident_bytes"), on_disk)
+}
+
+/// A resident session holds the body of its newest generation, so the
+/// `stats` line's `resident_bytes` is the summed body lengths of the
+/// resident sessions' newest slots through create, step, suspend and
+/// resume.
+#[test]
+fn resident_bytes_are_the_bodies_of_the_resident_generations() {
+    let dir = tmp("resident-bytes");
+    let mut server = server_at(&dir);
+    let ids = ["a", "k"];
+    send(&mut server, &create_line("a", "adi", 71));
+    send(&mut server, &create_line("k", "kripke", 72));
+    let (reported, on_disk) = resident_bytes(&mut server, &dir, &ids);
+    assert!(on_disk > 0);
+    assert_eq!(reported, Some(on_disk), "after create");
+
+    send(&mut server, r#"{"cmd":"step","session":"a","n":1}"#);
+    let (reported, stepped) = resident_bytes(&mut server, &dir, &ids);
+    assert_ne!(stepped, on_disk, "a committed step changes the body");
+    assert_eq!(reported, Some(stepped), "after a step");
+
+    send(&mut server, r#"{"cmd":"suspend","session":"a"}"#);
+    let (reported, suspended) = resident_bytes(&mut server, &dir, &ids);
+    assert!(suspended < stepped);
+    assert_eq!(reported, Some(suspended), "after suspend");
+
+    send(&mut server, r#"{"cmd":"resume","session":"a"}"#);
+    assert_eq!(
+        resident_bytes(&mut server, &dir, &ids),
+        (Some(stepped), stepped),
+        "after resume"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

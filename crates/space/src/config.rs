@@ -26,6 +26,12 @@ impl Configuration {
         &self.levels
     }
 
+    /// The level indices, moved out.
+    #[must_use]
+    pub fn into_levels(self) -> Vec<u32> {
+        self.levels
+    }
+
     /// Level of the parameter at position `i`.
     ///
     /// # Panics

@@ -105,7 +105,9 @@ impl FeatureSchema {
             .unwrap_or_else(|(_, e)| panic!("{}", e.message))
     }
 
-    /// [`FeatureSchema::encode_matrix`] for untrusted configurations.
+    /// [`FeatureSchema::encode_matrix`] for untrusted configurations. Each
+    /// column is sized for every configuration up front and filled row by
+    /// row; no row is allocated on the way.
     ///
     /// # Errors
     /// Returns the index of the first configuration that does not belong to
@@ -119,20 +121,34 @@ impl FeatureSchema {
         space: &ParamSpace,
         cfgs: &[Configuration],
     ) -> Result<FeatureMatrix, (usize, InvalidInput)> {
-        let mut m = FeatureMatrix::new(self.dim());
+        let mut cols: Vec<Vec<f64>> = (0..self.dim())
+            .map(|_| Vec::with_capacity(cfgs.len()))
+            .collect();
         for (i, cfg) in cfgs.iter().enumerate() {
-            m.push_row(&self.try_encode(space, cfg).map_err(|e| (i, e))?);
+            let values = self.values(space, cfg).map_err(|e| (i, e))?;
+            for (col, v) in cols.iter_mut().zip(values) {
+                col.push(v);
+            }
         }
-        Ok(m)
+        Ok(FeatureMatrix::from_columns(cfgs.len(), cols))
     }
 
-    /// Validates `cfg` against `space` and encodes it: the one encoder
-    /// behind every public form.
+    /// Validates `cfg` against `space` and encodes it.
     fn try_encode(
         &self,
         space: &ParamSpace,
         cfg: &Configuration,
     ) -> Result<Vec<f64>, InvalidInput> {
+        self.values(space, cfg).map(Iterator::collect)
+    }
+
+    /// Validates `cfg` against `space` and yields its feature values, one
+    /// per column: the one encoder behind every public form.
+    fn values<'c>(
+        &self,
+        space: &'c ParamSpace,
+        cfg: &'c Configuration,
+    ) -> Result<impl Iterator<Item = f64> + 'c, InvalidInput> {
         space.try_validate(cfg)?;
         assert_eq!(
             space.dim(),
@@ -147,8 +163,7 @@ impl FeatureSchema {
                 Domain::Ordinal(vs) => vs[l as usize],
                 Domain::Bool => f64::from(l),
                 Domain::Categorical(_) => f64::from(l),
-            })
-            .collect())
+            }))
     }
 }
 

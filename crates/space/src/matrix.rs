@@ -48,6 +48,19 @@ impl FeatureMatrix {
         m
     }
 
+    /// Builds a matrix from its columns, each holding `n_rows` entries.
+    ///
+    /// # Panics
+    /// Panics if a column's length differs from `n_rows`.
+    #[must_use]
+    pub fn from_columns(n_rows: usize, cols: Vec<Vec<f64>>) -> Self {
+        assert!(
+            cols.iter().all(|c| c.len() == n_rows),
+            "column length mismatch"
+        );
+        Self { cols, n_rows }
+    }
+
     /// Number of rows.
     #[must_use]
     pub fn n_rows(&self) -> usize {

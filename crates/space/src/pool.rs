@@ -51,6 +51,12 @@ impl Pool {
         Ok(Self { configs, features })
     }
 
+    /// The remaining configurations, moved out.
+    #[must_use]
+    pub fn into_configs(self) -> Vec<Configuration> {
+        self.configs
+    }
+
     /// Number of remaining candidates.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -172,6 +178,13 @@ impl LabeledSet {
             features,
             labels,
         }
+    }
+
+    /// The aligned parts, moved out: the inverse of
+    /// [`LabeledSet::from_parts`].
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<Configuration>, FeatureMatrix, Vec<f64>) {
+        (self.configs, self.features, self.labels)
     }
 
     /// Appends one labeled observation.
