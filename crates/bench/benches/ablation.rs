@@ -1,5 +1,5 @@
 //! Ablation benchmarks for the design choices flagged in `DESIGN.md`:
-//! the uncertainty estimator, the forest size and the batch size.
+//! the forest size and the batch size.
 //!
 //! Criterion reports the runtime cost of each variant; the accuracy side of
 //! the ablations is covered by the integration tests and the fig binaries.
@@ -25,35 +25,6 @@ fn data(n: usize, d: usize) -> (pwu_space::FeatureMatrix, Vec<f64>) {
         x.push_row(&row);
     }
     (x, y)
-}
-
-/// Across-tree variance vs Hutter total variance: prediction cost.
-fn ablation_uncertainty(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_uncertainty");
-    group.sample_size(20);
-    let (x, y) = data(400, 16);
-    let kinds = vec![pwu_space::FeatureKind::Numeric; 16];
-    let forest = RandomForest::fit(&ForestConfig::default(), &kinds, &x, &y, 2);
-    let (pool, _) = data(2000, 16);
-    let pool_rows: Vec<Vec<f64>> = (0..pool.n_rows()).map(|i| pool.row(i)).collect();
-    group.bench_function("across_tree_variance", |b| {
-        b.iter(|| {
-            forest
-                .predict_batch(black_box(&pool))
-                .iter()
-                .map(|p| p.std)
-                .sum::<f64>()
-        });
-    });
-    group.bench_function("total_variance_hutter", |b| {
-        b.iter(|| {
-            pool_rows
-                .iter()
-                .map(|r| forest.predict_total_variance(black_box(r)).std)
-                .sum::<f64>()
-        });
-    });
-    group.finish();
 }
 
 /// Forest size: how the per-iteration cost scales with the tree count.
@@ -119,10 +90,5 @@ fn ablation_batch_size(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_uncertainty,
-    ablation_forest_size,
-    ablation_batch_size
-);
+criterion_group!(benches, ablation_forest_size, ablation_batch_size);
 criterion_main!(benches);

@@ -140,9 +140,13 @@ impl Strategy {
 
 /// PWU scores (Eq. 1), entry-wise `σ / μ^(1−α)`.
 ///
-/// Predicted means are floored at a tiny positive value: execution times are
-/// positive, and the floor keeps the score finite even if a degenerate model
-/// predicts zero.
+/// Predicted means are floored at 1e-12: execution times are positive, and
+/// the floor keeps the score finite even if a degenerate model predicts zero
+/// or a negative time, so every mean at or below the floor scores alike for
+/// equal σ. A NaN mean is not floored: it scores NaN, which
+/// [`Strategy::select`] ranks last. Equal scores (an all-zero σ on a
+/// constant surface, say) are taken from the highest pool index down, by
+/// [`Strategy::Pwu`] as by [`Strategy::MaxU`].
 ///
 /// ```
 /// use pwu_core::strategy::pwu_scores;
@@ -160,7 +164,14 @@ pub fn pwu_scores(preds: &[Prediction], alpha: f64) -> Vec<f64> {
     assert!((0.0..=1.0).contains(&alpha), "alpha {alpha} outside [0, 1]");
     preds
         .iter()
-        .map(|p| p.std / p.mean.max(1e-12).powf(1.0 - alpha))
+        .map(|p| {
+            if p.mean.is_nan() {
+                // `f64::max` would turn NaN into the floor and crown it.
+                f64::NAN
+            } else {
+                p.std / p.mean.max(1e-12).powf(1.0 - alpha)
+            }
+        })
         .collect()
 }
 
@@ -334,6 +345,50 @@ mod tests {
         assert_eq!(*pwu.last().unwrap(), 1, "NaN score must rank last");
         let pbus = Strategy::Pbus { fraction: 1.0 }.select(&preds, 3, &mut rng);
         assert_eq!(pbus, vec![2, 0, 3], "finite σ sorts first, descending");
+
+        // A NaN mean with a finite σ must not be floored into the largest
+        // score: it scores NaN and ranks last like the (NaN, NaN) row.
+        let preds = vec![
+            pred(1.0, 0.5),
+            pred(f64::NAN, 0.5),
+            pred(2.0, 1.0),
+            pred(-3.0, 0.1),
+        ];
+        assert!(pwu_scores(&preds, 0.05)[1].is_nan());
+        let pwu = Strategy::Pwu { alpha: 0.05 }.select(&preds, 4, &mut rng);
+        assert_eq!(*pwu.last().unwrap(), 1, "a NaN mean must rank last");
+    }
+
+    #[test]
+    fn degenerate_predictions_give_defined_batches() {
+        let mut rng = Xoshiro256PlusPlus::new(6);
+        // A one-point pool: every strategy takes the only candidate.
+        for s in Strategy::paper_set(0.05) {
+            for n_batch in [1, 3] {
+                assert_eq!(s.select(&[pred(2.0, 0.3)], n_batch, &mut rng), vec![0]);
+            }
+        }
+        // A constant surface: every σ is 0 and every μ equal. Every
+        // strategy still fills the batch without duplicates, and the
+        // score-ranked ones break the all-zero tie toward the highest
+        // pool index.
+        let flat = vec![pred(3.0, 0.0); 5];
+        for s in Strategy::paper_set(0.05) {
+            let batch = s.select(&flat, 2, &mut rng);
+            let set: std::collections::HashSet<_> = batch.iter().collect();
+            assert_eq!(set.len(), 2, "{} batch short or duplicated", s.name());
+        }
+        assert_eq!(
+            Strategy::Pwu { alpha: 0.05 }.select(&flat, 2, &mut rng),
+            vec![4, 3]
+        );
+        assert_eq!(Strategy::MaxU.select(&flat, 2, &mut rng), vec![4, 3]);
+        // Means at or below the 1e-12 floor (zero, negative) all score as
+        // the floor: equal σ gives bitwise equal scores.
+        let low = [pred(0.0, 0.5), pred(-3.0, 0.5), pred(1e-12, 0.5)];
+        let scores = pwu_scores(&low, 0.05);
+        assert!(scores.iter().all(|s| s.to_bits() == scores[0].to_bits()));
+        assert!(scores[0].is_finite());
     }
 
     #[test]

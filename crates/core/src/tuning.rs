@@ -69,6 +69,11 @@ pub struct TuningTrajectory {
 /// tuning step; the search re-selects among the survivors, so the run
 /// completes under injected measurement faults.
 ///
+/// Each search model, once fitted, and a surrogate annotator's model
+/// predict all candidates in one [`RandomForest::predict_batch_mean`] call;
+/// for a [`FitMode::Exact`](pwu_forest::FitMode::Exact) forest that is
+/// bitwise the scalar [`RandomForest::predict_one_at`] mean.
+///
 /// # Panics
 /// Panics if fewer than `n_init + n_iters` legal candidates remain after
 /// excluding illegal ones, or if every candidate fails annotation during
@@ -104,8 +109,8 @@ pub fn model_based_tuning(
     );
     let schema = FeatureSchema::for_space(target.space());
     let kinds = schema.kinds();
-    // Encode every candidate once; the greedy rescans below then read rows
-    // straight out of the flat matrix instead of re-encoding per step.
+    // Encode every candidate once: the archive copies rows out of the flat
+    // matrix, and each model predicts all of it in one batch.
     let cand_features = schema.encode_matrix(target.space(), candidates);
     let mut rng = Xoshiro256PlusPlus::new(derive_seed(seed, 0));
     let mut true_annotator = Annotator::new(
@@ -125,13 +130,17 @@ pub fn model_based_tuning(
     let mut quarantined: Vec<Configuration> = Vec::new();
     let mut incumbent = f64::INFINITY;
 
+    let surrogate_labels = match annotator {
+        TuningAnnotator::True { .. } => Vec::new(),
+        TuningAnnotator::Surrogate(model) => model.predict_batch_mean(&cand_features),
+    };
     let label_of = |cfg: &Configuration,
                     idx: usize,
                     true_annotator: &mut Annotator<'_>|
      -> Result<f64, AnnotationFailure> {
         match annotator {
             TuningAnnotator::True { .. } => true_annotator.try_evaluate(cfg),
-            TuningAnnotator::Surrogate(model) => Ok(model.predict_one_at(&cand_features, idx).mean),
+            TuningAnnotator::Surrogate(_) => Ok(surrogate_labels[idx]),
         }
     };
 
@@ -170,6 +179,9 @@ pub fn model_based_tuning(
             &labels,
             derive_seed(seed, 100 + it as u64),
         );
+        // A quarantine re-selects with the same model, so one batch serves
+        // every pick until the next fit.
+        let predicted = model.predict_batch_mean(&cand_features);
         while !remaining.is_empty() {
             // Greedy: smallest predicted time among the un-evaluated
             // candidates. `total_cmp` keeps a degenerate model's non-finite
@@ -178,7 +190,7 @@ pub fn model_based_tuning(
             let (pos, _) = remaining
                 .iter()
                 .enumerate()
-                .map(|(pos, &idx)| (pos, model.predict_one_at(&cand_features, idx).mean))
+                .map(|(pos, &idx)| (pos, predicted[idx]))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("candidates remain");
             let idx = remaining.swap_remove(pos);

@@ -15,10 +15,9 @@
 //!   trees with categorical splits, 16 bytes ([`NumNode`]: packed
 //!   feature+child word / threshold — four nodes per cache line) for
 //!   all-numeric trees. Children are adjacent (`right = kid + 1`), so
-//!   routing is `kid + 1 - go_left` — an add, not a select. Leaf `μ`/`σ`
-//!   statistics live in parallel flat arrays ([`FlatTree::mean`],
-//!   [`FlatTree::second`]) indexed by the same node ids, gathered once per
-//!   row after the descent.
+//!   routing is `kid + 1 - go_left` — an add, not a select. Leaf means `μ`
+//!   live in a parallel flat array ([`FlatTree::mean`]) indexed by the same
+//!   node ids, gathered once per row after the descent.
 //! - **A uniform branch-free step** for every node kind: numeric nodes test
 //!   `v <= thresh` with a zero mask, categorical nodes carry `thresh = -∞`
 //!   with the rule's membership mask, and leaves *self-loop* (`kid` points
@@ -173,9 +172,6 @@ pub(crate) struct FlatTree {
     num: Vec<NumNode>,
     /// Leaf mean per node id (`μ` — the tree's prediction; 0 at internals).
     mean: Vec<f64>,
-    /// Leaf second moment per node id (`variance + mean²`, the per-tree
-    /// term of the law-of-total-variance estimator; 0 at internals).
-    second: Vec<f64>,
 }
 
 impl FlatTree {
@@ -192,7 +188,6 @@ impl FlatTree {
         order.push(0);
         let mut nodes = Vec::with_capacity(n.next_power_of_two());
         let mut mean = vec![0.0f64; n];
-        let mut second = vec![0.0f64; n];
         let mut numeric = true;
         let mut head = 0usize;
         while head < order.len() {
@@ -228,7 +223,6 @@ impl FlatTree {
                         mask: 0,
                     });
                     mean[head] = stats.mean;
-                    second[head] = stats.variance + stats.mean * stats.mean;
                 }
             }
             head += 1;
@@ -251,12 +245,7 @@ impl FlatTree {
             num = nodes.iter().map(NumNode::pack).collect();
             nodes = Vec::new();
         }
-        Self {
-            nodes,
-            num,
-            mean,
-            second,
-        }
+        Self { nodes, num, mean }
     }
 
     /// Routes [`LANES`] fixed-stride rows to their leaves: general step
@@ -489,35 +478,33 @@ impl FlatForest {
         }
     }
 
-    /// Blocked batch fold over the pool: rows are chunked across the
+    /// Blocked batch `(Σμ, Σμ²)` fold over the pool, the input of the
+    /// across-tree `(mean, std)` estimator: rows are chunked across the
     /// `PWU_THREADS` pool, each chunk is transposed once into fixed-stride
     /// row records, and every tree descends the chunk [`LANES`] rows at a
-    /// time. Per row, `terms(tree, leaf)`'s `(value, square)` pair
-    /// accumulates in `mode`'s fold order ([`by_fold!`], exactly like
-    /// [`fold_lanes`]); the result goes through
-    /// `finish(sum, sum_sq, n_trees)`.
+    /// time. Per row, each tree's leaf mean `v` accumulates `(v, v²)` in
+    /// `mode`'s fold order ([`by_fold!`], exactly like [`fold_lanes`]); the
+    /// result goes through `finish(sum, sum_sq, n_trees)`.
     ///
     /// # Panics
     /// Panics if the feature width exceeds [`STRIDE_WIDE`].
-    fn fold_batch<T: Send>(
+    pub(crate) fn fold_mu<T: Send>(
         &self,
         mode: FitMode,
         x: &FeatureMatrix,
-        terms: impl Fn(&FlatTree, usize) -> (f64, f64) + Sync,
         finish: impl Fn(f64, f64, f64) -> T + Sync,
     ) -> Vec<T> {
         by_fold!(mode, L => if x.n_cols() <= STRIDE_NARROW {
-            self.fold_batch_strided::<STRIDE_NARROW, L, T>(x, &terms, &finish)
+            self.fold_mu_strided::<STRIDE_NARROW, L, T>(x, &finish)
         } else {
             assert_width(x.n_cols());
-            self.fold_batch_strided::<STRIDE_WIDE, L, T>(x, &terms, &finish)
+            self.fold_mu_strided::<STRIDE_WIDE, L, T>(x, &finish)
         })
     }
 
-    fn fold_batch_strided<const S: usize, const L: usize, T: Send>(
+    fn fold_mu_strided<const S: usize, const L: usize, T: Send>(
         &self,
         x: &FeatureMatrix,
-        terms: &(impl Fn(&FlatTree, usize) -> (f64, f64) + Sync),
         finish: &(impl Fn(f64, f64, f64) -> T + Sync),
     ) -> Vec<T> {
         let n_rows = x.n_rows();
@@ -539,10 +526,10 @@ impl FlatForest {
                         idx.fill(0);
                         tree.descend_block(block_rows(&buf, lo, k), &mut idx);
                         for (j, &leaf) in idx[..k].iter().enumerate() {
-                            let (v, v2) = terms(tree, leaf as usize);
+                            let v = tree.mean[leaf as usize];
                             let a = &mut acc[lo + j];
                             a[0][lane] += v;
-                            a[1][lane] += v2;
+                            a[1][lane] += v * v;
                         }
                     }
                 }
@@ -554,45 +541,10 @@ impl FlatForest {
         per_chunk.into_iter().flatten().collect()
     }
 
-    /// Batch `(Σμ, Σμ²)` fold — the across-tree `(mean, std)` estimator's
-    /// input, folded per [`fold_lanes`].
-    pub(crate) fn fold_mu<T: Send>(
-        &self,
-        mode: FitMode,
-        x: &FeatureMatrix,
-        finish: impl Fn(f64, f64, f64) -> T + Sync,
-    ) -> Vec<T> {
-        self.fold_batch(
-            mode,
-            x,
-            |tree, leaf| {
-                let m = tree.mean[leaf];
-                (m, m * m)
-            },
-            finish,
-        )
-    }
-
-    /// Batch `(Σμ, Σ(σ² + μ²))` fold — the law-of-total-variance
-    /// estimator's input, folded per [`fold_lanes`].
-    pub(crate) fn fold_total_variance<T: Send>(
-        &self,
-        mode: FitMode,
-        x: &FeatureMatrix,
-        finish: impl Fn(f64, f64, f64) -> T + Sync,
-    ) -> Vec<T> {
-        self.fold_batch(
-            mode,
-            x,
-            |tree, leaf| (tree.mean[leaf], tree.second[leaf]),
-            finish,
-        )
-    }
-
     /// Per-tree point-prediction columns: `out[k][i]` is tree
     /// `tree_idx[k]`'s prediction for row `i` of `x`. Rows are chunked
     /// across the `PWU_THREADS` pool and each chunk is transposed once into
-    /// fixed-stride row records, as [`FlatForest::fold_batch`] does. Values
+    /// fixed-stride row records, as [`FlatForest::fold_mu`] does. Values
     /// are bit-identical to [`RegressionTree::predict_at`] — the descent
     /// decisions match bitwise, and the column holds raw leaf means, no
     /// fold — so columns are the same in every fit mode.

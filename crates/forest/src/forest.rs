@@ -159,28 +159,6 @@ impl RandomForest {
         }
     }
 
-    /// Prediction with Hutter et al.'s total-variance uncertainty:
-    /// `Var = E[leaf_var + leaf_mean²] − μ²` (law of total variance across
-    /// the tree mixture). Strictly larger than the across-tree estimate
-    /// whenever leaves are impure.
-    #[must_use]
-    pub fn predict_total_variance(&self, row: &[f64]) -> Prediction {
-        let n = self.trees.len() as f64;
-        let mut sum = 0.0;
-        let mut second_moment = 0.0;
-        for tree in &self.trees {
-            let leaf = tree.predict_leaf(row);
-            sum += leaf.mean;
-            second_moment += leaf.variance + leaf.mean * leaf.mean;
-        }
-        let mean = sum / n;
-        let var = (second_moment / n - mean * mean).max(0.0);
-        Prediction {
-            mean,
-            std: var.sqrt(),
-        }
-    }
-
     /// Batch prediction with across-tree uncertainty.
     ///
     /// Every tree descends the flat layout ([`crate::flat`]), whose
@@ -232,34 +210,6 @@ impl RandomForest {
         self.assert_covers(x);
         self.flat
             .fold_mu(self.config.fit_mode, x, |sum, _, n| sum / n)
-    }
-
-    /// Batch prediction with Hutter et al.'s total-variance uncertainty —
-    /// the bulk form of [`RandomForest::predict_total_variance`], folding
-    /// the flat layout's leaf `μ` and second-moment arrays with the same
-    /// kernel and fold as [`RandomForest::predict_batch`]: exact forests
-    /// are bit-identical to the scalar call. Rows are independent as there:
-    /// a gathered subset of rows predicts bitwise as those rows of the full
-    /// batch.
-    #[must_use]
-    pub fn predict_batch_total_variance(&self, x: &FeatureMatrix) -> Vec<Prediction> {
-        self.assert_covers(x);
-        let _s = pwu_obs::span(
-            "forest.predict_batch",
-            [
-                ("rows", pwu_obs::Arg::u(x.n_rows() as u64)),
-                ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
-            ],
-        );
-        self.flat
-            .fold_total_variance(self.config.fit_mode, x, |sum, second, n| {
-                let mean = sum / n;
-                let var = (second / n - mean * mean).max(0.0);
-                Prediction {
-                    mean,
-                    std: var.sqrt(),
-                }
-            })
     }
 
     /// Per-tree point-prediction columns: `out[k][i]` is tree
@@ -467,27 +417,6 @@ mod tests {
             let p = forest.predict_one(xi);
             assert_eq!(p.mean, 3.0);
             assert_eq!(p.std, 0.0);
-        }
-    }
-
-    #[test]
-    fn total_variance_at_least_across_tree_variance() {
-        let (x, mut y) = grid_xy();
-        // Add irreducible noise so leaves stay impure under min_leaf 4.
-        let mut rng = Xoshiro256PlusPlus::new(9);
-        for v in &mut y {
-            *v += rng.next_f64();
-        }
-        let cfg = ForestConfig {
-            min_leaf: 4,
-            ..ForestConfig::default()
-        };
-        let forest = RandomForest::fit_rows(&cfg, &kinds2(), &x, &y, 2);
-        for xi in x.iter().take(16) {
-            let a = forest.predict_one(xi);
-            let t = forest.predict_total_variance(xi);
-            assert!((a.mean - t.mean).abs() < 1e-9);
-            assert!(t.std >= a.std - 1e-12, "total {} < across {}", t.std, a.std);
         }
     }
 

@@ -4,12 +4,12 @@
 //! of CART regression trees, each grown on a bootstrap resample of the
 //! training set, choosing the best split among a random feature subset at
 //! every node. Active learning additionally needs an *uncertainty* for every
-//! prediction; two estimators are provided (see [`forest::RandomForest`]):
-//!
-//! - the across-tree standard deviation of the per-tree predictions, the
-//!   estimator referenced by the paper;
-//! - Hutter et al.'s law-of-total-variance estimator, which adds the
-//!   within-leaf variance of each tree (kept for the ablation benches).
+//! prediction: the across-tree standard deviation of the per-tree
+//! predictions, the estimator the paper references (see
+//! [`forest::RandomForest`]). It is the only one: Hutter et al.'s
+//! law-of-total-variance σ, which adds each tree's within-leaf variance,
+//! is calibrated no better on any paper kernel at the leaf size every
+//! caller uses (EXPERIMENTS.md, "Uncertainty estimator").
 //!
 //! Categorical features are split natively on category *subsets* using the
 //! classic sort-by-mean reduction (optimal for squared error), rather than

@@ -201,7 +201,7 @@ fn predict_batch_is_the_fit_modes_fold_of_scalar_tree_values() {
 }
 
 /// Row independence, the property pwu-core's elite-slice evaluation rests
-/// on: in both fit modes and both row-record strides, the three batch
+/// on: in both fit modes and both row-record strides, the two batch
 /// predictors return for a gathered subset of rows exactly the bits the
 /// full batch returns for those rows. The subsets are scattered and
 /// unsorted across 16-row blocks and 512-row chunks, a single row, and
@@ -225,7 +225,6 @@ fn batch_predictions_of_gathered_rows_equal_the_full_batch_rows_bitwise() {
             let forest = RandomForest::fit(&config, &kinds, &x, &y, 11);
             let full = batch_bits(&forest.predict_batch(&pool));
             let full_mean = mean_bits(&forest.predict_batch_mean(&pool));
-            let full_tv = batch_bits(&forest.predict_batch_total_variance(&pool));
             for idx in [&scattered, &single, &alternate] {
                 let rows: Vec<Vec<f64>> = idx.iter().map(|&i| pool.row(i)).collect();
                 let subset = FeatureMatrix::from_rows(pool.n_cols(), &rows);
@@ -240,38 +239,8 @@ fn batch_predictions_of_gathered_rows_equal_the_full_batch_rows_bitwise() {
                     pick(&full_mean, idx),
                     "predict_batch_mean: {context}"
                 );
-                assert_eq!(
-                    batch_bits(&forest.predict_batch_total_variance(&subset)),
-                    pick(&full_tv, idx),
-                    "predict_batch_total_variance: {context}"
-                );
             }
         }
-    }
-}
-
-/// Fast batch total-variance agrees with the fast `predict_batch` on the
-/// mean and dominates its across-tree σ (law of total variance). The exact
-/// side is pinned bitwise against the scalar call in `predict_tails`.
-#[test]
-fn fast_batch_total_variance_matches_its_contract() {
-    let (x, kinds, y) = dataset(300, 41);
-    let (pool, _, _) = dataset(400, 42);
-    let fast = RandomForest::fit(&fast_config(), &kinds, &x, &y, 3);
-    let tv = fast.predict_batch_total_variance(&pool);
-    let mu = fast.predict_batch(&pool);
-    for (i, (t, m)) in tv.iter().zip(&mu).enumerate() {
-        assert_eq!(
-            t.mean.to_bits(),
-            m.mean.to_bits(),
-            "row {i}: total-variance fold changed the mean"
-        );
-        assert!(
-            t.std + 1e-12 >= m.std,
-            "row {i}: total variance {} below across-tree variance {}",
-            t.std,
-            m.std
-        );
     }
 }
 
@@ -288,7 +257,6 @@ fn fast_mode_predict_is_width_invariant() {
     rayon::set_threads(1);
     let base_batch = batch_bits(&forest.predict_batch(&pool));
     let base_cols = columns_bits(&forest.predict_columns(&pool, &all));
-    let base_tv = batch_bits(&forest.predict_batch_total_variance(&pool));
     for width in [2usize, 4, 8] {
         rayon::set_threads(width);
         assert_eq!(
@@ -300,11 +268,6 @@ fn fast_mode_predict_is_width_invariant() {
             columns_bits(&forest.predict_columns(&pool, &all)),
             base_cols,
             "predict_columns drifted at width {width}"
-        );
-        assert_eq!(
-            batch_bits(&forest.predict_batch_total_variance(&pool)),
-            base_tv,
-            "predict_batch_total_variance drifted at width {width}"
         );
     }
     rayon::set_threads(before);

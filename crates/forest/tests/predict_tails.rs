@@ -1,9 +1,8 @@
 //! Tail handling in the flat batch predictors.
 //!
-//! `predict_batch`/`predict_batch_mean`/`predict_batch_total_variance` and
-//! `predict_columns` descend every tree through the flat layout in blocks
-//! of rows, over fixed-stride row records (a narrow stride up to 16
-//! features, a wide one up to 64). These tests pin the exact-mode contract
+//! `predict_batch`/`predict_batch_mean` and `predict_columns` descend every
+//! tree through the flat layout in blocks of rows, over fixed-stride row
+//! records (a narrow stride up to 16 features, a wide one up to 64). These tests pin the exact-mode contract
 //! for every `n_trees % 4` residue — including the degenerate 1-tree
 //! forest — at widths on both strides, with a pool that ends mid-block and
 //! crosses a chunk boundary, by comparing each batch path bitwise against
@@ -65,28 +64,6 @@ fn predict_batch_matches_predict_one_for_every_tail_width() {
             let means = forest.predict_batch_mean(&x);
             for (row, m) in rows.iter().zip(&means) {
                 assert_eq!(m.to_bits(), forest.predict(row).to_bits());
-            }
-        }
-    }
-}
-
-/// The bulk total-variance estimator must replicate the scalar
-/// `predict_total_variance` fold bitwise, for every tree-count residue at
-/// every width.
-#[test]
-fn predict_batch_total_variance_matches_the_scalar_call() {
-    for d in WIDTHS {
-        for n_trees in TREE_COUNTS {
-            let (forest, x, rows) = forest_with(n_trees, d);
-            let batch = forest.predict_batch_total_variance(&x);
-            assert_eq!(batch.len(), rows.len());
-            for (i, (row, p)) in rows.iter().zip(&batch).enumerate() {
-                let q = forest.predict_total_variance(row);
-                assert_eq!(
-                    (p.mean.to_bits(), p.std.to_bits()),
-                    (q.mean.to_bits(), q.std.to_bits()),
-                    "total variance drifted at row {i} with {n_trees} trees, width {d}"
-                );
             }
         }
     }

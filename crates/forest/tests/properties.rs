@@ -58,19 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn total_variance_dominates_across_tree_variance((x, y) in arb_problem(), seed in 0u64..100) {
-        let kinds = vec![FeatureKind::Numeric; x[0].len()];
-        let cfg = ForestConfig { min_leaf: 3, ..ForestConfig::default() };
-        let forest = RandomForest::fit_rows(&cfg, &kinds, &x, &y, seed);
-        for xi in x.iter().take(8) {
-            let a = forest.predict_one(xi);
-            let t = forest.predict_total_variance(xi);
-            prop_assert!((a.mean - t.mean).abs() < 1e-9);
-            prop_assert!(t.std >= a.std - 1e-9);
-        }
-    }
-
-    #[test]
     fn unseen_rows_get_finite_predictions((x, y) in arb_problem(), seed in 0u64..100) {
         let kinds = vec![FeatureKind::Numeric; x[0].len()];
         let forest = RandomForest::fit_rows(&ForestConfig::default(), &kinds, &x, &y, seed);
