@@ -488,6 +488,19 @@ impl<'a> ActiveLoop<'a> {
         checkpoint: ActiveCheckpoint,
         elite: &'a EliteTest,
     ) -> Result<Self, CheckpointError> {
+        let _span = pwu_obs::span(
+            "core.restore",
+            [
+                (
+                    "train",
+                    pwu_obs::Arg::u(checkpoint.train_configs.len() as u64),
+                ),
+                (
+                    "pool",
+                    pwu_obs::Arg::u(checkpoint.pool_configs.len() as u64),
+                ),
+            ],
+        );
         config.validate();
         assert!(
             elite.is_for(&config.alphas),

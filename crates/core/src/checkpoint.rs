@@ -279,10 +279,72 @@ pub fn sync_dir(dir: &Path) -> std::io::Result<()> {
     fs::File::open(dir)?.sync_all()
 }
 
-/// Appends `v` in decimal, as `{v}` formats it.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
+/// Bytes a row is built in before the writer appends it to the body. Every
+/// row of the built-in targets fits (the widest, gemver's, is 36 levels
+/// below 31); a longer row is appended in pieces.
+const ROW_BYTES: usize = 256;
+
+/// The decimal digits of 0–255, left-aligned, with the digit count in the
+/// last byte. Every level of the built-in targets is below 31 (their
+/// largest arity), so each is one lookup.
+static DECIMAL_DIGITS: [[u8; 4]; 256] = decimal_digits();
+
+/// The two lowercase hex digits of each byte.
+static HEX_DIGITS: [[u8; 2]; 256] = hex_digits();
+
+const fn decimal_digits() -> [[u8; 4]; 256] {
+    let mut table = [[0u8; 4]; 256];
+    let mut v = 0;
+    while v < 256 {
+        let (hundreds, tens, ones) = (
+            b'0' + (v / 100) as u8,
+            b'0' + (v / 10 % 10) as u8,
+            b'0' + (v % 10) as u8,
+        );
+        table[v] = if v >= 100 {
+            [hundreds, tens, ones, 3]
+        } else if v >= 10 {
+            [tens, ones, 0, 2]
+        } else {
+            [ones, 0, 0, 1]
+        };
+        v += 1;
+    }
+    table
+}
+
+const fn hex_digits() -> [[u8; 2]; 256] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = [DIGITS[byte >> 4], DIGITS[byte & 0xf]];
+        byte += 1;
+    }
+    table
+}
+
+/// Writes `v` in decimal, as `{v}` formats it, at the front of `buf` and
+/// returns the digit count. `buf` holds at least 4 bytes and room for the
+/// digits: a table lookup writes 4 whatever its digit count. It is small
+/// enough to be inlined into the row loops; a value above the table takes
+/// [`put_long_decimal`].
+#[inline]
+fn put_decimal(buf: &mut [u8], v: u64) -> usize {
+    if v < 256 {
+        let digits = &DECIMAL_DIGITS[v as usize];
+        buf[..4].copy_from_slice(digits);
+        usize::from(digits[3])
+    } else {
+        put_long_decimal(buf, v)
+    }
+}
+
+/// [`put_decimal`] for a value of any size, one digit at a time. Cold, so
+/// that it stays out of line and the table path inlines.
+#[cold]
+fn put_long_decimal(buf: &mut [u8], mut v: u64) -> usize {
+    let (mut digits, mut at) = ([0u8; 20], 20);
     loop {
         at -= 1;
         digits[at] = b'0' + (v % 10) as u8;
@@ -291,50 +353,132 @@ fn push_decimal(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    buf[..20 - at].copy_from_slice(&digits[at..]);
+    20 - at
 }
 
-/// Appends `word` as 16 lowercase hex digits, as `{word:016x}` formats it.
-fn push_hex(out: &mut String, word: u64) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    out.extend(
-        (0..16)
-            .rev()
-            .map(|nibble| char::from(DIGITS[(word >> (nibble * 4)) as usize & 0xf])),
-    );
-}
-
-/// Appends configuration levels, comma-separated.
-fn push_levels(out: &mut String, levels: &[u32]) {
-    for (i, &level) in levels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_decimal(out, u64::from(level));
+/// Writes `word` as 16 lowercase hex digits, as `{word:016x}` formats it,
+/// at the front of `buf`.
+#[inline]
+fn put_hex(buf: &mut [u8], word: u64) {
+    for (pair, byte) in buf[..16].chunks_exact_mut(2).zip(word.to_be_bytes()) {
+        pair.copy_from_slice(&HEX_DIGITS[usize::from(byte)]);
     }
 }
 
-/// Appends `f64` bit patterns in hex, space-separated.
-fn push_hex_floats(out: &mut String, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
+/// The checkpoint body under construction, and the writer of its rows.
+///
+/// A row (a level, train, history or selection row, or the `alphas` line)
+/// is built in a stack buffer from two static tables — the decimal digits
+/// of 0–255 and the hex digits of each byte — and appended to the body in
+/// one copy when it ends. A number above the table takes the general
+/// decimal loop, and a row longer than the buffer is appended in pieces;
+/// both write exactly what `{}` and `{:016x}` would. The list writers keep
+/// the row's length in a local across the list. Header lines go straight
+/// into [`RowWriter::body`] through `write!`, between rows. The body is
+/// bytes until [`RowWriter::into_text`] checks that it is UTF-8, once: the
+/// workspace forbids `unsafe`, and every byte a row writes is ASCII.
+struct RowWriter {
+    body: Vec<u8>,
+    row: [u8; ROW_BYTES],
+    len: usize,
+}
+
+impl RowWriter {
+    fn with_capacity(capacity: usize) -> Self {
+        Self {
+            body: Vec::with_capacity(capacity),
+            row: [0; ROW_BYTES],
+            len: 0,
         }
-        push_hex(out, v.to_bits());
+    }
+
+    /// Where the next `n` (at most [`ROW_BYTES`]) bytes of the row go,
+    /// appending the row built so far to the body first when the buffer
+    /// cannot hold them.
+    #[inline]
+    fn room(&mut self, n: usize) -> usize {
+        if self.len + n > ROW_BYTES {
+            self.body.extend_from_slice(&self.row[..self.len]);
+            self.len = 0;
+        }
+        self.len
+    }
+
+    fn byte(&mut self, byte: u8) {
+        let at = self.room(1);
+        self.row[at] = byte;
+        self.len = at + 1;
+    }
+
+    fn decimal(&mut self, v: u64) {
+        let at = self.room(20);
+        self.len = at + put_decimal(&mut self.row[at..], v);
+    }
+
+    fn hex(&mut self, word: u64) {
+        let at = self.room(16);
+        put_hex(&mut self.row[at..], word);
+        self.len = at + 16;
+    }
+
+    /// Configuration levels, comma-separated.
+    fn levels(&mut self, levels: &[u32]) {
+        let Self { body, row, len } = self;
+        let mut at = *len;
+        for (i, &level) in levels.iter().enumerate() {
+            // A comma and at most ten digits.
+            if at + 11 > ROW_BYTES {
+                body.extend_from_slice(&row[..at]);
+                at = 0;
+            }
+            row[at] = b',';
+            at += usize::from(i > 0);
+            at += put_decimal(&mut row[at..], u64::from(level));
+        }
+        *len = at;
+    }
+
+    /// `f64` bit patterns in hex, space-separated.
+    fn hex_floats(&mut self, values: &[f64]) {
+        let Self { body, row, len } = self;
+        let mut at = *len;
+        for (i, v) in values.iter().enumerate() {
+            if at + 17 > ROW_BYTES {
+                body.extend_from_slice(&row[..at]);
+                at = 0;
+            }
+            row[at] = b' ';
+            at += usize::from(i > 0);
+            put_hex(&mut row[at..], v.to_bits());
+            at += 16;
+        }
+        *len = at;
+    }
+
+    /// Ends the row with its newline and appends it to the body.
+    fn end_row(&mut self) {
+        let at = self.room(1);
+        self.row[at] = b'\n';
+        self.body.extend_from_slice(&self.row[..=at]);
+        self.len = 0;
+    }
+
+    fn into_text(self) -> String {
+        String::from_utf8(self.body).expect("checkpoint text is ASCII apart from the target name")
     }
 }
 
 impl ActiveCheckpoint {
     /// Serializes to the line-oriented checkpoint text format.
     ///
-    /// Every line is written straight into one pre-sized `String`. The
-    /// per-row sections (levels, labels, history, selections) bypass the
-    /// formatting machinery: their numbers go through small decimal and hex
-    /// helpers, with no per-row or per-number temporaries. The bytes are
-    /// pinned by `tests/checkpoint_format.rs`.
+    /// Every line is written into one pre-sized body. The header lines go
+    /// through `write!`; every row is built by a [`RowWriter`] from its
+    /// digit tables and appended once. The bytes are pinned by
+    /// `tests/checkpoint_format.rs`, which also holds the encoder to a
+    /// reference formatter.
     #[must_use]
     pub fn to_text(&self) -> String {
-        use fmt::Write as _;
         let _span = pwu_obs::span(
             "checkpoint.encode",
             [
@@ -342,36 +486,37 @@ impl ActiveCheckpoint {
                 ("pool", pwu_obs::Arg::u(self.pool_configs.len() as u64)),
             ],
         );
-        let mut out = String::with_capacity(self.text_len_estimate());
-        let w = &mut out;
-        let _ = writeln!(w, "{MAGIC}");
-        let _ = writeln!(w, "target {}", self.target_name);
-        let _ = writeln!(w, "iteration {}", self.iteration);
-        let _ = writeln!(w, "forest-seed {}", self.forest_seed);
+        let mut w = RowWriter::with_capacity(self.text_len_estimate());
+        let out = &mut w.body;
+        let _ = writeln!(out, "{MAGIC}");
+        let _ = writeln!(out, "target {}", self.target_name);
+        let _ = writeln!(out, "iteration {}", self.iteration);
+        let _ = writeln!(out, "forest-seed {}", self.forest_seed);
         let _ = writeln!(
-            w,
+            out,
             "counts {} {} {} {}",
             self.n_init, self.n_batch, self.n_max, self.repeats
         );
-        let _ = writeln!(w, "fit-mode {}", self.fit_mode.token());
-        w.push_str("alphas ");
-        push_hex_floats(w, &self.alphas);
-        w.push('\n');
+        let _ = writeln!(out, "fit-mode {}", self.fit_mode.token());
+        out.extend_from_slice(b"alphas ");
+        w.hex_floats(&self.alphas);
+        w.end_row();
+        let out = &mut w.body;
         for (tag, state) in [
             ("annotator-rng", &self.annotator_rng),
             ("select-rng", &self.select_rng),
             ("pool-rng", &self.pool_rng),
         ] {
             let _ = writeln!(
-                w,
+                out,
                 "{tag} {:016x} {:016x} {:016x} {:016x}",
                 state[0], state[1], state[2], state[3]
             );
         }
-        let _ = writeln!(w, "annotator-evaluations {}", self.annotator_evaluations);
+        let _ = writeln!(out, "annotator-evaluations {}", self.annotator_evaluations);
         let s = &self.stats;
         let _ = writeln!(
-            w,
+            out,
             "stats {} {} {} {} {} {} {} {} {:016x}",
             s.annotations,
             s.readings,
@@ -384,43 +529,43 @@ impl ActiveCheckpoint {
             s.wasted_cost.to_bits()
         );
         let _ = writeln!(
-            w,
+            out,
             "lint {} {} {}",
             self.lint.legal, self.lint.flagged, self.lint.illegal
         );
-        let _ = writeln!(w, "train {}", self.train_configs.len());
+        let _ = writeln!(out, "train {}", self.train_configs.len());
         for (cfg, label) in self.train_configs.iter().zip(&self.train_labels) {
-            push_levels(w, cfg);
-            w.push(' ');
-            push_hex(w, label.to_bits());
-            w.push('\n');
+            w.levels(cfg);
+            w.byte(b' ');
+            w.hex(label.to_bits());
+            w.end_row();
         }
         for (tag, configs) in [
             ("pool", &self.pool_configs),
             ("quarantined", &self.quarantined),
         ] {
-            let _ = writeln!(w, "{tag} {}", configs.len());
+            let _ = writeln!(w.body, "{tag} {}", configs.len());
             for cfg in configs {
-                push_levels(w, cfg);
-                w.push('\n');
+                w.levels(cfg);
+                w.end_row();
             }
         }
-        let _ = writeln!(w, "history {}", self.history.len());
+        let _ = writeln!(w.body, "history {}", self.history.len());
         for snap in &self.history {
-            push_decimal(w, snap.n_train as u64);
-            w.push(' ');
-            push_hex(w, snap.cumulative_cost.to_bits());
-            w.push(' ');
-            push_hex_floats(w, &snap.rmse);
-            w.push('\n');
+            w.decimal(snap.n_train as u64);
+            w.byte(b' ');
+            w.hex(snap.cumulative_cost.to_bits());
+            w.byte(b' ');
+            w.hex_floats(&snap.rmse);
+            w.end_row();
         }
-        let _ = writeln!(w, "selections {}", self.selections.len());
+        let _ = writeln!(w.body, "selections {}", self.selections.len());
         for sel in &self.selections {
-            push_hex_floats(w, &[sel.mean, sel.std, sel.observed]);
-            w.push('\n');
+            w.hex_floats(&[sel.mean, sel.std, sel.observed]);
+            w.end_row();
         }
-        w.push_str("end\n");
-        out
+        w.body.extend_from_slice(b"end\n");
+        w.into_text()
     }
 
     /// A generous estimate of [`ActiveCheckpoint::to_text`]'s length, so
@@ -450,6 +595,13 @@ impl ActiveCheckpoint {
     /// malformed line.
     pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
         let mut lines = Lines::new(text);
+        let _span = pwu_obs::span(
+            "checkpoint.parse",
+            [
+                ("bytes", pwu_obs::Arg::u(text.len() as u64)),
+                ("lines", pwu_obs::Arg::u(lines.total as u64)),
+            ],
+        );
         lines.expect_exact(MAGIC)?;
         let target_name = lines.tagged_rest("target")?.to_string();
         let iteration = lines

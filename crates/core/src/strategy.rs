@@ -180,21 +180,26 @@ pub fn pwu_scores(preds: &[Prediction], alpha: f64) -> Vec<f64> {
 fn top_desc(scores: &[f64], k: usize) -> Vec<usize> {
     let mut idx = argsort_by(scores, |&s| s);
     idx.reverse();
-    // `argsort_by` uses the IEEE total order, which sorts NaN after +∞;
-    // reversing put those entries first. Rotate them back to the end.
+    // `argsort_by` sorts every NaN after every number; reversing put those
+    // entries first. Rotate them back to the end.
     let n_nan = idx.iter().take_while(|&&i| scores[i].is_nan()).count();
     idx.rotate_left(n_nan);
     idx.truncate(k);
     idx
 }
 
-/// The predicted top `fraction` of the pool (at least `n_batch` entries).
+/// The predicted top `fraction` of the pool (at least `n_batch` entries),
+/// ascending by predicted mean. A NaN mean, of either sign, ranks after
+/// every number, and the subset holds one only when fewer than `n_batch`
+/// candidates have a numeric mean.
 fn biased_subset(preds: &[Prediction], fraction: f64, n_batch: usize) -> Vec<usize> {
     assert!(
         (0.0..=1.0).contains(&fraction),
         "fraction {fraction} outside [0, 1]"
     );
+    let numeric = preds.iter().filter(|p| !p.mean.is_nan()).count();
     let keep = ((preds.len() as f64 * fraction).ceil() as usize)
+        .min(numeric)
         .max(n_batch)
         .min(preds.len());
     let mut idx = argsort_by(preds, |p| p.mean);
@@ -357,6 +362,61 @@ mod tests {
         assert!(pwu_scores(&preds, 0.05)[1].is_nan());
         let pwu = Strategy::Pwu { alpha: 0.05 }.select(&preds, 4, &mut rng);
         assert_eq!(*pwu.last().unwrap(), 1, "a NaN mean must rank last");
+    }
+
+    /// A NaN mean ranks after every number whatever its sign bit. x86
+    /// gives `0.0 / 0.0` the sign bit set, and the IEEE total order alone
+    /// sorts that NaN before −∞, at the top of the mean ranking.
+    #[test]
+    fn a_nan_mean_of_either_sign_ranks_after_every_number() {
+        let neg_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+        assert!(neg_nan.is_nan() && neg_nan.is_sign_negative());
+        for nan in [f64::NAN, neg_nan] {
+            let preds = vec![
+                pred(1.0, 0.5),
+                pred(nan, 5.0),
+                pred(2.0, 1.0),
+                pred(3.0, 0.1),
+            ];
+            let mut rng = Xoshiro256PlusPlus::new(8);
+            let mut select = |s: Strategy, n_batch| s.select(&preds, n_batch, &mut rng);
+            assert_eq!(select(Strategy::BestPerf, 1), vec![0], "{nan:?}");
+            assert_eq!(select(Strategy::BestPerf, 4), vec![0, 2, 3, 1], "{nan:?}");
+            assert_eq!(
+                select(Strategy::Pbus { fraction: 0.25 }, 1),
+                vec![0],
+                "{nan:?}"
+            );
+            // The whole pool's top fraction holds only the numeric means, so
+            // PBUS takes the most uncertain of those.
+            assert_eq!(
+                select(Strategy::Pbus { fraction: 1.0 }, 1),
+                vec![2],
+                "{nan:?}"
+            );
+            assert_eq!(
+                select(Strategy::Pbus { fraction: 1.0 }, 3),
+                vec![2, 0, 3],
+                "{nan:?}"
+            );
+            for fraction in [0.5, 1.0] {
+                for _ in 0..200 {
+                    let picked = select(Strategy::Brs { fraction }, 1);
+                    assert_ne!(picked, vec![1], "BRS {fraction} picked the NaN mean");
+                }
+            }
+            // Fewer numeric means than the batch: the NaN row fills it.
+            let mut all = select(Strategy::Pbus { fraction: 0.25 }, 4);
+            all.sort_unstable();
+            assert_eq!(all, vec![0, 1, 2, 3], "{nan:?}");
+            // PWU and MaxU rank the NaN row last too: its PWU score is NaN,
+            // and so is its σ here.
+            let pwu = select(Strategy::Pwu { alpha: 0.05 }, 4);
+            assert_eq!(pwu.last(), Some(&1), "{nan:?}");
+            let nan_std = vec![pred(1.0, 0.5), pred(nan, nan), pred(2.0, 1.0)];
+            let maxu = Strategy::MaxU.select(&nan_std, 3, &mut rng);
+            assert_eq!(maxu, vec![2, 0, 1], "{nan:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! A property test then round-trips generated checkpoints both ways:
 //! `from_text(to_text(c))` equals `c` with every `f64` compared by bits, and
 //! `to_text(from_text(t))` reproduces `t`.
+//!
+//! Last, a reference formatter spells the format with `fmt::Write`, and
+//! `to_text` must equal it on generated checkpoints whose rows are 1–64
+//! wide, whose levels have every digit count up to `u32::MAX` and whose
+//! `f64`s are of every class, so the encoder's table path, its general
+//! path and its rows longer than the row buffer are all compared.
 
 use proptest::prelude::*;
 use pwu_core::active::{SelectionTrace, Snapshot};
@@ -348,5 +354,192 @@ proptest! {
         prop_assert_eq!(float_bits(&back), float_bits(&checkpoint));
         prop_assert_eq!(without_floats(&back), without_floats(&checkpoint));
         prop_assert_eq!(back.to_text(), text);
+    }
+}
+
+/// The documented text format, spelled with `fmt::Write`: `{}` for every
+/// decimal, `{:016x}` for every hex word, levels joined by commas and words
+/// by spaces. `to_text` must write exactly these bytes.
+fn reference_text(c: &ActiveCheckpoint) -> String {
+    use std::fmt::Write as _;
+    let hex = |v: f64| format!("{:016x}", v.to_bits());
+    let words = |vs: &[f64]| vs.iter().map(|&v| hex(v)).collect::<Vec<_>>().join(" ");
+    let levels = |ls: &[u32]| ls.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
+    let mut out = String::new();
+    let w = &mut out;
+    let _ = writeln!(w, "pwu-active-checkpoint v2");
+    let _ = writeln!(w, "target {}", c.target_name);
+    let _ = writeln!(w, "iteration {}", c.iteration);
+    let _ = writeln!(w, "forest-seed {}", c.forest_seed);
+    let _ = writeln!(
+        w,
+        "counts {} {} {} {}",
+        c.n_init, c.n_batch, c.n_max, c.repeats
+    );
+    let _ = writeln!(w, "fit-mode {}", c.fit_mode.token());
+    let _ = writeln!(w, "alphas {}", words(&c.alphas));
+    for (tag, s) in [
+        ("annotator-rng", c.annotator_rng),
+        ("select-rng", c.select_rng),
+        ("pool-rng", c.pool_rng),
+    ] {
+        let _ = writeln!(
+            w,
+            "{tag} {:016x} {:016x} {:016x} {:016x}",
+            s[0], s[1], s[2], s[3]
+        );
+    }
+    let _ = writeln!(w, "annotator-evaluations {}", c.annotator_evaluations);
+    let s = &c.stats;
+    let _ = writeln!(
+        w,
+        "stats {} {} {} {} {} {} {} {} {}",
+        s.annotations,
+        s.readings,
+        s.compile_failures,
+        s.crashes,
+        s.bad_readings,
+        s.timeouts,
+        s.retries,
+        s.failed_annotations,
+        hex(s.wasted_cost)
+    );
+    let _ = writeln!(
+        w,
+        "lint {} {} {}",
+        c.lint.legal, c.lint.flagged, c.lint.illegal
+    );
+    let _ = writeln!(w, "train {}", c.train_configs.len());
+    for (cfg, &label) in c.train_configs.iter().zip(&c.train_labels) {
+        let _ = writeln!(w, "{} {}", levels(cfg), hex(label));
+    }
+    for (tag, configs) in [("pool", &c.pool_configs), ("quarantined", &c.quarantined)] {
+        let _ = writeln!(w, "{tag} {}", configs.len());
+        for cfg in configs {
+            let _ = writeln!(w, "{}", levels(cfg));
+        }
+    }
+    let _ = writeln!(w, "history {}", c.history.len());
+    for snap in &c.history {
+        let _ = writeln!(
+            w,
+            "{} {} {}",
+            snap.n_train,
+            hex(snap.cumulative_cost),
+            words(&snap.rmse)
+        );
+    }
+    let _ = writeln!(w, "selections {}", c.selections.len());
+    for sel in &c.selections {
+        let _ = writeln!(w, "{}", words(&[sel.mean, sel.std, sel.observed]));
+    }
+    w.push_str("end\n");
+    out
+}
+
+/// A level of 1 to 10 decimal digits, the count drawn from `word`, up to
+/// `u32::MAX`.
+fn level_of_any_length(word: u64) -> u32 {
+    let digits = (word % 10) as u32;
+    let low = if digits == 0 { 0 } else { 10u64.pow(digits) };
+    let high = (10u64.pow(digits + 1) - 1).min(u64::from(u32::MAX));
+    (low + (word >> 8) % (high - low + 1)) as u32
+}
+
+/// An `f64` of a class drawn from `word`: ±0, a subnormal, a normal number,
+/// ±∞, or a NaN of either sign with any payload, quiet or signalling.
+fn float_of_any_class(word: u64) -> f64 {
+    let sign = word & (1 << 63);
+    let mantissa = (word >> 3) & 0x000F_FFFF_FFFF_FFFF;
+    f64::from_bits(match word % 6 {
+        0 => sign,
+        1 => sign | mantissa.max(1),
+        2 => sign | 0x3FF0_0000_0000_0000 | mantissa,
+        3 => sign | 0x7FF0_0000_0000_0000,
+        4 => sign | 0x7FF0_0000_0000_0000 | mantissa.max(1),
+        _ => sign | (((word >> 7) % 0x7FE + 1) << 52) | mantissa,
+    })
+}
+
+/// A generated checkpoint whose rows are `width` wide: every level of any
+/// digit count, every `f64` of any class, and `width` alphas and RMSE
+/// values per snapshot, so the level and hex rows run past the encoder's
+/// row buffer.
+fn generated_wide(
+    seed: u64,
+    shape: (usize, usize, usize, usize, usize),
+    width: usize,
+) -> ActiveCheckpoint {
+    let mut c = generated(seed, shape, width);
+    let mut rng = Xoshiro256PlusPlus::new(seed ^ 0x5EED);
+    let mut word = move || rng.next_u64();
+    let configs = [
+        &mut c.train_configs,
+        &mut c.pool_configs,
+        &mut c.quarantined,
+    ];
+    for level in configs.into_iter().flatten().flatten() {
+        *level = level_of_any_length(word());
+    }
+    let mut float = || float_of_any_class(word());
+    c.alphas = (0..width).map(|_| float()).collect();
+    c.stats.wasted_cost = float();
+    c.train_labels.iter_mut().for_each(|y| *y = float());
+    for snap in &mut c.history {
+        snap.cumulative_cost = float();
+        snap.rmse = (0..width).map(|_| float()).collect();
+    }
+    for sel in &mut c.selections {
+        *sel = SelectionTrace {
+            mean: float(),
+            std: float(),
+            observed: float(),
+        };
+    }
+    c
+}
+
+#[test]
+fn the_generators_reach_every_digit_count_and_float_class() {
+    let mut lengths = [false; 11];
+    let mut classes = std::collections::BTreeSet::new();
+    let mut rng = Xoshiro256PlusPlus::new(3);
+    for _ in 0..2000 {
+        lengths[level_of_any_length(rng.next_u64()).to_string().len()] = true;
+        let v = float_of_any_class(rng.next_u64());
+        classes.insert((v.classify() as u8, v.is_nan(), v.is_sign_negative()));
+    }
+    assert!(lengths[1..].iter().all(|&seen| seen), "{lengths:?}");
+    // Zero, subnormal, normal and infinite of each sign, and NaN of each.
+    assert_eq!(classes.len(), 10, "{classes:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn to_text_writes_what_the_reference_formatter_writes(
+        seed in 0u64..=u64::MAX,
+        shape in (0usize..6, 0usize..24, 0usize..3, 0usize..4, 0usize..6),
+        width in 1usize..65,
+    ) {
+        let checkpoint = generated_wide(seed, shape, width);
+        let text = checkpoint.to_text();
+        prop_assert_eq!(&text, &reference_text(&checkpoint));
+        let back = ActiveCheckpoint::from_text(&text)
+            .map_err(|e| TestCaseError::fail(format!("generated text must parse: {e}")))?;
+        prop_assert_eq!(float_bits(&back), float_bits(&checkpoint));
+        prop_assert_eq!(without_floats(&back), without_floats(&checkpoint));
+    }
+}
+
+#[test]
+fn the_fixed_checkpoints_match_the_reference_formatter() {
+    for checkpoint in [
+        edge_empty(),
+        edge_extremes(),
+        gesummv_after_five_steps(FitMode::Fast),
+    ] {
+        assert_eq!(checkpoint.to_text(), reference_text(&checkpoint));
     }
 }

@@ -582,8 +582,9 @@ impl Session {
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when the spec file is
-    /// damaged or its sizes are invalid or exceed the target's space, and
-    /// an [`ErrorKind::Internal`] error for I/O failures.
+    /// damaged, names no known target, or holds sizes that are invalid or
+    /// exceed the target's space, and an [`ErrorKind::Internal`] error for
+    /// I/O failures.
     pub fn attach(dir: &Path) -> Result<Self, ProtocolError> {
         let corrupt = |e: &dyn std::fmt::Display| {
             ProtocolError::new(ErrorKind::Corrupt, format!("{META_FILE}: {e}"))
@@ -591,7 +592,7 @@ impl Session {
         let bytes = fs::read(dir.join(META_FILE)).map_err(|e| internal_io(&e))?;
         let body = split_verified_body(&bytes).map_err(|e| corrupt(&e))?;
         let spec = SessionSpec::from_text(body)?;
-        let target = SessionTarget::by_name(&spec.target)?;
+        let target = SessionTarget::by_name(&spec.target).map_err(|e| corrupt(&e.message))?;
         spec.validate()
             .and_then(|()| spec.check_space(target.as_target()))
             .map_err(|e| corrupt(&e.message))?;

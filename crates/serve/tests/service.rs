@@ -606,9 +606,16 @@ fn trace_verb_records_exports_and_unifies_stats() {
     assert!(text.contains("serve.step"), "missing serve.step span");
     assert!(text.contains(r#""session":"tr1""#), "missing session arg");
     // `pwu-trace summarize` attributes the served run's checkpoint work:
-    // encoding (create, steps), saving the generations, loading on resume.
+    // encoding (create, steps), saving the generations, loading on resume,
+    // and each step's parse of the resident body and restore of the loop.
     let summary = pwu_obs::summarize(&text).expect("the export summarizes");
-    for name in ["checkpoint.encode", "checkpoint.save", "checkpoint.load"] {
+    for name in [
+        "checkpoint.encode",
+        "checkpoint.save",
+        "checkpoint.load",
+        "checkpoint.parse",
+        "core.restore",
+    ] {
         assert!(
             summary.get(name).is_some_and(|s| s.count > 0),
             "summarize lists no {name} span"

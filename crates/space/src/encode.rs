@@ -8,6 +8,10 @@
 //! - categorical parameters contribute their *category code* stored in an
 //!   `f64`, and the schema marks the column as categorical so the forest
 //!   performs subset splits instead of threshold splits.
+//!
+//! One encoder validates as it encodes: each level is looked up in its
+//! parameter's domain once, and a miss is what makes the configuration
+//! invalid (see `FeatureSchema::encode_into`).
 
 use crate::config::Configuration;
 use crate::matrix::FeatureMatrix;
@@ -107,7 +111,8 @@ impl FeatureSchema {
 
     /// [`FeatureSchema::encode_matrix`] for untrusted configurations. Each
     /// column is sized for every configuration up front and filled row by
-    /// row; no row is allocated on the way.
+    /// row; no row is allocated on the way, and each level is validated by
+    /// the same lookup that encodes it.
     ///
     /// # Errors
     /// Returns the index of the first configuration that does not belong to
@@ -125,10 +130,8 @@ impl FeatureSchema {
             .map(|_| Vec::with_capacity(cfgs.len()))
             .collect();
         for (i, cfg) in cfgs.iter().enumerate() {
-            let values = self.values(space, cfg).map_err(|e| (i, e))?;
-            for (col, v) in cols.iter_mut().zip(values) {
-                col.push(v);
-            }
+            self.encode_into(space, cfg, |j, v| cols[j].push(v))
+                .map_err(|e| (i, e))?;
         }
         Ok(FeatureMatrix::from_columns(cfgs.len(), cols))
     }
@@ -139,31 +142,50 @@ impl FeatureSchema {
         space: &ParamSpace,
         cfg: &Configuration,
     ) -> Result<Vec<f64>, InvalidInput> {
-        self.values(space, cfg).map(Iterator::collect)
+        let mut row = Vec::with_capacity(self.dim());
+        self.encode_into(space, cfg, |_, v| row.push(v))?;
+        Ok(row)
     }
 
-    /// Validates `cfg` against `space` and yields its feature values, one
-    /// per column: the one encoder behind every public form.
-    fn values<'c>(
+    /// Validates and encodes `cfg` in one pass, handing column `j`'s value
+    /// to `emit(j, value)` in column order: the one encoder behind every
+    /// public form. Each level is one lookup into its parameter's domain
+    /// (an ordinal's value, a flag's 0 or 1, a category's code) that fails
+    /// exactly when the level is outside the domain. On the first miss
+    /// [`ParamSpace::try_validate`] names the problem, so the error is the
+    /// one validation alone gives; the columns emitted before it are the
+    /// caller's to drop.
+    fn encode_into(
         &self,
-        space: &'c ParamSpace,
-        cfg: &'c Configuration,
-    ) -> Result<impl Iterator<Item = f64> + 'c, InvalidInput> {
-        space.try_validate(cfg)?;
+        space: &ParamSpace,
+        cfg: &Configuration,
+        mut emit: impl FnMut(usize, f64),
+    ) -> Result<(), InvalidInput> {
+        let params = space.params();
+        let miss = || {
+            space
+                .try_validate(cfg)
+                .expect_err("a configuration the encoder misses fails validation")
+        };
+        if cfg.len() != params.len() {
+            return Err(miss());
+        }
         assert_eq!(
-            space.dim(),
+            params.len(),
             self.dim(),
             "schema dimensionality does not match space"
         );
-        Ok(space
-            .params()
-            .iter()
-            .zip(cfg.levels())
-            .map(|(p, &l)| match p.domain() {
-                Domain::Ordinal(vs) => vs[l as usize],
-                Domain::Bool => f64::from(l),
-                Domain::Categorical(_) => f64::from(l),
-            }))
+        for (j, (p, &level)) in params.iter().zip(cfg.levels()).enumerate() {
+            let value = match p.domain() {
+                Domain::Ordinal(vs) => vs.get(level as usize).copied(),
+                Domain::Bool => (level <= 1).then_some(f64::from(level)),
+                Domain::Categorical(cs) => {
+                    ((level as usize) < cs.len()).then_some(f64::from(level))
+                }
+            };
+            emit(j, value.ok_or_else(miss)?);
+        }
+        Ok(())
     }
 }
 

@@ -104,3 +104,52 @@ proptest! {
         prop_assert_eq!(survivors, orig);
     }
 }
+
+/// How [`one_pass_encoder_fails_exactly_as_validation`] damages a
+/// configuration at parameter `p`.
+fn damaged(space: &ParamSpace, cfg: &Configuration, how: u8, p: usize) -> Configuration {
+    let mut levels = cfg.levels().to_vec();
+    match how {
+        0 => levels[p] = space.params()[p].arity() as u32,
+        1 => levels[p] = u32::MAX,
+        2 => {
+            levels.pop();
+        }
+        _ => levels.push(0),
+    }
+    Configuration::new(levels)
+}
+
+proptest! {
+    /// The encoder validates each level by the lookup that encodes it. A
+    /// good pool encodes entry for entry as `encode_all` does, and a pool
+    /// with one configuration outside the space (a level at its arity or at
+    /// `u32::MAX`, one level short or one long) fails at that index with
+    /// exactly the error `ParamSpace::try_validate` gives for it.
+    #[test]
+    fn one_pass_encoder_fails_exactly_as_validation(
+        space in arb_space(),
+        seed in 0u64..1000,
+        n in 1usize..40,
+        how in 0u8..4,
+    ) {
+        use rand::RngCore as _;
+        let schema = FeatureSchema::for_space(&space);
+        let mut rng = Xoshiro256PlusPlus::new(seed);
+        let mut cfgs: Vec<Configuration> = (0..n).map(|_| space.sample(&mut rng)).collect();
+        let rows = schema.encode_all(&space, &cfgs);
+        let matrix = schema.try_encode_matrix(&space, &cfgs).expect("a good pool encodes");
+        prop_assert_eq!(matrix.to_rows(), rows.clone());
+        let pool = Pool::try_new(&space, &schema, cfgs.clone()).expect("a good pool builds");
+        prop_assert_eq!(pool.features().to_rows(), rows);
+
+        let at = (rng.next_u64() % n as u64) as usize;
+        let p = (rng.next_u64() % space.dim() as u64) as usize;
+        cfgs[at] = damaged(&space, &cfgs[at], how, p);
+        let want = space.try_validate(&cfgs[at]).expect_err("the damage leaves the space");
+        let got = schema.try_encode_matrix(&space, &cfgs).expect_err("the matrix is refused");
+        prop_assert_eq!(got, (at, want.clone()));
+        let got = Pool::try_new(&space, &schema, cfgs).expect_err("the pool is refused");
+        prop_assert_eq!(got, (at, want));
+    }
+}

@@ -6,17 +6,20 @@
 
 /// Returns the indices that sort `xs` ascending by the given key.
 ///
-/// Ties keep their original relative order (stable sort). Keys are compared
-/// with [`f64::total_cmp`], so `NaN` keys sort deterministically after every
-/// finite key (and after `+∞`) instead of panicking.
+/// Ties keep their original relative order (stable sort). Numeric keys are
+/// compared with [`f64::total_cmp`], and every `NaN` key sorts after every
+/// number (after `+∞`), whatever its sign bit, instead of panicking.
 #[must_use]
 pub fn argsort_by<T>(xs: &[T], key: impl Fn(&T) -> f64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     // total_cmp gives the IEEE total order: identical to partial_cmp on
-    // finite keys (so existing behaviour is unchanged) while sorting NaNs
-    // deterministically after +∞ instead of panicking — degenerate model
-    // output must degrade a ranking, not abort a run.
+    // finite keys, and total, so the sort never panics. It sorts a NaN with
+    // its sign bit set (what x86 gives for 0.0 / 0.0) before −∞, so those
+    // leading entries are rotated to the end: degenerate model output must
+    // degrade a ranking, never lead it.
     idx.sort_by(|&a, &b| key(&xs[a]).total_cmp(&key(&xs[b])));
+    let leading_nans = idx.iter().take_while(|&&i| key(&xs[i]).is_nan()).count();
+    idx.rotate_left(leading_nans);
     idx
 }
 
@@ -117,6 +120,16 @@ mod tests {
         let idx = argsort_by(&xs, |&x| x);
         assert_eq!(&idx[..3], &[3, 1, 2], "finite keys keep their order");
         assert_eq!(&idx[3..], &[0, 4], "NaN keys rank last, stably");
+    }
+
+    #[test]
+    fn argsort_sends_nan_of_either_sign_last() {
+        let neg_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+        assert!(neg_nan.is_nan() && neg_nan.is_sign_negative());
+        let xs = [1.0, neg_nan, f64::NEG_INFINITY, f64::NAN, -0.0, 0.0];
+        let idx = argsort_by(&xs, |&x| x);
+        assert_eq!(&idx[..4], &[2, 4, 5, 0], "numbers keep the total order");
+        assert_eq!(&idx[4..], &[3, 1], "NaN keys of either sign rank last");
     }
 
     #[test]
