@@ -177,14 +177,30 @@ pub fn pwu_scores(preds: &[Prediction], alpha: f64) -> Vec<f64> {
 
 /// Indices of the `k` largest scores, descending, with NaN scores ranked
 /// last so a degenerate model degrades the selection instead of leading it.
+///
+/// The order is total: numbers by [`f64::total_cmp`] descending, then the
+/// NaNs with the sign bit set, then the other NaNs, each by `total_cmp`
+/// descending; equal scores go from the highest pool index down. Only the
+/// top `k` are sorted: a partial selection moves them to the front first.
 fn top_desc(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut idx = argsort_by(scores, |&s| s);
-    idx.reverse();
-    // `argsort_by` sorts every NaN after every number; reversing put those
-    // entries first. Rotate them back to the end.
-    let n_nan = idx.iter().take_while(|&&i| scores[i].is_nan()).count();
-    idx.rotate_left(n_nan);
-    idx.truncate(k);
+    let class = |s: f64| match (s.is_nan(), s.is_sign_negative()) {
+        (false, _) => 0,
+        (true, true) => 1,
+        (true, false) => 2,
+    };
+    let order = |&a: &usize, &b: &usize| {
+        let (sa, sb) = (scores[a], scores[b]);
+        class(sa)
+            .cmp(&class(sb))
+            .then_with(|| sb.total_cmp(&sa))
+            .then_with(|| b.cmp(&a))
+    };
+    let mut idx: Vec<usize> = (0..scores.len()).collect();
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k, order);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(order);
     idx
 }
 
@@ -449,6 +465,52 @@ mod tests {
         let scores = pwu_scores(&low, 0.05);
         assert!(scores.iter().all(|s| s.to_bits() == scores[0].to_bits()));
         assert!(scores[0].is_finite());
+    }
+
+    /// The full-sort ranking `top_desc` replaced: argsort ascending (NaNs
+    /// after every number), reverse, and rotate the NaNs back to the end.
+    fn top_desc_by_full_sort(scores: &[f64], k: usize) -> Vec<usize> {
+        let mut idx = argsort_by(scores, |&s| s);
+        idx.reverse();
+        let n_nan = idx.iter().take_while(|&&i| scores[i].is_nan()).count();
+        idx.rotate_left(n_nan);
+        idx.truncate(k);
+        idx
+    }
+
+    #[test]
+    fn partial_selection_matches_the_full_sort() {
+        // Ties, both zeros, both infinities and NaNs of both signs with two
+        // payloads each.
+        let values = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() | 1),
+            f64::from_bits((-f64::NAN).to_bits() | 1),
+        ];
+        let mut rng = Xoshiro256PlusPlus::new(0x70_9D);
+        for case in 0..300 {
+            let n = 1 + case % 40;
+            let scores: Vec<f64> = (0..n)
+                .map(|_| values[rng.gen_range(0..values.len())])
+                .collect();
+            for k in 1..=n {
+                let got = top_desc(&scores, k);
+                assert_eq!(
+                    got,
+                    top_desc_by_full_sort(&scores, k),
+                    "k {k} of {scores:?}"
+                );
+            }
+        }
+        assert!(top_desc(&[1.0, 2.0], 0).is_empty());
     }
 
     #[test]

@@ -444,7 +444,16 @@ impl SessionSpec {
 
     /// [`SessionSpec::materialize`], with the test set ranked into the
     /// session's Eq. 2 evaluator: only its elite rows outlive this call.
+    /// Traced as `session.materialize` (args `pool`, `test`), the share of
+    /// a create or a resume that derives the evaluator.
     fn materialize_evaluator(&self, target: &dyn TuningTarget) -> (Pool, EliteTest) {
+        let _span = pwu_obs::span(
+            "session.materialize",
+            [
+                ("pool", pwu_obs::Arg::u(self.pool_n as u64)),
+                ("test", pwu_obs::Arg::u(self.test_n as u64)),
+            ],
+        );
         let (pool, test_features, test_labels) = self.materialize(target);
         let elite = EliteTest::new(&test_features, &test_labels, &self.active_config().alphas);
         (pool, elite)

@@ -607,7 +607,8 @@ fn trace_verb_records_exports_and_unifies_stats() {
     assert!(text.contains(r#""session":"tr1""#), "missing session arg");
     // `pwu-trace summarize` attributes the served run's checkpoint work:
     // encoding (create, steps), saving the generations, loading on resume,
-    // and each step's parse of the resident body and restore of the loop.
+    // and each step's parse of the resident body and restore of the loop;
+    // and the evaluator derivation of the create and of the resume.
     let summary = pwu_obs::summarize(&text).expect("the export summarizes");
     for name in [
         "checkpoint.encode",
@@ -621,6 +622,18 @@ fn trace_verb_records_exports_and_unifies_stats() {
             "summarize lists no {name} span"
         );
     }
+    assert!(
+        summary
+            .get("session.materialize")
+            .is_some_and(|s| s.count >= 2),
+        "the create and the resume each derive the evaluator in a session.materialize span"
+    );
+    assert!(
+        text.lines()
+            .filter(|l| l.contains(r#""name":"session.materialize""#))
+            .any(|l| l.contains(r#""pool":"#) && l.contains(r#""test":"#)),
+        "session.materialize carries its pool and test sizes"
+    );
 
     // Chrome export of the (now drained, possibly refilled) buffer is a
     // JSON array Perfetto can load.

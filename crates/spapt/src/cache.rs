@@ -102,7 +102,7 @@ pub fn analyze(nest: &LoopNest, t: &TransformedNest, machine: &MachineModel) -> 
 
 /// Fraction of nominal capacity usable before conflict misses dominate;
 /// low-associativity caches hold less of a multi-array working set.
-fn effective_capacity_fraction(ways: u32) -> f64 {
+pub(crate) fn effective_capacity_fraction(ways: u32) -> f64 {
     match ways {
         0..=1 => 0.4,
         2..=4 => 0.6,

@@ -205,7 +205,9 @@ impl EvalCache {
 }
 
 /// A [`Kernel`] stripped of its memo: every call re-derives the base cost
-/// from scratch, exactly as the pre-cache implementation did.
+/// from scratch, exactly as the pre-cache implementation did, through the
+/// reference chain (`decode` → `apply` → `analyze` → `breakdown`) rather
+/// than the production evaluator that fills the memo.
 ///
 /// This is the *reference* measurement path. The bit-identity property suite
 /// drives a kernel and its `Uncached` twin through identical annotation

@@ -35,6 +35,8 @@ mod stencil3d;
 mod tensor;
 mod trmm;
 
+use std::sync::{Arc, OnceLock};
+
 use pwu_space::{ConfigLegality, Configuration, MeasureOutcome, Param, ParamSpace, TuningTarget};
 use pwu_stats::Xoshiro256PlusPlus;
 use rayon::prelude::IntoParallelRefIterator;
@@ -43,6 +45,7 @@ use crate::cost::estimate_time;
 use crate::evalcache::{CachedEval, EvalCache};
 use crate::fault::FaultModel;
 use crate::ir::LoopNest;
+use crate::lowered::Lowered;
 use crate::machine::MachineModel;
 use crate::noise::NoiseModel;
 use crate::transform::{BlockLegality, BlockTransform};
@@ -74,7 +77,7 @@ pub struct BlockSpec {
 
 /// How one space parameter maps onto a block transformation.
 #[derive(Debug, Clone, Copy)]
-enum ParamRole {
+pub(crate) enum ParamRole {
     TileOuter { block: usize, loop_idx: usize },
     TileInner { block: usize, loop_idx: usize },
     Unroll { block: usize, loop_idx: usize },
@@ -84,12 +87,13 @@ enum ParamRole {
 }
 
 /// A simulated SPAPT kernel: blocks + parameter space + machine + noise.
+///
+/// Clones share the immutable definition (blocks, parameter space and the
+/// production evaluator's tables); each keeps its own machine, noise,
+/// masks, fault model and memo.
 #[derive(Debug, Clone)]
 pub struct Kernel {
-    name: String,
-    blocks: Vec<BlockSpec>,
-    space: ParamSpace,
-    roles: Vec<ParamRole>,
+    def: Arc<Definition>,
     machine: MachineModel,
     noise: NoiseModel,
     /// Per-block legality masks; `None` until a dependence analysis attaches
@@ -99,14 +103,32 @@ pub struct Kernel {
     /// bit-identical to the pre-fault-model behaviour).
     faults: Option<FaultModel>,
     /// Memo for the pure, RNG-free half of measurement (base cost, legality,
-    /// aggressiveness), keyed by encoded levels. Cloning a kernel yields a
-    /// cold cache; builders that change the evaluation surface clear it.
+    /// aggressiveness), keyed by encoded levels and filled by the production
+    /// evaluator. Cloning a kernel yields a cold cache; builders that change
+    /// the evaluation surface clear it.
     cache: EvalCache,
+}
+
+/// What [`Kernel::new`] derives from the blocks, never changed after.
+#[derive(Debug)]
+struct Definition {
+    name: String,
+    blocks: Vec<BlockSpec>,
+    space: ParamSpace,
+    roles: Vec<ParamRole>,
+    /// The blocks in the production evaluator's table form.
+    lowered: Lowered,
 }
 
 impl Kernel {
     /// Assembles a kernel from its blocks on Platform A with quiet-node
     /// noise.
+    ///
+    /// # Panics
+    /// Panics if a nest is inconsistent (see [`LoopNest::validate`]) or
+    /// exceeds the production evaluator's fixed bounds: at most 4 blocks,
+    /// 1 to 4 loops per nest, at most 8 referenced arrays per block, 1 to 3
+    /// dimensions per array.
     #[must_use]
     pub fn new(name: impl Into<String>, blocks: Vec<BlockSpec>) -> Self {
         let name = name.into();
@@ -170,11 +192,15 @@ impl Kernel {
             roles.push(ParamRole::Vector { block: bi });
         }
         let space = ParamSpace::new(name.clone(), params);
+        let lowered = Lowered::new(&blocks);
         Self {
-            name,
-            blocks,
-            space,
-            roles,
+            def: Arc::new(Definition {
+                name,
+                blocks,
+                space,
+                roles,
+                lowered,
+            }),
             machine: MachineModel::platform_a(),
             noise: NoiseModel::quiet(),
             legality: None,
@@ -194,8 +220,8 @@ impl Kernel {
     /// Panics if the masks do not match the blocks in count or depth.
     #[must_use]
     pub fn with_legality(mut self, legality: Vec<BlockLegality>) -> Self {
-        assert_eq!(legality.len(), self.blocks.len(), "one mask per block");
-        for (mask, block) in legality.iter().zip(&self.blocks) {
+        assert_eq!(legality.len(), self.def.blocks.len(), "one mask per block");
+        for (mask, block) in legality.iter().zip(&self.def.blocks) {
             assert_eq!(
                 mask.depth(),
                 block.nest.depth(),
@@ -251,8 +277,9 @@ impl Kernel {
         self.cached_decoded(cfg).aggressive
     }
 
-    /// [`Kernel::is_aggressive`] bypassing the evaluation cache — the
-    /// reference path the memoized verdict must agree with bit-for-bit.
+    /// [`Kernel::is_aggressive`] bypassing the evaluation cache, through the
+    /// reference decode — the verdict the production evaluator must agree
+    /// with.
     #[must_use]
     pub fn is_aggressive_uncached(&self, cfg: &Configuration) -> bool {
         self.decode(cfg)
@@ -279,7 +306,7 @@ impl Kernel {
     /// The kernel's blocks.
     #[must_use]
     pub fn blocks(&self) -> &[BlockSpec] {
-        &self.blocks
+        &self.def.blocks
     }
 
     /// The machine the kernel "runs" on.
@@ -291,13 +318,14 @@ impl Kernel {
     /// Decodes a configuration into one transformation per block.
     #[must_use]
     pub fn decode(&self, cfg: &Configuration) -> Vec<BlockTransform> {
-        self.space.validate(cfg);
+        self.def.space.validate(cfg);
         let mut transforms: Vec<BlockTransform> = self
+            .def
             .blocks
             .iter()
             .map(|b| BlockTransform::identity(b.nest.depth()))
             .collect();
-        for (role, (_, value)) in self.roles.iter().zip(self.space.values(cfg)) {
+        for (role, (_, value)) in self.def.roles.iter().zip(self.def.space.values(cfg)) {
             match (*role, value) {
                 (ParamRole::TileOuter { block, loop_idx }, pwu_space::Value::Number(v)) => {
                     transforms[block].tiles[loop_idx].0 = v as u64;
@@ -332,19 +360,9 @@ impl Kernel {
     /// the blocks.
     #[must_use]
     pub fn decode_legal(&self, cfg: &Configuration) -> (Vec<BlockTransform>, ConfigLegality) {
-        let (transforms, legality, _) = self.eval_parts(cfg);
-        (transforms, legality)
-    }
-
-    /// One decode pass producing everything the evaluation cache stores
-    /// alongside the clamped transformations: the legality verdict (worst
-    /// classification over the blocks, in block order — the historical
-    /// `decode_legal` fold) and the raw-decode aggressiveness flag.
-    fn eval_parts(&self, cfg: &Configuration) -> (Vec<BlockTransform>, ConfigLegality, bool) {
         let raw = self.decode(cfg);
-        let aggressive = raw.iter().any(|t| t.unroll.iter().any(|&u| u >= 16));
         let Some(masks) = &self.legality else {
-            return (raw, ConfigLegality::Legal, aggressive);
+            return (raw, ConfigLegality::Legal);
         };
         let mut worst = ConfigLegality::Legal;
         let clamped = raw
@@ -355,33 +373,40 @@ impl Kernel {
                 mask.clamp(t).0
             })
             .collect();
-        (clamped, worst, aggressive)
+        (clamped, worst)
     }
 
-    /// The decode-derived cache entry (legality + aggressiveness) for `cfg`,
-    /// computed via the cheap decode+clamp pass on a miss. Pool linting
-    /// classifies thousands of never-measured configurations, so this stage
-    /// must not touch the cost model.
+    /// The production evaluation of `cfg`: its legality verdict and
+    /// aggressiveness flag, and with `price` its base cost, computed by the
+    /// lowered evaluator straight from the levels. A configuration outside
+    /// the space panics here exactly as [`Kernel::decode`] does.
+    fn evaluate(&self, cfg: &Configuration, price: bool) -> CachedEval {
+        self.def.space.validate(cfg);
+        self.def.lowered.evaluate(
+            &self.def.roles,
+            cfg.levels(),
+            self.legality.as_deref(),
+            price.then_some(&self.machine),
+        )
+    }
+
+    /// The decode-derived cache entry (legality + aggressiveness) for `cfg`.
+    /// Pool linting classifies thousands of never-measured configurations,
+    /// so this stage must not touch the cost model.
     fn cached_decoded(&self, cfg: &Configuration) -> CachedEval {
-        self.cache.decoded(cfg, || {
-            let (_, legality, aggressive) = self.eval_parts(cfg);
-            CachedEval {
-                legality,
-                aggressive,
-                ideal_time: None,
-            }
-        })
+        self.cache.decoded(cfg, || self.evaluate(cfg, false))
     }
 
     /// [`TuningTarget::ideal_time`] bypassing the evaluation cache — the
-    /// exact pre-memoization computation, kept public as the reference path
-    /// for the bit-identity property suite and the perf-harness baseline.
+    /// reference chain (`decode` → `apply` → `analyze` → `breakdown`), kept
+    /// public as the oracle the production evaluator must match bit for bit
+    /// and as the perf-harness baseline.
     #[must_use]
     pub fn ideal_time_uncached(&self, cfg: &Configuration) -> f64 {
         let (transforms, _) = self.decode_legal(cfg);
         transforms
             .iter()
-            .zip(&self.blocks)
+            .zip(&self.def.blocks)
             .map(|(t, b)| estimate_time(&b.nest, t, &self.machine))
             .sum()
     }
@@ -401,27 +426,15 @@ impl Kernel {
 
 impl TuningTarget for Kernel {
     fn name(&self) -> &str {
-        &self.name
+        &self.def.name
     }
 
     fn space(&self) -> &ParamSpace {
-        &self.space
+        &self.def.space
     }
 
     fn ideal_time(&self, cfg: &Configuration) -> f64 {
-        self.cache.ideal_time(cfg, || {
-            let (transforms, legality, aggressive) = self.eval_parts(cfg);
-            let t = transforms
-                .iter()
-                .zip(&self.blocks)
-                .map(|(t, b)| estimate_time(&b.nest, t, &self.machine))
-                .sum();
-            CachedEval {
-                legality,
-                aggressive,
-                ideal_time: Some(t),
-            }
-        })
+        self.cache.ideal_time(cfg, || self.evaluate(cfg, true))
     }
 
     fn ideal_times(&self, cfgs: &[Configuration]) -> Vec<f64> {
@@ -469,23 +482,47 @@ impl TuningTarget for Kernel {
     }
 }
 
-/// Builds all 12 kernels in the paper's order.
+/// A suite kernel's name and builder.
+type SuiteEntry = (&'static str, fn() -> Kernel);
+
+/// The suite by name: the paper's 12 in the paper's order, then the
+/// extended six.
+const SUITE: [SuiteEntry; 18] = [
+    ("adi", adi::build),
+    ("atax", atax::build),
+    ("bicgkernel", bicg::build),
+    ("correlation", correlation::build),
+    ("dgemv3", dgemv3::build),
+    ("fdtd", fdtd::build),
+    ("gemver", gemver::build),
+    ("gesummv", gesummv::build),
+    ("hessian", hessian::build),
+    ("jacobi", jacobi::build),
+    ("lu", lu::build),
+    ("mm", mm::build),
+    ("mvt", mvt::build),
+    ("seidel", seidel::build),
+    ("trmm", trmm::build),
+    ("covariance", covariance::build),
+    ("stencil3d", stencil3d::build),
+    ("tensor", tensor::build),
+];
+
+/// How many of [`SUITE`] the paper selected.
+const PAPER_KERNELS: usize = 12;
+
+/// Kernel `index` of [`SUITE`]. Each is built once per process, on its
+/// first lookup; every lookup returns a clone, which shares the definition
+/// and starts on a cold memo, Platform A and quiet noise.
+fn suite_kernel(index: usize) -> Kernel {
+    static BUILT: [OnceLock<Kernel>; SUITE.len()] = [const { OnceLock::new() }; SUITE.len()];
+    BUILT[index].get_or_init(SUITE[index].1).clone()
+}
+
+/// The paper's 12 kernels, in the paper's order.
 #[must_use]
 pub fn all_kernels() -> Vec<Kernel> {
-    vec![
-        adi::build(),
-        atax::build(),
-        bicg::build(),
-        correlation::build(),
-        dgemv3::build(),
-        fdtd::build(),
-        gemver::build(),
-        gesummv::build(),
-        hessian::build(),
-        jacobi::build(),
-        lu::build(),
-        mm::build(),
-    ]
+    (0..PAPER_KERNELS).map(suite_kernel).collect()
 }
 
 /// The extended suite: six additional SPAPT-style problems beyond the 12
@@ -497,24 +534,14 @@ pub fn all_kernels() -> Vec<Kernel> {
 /// 3-D sweep (`stencil3d`) and a four-deep tensor contraction (`tensor`).
 #[must_use]
 pub fn extended_kernels() -> Vec<Kernel> {
-    vec![
-        mvt::build(),
-        seidel::build(),
-        trmm::build(),
-        covariance::build(),
-        stencil3d::build(),
-        tensor::build(),
-    ]
+    (PAPER_KERNELS..SUITE.len()).map(suite_kernel).collect()
 }
 
 /// Looks a kernel up by name, searching the paper's 12 and the extended
-/// suite.
+/// suite; builds at most the kernel it returns.
 #[must_use]
 pub fn kernel_by_name(name: &str) -> Option<Kernel> {
-    all_kernels()
-        .into_iter()
-        .chain(extended_kernels())
-        .find(|k| k.name() == name)
+    SUITE.iter().position(|(n, _)| *n == name).map(suite_kernel)
 }
 
 #[cfg(test)]
@@ -653,6 +680,36 @@ mod tests {
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
         assert!(kernel_by_name("nonexistent").is_none());
+        assert!(kernel_by_name("").is_none());
+        // The lookup tables name each kernel as it names itself, in the
+        // suites' order.
+        assert_eq!(
+            names,
+            [
+                "adi",
+                "atax",
+                "bicgkernel",
+                "correlation",
+                "dgemv3",
+                "fdtd",
+                "gemver",
+                "gesummv",
+                "hessian",
+                "jacobi",
+                "lu",
+                "mm",
+                "mvt",
+                "seidel",
+                "trmm",
+                "covariance",
+                "stencil3d",
+                "tensor"
+            ]
+        );
+        for (name, _) in SUITE {
+            let k = kernel_by_name(name).expect("every table entry builds");
+            assert_eq!(k.name(), name);
+        }
     }
 
     #[test]

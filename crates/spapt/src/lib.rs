@@ -33,7 +33,11 @@
 //!   injection layered on the noise model
 //! - [`evalcache`] — memoization of the pure, RNG-free half of measurement
 //!   (base cost, legality, aggressiveness), so repeated measurements pay
-//!   for one model evaluation plus cheap noise draws
+//!   for one model evaluation plus cheap noise draws; the memo is filled by
+//!   the production evaluator, which lowers each block into flat tables at
+//!   construction and prices a configuration straight from its levels,
+//!   bit-identical to the `transform` → `cache` → `cost` chain that
+//!   [`Uncached`] keeps as the reference
 //! - [`kernels`] — the 12 kernel definitions and their parameter spaces
 
 pub mod cache;
@@ -43,6 +47,7 @@ pub mod evalcache;
 pub mod fault;
 pub mod ir;
 pub mod kernels;
+mod lowered;
 pub mod machine;
 pub mod noise;
 pub mod transform;

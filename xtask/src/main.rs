@@ -4,9 +4,13 @@
 //! - `lint` — the CI lint gate: `cargo clippy --workspace --all-targets`
 //!   with warnings denied, followed by the `pwu-lint` kernel legality
 //!   checker, which exits non-zero on any `Error`-level diagnostic.
-//! - `faults` — the fault-injection gate: runs the deterministic fault-model
-//!   unit tests and the end-to-end fault-tolerance suite, which drive the
-//!   active-learning loop under ~20 % injected measurement failures.
+//! - `faults` — the fault-injection and simulator gate: runs the whole
+//!   `pwu-spapt` package (the deterministic fault model, the cost, cache,
+//!   transform, cachesim cross-check and kernel unit tests, the property
+//!   suite, and the suite holding the production evaluator bit-identical
+//!   to its reference twin), the annotator's retry/quarantine tests and
+//!   the end-to-end fault-tolerance suite, which drives the active-learning
+//!   loop under ~20 % injected measurement failures.
 //! - `perf` — regenerates `BENCH_forest.json` (forest hot-path),
 //!   `BENCH_measure.json` (measurement engine), `BENCH_serve.json`
 //!   (service load generator), and `BENCH_obs.json` (tracing overhead)
@@ -66,9 +70,9 @@ use std::process::{exit, Command};
 /// `(invocation, what it enforces)`.
 const GATES: [(&str, &str); 9] = [
     ("cargo build --release", "the workspace compiles"),
-    ("cargo test -q", "umbrella package tests only (tier-1): integration + fit pins"),
+    ("cargo test -q", "umbrella package tests only (tier-1): integration + fit and simulator pins"),
     ("cargo xtask lint", "clippy -D warnings + pwu-lint kernel legality"),
-    ("cargo xtask faults", "fault-injection & retry/quarantine suites"),
+    ("cargo xtask faults", "pwu-spapt package (simulator + twin equivalence) + fault-injection & retry/quarantine suites"),
     ("cargo xtask perf --check", "perf smoke run vs committed baselines"),
     ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
     ("cargo xtask chaos", "pwu-serve suites + seeded kill/resume chaos harness (full scale) + perfbench self-test"),
@@ -451,8 +455,8 @@ fn fast() {
 fn faults() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     run_step(
-        "fault-model unit tests (pwu-spapt fault::)",
-        Command::new(&cargo).args(["test", "-q", "-p", "pwu-spapt", "fault"]),
+        "pwu-spapt package: fault model, simulator unit tests, property and twin-equivalence suites",
+        Command::new(&cargo).args(["test", "-q", "-p", "pwu-spapt"]),
     );
     run_step(
         "annotator retry/quarantine tests (pwu-core annotator::)",
