@@ -80,7 +80,9 @@ pub fn parse(text: &str) -> Result<Vec<AllowEntry>, String> {
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("line {lineno}: expected `[[allow]]` or `key = \"value\"`"));
+            return Err(format!(
+                "line {lineno}: expected `[[allow]]` or `key = \"value\"`"
+            ));
         };
         let Some(entry) = raws.last_mut() else {
             return Err(format!("line {lineno}: key outside any [[allow]] table"));
@@ -216,7 +218,10 @@ reason = "timing harness"
 
         assert!(parse("file = \"x\"").is_err(), "key outside table");
         assert!(parse("[[allow]]\nfile = \"x\"\nrule = \"nope\"\nreason = \"r\"").is_err());
-        assert!(parse("[[allow]]\nfile = \"x\"\nrule = \"ambient\"").is_err(), "missing reason");
+        assert!(
+            parse("[[allow]]\nfile = \"x\"\nrule = \"ambient\"").is_err(),
+            "missing reason"
+        );
         assert!(parse("[[allow]]\nfile = \"x\"\nrule = \"ambient\"\nreason = \"\"").is_err());
     }
 

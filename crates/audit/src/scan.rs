@@ -244,19 +244,13 @@ pub fn scan_file(rel: &str, text: &str) -> Vec<Finding> {
         {
             push(i, Rule::Ambient);
         }
-        const WALLCLOCK: [&str; 4] = [
-            "SystemTime::now",
-            "Instant::now",
-            ".elapsed(",
-            "UNIX_EPOCH",
-        ];
+        const WALLCLOCK: [&str; 4] = ["SystemTime::now", "Instant::now", ".elapsed(", "UNIX_EPOCH"];
         if WALLCLOCK.iter().any(|p| s.contains(p)) {
             push(i, Rule::Wallclock);
         }
         const UNORDERED_SOURCES: [&str; 4] = ["par_iter", "into_par_iter", ".values()", ".keys()"];
         const REDUCERS: [&str; 5] = [".sum()", ".sum::<", ".product()", ".fold(", ".reduce("];
-        if UNORDERED_SOURCES.iter().any(|p| s.contains(p))
-            && REDUCERS.iter().any(|p| s.contains(p))
+        if UNORDERED_SOURCES.iter().any(|p| s.contains(p)) && REDUCERS.iter().any(|p| s.contains(p))
         {
             push(i, Rule::FloatReduce);
         }

@@ -51,7 +51,12 @@ fn each_fixture_fires_its_rule_exactly_once() {
             "rule `{}` must fire exactly once across the fixtures; got {hits:?}",
             rule.name()
         );
-        assert_eq!(hits[0].file, file, "rule `{}` fired in the wrong file", rule.name());
+        assert_eq!(
+            hits[0].file,
+            file,
+            "rule `{}` fired in the wrong file",
+            rule.name()
+        );
         assert_eq!(
             hits[0].line,
             line,
@@ -135,12 +140,12 @@ fn cli_exits_zero_on_the_clean_workspace() {
 
 #[test]
 fn cli_exits_two_on_a_malformed_allowlist() {
-    let bad = std::env::temp_dir().join(format!(
-        "pwu-audit-bad-allow-{}.toml",
-        std::process::id()
-    ));
-    std::fs::write(&bad, "[[allow]]\nfile = \"x.rs\"\nrule = \"no-such-rule\"\nreason = \"r\"\n")
-        .expect("write temp allowlist");
+    let bad = std::env::temp_dir().join(format!("pwu-audit-bad-allow-{}.toml", std::process::id()));
+    std::fs::write(
+        &bad,
+        "[[allow]]\nfile = \"x.rs\"\nrule = \"no-such-rule\"\nreason = \"r\"\n",
+    )
+    .expect("write temp allowlist");
     let out = Command::new(env!("CARGO_BIN_EXE_pwu-audit"))
         .arg("--root")
         .arg(fixtures_dir())

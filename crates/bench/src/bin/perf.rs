@@ -386,7 +386,12 @@ fn main() {
         bench_experiment_cell(samples),
     ];
     print_table(&measure_results);
-    write_json(&measure_path, "pwu-bench-measure-v1", mode, &measure_results)
-        .expect("write measurement benchmark report");
+    write_json(
+        &measure_path,
+        "pwu-bench-measure-v1",
+        mode,
+        &measure_results,
+    )
+    .expect("write measurement benchmark report");
     eprintln!("[perf] wrote {measure_path}");
 }

@@ -98,7 +98,10 @@ fn create_all(server: &mut Server, sessions: &[(String, SessionSpec)]) {
             spec.test_n
         );
         let (response, _) = server.handle_line(&line);
-        assert!(response.contains("\"ok\":true"), "create failed: {response}");
+        assert!(
+            response.contains("\"ok\":true"),
+            "create failed: {response}"
+        );
     }
 }
 
@@ -197,7 +200,10 @@ fn main() {
         for (id, _) in &sessions {
             let (response, _) =
                 server.handle_line(&format!(r#"{{"cmd":"resume","session":"{id}"}}"#));
-            assert!(response.contains("\"ok\":true"), "resume failed: {response}");
+            assert!(
+                response.contains("\"ok\":true"),
+                "resume failed: {response}"
+            );
         }
         #[allow(clippy::cast_precision_loss)]
         recover_ns.push(start.elapsed().as_nanos() as f64);

@@ -139,7 +139,11 @@ fn trajectory_fingerprint(run: &ActiveRun) -> u64 {
         .labels()
         .iter()
         .map(|y| y.to_bits())
-        .chain(run.history.iter().flat_map(|s| s.rmse.iter().map(|r| r.to_bits())))
+        .chain(
+            run.history
+                .iter()
+                .flat_map(|s| s.rmse.iter().map(|r| r.to_bits())),
+        )
         .chain(
             run.selections
                 .iter()
@@ -190,7 +194,10 @@ fn fast_trajectories_match_exact_rmse_within_epsilon() {
 #[test]
 fn fast_best_config_quality_matches_exact_across_all_kernels() {
     let kernels = harness_18();
-    assert!(kernels.len() >= 18, "harness must cover the 18-kernel suite");
+    assert!(
+        kernels.len() >= 18,
+        "harness must cover the 18-kernel suite"
+    );
     let mut deltas = Vec::with_capacity(kernels.len());
     for (i, kernel) in kernels.iter().enumerate() {
         let seed = 900 + i as u64;
@@ -207,7 +214,10 @@ fn fast_best_config_quality_matches_exact_across_all_kernels() {
              (exact {qe:.4}, fast {qf:.4})",
             kernel.name()
         );
-        eprintln!("{}: exact {qe:.4} fast {qf:.4} delta {delta:+.4}", kernel.name());
+        eprintln!(
+            "{}: exact {qe:.4} fast {qf:.4} delta {delta:+.4}",
+            kernel.name()
+        );
         deltas.push(delta);
     }
     let mean = deltas.iter().sum::<f64>() / deltas.len() as f64;

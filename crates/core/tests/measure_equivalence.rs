@@ -45,11 +45,10 @@ fn annotate_all(
     repeats: usize,
     seed: u64,
 ) -> (Vec<Result<u64, String>>, [u64; 4], String) {
-    let mut annotator = Annotator::new(target, repeats, seed)
-        .with_retry_policy(RetryPolicy {
-            max_retries: 3,
-            backoff_cost: 0.25,
-        });
+    let mut annotator = Annotator::new(target, repeats, seed).with_retry_policy(RetryPolicy {
+        max_retries: 3,
+        backoff_cost: 0.25,
+    });
     let outcomes = cfgs
         .iter()
         .map(|cfg| {
@@ -59,7 +58,11 @@ fn annotate_all(
                 .map_err(|e| format!("{e:?}"))
         })
         .collect();
-    (outcomes, annotator.rng_state(), format!("{:?}", annotator.stats()))
+    (
+        outcomes,
+        annotator.rng_state(),
+        format!("{:?}", annotator.stats()),
+    )
 }
 
 #[test]
@@ -80,17 +83,20 @@ fn memoized_annotation_is_bit_identical_across_all_kernels_and_presets() {
             let (a, rng_a, stats_a) = annotate_all(&cached, &cfgs, 9, ann_seed);
             let (b, rng_b, stats_b) = annotate_all(&direct, &cfgs, 9, ann_seed);
             assert_eq!(
-                a, b,
+                a,
+                b,
                 "{}/{label}: labels or failures diverged",
                 kernel.name()
             );
             assert_eq!(
-                rng_a, rng_b,
+                rng_a,
+                rng_b,
                 "{}/{label}: RNG stream position diverged",
                 kernel.name()
             );
             assert_eq!(
-                stats_a, stats_b,
+                stats_a,
+                stats_b,
                 "{}/{label}: measurement tallies diverged",
                 kernel.name()
             );

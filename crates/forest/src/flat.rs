@@ -410,7 +410,12 @@ fn fold_lanes_n<const L: usize>(values: impl IntoIterator<Item = f64>) -> (f64, 
 /// row `start + j`, feature `f`; slots past `d` are never consulted —
 /// feature indices are always `< d` — so the scratch needs no re-zeroing).
 #[allow(clippy::needless_range_loop)] // `f` indexes source column and dest slot
-fn transpose_into<const S: usize>(buf: &mut [[f64; S]], x: &FeatureMatrix, start: usize, end: usize) {
+fn transpose_into<const S: usize>(
+    buf: &mut [[f64; S]],
+    x: &FeatureMatrix,
+    start: usize,
+    end: usize,
+) {
     for f in 0..x.n_cols() {
         let col = &x.column(f)[start..end];
         for (j, &v) in col.iter().enumerate() {
@@ -639,7 +644,10 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::new(5);
         let tree = RegressionTree::fit(&x, &y, &rows, &kinds, &cfg, &mut rng);
         let flat = FlatTree::compile(&tree);
-        assert!(!flat.nodes.is_empty(), "the dataset has a categorical column");
+        assert!(
+            !flat.nodes.is_empty(),
+            "the dataset has a categorical column"
+        );
         let buf = transpose::<STRIDE_NARROW>(&x, 0, x.n_rows());
         let m = x.n_rows();
         let mut idx = [0u32; LANES];

@@ -149,7 +149,10 @@ fn fast_engine_is_not_the_exact_engine_bitwise() {
         };
         any_diff |= gain_bits(&exact) != gain_bits(&fast);
     }
-    assert!(any_diff, "fast engine produced bitwise-exact gains on every seed");
+    assert!(
+        any_diff,
+        "fast engine produced bitwise-exact gains on every seed"
+    );
 }
 
 /// A fast fit must be byte-identical across every deal-order perturbation

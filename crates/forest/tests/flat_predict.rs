@@ -83,7 +83,10 @@ fn fast_config() -> ForestConfig {
 }
 
 fn batch_bits(preds: &[Prediction]) -> Vec<(u64, u64)> {
-    preds.iter().map(|p| (p.mean.to_bits(), p.std.to_bits())).collect()
+    preds
+        .iter()
+        .map(|p| (p.mean.to_bits(), p.std.to_bits()))
+        .collect()
 }
 
 fn mean_bits(means: &[f64]) -> Vec<u64> {
@@ -177,7 +180,11 @@ fn predict_batch_is_the_fit_modes_fold_of_scalar_tree_values() {
             };
             let forest = RandomForest::fit(&config, &kinds, &x, &y, seed);
             let preds = batch_bits(&forest.predict_batch(&pool));
-            assert_eq!(preds, folded_oracle(&forest, &pool), "seed {seed}: {mode:?} fold");
+            assert_eq!(
+                preds,
+                folded_oracle(&forest, &pool),
+                "seed {seed}: {mode:?} fold"
+            );
             // Means agree with the full predictions' means.
             assert_eq!(
                 mean_bits(&forest.predict_batch_mean(&pool)),

@@ -19,7 +19,11 @@ const WIDTHS: [usize; 4] = [5, 20, 36, 64];
 /// Tree counts covering every residue mod 4, plus the 1-tree forest.
 const TREE_COUNTS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 9];
 
-fn dataset(n: usize, d: usize, seed: u64) -> (FeatureMatrix, Vec<FeatureKind>, Vec<f64>, Vec<Vec<f64>>) {
+fn dataset(
+    n: usize,
+    d: usize,
+    seed: u64,
+) -> (FeatureMatrix, Vec<FeatureKind>, Vec<f64>, Vec<Vec<f64>>) {
     let mut rng = Xoshiro256PlusPlus::new(seed);
     let mut rows = Vec::with_capacity(n);
     let mut y = Vec::with_capacity(n);
@@ -75,7 +79,12 @@ fn predict_batch_matches_predict_one_for_every_tail_width() {
 fn predict_columns_tail_groups_match_single_tree_predictions() {
     for d in [5, 36] {
         let (forest, x, rows) = forest_with(7, d);
-        for tree_idx in [vec![0], vec![0, 1, 2, 3, 4], vec![6, 2, 5], (0..7).collect::<Vec<_>>()] {
+        for tree_idx in [
+            vec![0],
+            vec![0, 1, 2, 3, 4],
+            vec![6, 2, 5],
+            (0..7).collect::<Vec<_>>(),
+        ] {
             let cols = forest.predict_columns(&x, &tree_idx);
             assert_eq!(cols.len(), tree_idx.len());
             for (k, &t) in tree_idx.iter().enumerate() {

@@ -101,7 +101,11 @@ impl Trace {
     }
 
     fn jsonl(&self, deterministic: bool) -> String {
-        let plane = if deterministic { "deterministic" } else { "full" };
+        let plane = if deterministic {
+            "deterministic"
+        } else {
+            "full"
+        };
         let mut out = format!("{{\"schema\":\"pwu-trace-v1\",\"plane\":\"{plane}\"}}\n");
         for (seq, ev) in self.events.iter().enumerate() {
             out.push_str(&format!(
@@ -204,7 +208,9 @@ fn field_num(line: &str, key: &str) -> Option<f64> {
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
     let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
+        .find(|c: char| {
+            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
+        })
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
@@ -264,9 +270,10 @@ pub fn summarize(text: &str) -> Option<Summary> {
         }
         if let Some(name) = field_str(line, "metric") {
             let plane = field_str(line, "plane").unwrap_or("?").to_string();
-            let value = line
-                .rsplit_once("\"value\":")
-                .map_or_else(|| "?".to_string(), |(_, v)| v.trim_end_matches('}').to_string());
+            let value = line.rsplit_once("\"value\":").map_or_else(
+                || "?".to_string(),
+                |(_, v)| v.trim_end_matches('}').to_string(),
+            );
             metrics.push((name.to_string(), plane, value));
             continue;
         }
@@ -362,14 +369,15 @@ pub fn diff_summaries(base: &Summary, new: &Summary, threshold: f64) -> DiffRepo
         let b = new.get(name).unwrap_or(&zero);
         let (cost_ratio, cost_bad) = ratio_flag(a.cost_total, b.cost_total, threshold);
         #[allow(clippy::cast_precision_loss)]
-        let (wall_ratio, wall_bad) = ratio_flag(
-            a.wall_total_ns as f64,
-            b.wall_total_ns as f64,
-            threshold,
-        );
+        let (wall_ratio, wall_bad) =
+            ratio_flag(a.wall_total_ns as f64, b.wall_total_ns as f64, threshold);
         let bad = cost_bad || wall_bad;
         regressed |= bad;
-        let shown_ratio = if a.wall_total_ns > 0 { wall_ratio } else { cost_ratio };
+        let shown_ratio = if a.wall_total_ns > 0 {
+            wall_ratio
+        } else {
+            cost_ratio
+        };
         text.push_str(&format!(
             "{:<28} {:>10} {:>10} {:>12.3} {:>12.3} {:>7.2}x{}\n",
             name,
@@ -404,11 +412,14 @@ mod tests {
         assert!((stage.cost_total - 2.5).abs() < 1e-12);
         assert_eq!(stage.seq_extent, 2);
         assert_eq!(stage.wall_total_ns, 250);
-        assert_eq!(s.metrics, vec![(
-            "m.count".to_string(),
-            "deterministic".to_string(),
-            "9".to_string()
-        )]);
+        assert_eq!(
+            s.metrics,
+            vec![(
+                "m.count".to_string(),
+                "deterministic".to_string(),
+                "9".to_string()
+            )]
+        );
         assert!(summarize("not a trace\n").is_none());
     }
 }

@@ -49,7 +49,8 @@ mod tests {
     /// Serializes tests that touch the global tracer/registry state.
     pub(crate) fn obs_guard() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -167,7 +168,10 @@ mod tests {
         let chrome = drain().chrome_json();
         assert!(chrome.starts_with("{\"traceEvents\":["));
         assert!(chrome.contains("\"ph\":\"B\"") && chrome.contains("\"ph\":\"E\""));
-        assert!(chrome.contains("\"ph\":\"i\""), "instants map to ph:i: {chrome}");
+        assert!(
+            chrome.contains("\"ph\":\"i\""),
+            "instants map to ph:i: {chrome}"
+        );
         assert!(chrome.trim_end().ends_with("]}"));
     }
 
@@ -186,7 +190,11 @@ mod tests {
         let summary = summarize(&text).expect("own export must parse");
         let work = summary.spans.iter().find(|s| s.name == "work").unwrap();
         assert_eq!(work.count, 3);
-        assert!((work.cost_total - 9.0).abs() < 1e-12, "cost {}", work.cost_total);
+        assert!(
+            (work.cost_total - 9.0).abs() < 1e-12,
+            "cost {}",
+            work.cost_total
+        );
         let tick = summary.spans.iter().find(|s| s.name == "tick").unwrap();
         assert_eq!(tick.count, 3);
 

@@ -147,9 +147,7 @@ fn record(ev: Event) {
         }
     });
     if let Some(ev) = overflow {
-        ROOT.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(ev);
+        ROOT.lock().unwrap_or_else(PoisonError::into_inner).push(ev);
     }
 }
 
@@ -279,7 +277,5 @@ pub fn drain() -> Trace {
 
 /// Discards all buffered root events without exporting them.
 pub fn clear() {
-    ROOT.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
+    ROOT.lock().unwrap_or_else(PoisonError::into_inner).clear();
 }

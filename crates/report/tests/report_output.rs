@@ -15,9 +15,17 @@ fn csv_bytes_are_unchanged() {
         &path,
         &["n_train", "PWU", "Uniform"],
         vec![
-            vec!["8".to_string(), "1.234560e-3".to_string(), "2.5e-3".to_string()],
+            vec![
+                "8".to_string(),
+                "1.234560e-3".to_string(),
+                "2.5e-3".to_string(),
+            ],
             vec!["10".to_string(), "9.9e-4".to_string(), "2.1e-3".to_string()],
-            vec!["12".to_string(), "needs,quoting".to_string(), "\"q\"".to_string()],
+            vec![
+                "12".to_string(),
+                "needs,quoting".to_string(),
+                "\"q\"".to_string(),
+            ],
         ],
     )
     .expect("write succeeds");

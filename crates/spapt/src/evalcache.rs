@@ -235,9 +235,7 @@ impl TuningTarget for Uncached {
     }
 
     fn measure(&self, cfg: &Configuration, rng: &mut Xoshiro256PlusPlus) -> f64 {
-        self.0
-            .noise()
-            .perturb(self.0.ideal_time_uncached(cfg), rng)
+        self.0.noise().perturb(self.0.ideal_time_uncached(cfg), rng)
     }
 
     fn try_measure(&self, cfg: &Configuration, rng: &mut Xoshiro256PlusPlus) -> MeasureOutcome {
@@ -265,11 +263,7 @@ impl TuningTarget for Uncached {
         // historical per-repeat recompute the cache exists to eliminate.
         assert!(repeats > 0, "need at least one repeat");
         (0..repeats)
-            .map(|_| {
-                self.0
-                    .noise()
-                    .perturb(self.0.ideal_time_uncached(cfg), rng)
-            })
+            .map(|_| self.0.noise().perturb(self.0.ideal_time_uncached(cfg), rng))
             .sum::<f64>()
             / repeats as f64
     }

@@ -129,13 +129,17 @@ pub mod sanitize {
 
     /// Sets the deal order for subsequent pool batches.
     pub fn set_deal_mode(mode: DealMode) {
-        *MODE.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = mode;
+        *MODE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = mode;
     }
 
     /// The deal order currently in force.
     #[must_use]
     pub fn deal_mode() -> DealMode {
-        *MODE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        *MODE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Starts recording batch footprints (clears any previous log).
@@ -151,7 +155,11 @@ pub mod sanitize {
     #[must_use]
     pub fn take_captures() -> Vec<BatchRecord> {
         CAPTURE.store(false, Ordering::SeqCst);
-        std::mem::take(&mut LOG.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+        std::mem::take(
+            &mut LOG
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
     }
 
     /// Times a nested parallel call degraded to sequential on a worker
@@ -448,7 +456,8 @@ mod tests {
     /// width-invariant, but assertions *about* the width would race.
     fn width_guard() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The per-item branch fork/splice keeps the recorded event stream —
@@ -517,7 +526,12 @@ mod tests {
         set_threads(4);
         let table: Vec<Vec<usize>> = (0..6usize)
             .into_par_iter()
-            .map(|i| (0..5usize).into_par_iter().map(move |j| i * 10 + j).collect())
+            .map(|i| {
+                (0..5usize)
+                    .into_par_iter()
+                    .map(move |j| i * 10 + j)
+                    .collect()
+            })
             .collect();
         for (i, row) in table.iter().enumerate() {
             let expected: Vec<usize> = (0..5).map(|j| i * 10 + j).collect();
@@ -592,7 +606,10 @@ mod tests {
             .downcast_ref::<String>()
             .cloned()
             .expect("assert payload is a String");
-        assert!(message.contains("boom at "), "unexpected payload {message:?}");
+        assert!(
+            message.contains("boom at "),
+            "unexpected payload {message:?}"
+        );
         set_threads(1);
     }
 
@@ -690,10 +707,18 @@ mod tests {
                 assert_eq!(batch.width, 4);
                 let mut all: Vec<usize> = batch.deal.iter().flatten().copied().collect();
                 all.sort_unstable();
-                assert_eq!(all, (0..97).collect::<Vec<_>>(), "deal must cover each index once");
+                assert_eq!(
+                    all,
+                    (0..97).collect::<Vec<_>>(),
+                    "deal must cover each index once"
+                );
                 let mut filled = batch.fill_order.clone();
                 filled.sort_unstable();
-                assert_eq!(filled, (0..97).collect::<Vec<_>>(), "every index reduced exactly once");
+                assert_eq!(
+                    filled,
+                    (0..97).collect::<Vec<_>>(),
+                    "every index reduced exactly once"
+                );
                 seen_deals.push(batch.deal.clone());
             }
             sanitize::set_deal_mode(DealMode::RoundRobin);
