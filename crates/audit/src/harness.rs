@@ -14,15 +14,15 @@
 //! Each entry point is a pure function of its seed that serializes its
 //! result to a canonical little-endian byte image — "the checkpoint" — so
 //! callers compare runs with `assert_eq!(bytes_a, bytes_b)` and a failure
-//! localizes to the first differing offset. The experiment-cell entry
-//! additionally writes a *real* checkpoint file through
-//! `pwu_core::CheckpointPolicy` and returns its raw bytes, tying the
-//! harness to the exact durability format sessions resume from.
+//! localizes to the first differing offset. The checkpointed-cell entry
+//! additionally commits every iteration to a real `pwu_core::GenerationStore`
+//! and returns the raw bytes of its three slot files, tying the harness to
+//! the exact durability format runs and sessions resume from.
 
 use std::path::Path;
 
 use pwu_core::experiment::run_experiment;
-use pwu_core::{active, ActiveConfig, CheckpointPolicy, Protocol, Strategy};
+use pwu_core::{active, ActiveConfig, GenerationStore, Protocol, Strategy};
 use pwu_forest::{ForestConfig, RandomForest};
 use pwu_space::{FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Kernel};
@@ -133,15 +133,16 @@ pub fn forest_fit_bytes(seed: u64) -> Vec<u8> {
 }
 
 /// Runs a miniature checkpointed active-learning session and returns
-/// `(checkpoint file bytes, trajectory byte image)`.
+/// `(slot file bytes, trajectory byte image)`: the three slot files of its
+/// store, which hold its last three generations, in slot order.
 ///
-/// `ckpt_path` is where the checkpoint file goes (callers own the temp
-/// location); the file is removed before returning.
+/// `store_dir` is the store's directory (callers own the temp location); it
+/// must not hold a slot file, and it is removed before returning.
 ///
 /// # Panics
-/// Panics if the checkpointed run fails or the checkpoint is not written.
+/// Panics if the checkpointed run fails or a slot is not written.
 #[must_use]
-pub fn checkpointed_cell_bytes(seed: u64, ckpt_path: &Path) -> (Vec<u8>, Vec<u8>) {
+pub fn checkpointed_cell_bytes(seed: u64, store_dir: &Path) -> (Vec<u8>, Vec<u8>) {
     let kernel = audit_kernel(0x7EAD);
     let space = kernel.space();
     let schema = FeatureSchema::for_space(space);
@@ -164,7 +165,7 @@ pub fn checkpointed_cell_bytes(seed: u64, ckpt_path: &Path) -> (Vec<u8>, Vec<u8>
         repeats: 3,
         ..ActiveConfig::default()
     };
-    let policy = CheckpointPolicy::new(ckpt_path, 2);
+    let store = GenerationStore::new(store_dir);
     let pool = Pool::new(space, &schema, pool_cfgs.to_vec());
     let run = active::run_with_checkpoints(
         &kernel,
@@ -174,12 +175,14 @@ pub fn checkpointed_cell_bytes(seed: u64, ckpt_path: &Path) -> (Vec<u8>, Vec<u8>
         &test_features,
         &test_labels,
         seed ^ 0xCE11,
-        &policy,
+        &store,
     )
     .expect("checkpointed audit run must succeed");
 
-    let ckpt = std::fs::read(ckpt_path).expect("a checkpoint must have been written");
-    let _ = std::fs::remove_file(ckpt_path);
+    let ckpt: Vec<u8> = (0..3)
+        .flat_map(|slot| std::fs::read(store.path_for(slot)).expect("every slot was written"))
+        .collect();
+    let _ = std::fs::remove_dir_all(store_dir);
 
     let mut bytes = Vec::new();
     push_usize(&mut bytes, run.train.labels().len());

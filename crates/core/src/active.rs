@@ -18,8 +18,8 @@
 //! borrows its target, its config and its Eq. 2 evaluator ([`EliteTest`]),
 //! so a caller that keeps the evaluator ranks its test set once however
 //! many loops it restores. The entry points are loops over it: [`run`];
-//! [`run_with_checkpoints`] and [`resume`], which save per a
-//! [`CheckpointPolicy`] and continue bit-identically after a crash (see
+//! [`run_with_checkpoints`] and [`resume`], which commit every iteration to
+//! a [`GenerationStore`] and continue bit-identically after a crash (see
 //! [`crate::checkpoint`]); and [`bootstrap`] + [`step_once`], which advance
 //! a checkpoint one iteration per call.
 //!
@@ -42,7 +42,7 @@ use pwu_space::{
 use pwu_stats::{derive_seed, InvalidInput, Xoshiro256PlusPlus};
 
 use crate::annotator::{Aggregator, Annotator, MeasurementStats, RetryPolicy};
-use crate::checkpoint::{ActiveCheckpoint, CheckpointError, CheckpointPolicy};
+use crate::checkpoint::{ActiveCheckpoint, CheckpointError, GenerationStore};
 use crate::metrics::EliteTest;
 use crate::strategy::Strategy;
 
@@ -239,16 +239,20 @@ pub fn run(
     active.into_run()
 }
 
-/// Like [`run`], but saves an [`ActiveCheckpoint`] atomically every
-/// [`CheckpointPolicy::every`] iterations (and at completion), so a killed
-/// run can be picked up with [`resume`].
+/// Like [`run`], but commits the run to `store` as it goes: generation 0
+/// after the cold start, then one generation per iteration, as a served
+/// session does. A killed run is picked up with [`resume`].
 ///
 /// # Errors
-/// Returns [`CheckpointError::Io`] if a checkpoint cannot be written.
+/// Returns [`CheckpointError::Io`] of kind
+/// [`std::io::ErrorKind::AlreadyExists`], before anything is measured, when
+/// `store` already holds a slot file: a generation left there by another
+/// run could outrank this run's. Returns [`CheckpointError::Io`] if a
+/// generation cannot be written.
 ///
 /// # Panics
 /// As [`run`].
-#[allow(clippy::too_many_arguments)] // mirrors `run` plus the policy
+#[allow(clippy::too_many_arguments)] // mirrors `run` plus the store
 pub fn run_with_checkpoints(
     target: &dyn TuningTarget,
     strategy: Strategy,
@@ -257,32 +261,44 @@ pub fn run_with_checkpoints(
     test_features: &FeatureMatrix,
     test_labels: &[f64],
     seed: u64,
-    policy: &CheckpointPolicy,
+    store: &GenerationStore,
 ) -> Result<ActiveRun, CheckpointError> {
     let elite = evaluator(config, test_features, test_labels);
-    ActiveLoop::new(target, config, pool, &elite, seed).finish(strategy, Some(policy))
+    store.refuse_held_slot()?;
+    let active = ActiveLoop::new(target, config, pool, &elite, seed);
+    store.commit(&active.checkpoint())?;
+    active.finish(strategy, store)
 }
 
-/// Resumes a run from a checkpoint, continuing bit-identically to the run
-/// that saved it (see [`ActiveLoop::from_checkpoint`]). Pass a `policy` to
-/// keep checkpointing as the resumed run progresses.
+/// Resumes a run from the newest generation of `store` that verifies
+/// ([`GenerationStore::load_latest`], which rolls back past a damaged
+/// newest slot) and continues it bit-identically to the run that saved it
+/// (see [`ActiveLoop::from_checkpoint`]), committing every iteration to
+/// `store` as [`run_with_checkpoints`] does.
 ///
 /// # Errors
-/// Returns [`CheckpointError::Mismatch`] if the checkpoint belongs to a
-/// different target or a different configuration, and
-/// [`CheckpointError::Io`] if further checkpoints cannot be written.
+/// Returns [`CheckpointError::Io`] of kind [`std::io::ErrorKind::NotFound`]
+/// when `store` holds no generation, [`CheckpointError::Corrupt`] when every
+/// slot is damaged, [`CheckpointError::Mismatch`] if the checkpoint belongs
+/// to a different target or a different configuration, and
+/// [`CheckpointError::Io`] if a generation cannot be read or written.
 pub fn resume(
     target: &dyn TuningTarget,
     strategy: Strategy,
     config: &ActiveConfig,
-    checkpoint: &ActiveCheckpoint,
     test_features: &FeatureMatrix,
     test_labels: &[f64],
-    policy: Option<&CheckpointPolicy>,
+    store: &GenerationStore,
 ) -> Result<ActiveRun, CheckpointError> {
     let elite = evaluator(config, test_features, test_labels);
-    ActiveLoop::from_checkpoint(target, config, checkpoint.clone(), &elite)?
-        .finish(strategy, policy)
+    let recovered = store.load_latest()?.ok_or_else(|| {
+        CheckpointError::Io(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("{} holds no checkpoint", store.dir().display()),
+        ))
+    })?;
+    ActiveLoop::from_checkpoint(target, config, recovered.checkpoint, &elite)?
+        .finish(strategy, store)
 }
 
 /// The result of advancing a checkpointed run by one iteration.
@@ -786,20 +802,15 @@ impl<'a> ActiveLoop<'a> {
         }
     }
 
-    /// Steps to the end, saving a checkpoint per `policy`: every
-    /// `policy.every` iterations and at completion.
+    /// Steps to the end, committing each iteration to `store`.
     fn finish(
         mut self,
         strategy: Strategy,
-        policy: Option<&CheckpointPolicy>,
+        store: &GenerationStore,
     ) -> Result<ActiveRun, CheckpointError> {
         while !self.is_done() {
-            let done = self.step(strategy);
-            if let Some(policy) = policy {
-                if self.iteration.is_multiple_of(policy.every) || done {
-                    self.checkpoint().save_atomic(&policy.path)?;
-                }
-            }
+            self.step(strategy);
+            store.commit(&self.checkpoint())?;
         }
         Ok(self.into_run())
     }

@@ -39,8 +39,8 @@ pub use active::{
 };
 pub use annotator::{Aggregator, AnnotationFailure, Annotator, MeasurementStats, RetryPolicy};
 pub use checkpoint::{
-    fnv1a64, with_integrity_footer, ActiveCheckpoint, CheckpointError, CheckpointPolicy,
-    GenerationStore, Recovered, Saved,
+    fnv1a64, with_integrity_footer, ActiveCheckpoint, CheckpointError, GenerationStore, Recovered,
+    Saved,
 };
 pub use experiment::{ExperimentResult, Protocol, StrategyCurve};
 pub use metrics::{cost_to_reach, rmse_at_alpha, EliteTest};

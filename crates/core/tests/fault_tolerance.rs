@@ -8,15 +8,19 @@
 //!   configurations and topping batches back up;
 //! - fault injection is seed-deterministic;
 //! - a disabled fault model is bit-identical to no fault model at all;
-//! - a run killed mid-flight resumes from its checkpoint and finishes
-//!   bit-identically to an uninterrupted run;
+//! - a run killed mid-flight, at any of several measurement budgets,
+//!   resumes from its [`GenerationStore`] and finishes bit-identically to an
+//!   uninterrupted run, also when the newest slot was damaged before the
+//!   resume (it rolls back one generation);
 //! - NaN timer readings never reach the forest.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pwu_core::tuning::{model_based_tuning, TuningAnnotator};
-use pwu_core::{active, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointPolicy, Strategy};
+use pwu_core::{
+    active, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointError, GenerationStore, Strategy,
+};
 use pwu_forest::ForestConfig;
 use pwu_space::{
     ConfigLegality, Configuration, FeatureMatrix, FeatureSchema, MeasureOutcome, ParamSpace, Pool,
@@ -170,77 +174,192 @@ impl TuningTarget for KillSwitch {
     }
 }
 
-#[test]
-fn killed_run_resumes_bit_identically_from_its_checkpoint() {
-    let kernel = kernel_by_name("adi")
-        .expect("adi registered")
-        .with_faults(FaultModel::stress(0xFA17));
-    let (pool_cfgs, test_features, test_labels) = pool_and_test(&kernel, 7);
-    let schema = FeatureSchema::for_space(kernel.space());
-    let config = small_config();
-    let strategy = Strategy::Pwu { alpha: 0.05 };
-    let seed = 41;
+/// A fresh, empty store for `tag`, private to this process.
+fn fresh_store(tag: &str) -> GenerationStore {
+    let dir = std::env::temp_dir().join(format!("pwu-ft-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    GenerationStore::new(dir)
+}
 
-    let reference = {
-        let target = KillSwitch {
-            inner: kernel.clone(),
-            budget: AtomicUsize::new(usize::MAX),
-        };
-        let pool = Pool::new(target.space(), &schema, pool_cfgs.clone());
-        active::run(
-            &target,
-            strategy,
-            &config,
-            pool,
-            &test_features,
-            &test_labels,
-            seed,
-        )
-    };
+/// Flips the middle byte of `path`: damage the footer check catches.
+fn flip_middle(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(path, &bytes).unwrap();
+}
 
-    let path = std::env::temp_dir().join(format!("pwu-ft-resume-{}.ckpt", std::process::id()));
-    let policy = CheckpointPolicy::new(&path, 2);
-    // Enough budget for the cold start plus a few iterations, so at least
-    // one checkpoint lands before the simulated crash.
-    let target = KillSwitch {
-        inner: kernel.clone(),
-        budget: AtomicUsize::new(60),
-    };
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        let pool = Pool::new(target.space(), &schema, pool_cfgs.clone());
+/// A checkpointed run of the stress-faulted adi kernel behind a
+/// [`KillSwitch`], killed and resumed at will.
+struct Killable {
+    target: KillSwitch,
+    schema: FeatureSchema,
+    pool_cfgs: Vec<Configuration>,
+    test_features: FeatureMatrix,
+    test_labels: Vec<f64>,
+}
+
+const KILL_STRATEGY: Strategy = Strategy::Pwu { alpha: 0.05 };
+const KILL_SEED: u64 = 41;
+
+impl Killable {
+    fn new() -> Self {
+        let kernel = kernel_by_name("adi")
+            .expect("adi registered")
+            .with_faults(FaultModel::stress(0xFA17));
+        let (pool_cfgs, test_features, test_labels) = pool_and_test(&kernel, 7);
+        Self {
+            schema: FeatureSchema::for_space(kernel.space()),
+            target: KillSwitch {
+                inner: kernel,
+                budget: AtomicUsize::new(usize::MAX),
+            },
+            pool_cfgs,
+            test_features,
+            test_labels,
+        }
+    }
+
+    fn pool(&self) -> Pool {
+        Pool::new(self.target.space(), &self.schema, self.pool_cfgs.clone())
+    }
+
+    /// The uninterrupted run, and how many measurements it took.
+    fn reference(&self) -> (ActiveRun, usize) {
+        self.target.budget.store(usize::MAX, Ordering::Relaxed);
+        let run = active::run(
+            &self.target,
+            KILL_STRATEGY,
+            &small_config(),
+            self.pool(),
+            &self.test_features,
+            &self.test_labels,
+            KILL_SEED,
+        );
+        (run, usize::MAX - self.target.budget.load(Ordering::Relaxed))
+    }
+
+    fn run_with_checkpoints(&self, store: &GenerationStore) -> Result<ActiveRun, CheckpointError> {
         active::run_with_checkpoints(
-            &target,
-            strategy,
-            &config,
-            pool,
-            &test_features,
-            &test_labels,
-            seed,
-            &policy,
+            &self.target,
+            KILL_STRATEGY,
+            &small_config(),
+            self.pool(),
+            &self.test_features,
+            &self.test_labels,
+            KILL_SEED,
+            store,
         )
-    }));
-    assert!(crashed.is_err(), "the budget must kill the run mid-flight");
+    }
 
-    let checkpoint =
-        ActiveCheckpoint::load_verified(&path).expect("a checkpoint must have been saved");
-    assert!(
-        checkpoint.train_configs.len() < config.n_max,
-        "the checkpoint must capture a mid-run state"
-    );
-    target.budget.store(usize::MAX, Ordering::Relaxed);
-    let resumed = active::resume(
-        &target,
-        strategy,
-        &config,
-        &checkpoint,
-        &test_features,
-        &test_labels,
-        None,
-    )
-    .expect("resume must succeed");
-    let _ = std::fs::remove_file(&path);
+    fn resume(&self, store: &GenerationStore) -> Result<ActiveRun, CheckpointError> {
+        active::resume(
+            &self.target,
+            KILL_STRATEGY,
+            &small_config(),
+            &self.test_features,
+            &self.test_labels,
+            store,
+        )
+    }
 
-    assert_runs_bit_identical(&reference, &resumed);
+    /// Runs `f` with `budget` measurements left; it must die of it.
+    fn killed<T>(&self, budget: usize, f: impl FnOnce() -> T) {
+        self.target.budget.store(budget, Ordering::Relaxed);
+        let crashed = catch_unwind(AssertUnwindSafe(f));
+        assert!(crashed.is_err(), "budget {budget} must kill the run");
+        self.target.budget.store(usize::MAX, Ordering::Relaxed);
+    }
+
+    /// Kills a checkpointed run on a fresh store (named by `tag`) after
+    /// `budget` measurements and returns the store and its newest
+    /// generation, which must be a mid-run state.
+    fn killed_run(&self, tag: &str, budget: usize) -> (GenerationStore, u64) {
+        let store = fresh_store(&format!("{tag}-{budget}"));
+        self.killed(budget, || self.run_with_checkpoints(&store));
+        let newest = store
+            .load_latest()
+            .unwrap()
+            .expect("generation 0 is committed after the cold start");
+        assert_eq!(newest.rolled_back, 0, "budget {budget}");
+        assert!(
+            newest.checkpoint.train_configs.len() < N_MAX,
+            "budget {budget}: the store must hold a mid-run state"
+        );
+        (store, newest.generation)
+    }
+}
+
+/// Budgets that kill the run after its cold start: two fifths of the
+/// measurements to all but the last.
+fn kill_budgets(total: usize) -> [usize; 4] {
+    [2 * total / 5, 3 * total / 5, 4 * total / 5, total - 1]
+}
+
+#[test]
+fn runs_killed_at_any_budget_resume_bit_identically_from_their_stores() {
+    let fx = Killable::new();
+    let (reference, total) = fx.reference();
+    for budget in kill_budgets(total) {
+        let (store, _) = fx.killed_run("kill", budget);
+        // A new run refuses the store the killed one left, before it
+        // measures anything.
+        fx.target.budget.store(0, Ordering::Relaxed);
+        match fx.run_with_checkpoints(&store) {
+            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            other => panic!("budget {budget}: expected the store refused, got {other:?}"),
+        }
+        fx.target.budget.store(usize::MAX, Ordering::Relaxed);
+
+        let resumed = fx.resume(&store).expect("resume must succeed");
+        assert_runs_bit_identical(&reference, &resumed);
+        // The resumed run committed every iteration to the end.
+        let last = store.load_latest().unwrap().unwrap();
+        assert_eq!(
+            last.checkpoint.history, reference.history,
+            "budget {budget}"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    // An empty store holds nothing to resume.
+    let store = fresh_store("empty");
+    match fx.resume(&store) {
+        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+        other => panic!("expected an empty store refused, got {other:?}"),
+    }
+}
+
+#[test]
+fn resume_rolls_back_past_a_damaged_newest_slot() {
+    let fx = Killable::new();
+    let (reference, total) = fx.reference();
+    for budget in kill_budgets(total) {
+        let (store, newest) = fx.killed_run("rollback", budget);
+        assert!(
+            newest >= 1,
+            "budget {budget}: no older generation to roll back to"
+        );
+        flip_middle(&store.path_for(newest));
+        // A resume that dies before its first commit shows what it
+        // recovered: the damaged slot is gone, and the generation before it
+        // is the newest.
+        fx.killed(0, || fx.resume(&store));
+        assert!(
+            !store.path_for(newest).exists(),
+            "budget {budget}: the damaged slot survived"
+        );
+        let recovered = store.load_latest().unwrap().unwrap();
+        assert_eq!(
+            (recovered.generation, recovered.rolled_back),
+            (newest - 1, 0),
+            "budget {budget}"
+        );
+
+        let resumed = fx.resume(&store).expect("resume must succeed");
+        assert_runs_bit_identical(&reference, &resumed);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
 }
 
 /// A kernel facade whose timer returns NaN for part of the space.
@@ -303,20 +422,17 @@ fn session_suspended_mid_quarantine_resumes_with_identical_tallies() {
     let seed = 41;
 
     let chain = |suspend_each_step: bool| -> ActiveCheckpoint {
-        let path = std::env::temp_dir().join(format!(
-            "pwu-ft-quarantine-{}-{suspend_each_step}.ckpt",
-            std::process::id()
-        ));
+        let store = fresh_store(&format!("quarantine-{suspend_each_step}"));
         let pool = Pool::new(kernel.space(), &schema, pool_cfgs.clone());
         let mut checkpoint =
             active::bootstrap(&kernel, &config, pool, &test_features, &test_labels, seed);
         let mut saw_mid_quarantine = false;
         loop {
             if suspend_each_step {
-                // Suspend: persist and drop the in-memory state. Resume:
-                // reload from the verified file.
-                checkpoint.save_atomic(&path).unwrap();
-                checkpoint = ActiveCheckpoint::load_verified(&path).unwrap();
+                // Suspend: commit and drop the in-memory state. Resume:
+                // reload the newest generation that verifies.
+                store.save(&checkpoint).unwrap();
+                checkpoint = store.load_latest().unwrap().unwrap().checkpoint;
             }
             let midway = checkpoint.train_configs.len() < config.n_max;
             if midway && !checkpoint.quarantined.is_empty() && checkpoint.stats.retries > 0 {
@@ -336,7 +452,7 @@ fn session_suspended_mid_quarantine_resumes_with_identical_tallies() {
                 break;
             }
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(store.dir());
         assert!(
             saw_mid_quarantine,
             "the stress model must quarantine something mid-run for this test to bite"

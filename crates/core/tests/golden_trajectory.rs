@@ -21,8 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pwu_core::{
-    active, rmse_at_alpha, ActiveCheckpoint, ActiveConfig, ActiveRun, CheckpointPolicy, Snapshot,
-    Strategy,
+    active, rmse_at_alpha, ActiveConfig, ActiveRun, GenerationStore, Snapshot, Strategy,
 };
 use pwu_forest::{FitMode, ForestConfig};
 use pwu_space::Pool;
@@ -188,10 +187,11 @@ fn killed_and_resumed_run_reproduces_the_golden_trajectory() {
     let config = config();
     let strategy = Strategy::Pwu { alpha: 0.05 };
 
-    let path = std::env::temp_dir().join(format!("pwu-golden-resume-{}.ckpt", std::process::id()));
-    let policy = CheckpointPolicy::new(&path, 2);
-    // Enough budget for the cold start plus a few iterations, so at least
-    // one checkpoint lands before the simulated crash.
+    let dir = std::env::temp_dir().join(format!("pwu-golden-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = GenerationStore::new(&dir);
+    // Enough budget for the cold start plus a few iterations, so a few
+    // generations land before the simulated crash.
     let target = KillSwitch {
         inner: kernel,
         budget: AtomicUsize::new(45),
@@ -206,15 +206,17 @@ fn killed_and_resumed_run_reproduces_the_golden_trajectory() {
             &test_features,
             &test_labels,
             42,
-            &policy,
+            &store,
         )
     }));
     assert!(crashed.is_err(), "the budget must kill the run mid-flight");
 
-    let checkpoint =
-        ActiveCheckpoint::load_verified(&path).expect("a checkpoint must have been saved");
+    let newest = store
+        .load_latest()
+        .unwrap()
+        .expect("a checkpoint must have been saved");
     assert!(
-        checkpoint.train_configs.len() < config.n_max,
+        newest.checkpoint.train_configs.len() < config.n_max,
         "the checkpoint must capture a mid-run state"
     );
     target.budget.store(usize::MAX, Ordering::Relaxed);
@@ -222,13 +224,12 @@ fn killed_and_resumed_run_reproduces_the_golden_trajectory() {
         &target,
         strategy,
         &config,
-        &checkpoint,
         &test_features,
         &test_labels,
-        None,
+        &store,
     )
     .expect("resume must succeed");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_matches_golden(&resumed, &FROM_SCRATCH);
 }

@@ -12,7 +12,7 @@
 //! every parallel result in the workspace is width-invariant by
 //! construction, so that cannot affect their outcomes.
 
-use pwu_core::{active, ActiveConfig, ActiveRun, CheckpointPolicy, Strategy};
+use pwu_core::{active, ActiveConfig, ActiveRun, GenerationStore, Strategy};
 use pwu_forest::ForestConfig;
 use pwu_space::{Configuration, FeatureMatrix, FeatureSchema, Pool, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Kernel};
@@ -81,11 +81,10 @@ fn trajectory_and_checkpoints_are_identical_at_widths_1_2_and_8() {
     let mut reference: Option<([u64; 3], Vec<u8>)> = None;
     for width in [1usize, 2, 8] {
         rayon::set_threads(width);
-        let path = std::env::temp_dir().join(format!(
-            "pwu-thread-det-{}-w{width}.ckpt",
-            std::process::id()
-        ));
-        let policy = CheckpointPolicy::new(&path, 2);
+        let dir =
+            std::env::temp_dir().join(format!("pwu-thread-det-{}-w{width}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = GenerationStore::new(&dir);
         // A fresh kernel clone per width: the evaluation cache starts cold
         // every time, so a warm memo cannot mask a width-dependent bug.
         let target = kernel.clone();
@@ -98,12 +97,15 @@ fn trajectory_and_checkpoints_are_identical_at_widths_1_2_and_8() {
             &test_features,
             &test_labels,
             42,
-            &policy,
+            &store,
         )
         .expect("checkpointed run must succeed");
         let fp = fingerprint(&run);
-        let bytes = std::fs::read(&path).expect("a checkpoint must have been written");
-        let _ = std::fs::remove_file(&path);
+        // All three slot files: the last three generations of the run.
+        let bytes: Vec<u8> = (0..3)
+            .flat_map(|slot| std::fs::read(store.path_for(slot)).expect("every slot was written"))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
         match &reference {
             None => reference = Some((fp, bytes)),
             Some((ref_fp, ref_bytes)) => {
