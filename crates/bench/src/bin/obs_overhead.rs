@@ -24,17 +24,7 @@ use pwu_core::experiment::run_experiment;
 use pwu_core::{Protocol, Strategy};
 use pwu_forest::ForestConfig;
 use pwu_spapt::{kernel_by_name, FaultModel};
-
-/// Median of a sample vector, in place.
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_unstable_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
-}
+use pwu_stats::median;
 
 /// The miniature experiment-cell workload shared with the `perf` binary's
 /// `experiment_cell/mini` benchmark.
@@ -104,8 +94,8 @@ fn main() {
     pwu_obs::disable();
     assert!(warmup_events > 0, "traced cell must record events");
 
-    let off_med = median(&mut off_ns);
-    let on_med = median(&mut on_ns);
+    let off_med = median(&off_ns);
+    let on_med = median(&on_ns);
     let speedup = off_med / on_med;
     let overhead_pct = (on_med / off_med - 1.0) * 100.0;
     println!(

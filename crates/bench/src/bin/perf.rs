@@ -40,7 +40,7 @@ use pwu_core::{Annotator, Protocol, Strategy};
 use pwu_forest::{reference, FitMode, ForestConfig, RandomForest};
 use pwu_space::{FeatureKind, FeatureMatrix, PoolLintCounts, TuningTarget};
 use pwu_spapt::{kernel_by_name, FaultModel, Uncached};
-use pwu_stats::Xoshiro256PlusPlus;
+use pwu_stats::{median, Xoshiro256PlusPlus};
 
 /// Synthetic tuning-like data, in both layouts (bitwise-equal contents).
 fn data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, FeatureMatrix, Vec<f64>) {
@@ -56,17 +56,6 @@ fn data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, FeatureMatrix, Vec<f64
     }
     let matrix = FeatureMatrix::from_rows(d, &rows);
     (rows, matrix, y)
-}
-
-/// Median of a sample vector, in place.
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_unstable_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
 }
 
 /// Median wall-clock nanoseconds of two routines timed **interleaved**
@@ -92,7 +81,7 @@ fn time_pair(
         optimized();
         vo.push(start.elapsed().as_nanos() as f64);
     }
-    (median(&mut vb), median(&mut vo))
+    (median(&vb), median(&vo))
 }
 
 struct Row {

@@ -100,9 +100,9 @@ impl RetryPolicy {
     /// Backoff seconds charged after the `failure`-th failed attempt
     /// (1-based): `backoff_cost · 2^(failure−1)`, with the exponent capped
     /// at 16 and the product *saturated* to [`f64::MAX`]. A pathological
-    /// `backoff_cost` (a watchdog deadline of `f64::MAX` cost units feeds
-    /// one in here) must wedge the budget, not overflow to infinity and
-    /// poison every downstream cost sum.
+    /// `backoff_cost`, up to `f64::MAX` cost units, must wedge the budget,
+    /// not overflow to infinity and poison every downstream cost sum: the
+    /// retry loop adds each backoff to the annotation's wasted cost.
     #[must_use]
     pub fn backoff(&self, failure: usize) -> f64 {
         if self.backoff_cost <= 0.0 || failure == 0 {

@@ -33,7 +33,9 @@ fn main() -> ExitCode {
                 else {
                     return usage("--max-step-cost needs a non-negative number (inf disables it)");
                 };
-                watchdog = WatchdogPolicy::with_deadline(cost);
+                watchdog = WatchdogPolicy {
+                    max_step_cost: cost,
+                };
             }
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument '{other}'")),

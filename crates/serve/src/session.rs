@@ -759,10 +759,11 @@ impl Session {
     /// The step parses a private copy of the resident body, restores an
     /// [`ActiveLoop`] from it and the evaluator, steps it and captures it,
     /// so it is *pure* until commit: a panic (isolated with
-    /// `catch_unwind`) or an over-deadline cost discards the outcome,
-    /// leaves the resident and durable state untouched and records a
-    /// strike; exhausting the grace budget degrades the session. A
-    /// committed step persists the captured checkpoint as the next
+    /// `catch_unwind`) or an over-deadline cost discards the outcome and
+    /// leaves the resident and durable state untouched. A panic degrades
+    /// the session at once; an over-deadline cost records a strike, and the
+    /// [`WatchdogPolicy::STRIKE_LIMIT`]-th consecutive strike degrades it.
+    /// A committed step persists the captured checkpoint as the next
     /// generation and keeps the body it wrote. Every attempt that ran,
     /// whatever its outcome, empties the memo it filled.
     ///
@@ -824,17 +825,15 @@ impl Session {
                 ));
             }
         };
-        if watchdog.busted(step_cost, self.strikes) {
+        if watchdog.busted(step_cost) {
             self.strikes += 1;
-            if watchdog.exhausted(self.strikes) {
+            if self.strikes >= WatchdogPolicy::STRIKE_LIMIT {
                 self.state = SessionState::Degraded;
                 return Err(ProtocolError::new(
                     ErrorKind::Degraded,
                     format!(
                         "step cost {} busted the deadline {} on strike {}; session degraded",
-                        step_cost,
-                        watchdog.allowed(self.strikes - 1),
-                        self.strikes
+                        step_cost, watchdog.max_step_cost, self.strikes
                     ),
                 ));
             }

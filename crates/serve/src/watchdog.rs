@@ -1,76 +1,39 @@
-//! Per-session watchdog budgets: cost-unit deadlines for one step.
+//! Per-session watchdog deadlines: a cost-unit budget for one step.
 //!
 //! The measurement loop accounts everything in *cost units* (simulated
 //! seconds of measurement time), so the watchdog does too: a step whose
 //! annotation cost exceeds the deadline is treated as a runaway — its
 //! outcome is discarded (a [`crate::session::Session`] step is pure with
 //! respect to the durable checkpoint, so discarding is free) and a strike
-//! is recorded. Deadlines reuse [`RetryPolicy`] semantics: each strike
-//! raises the allowance by the policy's exponential backoff, and when the
-//! strike count exceeds the policy's retry budget the session is marked
+//! is recorded. A committed step clears the strikes; the
+//! [`WatchdogPolicy::STRIKE_LIMIT`]-th consecutive strike marks the session
 //! degraded instead of wedging the server.
-
-use pwu_core::RetryPolicy;
 
 /// The watchdog policy one server applies to every session step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogPolicy {
-    /// Base per-step deadline in cost units. `f64::INFINITY` disables the
+    /// Per-step deadline in cost units. `f64::INFINITY` disables the
     /// watchdog.
     pub max_step_cost: f64,
-    /// Strike semantics: `max_retries` over-budget attempts are tolerated,
-    /// each granted `backoff_cost`-scaled extra allowance, before the
-    /// session degrades.
-    pub grace: RetryPolicy,
 }
 
 impl Default for WatchdogPolicy {
     fn default() -> Self {
         Self {
             max_step_cost: f64::INFINITY,
-            grace: RetryPolicy {
-                max_retries: 2,
-                backoff_cost: 0.0,
-            },
         }
     }
 }
 
 impl WatchdogPolicy {
-    /// A watchdog with a finite base deadline and the default grace.
-    #[must_use]
-    pub fn with_deadline(max_step_cost: f64) -> Self {
-        Self {
-            max_step_cost,
-            ..Self::default()
-        }
-    }
+    /// The consecutive over-budget attempt that degrades a session: the
+    /// attempts before it are shed and the session stays active.
+    pub const STRIKE_LIMIT: usize = 3;
 
-    /// The deadline granted to an attempt made after `strikes` previous
-    /// over-budget attempts: the base deadline plus the grace policy's
-    /// backoff for that strike count. Saturates (never overflows to
-    /// infinity) because [`RetryPolicy::backoff`] does.
+    /// Whether a step that cost `step_cost` busts the deadline.
     #[must_use]
-    pub fn allowed(&self, strikes: usize) -> f64 {
-        let total = self.max_step_cost + self.grace.backoff(strikes);
-        if total.is_nan() {
-            self.max_step_cost
-        } else {
-            total
-        }
-    }
-
-    /// Whether a step that cost `step_cost` busts the deadline for this
-    /// strike count.
-    #[must_use]
-    pub fn busted(&self, step_cost: f64, strikes: usize) -> bool {
-        step_cost > self.allowed(strikes)
-    }
-
-    /// Whether `strikes` over-budget attempts exhaust the grace budget.
-    #[must_use]
-    pub fn exhausted(&self, strikes: usize) -> bool {
-        strikes > self.grace.max_retries
+    pub fn busted(&self, step_cost: f64) -> bool {
+        step_cost > self.max_step_cost
     }
 }
 
@@ -79,38 +42,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deadline_grows_with_strikes_and_saturates() {
-        let w = WatchdogPolicy {
-            max_step_cost: 10.0,
-            grace: RetryPolicy {
-                max_retries: 2,
-                backoff_cost: 4.0,
-            },
-        };
-        assert_eq!(w.allowed(0), 10.0);
-        assert_eq!(w.allowed(1), 14.0);
-        assert_eq!(w.allowed(2), 18.0);
-        assert!(w.busted(14.5, 1));
-        assert!(!w.busted(14.5, 2));
-        assert!(!w.exhausted(2));
-        assert!(w.exhausted(3));
-
-        // Pathological cost units stay finite end to end.
-        let w = WatchdogPolicy {
-            max_step_cost: f64::MAX,
-            grace: RetryPolicy {
-                max_retries: 1,
-                backoff_cost: f64::MAX,
-            },
-        };
-        assert!(w.allowed(5).is_finite() || w.allowed(5) == f64::INFINITY);
-        assert!(!w.busted(1.0, 5));
-    }
-
-    #[test]
     fn default_watchdog_never_trips() {
         let w = WatchdogPolicy::default();
-        assert!(!w.busted(f64::MAX, 0));
-        assert_eq!(w.allowed(100), f64::INFINITY);
+        assert!(!w.busted(f64::MAX));
+        assert!(!w.busted(f64::INFINITY));
     }
 }

@@ -6,7 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use pwu_core::checkpoint::split_verified_body;
-use pwu_core::{ActiveCheckpoint, GenerationStore, RetryPolicy, Strategy};
+use pwu_core::{ActiveCheckpoint, GenerationStore, Strategy};
 use pwu_serve::protocol::{Fields, Value};
 use pwu_serve::session::{strategy_token, Session, SessionSpec};
 use pwu_serve::{parse_object, AdmissionPolicy, ErrorKind, Server, SessionState, WatchdogPolicy};
@@ -380,14 +380,9 @@ fn admission_sheds_load_with_typed_overloads() {
 #[test]
 fn watchdog_degrades_runaways_and_resume_recovers_them() {
     let dir = tmp("watchdog");
-    // Every step busts a zero deadline; one strike of grace, then degrade.
-    let watchdog = WatchdogPolicy {
-        max_step_cost: 0.0,
-        grace: RetryPolicy {
-            max_retries: 1,
-            backoff_cost: 0.0,
-        },
-    };
+    // Every step busts a zero deadline; two strikes are shed, the third
+    // degrades.
+    let watchdog = WatchdogPolicy { max_step_cost: 0.0 };
     let mut server = Server::open(&dir, AdmissionPolicy::default(), watchdog).unwrap();
     let created = send(&mut server, &create_line("w", "adi", 7));
     let durable_digest = created.str("digest").unwrap().to_string();
@@ -400,14 +395,17 @@ fn watchdog_degrades_runaways_and_resume_recovers_them() {
         )
     };
 
-    // Strike 1: shed but still active. Strike 2: degraded.
-    let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
-    assert_eq!(r.str("state"), Some("active"));
-    assert_eq!(r.u64("steps"), Some(0));
-    assert_eq!(r.u64("shed"), Some(1));
-    // The shed step ran on a private copy: the resident state is untouched.
-    let q = send(&mut server, r#"{"cmd":"query","session":"w"}"#);
-    assert_eq!(standing(&q), standing(&created));
+    // Strikes 1 and 2: shed but still active. Strike 3: degraded.
+    for _ in 0..2 {
+        let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
+        assert_eq!(r.str("state"), Some("active"));
+        assert_eq!(r.u64("steps"), Some(0));
+        assert_eq!(r.u64("shed"), Some(1));
+        // The shed step ran on a private copy: the resident state is
+        // untouched.
+        let q = send(&mut server, r#"{"cmd":"query","session":"w"}"#);
+        assert_eq!(standing(&q), standing(&created));
+    }
     let r = send(&mut server, r#"{"cmd":"step","session":"w","n":1}"#);
     assert_err(&r, ErrorKind::Degraded);
     let q = send(&mut server, r#"{"cmd":"query","session":"w"}"#);
@@ -483,13 +481,7 @@ fn a_served_session_keeps_no_memo_between_requests() {
     drop(server);
 
     // Reopened with a zero deadline, the next step is shed, not committed.
-    let watchdog = WatchdogPolicy {
-        max_step_cost: 0.0,
-        grace: RetryPolicy {
-            max_retries: 3,
-            backoff_cost: 0.0,
-        },
-    };
+    let watchdog = WatchdogPolicy { max_step_cost: 0.0 };
     let mut server = Server::open(&dir, AdmissionPolicy::default(), watchdog).unwrap();
     send(&mut server, r#"{"cmd":"resume","session":"m"}"#);
     let (len, lookups) = memo(&server);
@@ -1006,13 +998,7 @@ fn every_digest_is_the_checksum_of_the_durable_generation() {
 
     // A shed step commits nothing, so the digest stays put.
     let dir = tmp("digest-shed");
-    let watchdog = WatchdogPolicy {
-        max_step_cost: 0.0,
-        grace: RetryPolicy {
-            max_retries: 3,
-            backoff_cost: 0.0,
-        },
-    };
+    let watchdog = WatchdogPolicy { max_step_cost: 0.0 };
     let mut server = Server::open(&dir, AdmissionPolicy::default(), watchdog).unwrap();
     let created = send(&mut server, &create_line("w", "adi", 52));
     let digest = assert_digest_of_newest(&created, &dir, "w");

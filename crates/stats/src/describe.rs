@@ -92,10 +92,8 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Median (50 % quantile). Returns `NaN` for an empty slice.
-///
-/// # Panics
-/// Panics if any value is `NaN`.
+/// Median (50 % quantile). Returns `NaN` for an empty slice. Never panics:
+/// values are ordered by `f64::total_cmp`, as [`quantile`] orders them.
 #[must_use]
 pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
@@ -278,6 +276,9 @@ mod tests {
         assert!((trimmed_mean(&xs, 0.2) - 1.0).abs() < 0.02);
         // The plain mean is dragged far away by the spikes.
         assert!(mean(&xs) > 15.0);
+        // A NaN reading sorts high like a spike; the median does not panic.
+        xs.push(f64::NAN);
+        assert!((median(&xs) - 1.01).abs() < 0.01);
     }
 
     #[test]

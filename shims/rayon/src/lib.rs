@@ -23,10 +23,14 @@
 //!   the cores, so nesting would only oversubscribe them.
 //!
 //! The pool width comes from the `PWU_THREADS` environment variable, read
-//! once; unset (or unparsable) it falls back to
-//! [`std::thread::available_parallelism`]. `PWU_THREADS=1` forces the
-//! sequential path. [`set_threads`] overrides the width at runtime for
-//! thread-count-invariance tests.
+//! once; unset, it falls back to [`std::thread::available_parallelism`]
+//! (at most [`MAX_THREADS`]).
+//! Every value gives a defined width: the value is trimmed and read as a
+//! decimal integer; `0`, a negative number and anything unparsable give
+//! width 1, and a number above [`MAX_THREADS`] gives [`MAX_THREADS`], so no
+//! batch asks the OS for more than that many threads. `PWU_THREADS=1`
+//! forces the sequential path. [`set_threads`] overrides the width at
+//! runtime for thread-count-invariance tests, within the same bounds.
 //!
 //! The pool also exposes the [`sanitize`] hooks used by the `pwu-audit`
 //! schedule-perturbation harness: per-batch access-footprint capture (which
@@ -40,6 +44,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Global pool width; 0 means "not yet initialized from the environment".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
+/// The widest pool `PWU_THREADS` or [`set_threads`] can ask for: a batch
+/// spawns one scoped thread per worker, and a refused spawn panics. Eight
+/// times the widest width any test or gate uses (8).
+pub const MAX_THREADS: usize = 64;
+
 std::thread_local! {
     /// True on pool worker threads, where nested parallelism must degrade
     /// to sequential execution instead of spawning a second tier of threads.
@@ -47,11 +56,23 @@ std::thread_local! {
 }
 
 /// Reads `PWU_THREADS`, falling back to the machine's available parallelism.
-/// A value of `0` or garbage is treated as 1 (sequential — the safe floor).
 fn threads_from_env() -> usize {
     match std::env::var("PWU_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        Ok(v) => threads_from_str(&v),
+        Err(_) => std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(MAX_THREADS),
+    }
+}
+
+/// The pool width a `PWU_THREADS` value asks for: `0` and anything that is
+/// not a decimal integer give 1 (sequential, the safe floor); a number
+/// above [`MAX_THREADS`], however large, gives [`MAX_THREADS`].
+fn threads_from_str(v: &str) -> usize {
+    match v.trim().parse::<usize>() {
+        Ok(n) => n.clamp(1, MAX_THREADS),
+        Err(e) if *e.kind() == std::num::IntErrorKind::PosOverflow => MAX_THREADS,
+        Err(_) => 1,
     }
 }
 
@@ -70,7 +91,7 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// Overrides the pool width at runtime (clamped to at least 1).
+/// Overrides the pool width at runtime (clamped to `1..=MAX_THREADS`).
 ///
 /// Exists for the thread-count-invariance test suites, which compare runs at
 /// several widths inside one process; `PWU_THREADS` is only read once, so an
@@ -78,7 +99,7 @@ pub fn current_num_threads() -> usize {
 /// any time: results are deterministic at every width, so racing callers can
 /// only affect scheduling, never output.
 pub fn set_threads(n: usize) {
-    THREADS.store(n.max(1), Ordering::Relaxed);
+    THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
 }
 
 /// Concurrency-sanitizer hooks for the `pwu-audit` harness: schedule
@@ -449,7 +470,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::{current_num_threads, set_threads};
+    use super::{current_num_threads, set_threads, threads_from_str, MAX_THREADS};
     use std::sync::{Mutex, MutexGuard};
 
     /// Serializes tests that mutate the global pool width. Results are
@@ -749,6 +770,32 @@ mod tests {
             );
             set_threads(1);
         }
+    }
+
+    /// Every `PWU_THREADS` value gives a width in `1..=MAX_THREADS`. Only
+    /// the parse runs: no batch is ever run at a huge width.
+    #[test]
+    fn every_pwu_threads_value_has_a_defined_width() {
+        for (value, width) in [
+            ("0", 1),
+            ("", 1),
+            ("abc", 1),
+            ("-1", 1),
+            ("2.5", 1),
+            ("+3", 3),
+            (" 3 ", 3),
+            ("8", 8),
+            ("65", MAX_THREADS),
+            // One past u64::MAX.
+            ("18446744073709551616", MAX_THREADS),
+        ] {
+            assert_eq!(threads_from_str(value), width, "PWU_THREADS={value:?}");
+        }
+        let _guard = width_guard();
+        set_threads(usize::MAX);
+        assert_eq!(current_num_threads(), MAX_THREADS);
+        set_threads(0);
+        assert_eq!(current_num_threads(), 1);
     }
 
     #[test]

@@ -4,21 +4,27 @@
 //! - `lint` — the CI lint gate: `cargo fmt --all -- --check` (the
 //!   workspace must be rustfmt-clean), then `cargo clippy --workspace
 //!   --all-targets` with warnings denied, then the `pwu-lint` kernel
-//!   legality checker, which exits non-zero on any `Error`-level diagnostic.
+//!   legality checker, which exits non-zero on any `Error`-level diagnostic,
+//!   then the `pwu-analyze` package's tests (the 18-kernel lint-table
+//!   snapshot among them).
 //! - `faults` — the fault-injection and simulator gate: runs the whole
 //!   `pwu-spapt` package (the deterministic fault model, the cost, cache,
 //!   transform, cachesim cross-check and kernel unit tests, the property
 //!   suite, and the suite holding the production evaluator bit-identical
-//!   to its reference twin), the annotator's retry/quarantine tests and
-//!   the end-to-end fault-tolerance suite, which drives the active-learning
-//!   loop under ~20 % injected measurement failures.
+//!   to its reference twin) together with the `pwu-space` (encoders,
+//!   generated encoder tests), `pwu-stats` and `pwu-apps` packages, then
+//!   the annotator's retry/quarantine tests and the end-to-end
+//!   fault-tolerance suite, which drives the active-learning loop under
+//!   ~20 % injected measurement failures.
 //! - `perf` — regenerates `BENCH_forest.json` (forest hot-path),
 //!   `BENCH_measure.json` (measurement engine), `BENCH_serve.json`
 //!   (service load generator), and `BENCH_obs.json` (tracing overhead)
 //!   with the before/after harnesses (`pwu-bench --bin perf`,
 //!   `--bin serve_load`, and `--bin obs_overhead`, full mode). With
-//!   `--check`, runs the harnesses in smoke mode (bounded sample counts,
-//!   CI-budget runtime) to scratch files, validates every report schema,
+//!   `--check`, first holds every committed report to its schema and to
+//!   exactly its required rows, and runs the `pwu-bench` and `xtask`
+//!   suites; then runs the harnesses in smoke mode (bounded sample counts,
+//!   CI-budget runtime) to scratch files, holds them to the same rules,
 //!   and fails if any benchmark's speedup regressed below 75 % of its
 //!   committed baseline.
 //! - `chaos` — the crash-safety gate: runs the whole `pwu-serve` package in
@@ -39,7 +45,9 @@
 //!   forest fit and a miniature experiment cell under pool widths 1/2/4/8 ×
 //!   permuted deal orders and asserts byte-identical results, checkpoint
 //!   files included, then the thread-pool shim's suite with its sanitizer
-//!   hooks. See DESIGN.md §11 for the contract this enforces.
+//!   hooks together with the `pwu-report` package and the `rand`,
+//!   `proptest` and `criterion` shims. See DESIGN.md §11 for the contract
+//!   this enforces.
 //! - `obs` — the observability gate: runs the `pwu-obs` unit suite (the
 //!   timing sidecar dormant, disarmed and armed), the thread-pool
 //!   fork/splice byte-identity test, and the trace-determinism suite
@@ -72,10 +80,10 @@ use std::process::{exit, Command};
 const GATES: [(&str, &str); 9] = [
     ("cargo build --release", "the workspace compiles"),
     ("cargo test -q", "umbrella package tests only (tier-1): integration + fit and simulator pins"),
-    ("cargo xtask lint", "rustfmt check + clippy -D warnings + pwu-lint kernel legality"),
-    ("cargo xtask faults", "pwu-spapt package (simulator + twin equivalence) + fault-injection & retry/quarantine suites"),
-    ("cargo xtask perf --check", "perf smoke run vs committed baselines"),
-    ("cargo xtask audit", "determinism scan + schedule-perturbation harness"),
+    ("cargo xtask lint", "rustfmt check + clippy -D warnings + pwu-lint kernel legality + pwu-analyze tests"),
+    ("cargo xtask faults", "pwu-spapt package (simulator + twin equivalence) + fault-injection & retry/quarantine suites + pwu-space, pwu-stats, pwu-apps"),
+    ("cargo xtask perf --check", "committed report rows + pwu-bench and xtask tests + perf smoke run vs committed baselines"),
+    ("cargo xtask audit", "determinism scan + schedule-perturbation harness + rayon shim + pwu-report and the other shims"),
     ("cargo xtask chaos", "pwu-serve suites + seeded kill/resume chaos harness (full scale) + perfbench self-test"),
     ("cargo xtask obs", "trace byte-identity + tracing overhead budget"),
     ("cargo xtask fast", "fit pins + every pwu-forest and pwu-core test + serve fleet suite"),
@@ -138,6 +146,10 @@ fn lint() {
         "pwu-lint (kernel legality & invariant gate)",
         Command::new(&cargo).args(["run", "--release", "-p", "pwu-analyze", "--bin", "pwu-lint"]),
     );
+    run_step(
+        "pwu-analyze package: analyzer unit tests + the 18-kernel lint-table snapshot",
+        Command::new(&cargo).args(["test", "-q", "-p", "pwu-analyze"]),
+    );
     println!("xtask: lint gate passed");
 }
 
@@ -163,7 +175,7 @@ const MEASURE_BENCHMARKS: [&str; 3] = [
 ];
 
 /// The benchmark names `BENCH_serve.json` must cover to be a valid report.
-const SERVE_BENCHMARKS: [&str; 2] = ["serve/step/mixed_fleet", "serve/recovery/resume_vs_replay"];
+const SERVE_BENCHMARKS: [&str; 1] = ["serve/recovery/resume_vs_replay"];
 
 /// The benchmark names `BENCH_obs.json` must cover to be a valid report.
 const OBS_BENCHMARKS: [&str; 1] = ["obs/experiment_cell/off_vs_on"];
@@ -216,11 +228,22 @@ fn perf(check: bool) {
             ]),
         );
         for (path, schema, required) in PERF_REPORTS {
-            let report = read_report(path, schema, required);
-            println!("xtask: {path} valid ({} benchmarks)", report.len());
+            read_report(path, schema, required);
+            println!("xtask: {path} valid ({} benchmarks)", required.len());
         }
         return;
     }
+
+    // Every committed baseline must hold its rows before anything runs: a
+    // row missing from a committed report would otherwise go ungated.
+    let committed: Vec<Vec<f64>> = PERF_REPORTS
+        .iter()
+        .map(|(path, schema, required)| read_report(path, schema, required))
+        .collect();
+    run_step(
+        "pwu-bench + xtask suites (report schemas, committed rows)",
+        Command::new(&cargo).args(["test", "-q", "-p", "pwu-bench", "-p", "xtask"]),
+    );
 
     let forest_scratch = "target/BENCH_forest_check.json";
     let measure_scratch = "target/BENCH_measure_check.json";
@@ -274,28 +297,16 @@ fn perf(check: bool) {
         ]),
     );
     let mut failed = false;
-    for ((committed_path, schema, required), scratch) in
-        PERF_REPORTS
-            .into_iter()
-            .zip([forest_scratch, measure_scratch, serve_scratch, obs_scratch])
+    for (((_, schema, required), scratch), committed) in PERF_REPORTS
+        .into_iter()
+        .zip([forest_scratch, measure_scratch, serve_scratch, obs_scratch])
+        .zip(committed)
     {
         let fresh = read_report(scratch, schema, required);
-        let Ok(committed_text) = std::fs::read_to_string(committed_path) else {
-            println!("xtask: no committed {committed_path} yet; smoke report is valid, skipping the regression comparison");
-            continue;
-        };
-        let committed = parse_report(&committed_text, schema).unwrap_or_else(|| {
-            eprintln!("xtask: committed {committed_path} does not match the {schema} schema");
-            exit(1);
-        });
-        for (name, committed_speedup) in &committed {
-            let Some((_, fresh_speedup)) = fresh.iter().find(|(n, _)| n == name) else {
-                eprintln!("xtask: benchmark {name} missing from the fresh report");
-                failed = true;
-                continue;
-            };
-            let floor = speedup_floor(name, *committed_speedup);
-            if *fresh_speedup < floor {
+        for ((name, committed_speedup), fresh_speedup) in required.iter().zip(committed).zip(fresh)
+        {
+            let floor = speedup_floor(name, committed_speedup);
+            if fresh_speedup < floor {
                 eprintln!(
                     "xtask: perf regression in {name}: speedup {fresh_speedup:.2}x < floor {floor:.2}x (committed {committed_speedup:.2}x)"
                 );
@@ -328,23 +339,41 @@ fn speedup_floor(name: &str, committed_speedup: f64) -> f64 {
     }
 }
 
-/// Reads and schema-validates a perf report, exiting on any problem.
-fn read_report(path: &str, schema: &str, required: &[&str]) -> Vec<(String, f64)> {
+/// Reads a perf report and holds it to [`check_report`], exiting on any
+/// problem. Returns the speedups in the order of `required`.
+fn read_report(path: &str, schema: &str, required: &[&str]) -> Vec<f64> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("xtask: cannot read {path}: {e}");
         exit(1);
     });
-    let report = parse_report(&text, schema).unwrap_or_else(|| {
-        eprintln!("xtask: {path} does not match the {schema} schema");
+    check_report(&text, schema, required).unwrap_or_else(|e| {
+        eprintln!("xtask: {path} {e}");
         exit(1);
-    });
-    for &required in required {
-        if !report.iter().any(|(n, _)| n == required) {
-            eprintln!("xtask: {path} is missing benchmark {required}");
-            exit(1);
-        }
+    })
+}
+
+/// Parses a perf report and checks that it holds exactly the `required`
+/// benchmarks, each once. Returns their speedups in the order of
+/// `required`, or what is wrong with the report.
+fn check_report(text: &str, schema: &str, required: &[&str]) -> Result<Vec<f64>, String> {
+    let report =
+        parse_report(text, schema).ok_or_else(|| format!("does not match the {schema} schema"))?;
+    if let Some((name, _)) = report.iter().find(|(n, _)| !required.contains(&n.as_str())) {
+        return Err(format!("holds benchmark {name}, which no gate requires"));
     }
-    report
+    if report.len() > required.len() {
+        return Err("holds a benchmark twice".to_string());
+    }
+    required
+        .iter()
+        .map(|&name| {
+            report
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, speedup)| speedup)
+                .ok_or_else(|| format!("is missing benchmark {name}"))
+        })
+        .collect()
 }
 
 /// Extracts `(name, speedup)` pairs from a perf report with the given
@@ -369,9 +398,6 @@ fn parse_report(text: &str, schema: &str) -> Option<Vec<(String, f64)>> {
         out.push((name, speedup));
         rest = &rest[entry_end..];
     }
-    if out.is_empty() {
-        return None;
-    }
     Some(out)
 }
 
@@ -386,8 +412,21 @@ fn audit() {
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-audit"]),
     );
     run_step(
-        "thread-pool suite with its sanitizer hooks (rayon shim)",
-        Command::new(&cargo).args(["test", "-q", "-p", "rayon"]),
+        "thread-pool suite with its sanitizer hooks (rayon shim), pwu-report, the other shims",
+        Command::new(&cargo).args([
+            "test",
+            "-q",
+            "-p",
+            "rayon",
+            "-p",
+            "pwu-report",
+            "-p",
+            "rand",
+            "-p",
+            "proptest",
+            "-p",
+            "criterion",
+        ]),
     );
     println!("xtask: determinism audit gate passed");
 }
@@ -435,8 +474,8 @@ fn obs() {
     // regressing: tracing that costs more than ~5% would get turned off in
     // practice, defeating the whole observability contract.
     let report = read_report("BENCH_obs.json", "pwu-bench-obs-v1", &OBS_BENCHMARKS);
-    for (name, speedup) in &report {
-        if *speedup < OBS_SPEEDUP_FLOOR {
+    for (name, speedup) in OBS_BENCHMARKS.iter().zip(report) {
+        if speedup < OBS_SPEEDUP_FLOOR {
             eprintln!(
                 "xtask: tracing overhead budget blown in {name}: speedup {speedup:.3}x < {OBS_SPEEDUP_FLOOR}"
             );
@@ -467,8 +506,19 @@ fn fast() {
 fn faults() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     run_step(
-        "pwu-spapt package: fault model, simulator unit tests, property and twin-equivalence suites",
-        Command::new(&cargo).args(["test", "-q", "-p", "pwu-spapt"]),
+        "pwu-spapt package (fault model, simulator, property and twin-equivalence suites), pwu-space, pwu-stats, pwu-apps",
+        Command::new(&cargo).args([
+            "test",
+            "-q",
+            "-p",
+            "pwu-spapt",
+            "-p",
+            "pwu-space",
+            "-p",
+            "pwu-stats",
+            "-p",
+            "pwu-apps",
+        ]),
     );
     run_step(
         "annotator retry/quarantine tests (pwu-core annotator::)",
@@ -479,4 +529,68 @@ fn faults() {
         Command::new(&cargo).args(["test", "-q", "-p", "pwu-core", "--test", "fault_tolerance"]),
     );
     println!("xtask: fault-injection gate passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every committed report parses under its schema and holds exactly
+    /// its required rows, so `perf --check` compares each of them.
+    #[test]
+    fn every_committed_report_holds_exactly_its_required_rows() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("xtask sits in the workspace root");
+        for (path, schema, required) in PERF_REPORTS {
+            let text = std::fs::read_to_string(root.join(path)).expect("committed report");
+            let speedups = check_report(&text, schema, required)
+                .unwrap_or_else(|e| panic!("committed {path} {e}"));
+            assert_eq!(speedups.len(), required.len(), "{path}");
+        }
+    }
+
+    #[test]
+    fn a_report_lacking_a_required_row_is_refused() {
+        let report = |rows: &[(&str, f64)]| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|(name, speedup)| format!(r#"{{"name":"{name}","speedup":{speedup}}}"#))
+                .collect();
+            format!(
+                r#"{{"schema":"pwu-bench-serve-v1","mode":"full","results":[{}]}}"#,
+                rows.join(",")
+            )
+        };
+        let row = "serve/recovery/resume_vs_replay";
+        let check = |text: &str| check_report(text, "pwu-bench-serve-v1", &SERVE_BENCHMARKS);
+        assert_eq!(check(&report(&[(row, 14.951)])), Ok(vec![14.951]));
+        assert_eq!(
+            check(&report(&[])),
+            Err(format!("is missing benchmark {row}"))
+        );
+        assert_eq!(
+            check(&report(&[("serve/step/unknown", 1.75)])),
+            Err("holds benchmark serve/step/unknown, which no gate requires".to_string())
+        );
+        assert_eq!(
+            check(&report(&[(row, 14.951), (row, 14.951)])),
+            Err("holds a benchmark twice".to_string())
+        );
+        assert_eq!(
+            check_report(
+                &report(&[(row, 14.951)]),
+                "pwu-bench-obs-v1",
+                &SERVE_BENCHMARKS
+            ),
+            Err("does not match the pwu-bench-obs-v1 schema".to_string())
+        );
+
+        // The same holds for a report with several rows.
+        let measure = r#"{"schema":"pwu-bench-measure-v1","results":[{"name":"annotate/repeats35x8","speedup":2.0},{"name":"pool_lint/2000x6","speedup":3.0}]}"#;
+        assert_eq!(
+            check_report(measure, "pwu-bench-measure-v1", &MEASURE_BENCHMARKS),
+            Err("is missing benchmark experiment_cell/mini".to_string())
+        );
+    }
 }
