@@ -234,8 +234,9 @@ fn bench_annotate(samples: usize) -> Row {
 
 /// The pool-classification pass an experiment repetition pays once per
 /// strategy: lint 2000 pool configurations six times (the six strategies of
-/// the paper's comparison all tally the shared pool). The memo computes
-/// each configuration's decode exactly once across all six passes.
+/// the paper's comparison all tally the shared pool). The kernel lints
+/// each configuration from the lowered tables on every pass, without the
+/// memo or the cost model; the twin decodes it through the reference chain.
 fn bench_pool_lint(samples: usize) -> Row {
     let kernel = kernel_by_name("atax").expect("atax exists");
     let direct = Uncached(kernel.clone());

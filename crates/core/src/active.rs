@@ -403,14 +403,17 @@ impl<'a> ActiveLoop<'a> {
             elite.is_for(&config.alphas),
             "the evaluator was built for other alphas"
         );
-        let lint = PoolLintCounts::tally(target, pool.configs());
-        let removed = pool.retain(|cfg| target.lint_config(cfg) != ConfigLegality::Illegal);
-        debug_assert_eq!(removed, lint.illegal, "retain and tally must agree");
+        let mut lint = PoolLintCounts::default();
+        pool.retain(|cfg| {
+            let verdict = target.lint_config(cfg);
+            lint.count(verdict);
+            verdict != ConfigLegality::Illegal
+        });
         assert!(
             pool.len() >= config.n_max,
             "pool of {} legal points ({} illegal removed) cannot supply n_max = {}",
             pool.len(),
-            removed,
+            lint.illegal,
             config.n_max
         );
 

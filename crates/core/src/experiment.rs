@@ -179,8 +179,8 @@ pub fn run_experiment(
             // again: their runs evaluate it through the model only. Pool
             // configurations are deliberately not pre-warmed — most are
             // never measured, so eager base costs would be wasted work; the
-            // memo's reuse across strategies comes from the pool's lint
-            // verdicts and from configurations several strategies select.
+            // memo's reuse across strategies comes from configurations
+            // several strategies select (lint verdicts are not memoized).
             // Targets without a cache just evaluate sequentially; either way
             // the labels below are bit-identical.
             let _ = target.ideal_times(test_cfgs);

@@ -1,10 +1,16 @@
 //! End-to-end active learning on the real simulated benchmarks.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use pwu_core::experiment::run_experiment;
-use pwu_core::{ActiveConfig, Protocol, Strategy};
+use pwu_core::{ActiveConfig, ActiveLoop, EliteTest, Protocol, Strategy};
 use pwu_forest::ForestConfig;
-use pwu_space::TuningTarget;
-use pwu_spapt::kernel_by_name;
+use pwu_space::{
+    ConfigLegality, Configuration, FeatureSchema, MeasureOutcome, ParamSpace, Pool, PoolLintCounts,
+    TuningTarget,
+};
+use pwu_spapt::{kernel_by_name, BlockLegality, Kernel};
+use pwu_stats::Xoshiro256PlusPlus;
 
 fn tiny_protocol(alpha: f64) -> Protocol {
     Protocol {
@@ -110,5 +116,99 @@ fn pwu_beats_uniform_on_elite_accuracy_for_fixed_budget() {
     assert!(
         pwu_final <= uniform_final * 1.25,
         "PWU {pwu_final} should not lose badly to Uniform {uniform_final}"
+    );
+}
+
+/// A SPAPT kernel that counts its `lint_config` calls.
+struct CountingLint {
+    kernel: Kernel,
+    lints: AtomicUsize,
+}
+
+impl TuningTarget for CountingLint {
+    fn name(&self) -> &str {
+        self.kernel.name()
+    }
+    fn space(&self) -> &ParamSpace {
+        self.kernel.space()
+    }
+    fn ideal_time(&self, cfg: &Configuration) -> f64 {
+        self.kernel.ideal_time(cfg)
+    }
+    fn measure(&self, cfg: &Configuration, rng: &mut Xoshiro256PlusPlus) -> f64 {
+        self.kernel.measure(cfg, rng)
+    }
+    fn try_measure(&self, cfg: &Configuration, rng: &mut Xoshiro256PlusPlus) -> MeasureOutcome {
+        self.kernel.try_measure(cfg, rng)
+    }
+    fn lint_config(&self, cfg: &Configuration) -> ConfigLegality {
+        self.lints.fetch_add(1, Ordering::Relaxed);
+        self.kernel.lint_config(cfg)
+    }
+}
+
+/// The cold start lints each pool configuration once, counts the verdicts
+/// as it filters the pool, and never lets an illegal point reach the
+/// training set. mm's one block may not be scalar-replaced (illegal) and
+/// vectorizes only with a finding (flagged), so the pool holds all three
+/// verdicts.
+#[test]
+fn the_cold_start_lints_each_pool_configuration_once() {
+    let base = kernel_by_name("mm").expect("mm exists");
+    let masks = base
+        .blocks()
+        .iter()
+        .map(|b| BlockLegality {
+            scalar_replace_ok: false,
+            vectorize_clean: false,
+            ..BlockLegality::permissive(b.nest.depth())
+        })
+        .collect();
+    let target = CountingLint {
+        kernel: base.with_legality(masks),
+        lints: AtomicUsize::new(0),
+    };
+    let mut rng = Xoshiro256PlusPlus::new(0x11A7);
+    let all = target.space().sample_distinct(260, &mut rng);
+    let (pool_cfgs, test_cfgs) = all.split_at(200);
+    let want = PoolLintCounts::tally(&target.kernel, pool_cfgs);
+    assert!(
+        want.legal > 0 && want.flagged > 0 && want.illegal > 0,
+        "the pool must hold every verdict: {want:?}"
+    );
+
+    let config = ActiveConfig {
+        n_init: 8,
+        n_batch: 2,
+        n_max: 20,
+        forest: ForestConfig {
+            n_trees: 8,
+            ..ForestConfig::default()
+        },
+        eval_every: 4,
+        alphas: vec![0.05],
+        repeats: 2,
+        ..ActiveConfig::default()
+    };
+    let schema = FeatureSchema::for_space(target.space());
+    let test_features = schema.encode_matrix(target.space(), test_cfgs);
+    let test_labels: Vec<f64> = test_cfgs
+        .iter()
+        .map(|c| target.kernel.ideal_time(c))
+        .collect();
+    let elite = EliteTest::new(&test_features, &test_labels, &config.alphas);
+    let pool = Pool::new(target.space(), &schema, pool_cfgs.to_vec());
+    let mut active = ActiveLoop::new(&target, &config, pool, &elite, 9);
+    assert_eq!(target.lints.load(Ordering::Relaxed), pool_cfgs.len());
+    while !active.step(Strategy::Pwu { alpha: 0.05 }) {}
+    let run = active.into_run();
+    assert_eq!(run.lint, want);
+    assert_eq!(run.train.len(), config.n_max);
+    assert!(
+        run.train
+            .configs()
+            .iter()
+            .all(|c| target.kernel.lint_config(c) != ConfigLegality::Illegal),
+        "an illegal configuration reached the training set"
     );
 }

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 use rayon::prelude::*;
@@ -77,6 +77,11 @@ fn serve_counters() -> &'static ServeCounters {
         skipped_corrupt: pwu_obs::counter("serve.skipped_corrupt"),
     })
 }
+
+/// The longest request line [`Server::serve`] reads, in bytes before its
+/// `\n`. Past it the rest of the line is discarded as it arrives, so a
+/// client that never sends `\n` cannot grow the server.
+const MAX_LINE_BYTES: usize = 2 << 20;
 
 /// A multi-session tuning server rooted at a state directory.
 #[derive(Debug)]
@@ -176,19 +181,45 @@ impl Server {
 
     /// Runs the framed line loop until EOF or a `shutdown` request: one
     /// request per line in, one response per line out. A line is read as
-    /// bytes up to its `\n`; one that is not UTF-8 is answered with a typed
-    /// `bad-request`, like any other malformed request.
+    /// bytes up to its `\n`; one that is not UTF-8, or longer than 2 MiB
+    /// (`MAX_LINE_BYTES`), is answered with a typed `bad-request`, like any
+    /// other malformed request.
     ///
     /// # Errors
     /// Returns an I/O error when the transport fails; protocol errors are
     /// answered in-band and never abort the loop.
-    pub fn serve(&mut self, reader: impl BufRead, mut writer: impl Write) -> std::io::Result<()> {
-        for line in reader.split(b'\n') {
+    pub fn serve(
+        &mut self,
+        mut reader: impl BufRead,
+        mut writer: impl Write,
+    ) -> std::io::Result<()> {
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            let limit = MAX_LINE_BYTES as u64 + 1;
+            if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
+            if line.last() == Some(&b'\n') {
+                line.pop();
+            }
+            let fits = line.len() <= MAX_LINE_BYTES;
+            if !fits {
+                reader.skip_until(b'\n')?;
+            }
             // A `\r` before the `\n` is trimmed with the line's other
             // surrounding whitespace.
-            let (response, shutdown) = match String::from_utf8(line?) {
+            let (response, shutdown) = match std::str::from_utf8(&line) {
+                _ if !fits => (
+                    ProtocolError::new(
+                        ErrorKind::BadRequest,
+                        format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                    )
+                    .to_line(),
+                    false,
+                ),
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => self.handle_line(&line),
+                Ok(line) => self.handle_line(line),
                 Err(e) => (
                     ProtocolError::new(ErrorKind::BadRequest, e.to_string()).to_line(),
                     false,

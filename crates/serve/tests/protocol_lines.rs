@@ -10,9 +10,12 @@
 //! of arbitrary bytes. Each damaged line goes through [`Server::serve`]
 //! on a byte reader, followed by a `stats` line, which must be answered.
 //! A line of a megabyte of distinct keys must be answered in seconds, not
-//! in the time a check per key against every earlier key takes.
+//! in the time a check per key against every earlier key takes. A line
+//! longer than the server's cap gets a `bad-request` naming the cap, and
+//! the server goes on; a line of exactly the cap reaches the parser.
 
 use std::fs;
+use std::io::{BufRead, BufReader, Cursor, Read};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -234,4 +237,66 @@ fn a_megabyte_of_distinct_keys_is_answered_promptly() {
         "a line of 100 000 keys took {elapsed:?}"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The server's request-line cap in bytes (`MAX_LINE_BYTES` in server.rs).
+const LINE_CAP: u64 = 2 << 20;
+
+/// Serves `input` on a fresh server and parses every response.
+fn serve_responses(name: &str, input: impl BufRead) -> Vec<Fields> {
+    let dir = std::env::temp_dir().join(format!("pwu-serve-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut server =
+        Server::open(&dir, AdmissionPolicy::default(), WatchdogPolicy::default()).unwrap();
+    let mut output = Vec::new();
+    server.serve(input, &mut output).unwrap();
+    let _ = fs::remove_dir_all(&dir);
+    String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|l| parse_object(l).unwrap())
+        .collect()
+}
+
+/// `n` bytes of `x`, produced as they are read.
+fn filler(n: u64) -> impl Read {
+    std::io::repeat(b'x').take(n)
+}
+
+fn assert_cap_error(response: &Fields) {
+    assert_eq!(response.str("error"), Some("bad-request"));
+    assert_eq!(
+        response.str("message"),
+        Some(format!("request line longer than {LINE_CAP} bytes").as_str())
+    );
+}
+
+#[test]
+fn a_line_past_the_cap_is_refused_and_the_server_goes_on() {
+    let input = filler(LINE_CAP + 1).chain(Cursor::new(format!("\n{STATS}\n")));
+    let responses = serve_responses("past-cap", BufReader::new(input));
+    assert_eq!(responses.len(), 2);
+    assert_cap_error(&responses[0]);
+    assert!(responses[1].u64("sessions").is_some(), "{:?}", responses[1]);
+}
+
+#[test]
+fn a_line_of_exactly_the_cap_reaches_the_parser() {
+    let padding = LINE_CAP - STATS.len() as u64;
+    let input = STATS
+        .as_bytes()
+        .chain(std::io::repeat(b' ').take(padding))
+        .chain(&b"\n"[..]);
+    let responses = serve_responses("at-cap", BufReader::new(input));
+    assert_eq!(responses.len(), 1);
+    assert!(responses[0].u64("sessions").is_some(), "{:?}", responses[0]);
+}
+
+#[test]
+fn an_over_long_last_line_without_a_newline_is_refused() {
+    let input = Cursor::new(format!("{STATS}\n")).chain(filler(LINE_CAP + 1));
+    let responses = serve_responses("last-line", BufReader::new(input));
+    assert_eq!(responses.len(), 2);
+    assert!(responses[0].u64("sessions").is_some(), "{:?}", responses[0]);
+    assert_cap_error(&responses[1]);
 }

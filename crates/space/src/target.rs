@@ -162,13 +162,18 @@ impl PoolLintCounts {
     ) -> Self {
         let mut counts = Self::default();
         for cfg in cfgs {
-            match target.lint_config(cfg) {
-                ConfigLegality::Legal => counts.legal += 1,
-                ConfigLegality::Flagged => counts.flagged += 1,
-                ConfigLegality::Illegal => counts.illegal += 1,
-            }
+            counts.count(target.lint_config(cfg));
         }
         counts
+    }
+
+    /// Counts one verdict.
+    pub fn count(&mut self, verdict: ConfigLegality) {
+        match verdict {
+            ConfigLegality::Legal => self.legal += 1,
+            ConfigLegality::Flagged => self.flagged += 1,
+            ConfigLegality::Illegal => self.illegal += 1,
+        }
     }
 
     /// Total number of classified configurations.

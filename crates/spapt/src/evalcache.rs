@@ -5,27 +5,20 @@
 //! configuration, apply the transformations, analyze cache traffic, price
 //! the cycles — even though that *base cost* is a pure function of
 //! `(kernel, configuration)` and only the noise/fault draw differs between
-//! repetitions. [`EvalCache`] memoizes everything the measurement path
-//! derives from the encoded levels that does not touch the RNG, so 35
-//! repetitions cost one model evaluation plus 35 noise draws.
+//! repetitions. [`EvalCache`] maps a configuration's encoded levels to its
+//! base cost, so 35 repetitions cost one model evaluation plus 35 noise
+//! draws.
 //!
 //! Why memoization is bit-exact: [`crate::cost::estimate_time`] consumes no
 //! RNG and depends only on the configuration's levels and the kernel's
 //! immutable structure (blocks, machine, legality masks), so replaying its
 //! `f64` from a hash map returns the *identical* bits the recomputation
 //! would have produced, and the measurement RNG stream — which only feeds
-//! the noise/fault layer — advances exactly as before. The same argument
-//! covers the cached legality verdict and aggressiveness flag (pure
-//! functions of the decode). Kernel builders that change the surface
-//! ([`crate::Kernel::with_machine`], [`crate::Kernel::with_legality`])
-//! discard the cache.
-//!
-//! Entries are two-stage: the legality/aggressiveness half is computed by
-//! the cheap decode+clamp pass (pool linting classifies thousands of
-//! configurations that are never measured, and must not pay for the cost
-//! model), while the base cost is filled in lazily on the first
-//! `ideal_time`. Concurrent fills are benign — every thread computes the
-//! same pure values, so whichever insert wins stores the same bits.
+//! the noise/fault layer — advances exactly as before. Kernel builders that
+//! change the surface ([`crate::Kernel::with_machine`],
+//! [`crate::Kernel::with_legality`]) discard the cache. Concurrent fills
+//! are benign — every thread computes the same pure value, so whichever
+//! insert wins stores the same bits.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,33 +29,20 @@ use pwu_stats::Xoshiro256PlusPlus;
 
 use crate::kernels::Kernel;
 
-/// One memoized evaluation of a configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedEval {
-    /// Legality verdict of the clamped decode.
-    pub legality: ConfigLegality,
-    /// Whether the *raw* decode requests an aggressive transformation
-    /// (deep unroll-jam), before legality clamping.
-    pub aggressive: bool,
-    /// Clamped noise-free execution time in seconds; `None` until the first
-    /// `ideal_time` on this configuration pays for the cost model.
-    pub ideal_time: Option<f64>,
-}
-
 /// Upper bound on cached configurations; past it new entries are computed
 /// but not stored. SPAPT spaces have 10¹⁰⁺ points but a tuning campaign
 /// touches at most tens of thousands, so the cap exists only to bound
 /// memory if a caller streams the space.
 const MAX_ENTRIES: usize = 1 << 20;
 
-/// Hash-map memo keyed by encoded configuration levels.
+/// Hash-map memo from encoded configuration levels to base cost.
 ///
 /// Interior-mutable (`RwLock`) so it can live behind the `&self` methods of
 /// [`TuningTarget`]; `Clone` produces a *cold* cache — the memo is an
 /// optimization, never state, so clones are free to re-derive it.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    map: RwLock<HashMap<Vec<u32>, CachedEval>>,
+    map: RwLock<HashMap<Vec<u32>, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -93,18 +73,14 @@ impl EvalCache {
         Self::default()
     }
 
-    /// What the cached entry for `levels` answers through `answer`. Counted
-    /// as a hit only when it answers: an absent entry, or one lacking the
-    /// half `answer` reads (a legality-only entry asked for the base cost),
-    /// is a miss.
-    fn lookup<T>(&self, levels: &[u32], answer: impl FnOnce(CachedEval) -> Option<T>) -> Option<T> {
+    /// The memoized base cost for `levels`, counted as a hit or a miss.
+    fn lookup(&self, levels: &[u32]) -> Option<f64> {
         let found = self
             .map
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(levels)
-            .copied()
-            .and_then(answer);
+            .copied();
         // The global mirrors are *diagnostic*-plane: hit/miss increments
         // depend on scheduling (parallel repetitions share one kernel's
         // cache, so whether the second arrival hits depends on who filled
@@ -120,16 +96,15 @@ impl EvalCache {
         found
     }
 
-    /// Stores (or upgrades) the entry for `levels`, respecting the size cap.
-    fn store(&self, levels: &[u32], entry: CachedEval) {
+    /// Stores the base cost for `levels`, unless the memo is full.
+    fn store(&self, levels: &[u32], time: f64) {
         let mut guard = self
             .map
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if guard.len() >= MAX_ENTRIES && !guard.contains_key(levels) {
-            return;
+        if guard.len() < MAX_ENTRIES {
+            guard.insert(levels.to_vec(), time);
         }
-        guard.insert(levels.to_vec(), entry);
     }
 
     /// Number of memoized configurations.
@@ -167,39 +142,14 @@ impl EvalCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner) = HashMap::new();
     }
 
-    /// The decode-derived half of the entry for `cfg`, memoized.
-    ///
-    /// `decode` runs at most once per distinct configuration (per fill
-    /// race); it must return `ideal_time: None` — the cost-model half is
-    /// owned by [`EvalCache::ideal_time`].
-    pub(crate) fn decoded(
-        &self,
-        cfg: &Configuration,
-        decode: impl FnOnce() -> CachedEval,
-    ) -> CachedEval {
-        if let Some(entry) = self.lookup(cfg.levels(), Some) {
-            return entry;
-        }
-        let entry = decode();
-        self.store(cfg.levels(), entry);
-        entry
-    }
-
     /// The memoized base cost for `cfg`, computing (and storing) it on the
-    /// first call via `compute`, which returns a fully-evaluated entry.
-    pub(crate) fn ideal_time(
-        &self,
-        cfg: &Configuration,
-        compute: impl FnOnce() -> CachedEval,
-    ) -> f64 {
-        if let Some(t) = self.lookup(cfg.levels(), |e| e.ideal_time) {
+    /// first call via `compute`.
+    pub(crate) fn ideal_time(&self, cfg: &Configuration, compute: impl FnOnce() -> f64) -> f64 {
+        if let Some(t) = self.lookup(cfg.levels()) {
             return t;
         }
-        let entry = compute();
-        let t = entry
-            .ideal_time
-            .expect("compute must produce the base cost");
-        self.store(cfg.levels(), entry);
+        let t = compute();
+        self.store(cfg.levels(), t);
         t
     }
 }
@@ -252,21 +202,6 @@ impl TuningTarget for Uncached {
             self.0.noise().perturb(ideal, rng)
         })
     }
-
-    fn measure_averaged(
-        &self,
-        cfg: &Configuration,
-        repeats: usize,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> f64 {
-        // Deliberately re-derives the base cost on every repetition — the
-        // historical per-repeat recompute the cache exists to eliminate.
-        assert!(repeats > 0, "need at least one repeat");
-        (0..repeats)
-            .map(|_| self.0.noise().perturb(self.0.ideal_time_uncached(cfg), rng))
-            .sum::<f64>()
-            / repeats as f64
-    }
 }
 
 #[cfg(test)]
@@ -276,13 +211,8 @@ mod tests {
     #[test]
     fn clear_frees_the_table() {
         let cache = EvalCache::new();
-        let entry = CachedEval {
-            legality: ConfigLegality::Legal,
-            aggressive: false,
-            ideal_time: None,
-        };
         for key in 0..64 {
-            cache.store(&[key, 1, 2], entry);
+            cache.store(&[key, 1, 2], 1.0);
         }
         assert_eq!(cache.len(), 64);
         cache.clear();

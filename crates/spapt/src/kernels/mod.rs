@@ -42,10 +42,10 @@ use pwu_stats::Xoshiro256PlusPlus;
 use rayon::prelude::IntoParallelRefIterator;
 
 use crate::cost::estimate_time;
-use crate::evalcache::{CachedEval, EvalCache};
+use crate::evalcache::EvalCache;
 use crate::fault::FaultModel;
 use crate::ir::LoopNest;
-use crate::lowered::Lowered;
+use crate::lowered::{Evaluation, Lowered};
 use crate::machine::MachineModel;
 use crate::noise::NoiseModel;
 use crate::transform::{BlockLegality, BlockTransform};
@@ -102,10 +102,10 @@ pub struct Kernel {
     /// Fault-injection model; `None` keeps measurement infallible (and
     /// bit-identical to the pre-fault-model behaviour).
     faults: Option<FaultModel>,
-    /// Memo for the pure, RNG-free half of measurement (base cost, legality,
-    /// aggressiveness), keyed by encoded levels and filled by the production
-    /// evaluator. Cloning a kernel yields a cold cache; builders that change
-    /// the evaluation surface clear it.
+    /// Memo of the base cost, the pure, RNG-free half of measurement, keyed
+    /// by encoded levels and filled by the production evaluator. Cloning a
+    /// kernel yields a cold cache; builders that change the evaluation
+    /// surface clear it.
     cache: EvalCache,
 }
 
@@ -230,8 +230,7 @@ impl Kernel {
             );
         }
         self.legality = Some(legality);
-        // Masks change legality verdicts and clamped costs; memoized
-        // evaluations are stale.
+        // Masks change the clamped costs; memoized base costs are stale.
         self.cache.clear();
         self
     }
@@ -274,12 +273,11 @@ impl Kernel {
     /// probability.
     #[must_use]
     pub fn is_aggressive(&self, cfg: &Configuration) -> bool {
-        self.cached_decoded(cfg).aggressive
+        self.evaluate(cfg, false).aggressive
     }
 
-    /// [`Kernel::is_aggressive`] bypassing the evaluation cache, through the
-    /// reference decode — the verdict the production evaluator must agree
-    /// with.
+    /// [`Kernel::is_aggressive`] through the reference decode — the verdict
+    /// the production evaluator must agree with.
     #[must_use]
     pub fn is_aggressive_uncached(&self, cfg: &Configuration) -> bool {
         self.decode(cfg)
@@ -297,8 +295,7 @@ impl Kernel {
     pub fn with_machine(mut self, machine: MachineModel) -> Self {
         self.machine = machine;
         // The base cost is a function of the machine; memoized times are
-        // stale (legality/aggressiveness would survive, but a mixed cache
-        // is not worth the bookkeeping).
+        // stale.
         self.cache.clear();
         self
     }
@@ -380,7 +377,7 @@ impl Kernel {
     /// aggressiveness flag, and with `price` its base cost, computed by the
     /// lowered evaluator straight from the levels. A configuration outside
     /// the space panics here exactly as [`Kernel::decode`] does.
-    fn evaluate(&self, cfg: &Configuration, price: bool) -> CachedEval {
+    fn evaluate(&self, cfg: &Configuration, price: bool) -> Evaluation {
         self.def.space.validate(cfg);
         self.def.lowered.evaluate(
             &self.def.roles,
@@ -388,13 +385,6 @@ impl Kernel {
             self.legality.as_deref(),
             price.then_some(&self.machine),
         )
-    }
-
-    /// The decode-derived cache entry (legality + aggressiveness) for `cfg`.
-    /// Pool linting classifies thousands of never-measured configurations,
-    /// so this stage must not touch the cost model.
-    fn cached_decoded(&self, cfg: &Configuration) -> CachedEval {
-        self.cache.decoded(cfg, || self.evaluate(cfg, false))
     }
 
     /// [`TuningTarget::ideal_time`] bypassing the evaluation cache — the
@@ -434,7 +424,11 @@ impl TuningTarget for Kernel {
     }
 
     fn ideal_time(&self, cfg: &Configuration) -> f64 {
-        self.cache.ideal_time(cfg, || self.evaluate(cfg, true))
+        self.cache.ideal_time(cfg, || {
+            self.evaluate(cfg, true)
+                .ideal_time
+                .expect("a priced evaluation has a time")
+        })
     }
 
     fn ideal_times(&self, cfgs: &[Configuration]) -> Vec<f64> {
@@ -445,7 +439,7 @@ impl TuningTarget for Kernel {
     }
 
     fn lint_config(&self, cfg: &Configuration) -> ConfigLegality {
-        self.cached_decoded(cfg).legality
+        self.evaluate(cfg, false).legality
     }
 
     fn measure(&self, cfg: &Configuration, rng: &mut Xoshiro256PlusPlus) -> f64 {
@@ -465,20 +459,6 @@ impl TuningTarget for Kernel {
         fm.measure_transient(self.ideal_time(cfg), rng, |ideal, rng| {
             self.noise.perturb(ideal, rng)
         })
-    }
-
-    fn measure_averaged(
-        &self,
-        cfg: &Configuration,
-        repeats: usize,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> f64 {
-        assert!(repeats > 0, "need at least one repeat");
-        let ideal = self.ideal_time(cfg);
-        (0..repeats)
-            .map(|_| self.noise.perturb(ideal, rng))
-            .sum::<f64>()
-            / repeats as f64
     }
 }
 

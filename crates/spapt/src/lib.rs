@@ -31,13 +31,14 @@
 //! - [`noise`] — wall-clock measurement-noise model
 //! - [`fault`] — compile-failure / crash / timeout / garbage-reading
 //!   injection layered on the noise model
-//! - [`evalcache`] — memoization of the pure, RNG-free half of measurement
-//!   (base cost, legality, aggressiveness), so repeated measurements pay
-//!   for one model evaluation plus cheap noise draws; the memo is filled by
-//!   the production evaluator, which lowers each block into flat tables at
-//!   construction and prices a configuration straight from its levels,
-//!   bit-identical to the `transform` → `cache` → `cost` chain that
-//!   [`Uncached`] keeps as the reference
+//! - [`evalcache`] — memoization of the base cost, the pure, RNG-free half
+//!   of measurement, so repeated measurements pay for one model evaluation
+//!   plus cheap noise draws; the memo is filled by the production
+//!   evaluator, which lowers each block into flat tables at construction
+//!   and prices a configuration straight from its levels, bit-identical to
+//!   the `transform` → `cache` → `cost` chain that [`Uncached`] keeps as
+//!   the reference; lint verdicts and aggressiveness flags come straight
+//!   from the same tables on every call
 //! - [`kernels`] — the 12 kernel definitions and their parameter spaces
 
 pub mod cache;
@@ -52,7 +53,7 @@ pub mod machine;
 pub mod noise;
 pub mod transform;
 
-pub use evalcache::{CachedEval, EvalCache, Uncached};
+pub use evalcache::{EvalCache, Uncached};
 pub use fault::FaultModel;
 pub use kernels::{all_kernels, extended_kernels, kernel_by_name, Kernel};
 pub use machine::MachineModel;

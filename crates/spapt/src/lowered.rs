@@ -25,7 +25,6 @@
 use pwu_space::ConfigLegality;
 
 use crate::cache::effective_capacity_fraction;
-use crate::evalcache::CachedEval;
 use crate::kernels::{BlockSpec, ParamRole, REGTILE_VALUES, TILE_VALUES};
 use crate::machine::MachineModel;
 use crate::transform::BlockLegality;
@@ -40,6 +39,17 @@ const MAX_LOOPS: usize = 3 * MAX_DEPTH;
 const MAX_ARRAYS: usize = 8;
 /// Most dimensions of a referenced array.
 const MAX_DIMS: usize = 3;
+
+/// What [`Lowered::evaluate`] derives from one configuration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Evaluation {
+    /// The worst verdict over the blocks; `Legal` without masks.
+    pub(crate) legality: ConfigLegality,
+    /// Whether the raw request has an unroll-jam factor of 16 or more.
+    pub(crate) aggressive: bool,
+    /// The clamped configuration's time, when a machine was given.
+    pub(crate) ideal_time: Option<f64>,
+}
 
 /// A kernel's blocks in evaluator form.
 #[derive(Debug, Clone)]
@@ -139,7 +149,7 @@ impl Lowered {
         levels: &[u32],
         masks: Option<&[BlockLegality]>,
         machine: Option<&MachineModel>,
-    ) -> CachedEval {
+    ) -> Evaluation {
         // `Kernel::decode` through the parameter domains `Kernel::new`
         // declares; unroll-jam factors are 1..=31, so level l is l + 1.
         let mut knobs = [Knobs::IDENTITY; MAX_BLOCKS];
@@ -184,7 +194,7 @@ impl Lowered {
             let total: f64 = times.sum();
             machine.map(|_| total)
         };
-        CachedEval {
+        Evaluation {
             legality,
             aggressive,
             ideal_time,

@@ -1,16 +1,19 @@
 //! The production evaluator against its reference twin.
 //!
-//! A kernel's memo is filled by the lowered evaluator, which prices a
-//! configuration straight from its levels; `ideal_time_uncached`,
+//! The lowered evaluator prices a configuration straight from its levels,
+//! filling the kernel's base-cost memo, and gives its lint verdict and
+//! aggressiveness flag without the memo; `ideal_time_uncached`,
 //! `decode_legal` and `is_aggressive_uncached` run the reference chain
 //! (`decode` → `apply` → `analyze` → `breakdown`) that `Uncached` measures
 //! through. Labels, goldens, checkpoints and served digests are built from
 //! the production values, so they must equal the twin's bit for bit: every
 //! kernel, 500 generated configurations per setting, Platform A and B,
-//! without masks and under generated legality masks, with the memo filled
-//! lint-first and time-first. A configuration outside the space must be
-//! rejected with the twin's panic message.
+//! without masks and under generated legality masks. Linting leaves the
+//! memo empty and pricing fills one entry per configuration. A
+//! configuration outside the space must be rejected with the twin's panic
+//! message.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pwu_space::{Configuration, TuningTarget};
@@ -87,36 +90,49 @@ fn generated_configs(
     cfgs
 }
 
-/// Checks `kernel` on `cfgs` against the twin: even-indexed configurations
-/// fill the memo lint-first (decode-only entry, then the cost), odd ones
-/// time-first. Returns how many verdicts were not `Legal`.
+/// Checks `kernel` on `cfgs` against the twin, on a clone with a cold
+/// memo: the verdicts and flags neither look the memo up nor fill it, and
+/// the times then fill one entry per distinct configuration. Returns how
+/// many verdicts were not `Legal`.
 fn assert_twin(kernel: &Kernel, cfgs: &[Configuration], setting: &str) -> usize {
-    let lint_first = kernel.clone();
-    let time_first = kernel.clone();
+    let k = kernel.clone();
+    let what = |cfg: &Configuration| format!("{} {setting} {:?}", kernel.name(), cfg.levels());
     let mut restricted = 0;
-    for (i, cfg) in cfgs.iter().enumerate() {
+    for cfg in cfgs {
         let (_, want_legality) = kernel.decode_legal(cfg);
-        let want_aggressive = kernel.is_aggressive_uncached(cfg);
+        let legality = k.lint_config(cfg);
+        assert_eq!(legality, want_legality, "verdict: {}", what(cfg));
+        assert_eq!(
+            k.is_aggressive(cfg),
+            kernel.is_aggressive_uncached(cfg),
+            "aggressive: {}",
+            what(cfg)
+        );
+        assert_eq!(
+            (k.eval_cache().len(), k.eval_cache().stats()),
+            (0, (0, 0)),
+            "lint touched the memo: {}",
+            what(cfg)
+        );
+        restricted += usize::from(legality != pwu_space::ConfigLegality::Legal);
+    }
+    for cfg in cfgs {
+        let time = k.ideal_time(cfg);
         let want_time = kernel.ideal_time_uncached(cfg);
-        let (legality, aggressive, time) = if i % 2 == 0 {
-            let k = &lint_first;
-            (k.lint_config(cfg), k.is_aggressive(cfg), k.ideal_time(cfg))
-        } else {
-            let k = &time_first;
-            let time = k.ideal_time(cfg);
-            (k.lint_config(cfg), k.is_aggressive(cfg), time)
-        };
-        let what = || format!("{} {setting} {:?}", kernel.name(), cfg.levels());
-        assert_eq!(legality, want_legality, "verdict: {}", what());
-        assert_eq!(aggressive, want_aggressive, "aggressive: {}", what());
         assert_eq!(
             time.to_bits(),
             want_time.to_bits(),
             "time {time} vs twin {want_time}: {}",
-            what()
+            what(cfg)
         );
-        restricted += usize::from(legality != pwu_space::ConfigLegality::Legal);
     }
+    let distinct: HashSet<&[u32]> = cfgs.iter().map(Configuration::levels).collect();
+    assert_eq!(
+        k.eval_cache().len(),
+        distinct.len(),
+        "{} {setting}",
+        kernel.name()
+    );
     restricted
 }
 

@@ -10,8 +10,7 @@
 //! legality masks and with generated masks drawn for each configuration.
 //! Inputs are a seeded sample of the space plus its all-lowest and
 //! all-highest configurations. Every kernel is asked for the verdict and
-//! the flag first, which fills the memo's decode-only half, then for the
-//! time, which fills the cost half.
+//! the flag first, then for the time.
 //!
 //! If a pin moves, the failure message prints every fingerprint; update the
 //! table only for an intended change to the simulated surface.
