@@ -715,9 +715,6 @@ pub struct Recovered {
     /// The integrity-footer checksum of the verified body, i.e.
     /// `fnv1a64(checkpoint.to_text())`.
     pub checksum: u64,
-    /// The verified body the checkpoint was parsed from, i.e.
-    /// `checkpoint.to_text()`, without the footer and at its exact length.
-    pub body: String,
 }
 
 /// What [`GenerationStore::commit`] made durable.
@@ -725,11 +722,9 @@ pub struct Recovered {
 pub struct Saved {
     /// The new generation number (the checkpoint's `iteration`).
     pub generation: u64,
-    /// The integrity-footer checksum of the saved body.
+    /// The integrity-footer checksum of the saved body, i.e.
+    /// `fnv1a64(checkpoint.to_text())`.
     pub checksum: u64,
-    /// The saved body, i.e. the checkpoint's `to_text()`, without the
-    /// footer and at its exact length.
-    pub body: String,
 }
 
 impl GenerationStore {
@@ -825,8 +820,8 @@ impl GenerationStore {
     /// Saves `checkpoint` as generation `checkpoint.iteration`, encoding it
     /// once: its slot is overwritten with the body and the integrity
     /// footer, cut to that length and synced. A caller that needs the
-    /// body or its checksum gets them from the returned [`Saved`] instead
-    /// of encoding and hashing the checkpoint a second time.
+    /// body's checksum gets it from the returned [`Saved`] instead of
+    /// encoding and hashing the checkpoint a second time.
     ///
     /// # Errors
     /// Returns [`CheckpointError::Io`] on any filesystem failure.
@@ -837,15 +832,11 @@ impl GenerationStore {
             "checkpoint.save",
             [("generation", pwu_obs::Arg::u(generation))],
         );
-        let len = body.len();
         let checksum = push_integrity_footer(&mut body);
         self.overwrite(&self.path_for(generation), body.as_bytes())?;
-        body.truncate(len);
-        body.shrink_to_fit();
         Ok(Saved {
             generation,
             checksum,
-            body,
         })
     }
 
@@ -942,7 +933,6 @@ impl GenerationStore {
                 rolled_back: damaged.len(),
                 checkpoint,
                 checksum,
-                body: body.to_string(),
             }));
         }
         Err(CheckpointError::Corrupt(format!(
@@ -1481,14 +1471,6 @@ mod tests {
         assert_eq!(got.generation, 23);
         assert_eq!(got.rolled_back, 0);
         assert_eq!(got.checkpoint.iteration, 23);
-        // The bodies a commit wrote and a load verified are the text, kept
-        // at exactly its length.
-        let saved = store.commit(&cp).unwrap();
-        let got = store.load_latest().unwrap().unwrap();
-        for body in [&saved.body, &got.body] {
-            assert_eq!(body, &cp.to_text());
-            assert_eq!(body.capacity(), body.len());
-        }
 
         // Corrupt the newest generation: recovery rolls back to 22 and
         // removes the damaged slot.

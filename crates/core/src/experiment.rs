@@ -200,9 +200,8 @@ pub fn run_experiment(
             }
             let dropped_test = test_cfgs.len() - kept_cfgs.len();
             let test_features = schema.encode_matrix(target.space(), &kept_cfgs);
-            let pool_lint = PoolLintCounts::tally(target, pool_cfgs);
 
-            let runs = strategies
+            let runs: Vec<active::ActiveRun> = strategies
                 .iter()
                 .map(|&strategy| {
                     let pool = Pool::new(target.space(), &schema, pool_cfgs.to_vec());
@@ -217,6 +216,11 @@ pub fn run_experiment(
                     )
                 })
                 .collect();
+            // Every run lints this same pool before its cold start, so the
+            // first run's tally is the repetition's.
+            let pool_lint = runs
+                .first()
+                .map_or_else(|| PoolLintCounts::tally(target, pool_cfgs), |run| run.lint);
             Rep {
                 runs,
                 test_features,
@@ -388,6 +392,64 @@ mod tests {
             assert_eq!(c.measurement.total_failures(), 0);
             assert!(c.measurement.annotations > 0);
         }
+    }
+
+    /// [`Synthetic`] with a lint rule (`a = 0` is illegal, `b = 0`
+    /// flagged) that counts its `lint_config` calls.
+    struct CountingLint {
+        inner: Synthetic,
+        lints: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TuningTarget for CountingLint {
+        fn name(&self) -> &str {
+            "counting-lint"
+        }
+        fn space(&self) -> &ParamSpace {
+            self.inner.space()
+        }
+        fn ideal_time(&self, cfg: &Configuration) -> f64 {
+            self.inner.ideal_time(cfg)
+        }
+        fn lint_config(&self, cfg: &Configuration) -> pwu_space::ConfigLegality {
+            self.lints
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            match (cfg.level(0), cfg.level(1)) {
+                (0, _) => pwu_space::ConfigLegality::Illegal,
+                (_, 0) => pwu_space::ConfigLegality::Flagged,
+                _ => pwu_space::ConfigLegality::Legal,
+            }
+        }
+    }
+
+    #[test]
+    fn each_strategy_lints_each_pool_point_once() {
+        let target = CountingLint {
+            inner: Synthetic::new(),
+            lints: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let protocol = tiny_protocol();
+        let strategies = [
+            Strategy::Pwu { alpha: 0.05 },
+            Strategy::Uniform,
+            Strategy::MaxU,
+        ];
+        let result = run_experiment(&target, &strategies, &protocol, 4);
+        assert_eq!(
+            target.lints.load(std::sync::atomic::Ordering::Relaxed),
+            protocol.n_reps * protocol.pool_size * strategies.len(),
+            "one lint per pool point per strategy"
+        );
+        // The reported tally is the first repetition's pool, linted once.
+        let rep_seed = derive_seed(4, 0);
+        let mut rng = Xoshiro256PlusPlus::new(derive_seed(rep_seed, 100));
+        let all = target
+            .space()
+            .sample_distinct(protocol.surrogate_size, &mut rng);
+        let first_pool = &all[..protocol.pool_size];
+        let expected = PoolLintCounts::tally(&target, first_pool);
+        assert_eq!(result.pool_lint, expected);
+        assert!(expected.illegal > 0 && expected.flagged > 0, "{expected:?}");
     }
 
     #[test]

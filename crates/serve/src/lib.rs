@@ -18,12 +18,14 @@
 //! - **Admission control** — bounded registries and bounded per-request
 //!   work ([`AdmissionPolicy`]) shed load with typed `overloaded` responses
 //!   instead of degrading every session at once.
-//! - **Bounded memory** — between requests a session holds only the body
-//!   of its newest durable generation (the committed checkpoint text, not
-//!   a parsed checkpoint), its digest and its evaluator; a step parses a
-//!   private copy of the body. The `stats` verb reports the resident
-//!   bodies' total as `resident_bytes`. A kernel's eval-cache memo is
-//!   request-scoped, emptied by every request that fills it.
+//! - **Bounded memory** — between requests a session holds only the
+//!   checkpoint of its newest durable generation, its level rows packed
+//!   into one byte buffer of varints (about a byte per level, not a heap
+//!   vector per configuration), its digest and its evaluator; a step
+//!   unpacks a private copy of the checkpoint and parses no text. The
+//!   `stats` verb reports the resident sessions' packed row bytes as
+//!   `resident_bytes`. A kernel's eval-cache memo is request-scoped,
+//!   emptied by every request that fills it.
 //!
 //! The wire protocol ([`protocol`]) is one flat JSON object per line over
 //! stdin/stdout — dependency-free, newline-framed, deterministic field

@@ -174,7 +174,7 @@ impl Server {
         self.sessions.values().filter(|s| s.is_resident()).count()
     }
 
-    /// The summed body lengths of the resident sessions.
+    /// The summed packed row bytes of the resident sessions.
     fn resident_bytes(&self) -> usize {
         self.sessions.values().map(Session::resident_bytes).sum()
     }

@@ -16,24 +16,24 @@
 //! rename, parent-directory sync); a step overwrites its slot in place and
 //! makes it durable with one `sync_data`. Both survive a power loss as well
 //! as a crash. A committed step encodes its checkpoint once: the session
-//! keeps the body of the generation it just saved (or, on resume, the body
-//! it verified) and that body's footer checksum as the response digest.
+//! keeps the footer checksum of the generation it just saved (or, on
+//! resume, of the one it verified) as the response digest.
 //!
-//! Between requests a loaded session holds only that body, its digest, the
-//! `iteration` and `n_train` responses report, and its Eq. 2 evaluator
-//! ([`EliteTest`], the test set's elite rows), built when `create` or
-//! `resume` derives the spec. The body is the committed checkpoint text
-//! itself, at its exact length: a few bytes per configuration where a
-//! parsed checkpoint holds a heap vector each. A step parses a private copy
-//! of it, restores an [`ActiveLoop`] from that copy by value, steps it and
-//! captures the result by value; it derives nothing from the spec, and
-//! only a committed step replaces the body. A kernel's [`EvalCache`] memo
-//! is request-scoped: `create`, `resume` and every step attempt empty it
-//! before they return, because no later request reads what an earlier one
-//! memoized.
+//! Between requests a loaded session holds the checkpoint of that
+//! generation with its three level sections packed ([`PackedRows`]: one
+//! byte buffer of LEB128 varints, about a byte per level where a parsed
+//! section holds a heap vector per configuration), the digest, and its
+//! Eq. 2 evaluator ([`EliteTest`], the test set's elite rows), built when
+//! `create` or `resume` derives the spec. A step unpacks a private copy of
+//! the checkpoint, restores an [`ActiveLoop`] from that copy by value,
+//! steps it and captures the result by value; it parses no text, derives
+//! nothing from the spec, and only a committed step replaces the resident
+//! checkpoint. A kernel's [`EvalCache`] memo is request-scoped: `create`,
+//! `resume` and every step attempt empty it before they return, because no
+//! later request reads what an earlier one memoized.
 //!
 //! The state machine: `Active ⇄ Suspended` (suspend unloads the in-memory
-//! body; resume reloads it from disk), `Active → Degraded` (watchdog
+//! checkpoint; resume reloads it from disk), `Active → Degraded` (watchdog
 //! deadline exhausted or a panicking step), `Degraded → Active` (an explicit
 //! resume reloads the last durable generation and clears the strikes),
 //! `Active → Done` (the run reached `n_max`). Every transition leaves the
@@ -494,37 +494,142 @@ pub struct StepReport {
     pub state: SessionState,
 }
 
-/// What a loaded session keeps between requests: the body of the durable
-/// generation it stands on (the checkpoint text, without the footer and at
-/// its exact length), the body's footer checksum as its digest, the
-/// checkpoint's `iteration` and training-set size, and its Eq. 2
-/// evaluator.
+/// The three level sections of a checkpoint (`train_configs`,
+/// `pool_configs`, `quarantined`) as one byte buffer: each row is its
+/// length followed by its levels, every number an unsigned LEB128 varint
+/// (seven bits a byte, low bits first, the high bit set on every byte but
+/// the last). A level below 128, which every served target's is, takes one
+/// byte. Lossless for every row: ragged rows and levels up to `u32::MAX`
+/// come back as they went in. It lives only in memory; disk keeps the text.
+#[derive(Debug)]
+struct PackedRows {
+    bytes: Vec<u8>,
+    /// Rows per section, in section order.
+    rows: [usize; 3],
+}
+
+/// The bytes `put_varint` writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+fn put_varint(bytes: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        bytes.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    bytes.push(v as u8);
+}
+
+/// Reads the varint at `*at` and moves `*at` past it.
+fn take_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let byte = bytes[*at];
+        *at += 1;
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+impl PackedRows {
+    /// Moves the three level sections out of `checkpoint`, leaving them
+    /// empty, and packs them into a buffer of exactly their size.
+    fn pack(checkpoint: &mut ActiveCheckpoint) -> Self {
+        let sections = [
+            std::mem::take(&mut checkpoint.train_configs),
+            std::mem::take(&mut checkpoint.pool_configs),
+            std::mem::take(&mut checkpoint.quarantined),
+        ];
+        let len = sections
+            .iter()
+            .flatten()
+            .map(|row| {
+                varint_len(row.len() as u64)
+                    + row.iter().map(|&l| varint_len(l.into())).sum::<usize>()
+            })
+            .sum();
+        let mut bytes = Vec::with_capacity(len);
+        for row in sections.iter().flatten() {
+            put_varint(&mut bytes, row.len() as u64);
+            for &level in row {
+                put_varint(&mut bytes, level.into());
+            }
+        }
+        Self {
+            bytes,
+            rows: sections.each_ref().map(Vec::len),
+        }
+    }
+
+    /// Fills the three (empty) level sections of `checkpoint` with the
+    /// rows [`PackedRows::pack`] moved out.
+    fn unpack_into(&self, checkpoint: &mut ActiveCheckpoint) {
+        let mut at = 0;
+        let mut section = |n: usize| -> Vec<Vec<u32>> {
+            (0..n)
+                .map(|_| {
+                    let len = take_varint(&self.bytes, &mut at) as usize;
+                    (0..len)
+                        .map(|_| take_varint(&self.bytes, &mut at) as u32)
+                        .collect()
+                })
+                .collect()
+        };
+        checkpoint.train_configs = section(self.rows[0]);
+        checkpoint.pool_configs = section(self.rows[1]);
+        checkpoint.quarantined = section(self.rows[2]);
+    }
+}
+
+/// What a loaded session keeps between requests: the checkpoint of the
+/// durable generation it stands on, with its level sections moved into
+/// [`PackedRows`] (its scalars, labels, history and selections stay as
+/// they are), that generation's footer checksum as its digest, and its
+/// Eq. 2 evaluator.
 #[derive(Debug)]
 struct Resident {
-    body: String,
+    checkpoint: ActiveCheckpoint,
+    rows: PackedRows,
     digest: u64,
-    iteration: u64,
-    n_train: usize,
     elite: EliteTest,
 }
 
 impl Resident {
-    /// The resident state of generation `checkpoint`, whose body and
-    /// checksum are `body` and `digest`.
-    fn new(checkpoint: &ActiveCheckpoint, body: String, digest: u64, elite: EliteTest) -> Self {
+    /// The resident state of generation `checkpoint`, whose checksum is
+    /// `digest`; packs the checkpoint's level sections by move.
+    fn new(mut checkpoint: ActiveCheckpoint, digest: u64, elite: EliteTest) -> Self {
+        let rows = PackedRows::pack(&mut checkpoint);
         Self {
-            body,
+            checkpoint,
+            rows,
             digest,
-            iteration: checkpoint.iteration,
-            n_train: checkpoint.train_configs.len(),
             elite,
         }
+    }
+
+    /// Stands on the next generation, `checkpoint`, whose checksum is
+    /// `digest`; packs its level sections by move.
+    fn advance(&mut self, mut checkpoint: ActiveCheckpoint, digest: u64) {
+        self.rows = PackedRows::pack(&mut checkpoint);
+        self.checkpoint = checkpoint;
+        self.digest = digest;
+    }
+
+    /// A private copy of the resident checkpoint, level sections unpacked.
+    fn unpack(&self) -> ActiveCheckpoint {
+        let mut checkpoint = self.checkpoint.clone();
+        self.rows.unpack_into(&mut checkpoint);
+        checkpoint
     }
 }
 
 /// Saves `checkpoint` as generation `checkpoint.iteration` of `store`,
-/// encoding it once; the returned [`Saved`] carries the body and its
-/// checksum.
+/// encoding it once; the returned [`Saved`] carries its checksum.
 fn save(store: &GenerationStore, checkpoint: &ActiveCheckpoint) -> Result<Saved, ProtocolError> {
     store.commit(checkpoint).map_err(|e| internal(&e))
 }
@@ -535,8 +640,8 @@ pub struct Session {
     spec: SessionSpec,
     target: SessionTarget,
     store: GenerationStore,
-    /// The in-memory body, its digest and its evaluator; `None` while
-    /// suspended/unloaded.
+    /// The in-memory checkpoint, its digest and its evaluator; `None`
+    /// while suspended/unloaded.
     resident: Option<Resident>,
     state: SessionState,
     /// Consecutive over-budget step attempts.
@@ -594,12 +699,7 @@ impl Session {
             spec,
             target,
             store,
-            resident: Some(Resident::new(
-                &checkpoint,
-                saved.body,
-                saved.checksum,
-                elite,
-            )),
+            resident: Some(Resident::new(checkpoint, saved.checksum, elite)),
             state: SessionState::Active,
             strikes: 0,
         })
@@ -654,16 +754,17 @@ impl Session {
         self.state
     }
 
-    /// True when the session occupies memory (checkpoint body loaded).
+    /// True when the session occupies memory (checkpoint loaded).
     #[must_use]
     pub fn is_resident(&self) -> bool {
         self.resident.is_some()
     }
 
-    /// The length of the resident checkpoint body (0 when unloaded).
+    /// The length of the resident checkpoint's packed level rows (0 when
+    /// unloaded).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.resident.as_ref().map_or(0, |r| r.body.len())
+        self.resident.as_ref().map_or(0, |r| r.rows.bytes.len())
     }
 
     /// The durable generation the loaded checkpoint was saved as or loaded
@@ -684,30 +785,32 @@ impl Session {
     /// durable value).
     #[must_use]
     pub fn iteration(&self) -> u64 {
-        self.resident.as_ref().map_or(0, |r| r.iteration)
+        self.resident.as_ref().map_or(0, |r| r.checkpoint.iteration)
     }
 
     /// The resident checkpoint's training-set size (0 when unloaded).
     #[must_use]
     pub fn n_train(&self) -> usize {
-        self.resident.as_ref().map_or(0, |r| r.n_train)
+        self.resident
+            .as_ref()
+            .map_or(0, |r| r.checkpoint.train_labels.len())
     }
 
-    /// The resident body's digest, as 16 hex digits: the integrity-footer
-    /// checksum of the newest durable generation, which equals
-    /// `fnv1a64(checkpoint.to_text())` — the bit-identity fingerprint the
-    /// chaos harness compares across kills. Kept from the save or the
-    /// verified load, so reading it encodes nothing.
+    /// The resident checkpoint's digest, as 16 hex digits: the
+    /// integrity-footer checksum of the newest durable generation, which
+    /// equals `fnv1a64(checkpoint.to_text())` — the bit-identity
+    /// fingerprint the chaos harness compares across kills. Kept from the
+    /// save or the verified load, so reading it encodes nothing.
     #[must_use]
     pub fn digest(&self) -> Option<String> {
         self.resident.as_ref().map(|r| format!("{:016x}", r.digest))
     }
 
     /// Resumes the session from its last durable generation, keeping the
-    /// body the load verified, then derives the spec once to rebuild the
-    /// session's evaluator (also clears a degraded session's strikes —
-    /// resume is the recovery path). Returns how many damaged slots the
-    /// load removed ([`pwu_core::Recovered::rolled_back`]).
+    /// checkpoint the load verified and parsed, then derives the spec once
+    /// to rebuild the session's evaluator (also clears a degraded session's
+    /// strikes — resume is the recovery path). Returns how many damaged
+    /// slots the load removed ([`pwu_core::Recovered::rolled_back`]).
     ///
     /// # Errors
     /// Returns an [`ErrorKind::Corrupt`] error when no generation survives
@@ -729,8 +832,7 @@ impl Session {
         let (_, elite) = self.spec.materialize_evaluator(self.target.as_target());
         self.target.end_request();
         self.resident = Some(Resident::new(
-            &recovered.checkpoint,
-            recovered.body,
+            recovered.checkpoint,
             recovered.checksum,
             elite,
         ));
@@ -743,8 +845,9 @@ impl Session {
         Ok(recovered.rolled_back)
     }
 
-    /// Suspends the session: drops the in-memory body (already durable —
-    /// every committed step persisted a generation) and the evaluator.
+    /// Suspends the session: drops the in-memory checkpoint (already
+    /// durable — every committed step persisted a generation) and the
+    /// evaluator.
     /// Suspending a done/degraded session just unloads it; its state token
     /// is preserved on resume via the durable checkpoint.
     pub fn suspend(&mut self) {
@@ -756,15 +859,15 @@ impl Session {
 
     /// Attempts one watchdogged step.
     ///
-    /// The step parses a private copy of the resident body, restores an
-    /// [`ActiveLoop`] from it and the evaluator, steps it and captures it,
+    /// The step unpacks a private copy of the resident checkpoint, restores
+    /// an [`ActiveLoop`] from it and the evaluator, steps it and captures it,
     /// so it is *pure* until commit: a panic (isolated with
     /// `catch_unwind`) or an over-deadline cost discards the outcome and
     /// leaves the resident and durable state untouched. A panic degrades
     /// the session at once; an over-deadline cost records a strike, and the
     /// [`WatchdogPolicy::STRIKE_LIMIT`]-th consecutive strike degrades it.
     /// A committed step persists the captured checkpoint as the next
-    /// generation and keeps the body it wrote. Every attempt that ran,
+    /// generation and keeps it, packed. Every attempt that ran,
     /// whatever its outcome, empties the memo it filled.
     ///
     /// # Errors
@@ -798,7 +901,7 @@ impl Session {
             let mut active = ActiveLoop::from_checkpoint(
                 self.target.as_target(),
                 &config,
-                ActiveCheckpoint::from_text(&resident.body)?,
+                resident.unpack(),
                 &resident.elite,
             )?;
             let before = active.cost();
@@ -810,8 +913,8 @@ impl Session {
         let (checkpoint, done, step_cost) = match attempt {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(e)) => {
-                // A body that does not parse, or a mismatch between spec and
-                // checkpoint, means the durable state cannot be trusted.
+                // A mismatch between spec and checkpoint means the durable
+                // state cannot be trusted.
                 return Err(ProtocolError::new(ErrorKind::Corrupt, e.to_string()));
             }
             Err(_panic) => {
@@ -846,10 +949,7 @@ impl Session {
         }
         self.strikes = 0;
         let saved = save(&self.store, &checkpoint)?;
-        resident.body = saved.body;
-        resident.digest = saved.checksum;
-        resident.iteration = checkpoint.iteration;
-        resident.n_train = checkpoint.train_configs.len();
+        resident.advance(checkpoint, saved.checksum);
         if done {
             self.state = SessionState::Done;
         }
@@ -887,6 +987,107 @@ pub fn session_dir(state_dir: &Path, id: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwu_core::MeasurementStats;
+    use pwu_space::PoolLintCounts;
+
+    /// A checkpoint whose level sections are `sections`, every other field
+    /// fixed.
+    fn checkpoint_with(sections: [Vec<Vec<u32>>; 3]) -> ActiveCheckpoint {
+        let [train_configs, pool_configs, quarantined] = sections;
+        ActiveCheckpoint {
+            target_name: "adi".into(),
+            iteration: 7,
+            forest_seed: 11,
+            n_init: 5,
+            n_batch: 1,
+            n_max: 30,
+            repeats: 3,
+            fit_mode: FitMode::Fast,
+            alphas: vec![0.05],
+            annotator_rng: [1, 2, 3, 4],
+            annotator_evaluations: 9,
+            stats: MeasurementStats::default(),
+            select_rng: [5, 6, 7, 8],
+            pool_rng: [9, 10, 11, 12],
+            lint: PoolLintCounts::default(),
+            train_labels: (0..train_configs.len()).map(|i| i as f64 + 0.5).collect(),
+            train_configs,
+            pool_configs,
+            quarantined,
+            history: Vec::new(),
+            selections: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn varints_are_leb128() {
+        for (v, bytes) in [
+            (0, &[0x00][..]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (16_383, &[0xFF, 0x7F]),
+            (16_384, &[0x80, 0x80, 0x01]),
+            (u64::from(u32::MAX), &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+            (
+                u64::MAX,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+            ),
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out, bytes, "{v}");
+            assert_eq!(varint_len(v), bytes.len(), "{v}");
+            let mut at = 0;
+            assert_eq!(take_varint(&out, &mut at), v);
+            assert_eq!(at, out.len());
+        }
+    }
+
+    #[test]
+    fn packed_rows_unpack_to_the_checkpoint_they_packed() {
+        const EDGES: [u32; 6] = [0, 127, 128, 16_383, 16_384, u32::MAX];
+        let mut cases: Vec<[Vec<Vec<u32>>; 3]> = vec![
+            [vec![], vec![], vec![]],
+            [vec![EDGES.to_vec()], vec![vec![]], vec![]],
+            [
+                vec![],
+                vec![vec![3, 1], vec![4], vec![1, 5, 9, 2, 6]],
+                vec![vec![]; 2],
+            ],
+        ];
+        let mut rng = Xoshiro256PlusPlus::new(31);
+        let mut below = |n: u64| (rng.next() % n) as usize;
+        for _ in 0..300 {
+            cases.push(std::array::from_fn(|_| {
+                (0..below(12))
+                    .map(|_| {
+                        (0..below(40))
+                            .map(|_| match below(3) {
+                                0 => EDGES[below(EDGES.len() as u64)],
+                                1 => below(31) as u32,
+                                _ => (below(1 << 32) as u32) >> below(32),
+                            })
+                            .collect()
+                    })
+                    .collect()
+            }));
+        }
+        for sections in cases {
+            let original = checkpoint_with(sections);
+            let mut resident = original.clone();
+            let rows = PackedRows::pack(&mut resident);
+            assert!(resident.train_configs.is_empty());
+            assert!(resident.pool_configs.is_empty());
+            assert!(resident.quarantined.is_empty());
+            assert_eq!(rows.bytes.capacity(), rows.bytes.len(), "sized once");
+            rows.unpack_into(&mut resident);
+            assert_eq!(resident, original);
+        }
+        // A 16-level row of levels below 128 takes a byte a level, plus
+        // its length.
+        let mut gesummv = checkpoint_with([vec![], vec![vec![30; 16]; 1000], vec![]]);
+        assert_eq!(PackedRows::pack(&mut gesummv).bytes.len(), 17_000);
+    }
 
     #[test]
     fn spec_text_round_trips_bit_exactly() {

@@ -663,9 +663,9 @@ fn trace_verb_records_exports_and_unifies_stats() {
     assert!(text.contains("serve.step"), "missing serve.step span");
     assert!(text.contains(r#""session":"tr1""#), "missing session arg");
     // `pwu-trace summarize` attributes the served run's checkpoint work:
-    // encoding (create, steps), saving the generations, loading on resume,
-    // and each step's parse of the resident body and restore of the loop;
-    // and the evaluator derivation of the create and of the resume.
+    // encoding (create, steps), saving the generations, loading and parsing
+    // on resume, and each step's restore of the loop; and the evaluator
+    // derivation of the create and of the resume.
     let summary = pwu_obs::summarize(&text).expect("the export summarizes");
     for name in [
         "checkpoint.encode",
@@ -1008,28 +1008,62 @@ fn every_digest_is_the_checksum_of_the_durable_generation() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The `stats` line's `resident_bytes`, and the summed body lengths
-/// (footer excluded) of the resident sessions' newest slots.
+/// The bytes of `v` as an unsigned LEB128 varint: one per started group
+/// of seven bits, and one for 0.
+fn varint_len(v: u64) -> u64 {
+    let mut len = 1;
+    while v >> (7 * len) != 0 {
+        len += 1;
+    }
+    len
+}
+
+/// The packed size of a checkpoint's level rows: per row of its `train`,
+/// `pool` and `quarantined` sections, the varint length of the row's length
+/// plus the varint lengths of its levels.
+fn packed_len(checkpoint: &ActiveCheckpoint) -> u64 {
+    [
+        &checkpoint.train_configs,
+        &checkpoint.pool_configs,
+        &checkpoint.quarantined,
+    ]
+    .into_iter()
+    .flatten()
+    .map(|row| {
+        varint_len(row.len() as u64) + row.iter().map(|&l| varint_len(l.into())).sum::<u64>()
+    })
+    .sum()
+}
+
+/// The `stats` line's `resident_bytes`, and the summed packed sizes of the
+/// resident sessions' newest slots, each parsed from disk; also checks
+/// each resident session's own count against its slot.
 fn resident_bytes(server: &mut Server, dir: &Path, ids: &[&str]) -> (Option<u64>, u64) {
-    let on_disk = ids
-        .iter()
-        .filter(|id| server.session(id).unwrap().is_resident())
-        .map(|id| {
-            let store = GenerationStore::new(dir.join(id));
-            let bytes = fs::read(store.path_for(newest_generation(&store))).unwrap();
-            split_verified_body(&bytes).unwrap().len() as u64
-        })
-        .sum();
+    let mut on_disk = 0;
+    for id in ids {
+        let session = server.session(id).unwrap();
+        if !session.is_resident() {
+            assert_eq!(session.resident_bytes(), 0, "{id} is unloaded");
+            continue;
+        }
+        let store = GenerationStore::new(dir.join(id));
+        let newest = newest_generation(&store);
+        assert_eq!(session.generation(), newest, "{id}");
+        let checkpoint = verified(&store.path_for(newest)).expect("the newest slot verifies");
+        let packed = packed_len(&checkpoint);
+        assert_eq!(session.resident_bytes() as u64, packed, "{id}");
+        on_disk += packed;
+    }
     let stats = send(server, r#"{"cmd":"stats"}"#);
     (stats.u64("resident_bytes"), on_disk)
 }
 
-/// A resident session holds the body of its newest generation, so the
-/// `stats` line's `resident_bytes` is the summed body lengths of the
-/// resident sessions' newest slots through create, step, suspend and
-/// resume.
+/// A resident session holds the level rows of its newest generation packed
+/// as varints, so the `stats` line's `resident_bytes` is the summed packed
+/// sizes of the resident sessions' newest slots through create, step,
+/// suspend and resume.
 #[test]
-fn resident_bytes_are_the_bodies_of_the_resident_generations() {
+fn resident_bytes_are_the_packed_rows_of_the_resident_generations() {
     let dir = tmp("resident-bytes");
     let mut server = server_at(&dir);
     let ids = ["a", "k"];
@@ -1039,9 +1073,16 @@ fn resident_bytes_are_the_bodies_of_the_resident_generations() {
     assert!(on_disk > 0);
     assert_eq!(reported, Some(on_disk), "after create");
 
-    send(&mut server, r#"{"cmd":"step","session":"a","n":1}"#);
+    // A step moves rows from the pool to the training set (or the
+    // quarantine), so the packed size of the next generation's rows is the
+    // size of the last one's.
+    let r = send(&mut server, r#"{"cmd":"step","session":"a","n":1}"#);
+    assert_eq!(r.u64("generation"), Some(1), "{r:?}");
     let (reported, stepped) = resident_bytes(&mut server, &dir, &ids);
-    assert_ne!(stepped, on_disk, "a committed step changes the body");
+    assert_eq!(
+        stepped, on_disk,
+        "a committed step moves rows between sections"
+    );
     assert_eq!(reported, Some(stepped), "after a step");
 
     send(&mut server, r#"{"cmd":"suspend","session":"a"}"#);

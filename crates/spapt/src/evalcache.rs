@@ -192,7 +192,7 @@ impl TuningTarget for Uncached {
         let Some(fm) = self.0.faults().filter(|fm| fm.is_enabled()) else {
             return MeasureOutcome::Ok(self.measure(cfg, rng));
         };
-        if fm.compile_fails(cfg, self.0.is_aggressive_uncached(cfg)) {
+        if fm.compile_fails(cfg, || self.0.is_aggressive_uncached(cfg)) {
             return MeasureOutcome::Failed {
                 kind: pwu_space::FailureKind::Compile,
                 cost: fm.compile_cost,

@@ -123,27 +123,41 @@ impl FaultModel {
     /// Deterministic per-configuration compile verdict.
     ///
     /// Hashes the configuration levels with the model seed into a uniform
-    /// variate and compares against the (possibly aggressiveness-boosted)
-    /// compile-failure probability. No RNG state is consumed, so the verdict
-    /// is stable across retries, checkpoint/resume and repeat counts.
+    /// variate `u` and compares it against the compile-failure probability,
+    /// boosted by `aggressive_compile_fail_prob` when the configuration is
+    /// aggressive. No RNG state is consumed, so the verdict is stable across
+    /// retries, checkpoint/resume and repeat counts. `aggressive` is asked
+    /// only when the two probabilities disagree about `u`, i.e. when `u`
+    /// falls in the aggressive band, since the flag costs the kernel a
+    /// table decode.
     #[must_use]
-    pub fn compile_fails(&self, cfg: &Configuration, aggressive: bool) -> bool {
-        let p = self.compile_fail_prob
-            + if aggressive {
-                self.aggressive_compile_fail_prob
-            } else {
-                0.0
-            };
-        if p <= 0.0 {
+    pub fn compile_fails(&self, cfg: &Configuration, aggressive: impl FnOnce() -> bool) -> bool {
+        let tame = self.compile_fail_prob;
+        let boosted = tame + self.aggressive_compile_fail_prob;
+        // `u` lies in [0, 1): a probability that is not positive fails nothing.
+        if !(tame > 0.0 || boosted > 0.0) {
             return false;
         }
+        let u = self.compile_draw(cfg);
+        let (fails_tame, fails_boosted) = (u < tame, u < boosted);
+        if fails_tame == fails_boosted {
+            fails_tame
+        } else if aggressive() {
+            fails_boosted
+        } else {
+            fails_tame
+        }
+    }
+
+    /// The uniform variate in `[0, 1)` the compile verdict compares: the
+    /// configuration's levels hashed with the model seed.
+    fn compile_draw(&self, cfg: &Configuration) -> f64 {
         let mut acc = SplitMix64::new(self.seed ^ 0xC0F1_13FA_17D0_0D5E).next();
         for &level in cfg.levels() {
             acc =
                 SplitMix64::new(acc ^ u64::from(level).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next();
         }
-        let u = (acc >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < p
+        (acc >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Runs the transient fault pipeline around one noisy measurement.
@@ -203,7 +217,7 @@ mod tests {
         let fm = FaultModel::none();
         assert!(!fm.is_enabled());
         let mut rng = Xoshiro256PlusPlus::new(1);
-        assert!(!fm.compile_fails(&cfg(&[1, 2, 3]), true));
+        assert!(!fm.compile_fails(&cfg(&[1, 2, 3]), || true));
         let out = fm.measure_transient(0.5, &mut rng, |t, _| t);
         assert_eq!(out, MeasureOutcome::Ok(0.5));
     }
@@ -217,10 +231,10 @@ mod tests {
         let mut failed = 0;
         for i in 0..400u32 {
             let c = cfg(&[i, i / 7, i % 5]);
-            let first = fm.compile_fails(&c, false);
+            let first = fm.compile_fails(&c, || false);
             // Stable across calls — a compile error cannot be retried away.
             for _ in 0..3 {
-                assert_eq!(fm.compile_fails(&c, false), first);
+                assert_eq!(fm.compile_fails(&c, || false), first);
             }
             failed += usize::from(first);
         }
@@ -232,10 +246,60 @@ mod tests {
             ..fm.clone()
         };
         let differs = (0..400u32).any(|i| {
-            other.compile_fails(&cfg(&[i, i / 7, i % 5]), false)
-                != fm.compile_fails(&cfg(&[i, i / 7, i % 5]), false)
+            other.compile_fails(&cfg(&[i, i / 7, i % 5]), || false)
+                != fm.compile_fails(&cfg(&[i, i / 7, i % 5]), || false)
         });
         assert!(differs, "seed must matter");
+    }
+
+    #[test]
+    fn the_lazy_flag_gives_the_eager_verdict_and_is_asked_only_in_the_band() {
+        use std::cell::Cell;
+        let models = [
+            FaultModel::none(),
+            FaultModel::light(3),
+            FaultModel::stress(4),
+            FaultModel {
+                compile_fail_prob: 0.2,
+                aggressive_compile_fail_prob: 0.5,
+                ..FaultModel::stress(5)
+            },
+            FaultModel {
+                compile_fail_prob: 0.0,
+                aggressive_compile_fail_prob: 0.3,
+                ..FaultModel::stress(6)
+            },
+        ];
+        let mut rng = Xoshiro256PlusPlus::new(17);
+        let mut asked = 0;
+        for fm in &models {
+            for _ in 0..3000 {
+                let width = 1 + (rng.next() % 12) as usize;
+                let c = Configuration::new((0..width).map(|_| (rng.next() % 40) as u32).collect());
+                let u = fm.compile_draw(&c);
+                let in_band = fm.compile_fail_prob <= u
+                    && u < fm.compile_fail_prob + fm.aggressive_compile_fail_prob;
+                for flag in [false, true] {
+                    // The verdict before the flag became lazy.
+                    let p = fm.compile_fail_prob
+                        + if flag {
+                            fm.aggressive_compile_fail_prob
+                        } else {
+                            0.0
+                        };
+                    let eager = p > 0.0 && u < p;
+                    let called = Cell::new(false);
+                    let lazy = fm.compile_fails(&c, || {
+                        called.set(true);
+                        flag
+                    });
+                    assert_eq!(lazy, eager, "{fm:?} {c:?} aggressive={flag}");
+                    assert_eq!(called.get(), in_band, "{fm:?} u={u}");
+                    asked += usize::from(called.get());
+                }
+            }
+        }
+        assert!(asked > 1000, "the band is reached ({asked} asks)");
     }
 
     #[test]
@@ -248,7 +312,7 @@ mod tests {
         let fm = FaultModel { seed: 7, ..fm };
         let count = |aggressive: bool| {
             (0..500u32)
-                .filter(|&i| fm.compile_fails(&cfg(&[i, i * 3]), aggressive))
+                .filter(|&i| fm.compile_fails(&cfg(&[i, i * 3]), || aggressive))
                 .count()
         };
         let tame = count(false);

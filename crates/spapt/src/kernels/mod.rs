@@ -450,7 +450,7 @@ impl TuningTarget for Kernel {
         let Some(fm) = self.faults.as_ref().filter(|fm| fm.is_enabled()) else {
             return MeasureOutcome::Ok(self.measure(cfg, rng));
         };
-        if fm.compile_fails(cfg, self.is_aggressive(cfg)) {
+        if fm.compile_fails(cfg, || self.is_aggressive(cfg)) {
             return MeasureOutcome::Failed {
                 kind: pwu_space::FailureKind::Compile,
                 cost: fm.compile_cost,
