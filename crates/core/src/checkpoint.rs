@@ -722,7 +722,7 @@ pub struct Recovered {
 pub struct Saved {
     /// The new generation number (the checkpoint's `iteration`).
     pub generation: u64,
-    /// The integrity-footer checksum of the saved body, i.e.
+    /// The integrity-footer checksum of the slot's body, i.e.
     /// `fnv1a64(checkpoint.to_text())`.
     pub checksum: u64,
 }
