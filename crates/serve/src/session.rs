@@ -20,7 +20,7 @@
 //! resume, of the one it verified) as the response digest.
 //!
 //! Between requests a loaded session holds the checkpoint of that
-//! generation with its three level sections packed ([`PackedRows`]: one
+//! generation with its three level sections packed (`PackedRows`: one
 //! byte buffer of LEB128 varints, about a byte per level where a parsed
 //! section holds a heap vector per configuration), the digest, and its
 //! Eq. 2 evaluator ([`EliteTest`], the test set's elite rows), built when
