@@ -143,16 +143,20 @@ fn bench_fit_fast(name: &'static str, n: usize, d: usize, width: usize, samples:
     }
 }
 
+/// Batch prediction (flat layout, serial fold) vs the frozen reference
+/// walk: the historical row-by-row fold over the pointer arenas of the
+/// same trees, rebuilt once outside the timed closure.
 fn bench_predict_batch(samples: usize) -> Row {
     let d = 12;
     let (_, x, y) = data(300, d, 21);
     let kinds = vec![FeatureKind::Numeric; d];
     let forest = RandomForest::fit(&ForestConfig::default(), &kinds, &x, &y, 3);
+    let arenas = reference::arenas(&forest);
     let (pool_rows, pool, _) = data(4000, d, 22);
     let (baseline_ns, optimized_ns) = time_pair(
         samples,
         || {
-            std::hint::black_box(reference::predict_batch(&forest, &pool_rows));
+            std::hint::black_box(reference::predict_batch(&arenas, &pool_rows));
         },
         || {
             std::hint::black_box(forest.predict_batch(&pool));
@@ -167,7 +171,8 @@ fn bench_predict_batch(samples: usize) -> Row {
 
 /// Fast-mode batch prediction (flat layout, lane fold) vs the frozen
 /// reference path scoring the same fast-fitted trees row by row — the
-/// baseline `predict_batch/pool4000_d12` uses for an exact forest.
+/// baseline `predict_batch/pool4000_d12` uses for an exact forest, over
+/// arenas rebuilt once outside the timed closure.
 fn bench_fast_batch_predict(samples: usize) -> Row {
     let d = 12;
     let (_, x, y) = data(500, d, 21);
@@ -177,11 +182,12 @@ fn bench_fast_batch_predict(samples: usize) -> Row {
         ..ForestConfig::default()
     };
     let fast = RandomForest::fit(&fast_cfg, &kinds, &x, &y, 3);
+    let arenas = reference::arenas(&fast);
     let (pool_rows, pool, _) = data(4000, d, 22);
     let (baseline_ns, optimized_ns) = time_pair(
         samples,
         || {
-            std::hint::black_box(reference::predict_batch(&fast, &pool_rows));
+            std::hint::black_box(reference::predict_batch(&arenas, &pool_rows));
         },
         || {
             std::hint::black_box(fast.predict_batch(&pool));

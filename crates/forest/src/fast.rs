@@ -46,16 +46,14 @@ use crate::tree::RegressionTree;
 /// over every leaf of every tree. This is the irreducible-noise diagnostic
 /// the statistical-equivalence suite uses to compare engines (impure leaves
 /// indicate under-splitting; a fast fit must not be systematically more
-/// impure than an exact fit). Both sums fold in tree order.
+/// impure than an exact fit). Both sums fold sequentially in tree order,
+/// over per-tree sums each tree folded in preorder when it was compiled.
 pub(crate) fn mean_leaf_variance(trees: &[RegressionTree]) -> f64 {
     if trees.is_empty() {
         return 0.0;
     }
-    let weighted: f64 = trees
-        .iter()
-        .map(RegressionTree::weighted_leaf_variance)
-        .sum();
-    let count: f64 = trees.iter().map(RegressionTree::leaf_count_total).sum();
+    let weighted: f64 = trees.iter().map(|t| t.weighted_leaf_variance).sum();
+    let count: f64 = trees.iter().map(|t| t.leaf_count_total).sum();
     if count == 0.0 {
         0.0
     } else {
@@ -69,7 +67,8 @@ pub(crate) fn mean_leaf_variance(trees: &[RegressionTree]) -> f64 {
 const COUNTING_MAX: usize = 256;
 
 /// Per-fit tables of the counting-sort search, shared by every tree (they
-/// depend only on the training matrix, not on the bootstrap sample).
+/// depend only on the training matrix and the trees' common row count, not
+/// on the bootstrap sample).
 pub(crate) struct CountingTables {
     /// Per-column ascending distinct values indexed by rank — the threshold
     /// midpoint source. Empty for categorical columns and for numeric
@@ -77,12 +76,16 @@ pub(crate) struct CountingTables {
     rank_value: Vec<Vec<f64>>,
     /// Largest counting-column cardinality (bucket scratch size).
     max_ranks: usize,
+    /// Count reciprocals `1/k` for `k` in `0..=m`, `m` the rows each tree
+    /// grows on, for the gain scan (`inv[0]` is a never-read placeholder:
+    /// counts start at 1).
+    inv: Vec<f64>,
 }
 
 impl CountingTables {
     /// Builds the tables from the fit's dense rank tables (`ranks[f]` is
-    /// empty for a categorical column).
-    pub(crate) fn new(x: &FeatureMatrix, ranks: &[Vec<u32>]) -> Self {
+    /// empty for a categorical column) for trees grown on `m` rows each.
+    pub(crate) fn new(x: &FeatureMatrix, ranks: &[Vec<u32>], m: usize) -> Self {
         let mut max_ranks = 0;
         let rank_value = ranks
             .iter()
@@ -103,28 +106,25 @@ impl CountingTables {
         Self {
             rank_value,
             max_ranks,
-        }
-    }
-
-    /// The search state of one tree grown on `m` rows.
-    pub(crate) fn for_tree(&self, m: usize) -> Counting<'_> {
-        Counting {
-            tables: self,
-            // Count reciprocals for the gain scan (inv[0] is a never-read
-            // placeholder: counts start at 1).
             inv: (0..=m)
                 .map(|k| if k == 0 { 0.0 } else { 1.0 / k as f64 })
                 .collect(),
+        }
+    }
+
+    /// The search state of one tree.
+    pub(crate) fn for_tree(&self) -> Counting<'_> {
+        Counting {
+            tables: self,
             scratch: CountScratch::new(self.max_ranks),
         }
     }
 }
 
 /// One tree's counting-sort search: the fit's tables plus the tree's
-/// bucket scratch and count reciprocals.
+/// bucket scratch.
 pub(crate) struct Counting<'a> {
     tables: &'a CountingTables,
-    inv: Vec<f64>,
     scratch: CountScratch,
 }
 
@@ -173,9 +173,10 @@ impl Counting<'_> {
         constant: &mut bool,
     ) -> Option<(Split, u32)> {
         let rank_value = &self.tables.rank_value[f];
+        let inv = &self.tables.inv;
         if seg.len() <= SMALL_MAX {
             best_split_counting_small::<SMALL_MAX>(
-                rank_value, ranks_f, y, seg, total, f, min_leaf, &self.inv, constant,
+                rank_value, ranks_f, y, seg, total, f, min_leaf, inv, constant,
             )
         } else {
             best_split_counting_dense(
@@ -186,7 +187,7 @@ impl Counting<'_> {
                 total,
                 f,
                 min_leaf,
-                &self.inv,
+                inv,
                 &mut self.scratch,
                 constant,
             )
@@ -559,11 +560,14 @@ mod tests {
     #[test]
     fn constant_column_flagged_by_all_strategies() {
         let nr = 16usize;
-        let tables = CountingTables {
-            rank_value: vec![(0..nr).map(|k| k as f64).collect()],
-            max_ranks: nr,
-        };
-        let mut counting = tables.for_tree(40);
+        // A 40-row column cycling through `nr` values; its rank table
+        // gives the search `nr` rank values, and the column searched below
+        // is constant.
+        let ranks: Vec<u32> = (0..40).map(|i| i % nr as u32).collect();
+        let col = ranks.iter().map(|&k| f64::from(k)).collect();
+        let x = FeatureMatrix::from_columns(40, vec![col]);
+        let tables = CountingTables::new(&x, &[ranks], 40);
+        let mut counting = tables.for_tree();
         let ranks_f = vec![3u32; 40];
         let y: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.1).collect();
         for n_seg in [6usize, 12, 40] {

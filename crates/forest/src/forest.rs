@@ -6,7 +6,6 @@ use rayon::prelude::*;
 use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::{derive_seed, Xoshiro256PlusPlus};
 
-use crate::flat::FlatForest;
 use crate::hyper::ForestConfig;
 use crate::tree::{grow, FitTables, RegressionTree};
 
@@ -41,13 +40,12 @@ use crate::tree::{grow, FitTables, RegressionTree};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomForest {
+    /// The fitted trees, each stored only as its flat node records
+    /// ([`crate::flat`]), which every predict path reads. A fitted forest
+    /// never changes.
     trees: Vec<RegressionTree>,
     /// Per-tree out-of-bag row indices (empty when `bootstrap` is off).
     oob_rows: Vec<Vec<u32>>,
-    /// Flat-node predict layout of `trees` ([`crate::flat`]), the batch and
-    /// column predict kernel, compiled once when the forest is built: a
-    /// fitted forest never changes.
-    flat: FlatForest,
     config: ForestConfig,
     n_features: usize,
 }
@@ -86,11 +84,9 @@ impl RandomForest {
         );
         let (trees, oob_rows): (Vec<_>, Vec<_>) =
             fit_trees(config, kinds, x, y, seed).into_iter().unzip();
-        let flat = FlatForest::compile(&trees);
         Self {
             trees,
             oob_rows,
-            flat,
             config: *config,
             n_features: kinds.len(),
         }
@@ -190,15 +186,14 @@ impl RandomForest {
                 ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        self.flat
-            .fold_mu(self.config.fit_mode, x, |sum, sum_sq, n| {
-                let mean = sum / n;
-                let var = (sum_sq / n - mean * mean).max(0.0);
-                Prediction {
-                    mean,
-                    std: var.sqrt(),
-                }
-            })
+        crate::flat::fold_mu(&self.trees, self.config.fit_mode, x, |sum, sum_sq, n| {
+            let mean = sum / n;
+            let var = (sum_sq / n - mean * mean).max(0.0);
+            Prediction {
+                mean,
+                std: var.sqrt(),
+            }
+        })
     }
 
     /// Batch point predictions (same kernel and fold as
@@ -208,8 +203,7 @@ impl RandomForest {
     #[must_use]
     pub fn predict_batch_mean(&self, x: &FeatureMatrix) -> Vec<f64> {
         self.assert_covers(x);
-        self.flat
-            .fold_mu(self.config.fit_mode, x, |sum, _, n| sum / n)
+        crate::flat::fold_mu(&self.trees, self.config.fit_mode, x, |sum, _, n| sum / n)
     }
 
     /// Per-tree point-prediction columns: `out[k][i]` is tree
@@ -233,7 +227,7 @@ impl RandomForest {
                 ("mode", pwu_obs::Arg::s(self.config.fit_mode.token())),
             ],
         );
-        self.flat.columns(x, tree_idx)
+        crate::flat::columns(&self.trees, x, tree_idx)
     }
 
     /// Panics unless `x` has every feature column the trees test: the flat
@@ -257,8 +251,9 @@ impl RandomForest {
     /// Mean within-leaf variance across the ensemble (`Σ var·count /
     /// Σ count` over every leaf) — the irreducible-noise diagnostic the
     /// fast path's statistical-equivalence suite compares between engines.
-    /// Reduced on the `PWU_THREADS` pool with an ordered fold, so the value
-    /// is deterministic at any width.
+    /// A sequential sum in tree order of per-tree sums each tree folded in
+    /// preorder when it was compiled, so the value is deterministic at any
+    /// `PWU_THREADS` width.
     #[must_use]
     pub fn mean_leaf_variance(&self) -> f64 {
         crate::fast::mean_leaf_variance(&self.trees)
@@ -278,11 +273,9 @@ impl RandomForest {
         n_features: usize,
     ) -> Self {
         crate::flat::assert_width(n_features);
-        let flat = FlatForest::compile(&trees);
         Self {
             trees,
             oob_rows,
-            flat,
             config,
             n_features,
         }
@@ -305,7 +298,9 @@ impl RandomForest {
 /// [`RandomForest::fit`]. Each tree draws its bootstrap sample and feature
 /// subsets from its own RNG stream, derived from `seed` and its index, and
 /// grows on the `PWU_THREADS` pool; results come back in tree order as
-/// `(tree, out-of-bag rows)`.
+/// `(tree, out-of-bag rows)`. Each tree's growth arena is compiled into its
+/// flat records and dropped inside its own pool task, so a worker holds at
+/// most one arena and the fit's peak is about one forest of flat trees.
 ///
 /// # Panics
 /// Panics on an invalid configuration, empty data, mismatched lengths, a
@@ -330,9 +325,10 @@ fn fit_trees(
     assert!(y.iter().all(|v| v.is_finite()), "targets must be finite");
 
     let n = x.n_rows();
-    // The tables depend only on (x, kinds, fit mode): build them once and
-    // share them across all trees.
-    let tables = FitTables::new(x, kinds, config.fit_mode);
+    // The tables depend only on (x, kinds, fit mode) and the row count,
+    // which is n for every tree: build them once and share them across all
+    // trees.
+    let tables = FitTables::new(x, kinds, config.fit_mode, n);
     (0..config.n_trees)
         .into_par_iter()
         .map(|t| {
@@ -474,6 +470,54 @@ mod tests {
             assert_eq!(p.std.to_bits(), q.std.to_bits());
             assert_eq!(means[i].to_bits(), q.mean.to_bits());
         }
+    }
+
+    /// Heap bytes a fitted forest retains, counted from the capacities of
+    /// its own vectors.
+    fn retained_bytes(forest: &RandomForest) -> usize {
+        use std::mem::size_of;
+        forest.trees.capacity() * size_of::<RegressionTree>()
+            + forest
+                .trees
+                .iter()
+                .map(RegressionTree::heap_bytes)
+                .sum::<usize>()
+            + forest.oob_rows.capacity() * size_of::<Vec<u32>>()
+            + forest
+                .oob_rows
+                .iter()
+                .map(|r| r.capacity() * size_of::<u32>())
+                .sum::<usize>()
+    }
+
+    /// A fitted forest keeps each tree once. An all-numeric tree of `n`
+    /// nodes holds its 16-byte records padded to a power of two (under
+    /// `32·n` bytes), dense leaf means, variances and counts (`20·n`) and a
+    /// 16-byte split gain per internal node (under `8·n`): under 60 bytes a
+    /// node, 64 with the forest's own vectors. A second per-node copy of a
+    /// tree, such as its growth arena (32-byte nodes) kept beside the
+    /// records, breaks the bound.
+    #[test]
+    fn a_fitted_forest_retains_one_copy_of_each_tree() {
+        let mut rng = Xoshiro256PlusPlus::new(8);
+        let x: Vec<Vec<f64>> = (0..400)
+            .map(|_| (0..6).map(|_| f64::from(rng.gen_range(0..8u32))).collect())
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| r.iter().sum::<f64>() + rng.next_f64())
+            .collect();
+        let config = ForestConfig {
+            n_trees: 16,
+            ..ForestConfig::default()
+        };
+        let forest = RandomForest::fit_rows(&config, &[FeatureKind::Numeric; 6], &x, &y, 4);
+        let nodes: usize = forest.trees().iter().map(RegressionTree::n_nodes).sum();
+        let per_node = retained_bytes(&forest) as f64 / nodes as f64;
+        assert!(
+            per_node <= 64.0,
+            "{per_node:.1} bytes retained a node over {nodes} nodes"
+        );
     }
 
     #[test]

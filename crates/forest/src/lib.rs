@@ -28,22 +28,29 @@
 //! for speed under a *statistical*-equivalence contract (DESIGN.md §14):
 //! counting-sort split search, and a stable sort for columns too wide to
 //! count — still a pure function of the seed and invariant to thread count
-//! and deal order. Every forest *predicts* through the [`flat`] module:
-//! trees are compiled once into a branch-free breadth-first node layout
-//! whose per-tree leaf values match [`RegressionTree::predict_at`] bitwise;
-//! the fold is serial tree order for `Exact` and accumulator lanes for
-//! `Fast`.
+//! and deal order.
+//!
+//! A fitted tree has one stored form, the branch-free breadth-first node
+//! layout of the [`flat`] module. The growth loop builds each tree as a
+//! preorder pointer arena, compiles it into flat records and drops it
+//! inside the tree's own pool task, so a fit never holds more than one
+//! arena per worker and a fitted forest holds none. Every predict path
+//! walks the flat records: the batch and column kernels in blocks of rows,
+//! [`RegressionTree::predict_at`] and the other per-row methods one row at
+//! a time, both landing on the leaf the historical arena walk finds. The
+//! fold is serial tree order for `Exact` and accumulator lanes for `Fast`.
 //!
 //! Modules:
 //! - [`hyper`] — hyper-parameters ([`ForestConfig`], [`Mtry`], [`FitMode`])
 //! - [`split`] — exact best-split search for numeric and categorical columns
 //! - [`tree`] — a single CART regression tree and the one growth loop
 //! - [`fast`] — the statistically-equivalent fast numeric split search
-//! - [`flat`] — the flat-node batch-predict layout and ensemble folds
+//! - [`flat`] — the flat node layout, its batch kernels and ensemble folds
 //! - [`forest`] — the bagged ensemble with parallel fit/predict
 //! - [`importance`] — impurity-based feature importances
 //! - [`oob`] — out-of-bag error estimation
-//! - [`reference`] — the historical row-major implementation (tests/benches)
+//! - [`reference`] — the historical row-major implementation and its
+//!   pointer arenas (tests/benches)
 
 pub mod fast;
 pub mod flat;

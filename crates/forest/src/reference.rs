@@ -9,11 +9,19 @@
 //!
 //! 1. **Equivalence testing** — the refactored hot path must produce
 //!    bit-identical trees; `tests/reference_equivalence.rs` grows forests
-//!    through both paths and compares every per-tree prediction bitwise.
+//!    through both paths and compares every per-tree prediction, split gain
+//!    and leaf count bitwise.
 //! 2. **Performance baseline** — `cargo xtask perf` measures this path
 //!    against the optimized one on the same machine in the same process, so
 //!    the recorded speedups in `BENCH_forest.json` are reproducible anywhere
 //!    rather than being a snapshot of one historical host.
+//!
+//! A tree here is stored as the historical preorder pointer arena
+//! ([`Tree`]) and walked by the historical loop; this is the only place
+//! arenas outlive their growth. [`fit`] compiles each arena into the flat
+//! [`RegressionTree`] the optimized path stores, and [`arenas`] rebuilds
+//! the arenas of any fitted forest, so the predict baseline walks the very
+//! trees the optimized kernel scores.
 //!
 //! The bit-identity holds by construction, not by luck (see DESIGN.md §9):
 //! the optimized path re-sorts each node's rows with monotone integer keys
@@ -33,13 +41,130 @@ use crate::hyper::ForestConfig;
 use crate::split::{Split, SplitRule};
 use crate::tree::{LeafStats, Node, RegressionTree};
 
-/// Fits a forest through the historical row-major path.
+/// A tree as the historical implementation stored it: the preorder
+/// pointer arena its growth builds, and the split gains in growth order.
+#[derive(Debug, Clone)]
+pub struct Tree {
+    nodes: Vec<Node>,
+    split_gains: Vec<(u32, f64)>,
+}
+
+impl Tree {
+    /// Rebuilds the preorder arena of a fitted tree: the arena its growth
+    /// built, index for index, since growth appends each node when it
+    /// visits it, left subtree first, and so does this walk.
+    fn of(tree: &RegressionTree) -> Self {
+        Self {
+            nodes: rebuild(tree),
+            split_gains: tree.split_gains().to_vec(),
+        }
+    }
+
+    /// Returns the leaf statistics for a feature row: the historical
+    /// pointer walk.
+    ///
+    /// # Panics
+    /// Panics if `row` is shorter than the features the tree splits on.
+    #[must_use]
+    pub fn predict_leaf(&self, row: &[f64]) -> LeafStats {
+        let mut idx = 0usize;
+        loop {
+            match &self.nodes[idx] {
+                Node::Leaf(stats) => return *stats,
+                Node::Internal {
+                    feature,
+                    rule,
+                    left,
+                    right,
+                } => {
+                    idx = if rule.goes_left(row[*feature as usize]) {
+                        *left as usize
+                    } else {
+                        *right as usize
+                    };
+                }
+            }
+        }
+    }
+
+    /// Point prediction (leaf mean).
+    #[must_use]
+    pub fn predict(&self, row: &[f64]) -> f64 {
+        self.predict_leaf(row).mean
+    }
+
+    /// Number of nodes in the tree.
+    #[must_use]
+    pub fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Number of leaves.
+    #[must_use]
+    pub fn n_leaves(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Leaf(_)))
+            .count()
+    }
+
+    /// `(feature, gain)` pairs of every split, in growth order.
+    #[must_use]
+    pub fn split_gains(&self) -> &[(u32, f64)] {
+        &self.split_gains
+    }
+}
+
+/// The preorder arena of a fitted tree, rebuilt from its flat records.
+pub(crate) fn rebuild(tree: &RegressionTree) -> Vec<Node> {
+    fn visit(tree: &RegressionTree, id: usize, nodes: &mut Vec<Node>) -> u32 {
+        let idx = nodes.len() as u32;
+        // A leaf's slot is final; an internal node's is reserved until its
+        // children have been rebuilt.
+        nodes.push(Node::Leaf(tree.leaf(id)));
+        if let Some((feature, rule, kid)) = tree.split(id) {
+            let left = visit(tree, kid as usize, nodes);
+            let right = visit(tree, kid as usize + 1, nodes);
+            nodes[idx as usize] = Node::Internal {
+                feature,
+                rule,
+                left,
+                right,
+            };
+        }
+        idx
+    }
+    let mut nodes = Vec::with_capacity(tree.n_nodes());
+    visit(tree, 0, &mut nodes);
+    nodes
+}
+
+/// Grows a forest's trees through the historical row-major path: each
+/// tree's arena, in tree order.
 ///
 /// Same contract as [`RandomForest::fit`]; only the internals differ.
 ///
 /// # Panics
 /// Panics on empty data, mismatched lengths, non-finite targets, or an
 /// invalid configuration.
+#[must_use]
+pub fn fit_arenas(
+    config: &ForestConfig,
+    kinds: &[FeatureKind],
+    x: &[Vec<f64>],
+    y: &[f64],
+    seed: u64,
+) -> Vec<Tree> {
+    grow_forest(config, kinds, x, y, seed).0
+}
+
+/// Fits a forest through the historical row-major path, then compiles
+/// each tree's arena into the flat layout the optimized path stores.
+///
+/// Same contract as [`RandomForest::fit`]; only the internals differ.
+///
+/// # Panics
+/// As [`fit_arenas`].
 #[must_use]
 pub fn fit(
     config: &ForestConfig,
@@ -48,6 +173,22 @@ pub fn fit(
     y: &[f64],
     seed: u64,
 ) -> RandomForest {
+    let (arenas, oob_rows) = grow_forest(config, kinds, x, y, seed);
+    let trees = arenas
+        .into_iter()
+        .map(|t| RegressionTree::compile(&t.nodes, t.split_gains))
+        .collect();
+    RandomForest::from_parts(trees, oob_rows, *config, kinds.len())
+}
+
+/// The arenas and out-of-bag rows of a historical forest fit.
+fn grow_forest(
+    config: &ForestConfig,
+    kinds: &[FeatureKind],
+    x: &[Vec<f64>],
+    y: &[f64],
+    seed: u64,
+) -> (Vec<Tree>, Vec<Vec<u32>>) {
     config.validate();
     assert!(!x.is_empty(), "cannot fit a forest on zero rows");
     assert_eq!(x.len(), y.len(), "feature/target length mismatch");
@@ -71,13 +212,41 @@ pub fn fit(
         trees.push(fit_tree(x, y, &rows, kinds, config, &mut rng));
         oob_rows.push(oob);
     }
-    RandomForest::from_parts(trees, oob_rows, *config, kinds.len())
+    (trees, oob_rows)
 }
 
-/// Batch prediction through the historical row-major path.
+/// The arenas of a fitted forest's trees, rebuilt in tree order: each is
+/// the arena its growth built, index for index.
 #[must_use]
-pub fn predict_batch(forest: &RandomForest, rows: &[Vec<f64>]) -> Vec<Prediction> {
-    rows.iter().map(|r| forest.predict_one(r)).collect()
+pub fn arenas(forest: &RandomForest) -> Vec<Tree> {
+    forest.trees().iter().map(Tree::of).collect()
+}
+
+/// Prediction with across-tree uncertainty through the historical walk:
+/// every arena's leaf mean, folded in tree order.
+#[must_use]
+pub fn predict_one(trees: &[Tree], row: &[f64]) -> Prediction {
+    let n = trees.len() as f64;
+    let mut sum = 0.0;
+    let mut sum_sq = 0.0;
+    for tree in trees {
+        let p = tree.predict(row);
+        sum += p;
+        sum_sq += p * p;
+    }
+    let mean = sum / n;
+    let var = (sum_sq / n - mean * mean).max(0.0);
+    Prediction {
+        mean,
+        std: var.sqrt(),
+    }
+}
+
+/// Batch prediction through the historical row-major path: [`predict_one`]
+/// row by row.
+#[must_use]
+pub fn predict_batch(trees: &[Tree], rows: &[Vec<f64>]) -> Vec<Prediction> {
+    rows.iter().map(|r| predict_one(trees, r)).collect()
 }
 
 /// Grows one tree exactly as the historical `RegressionTree::fit` did.
@@ -92,7 +261,7 @@ pub fn fit_tree(
     kinds: &[FeatureKind],
     config: &ForestConfig,
     rng: &mut Xoshiro256PlusPlus,
-) -> RegressionTree {
+) -> Tree {
     assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
     debug_assert!(rows.iter().all(|&r| y[r as usize].is_finite()));
     let mtry = config.mtry.resolve(kinds.len());
@@ -114,7 +283,10 @@ pub fn fit_tree(
         &mut feature_ids,
         0,
     );
-    RegressionTree::from_raw(builder.nodes, builder.split_gains)
+    Tree {
+        nodes: builder.nodes,
+        split_gains: builder.split_gains,
+    }
 }
 
 struct Builder {

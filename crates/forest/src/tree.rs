@@ -1,6 +1,12 @@
 //! A single CART regression tree, and the one growth loop both fit modes
 //! share.
 //!
+//! A fitted [`RegressionTree`] is stored in one layout only: the flat
+//! breadth-first node records of [`crate::flat`], with its leaf statistics
+//! and split gains beside them. The growth loop builds a preorder pointer
+//! arena (`Node`) as scratch and compiles it into those records before it
+//! returns; the arena is dropped there.
+//!
 //! Growth is iterative (an explicit work stack, no recursion) and operates
 //! on the flat column-major [`FeatureMatrix`]. The node's rows live as one
 //! contiguous segment of a shared buffer that is partitioned *in place* at
@@ -43,6 +49,7 @@ use pwu_space::{FeatureKind, FeatureMatrix};
 use pwu_stats::Xoshiro256PlusPlus;
 
 use crate::fast::CountingTables;
+use crate::flat::{FlatNode, NumNode};
 use crate::hyper::{FitMode, ForestConfig};
 use crate::split::{
     best_categorical_split, best_numeric_split_ranked, RankRow, Split, SplitRule, SplitScratch,
@@ -59,7 +66,9 @@ pub struct LeafStats {
     pub count: u32,
 }
 
-/// Node storage: a flat arena indexed by `u32`.
+/// One node of a preorder pointer arena indexed by `u32`. The growth loop
+/// builds a tree's arena as scratch and compiles it into the flat records
+/// of a [`RegressionTree`]; only [`crate::reference`] keeps arenas.
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
     Internal {
@@ -72,11 +81,34 @@ pub(crate) enum Node {
 }
 
 /// A CART regression tree grown with SSE splits.
+///
+/// A fitted tree is stored only as flat breadth-first node records, the
+/// layout every predict path walks ([`crate::flat`]): the batch kernels
+/// descend it in blocks of rows, and the scalar methods here walk it one
+/// row at a time with the same routing arithmetic. Beside the records sit
+/// the per-node leaf means the kernels gather, and the cold data the public
+/// methods return, each sized exactly: per-node leaf variances and counts
+/// (zero at internal nodes) and the split gains in growth order.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
-    nodes: Vec<Node>,
-    /// (feature, gain) pairs of every accepted split, for importances.
+    /// Node records of a tree with a categorical split, padded to a power
+    /// of two; empty for all-numeric trees, which use `num`.
+    pub(crate) nodes: Vec<FlatNode>,
+    /// Packed records of an all-numeric tree (same ids, same padding);
+    /// empty when `nodes` is not.
+    pub(crate) num: Vec<NumNode>,
+    /// Leaf mean per node id (`μ`, the prediction; 0 at internal nodes).
+    pub(crate) mean: Vec<f64>,
+    /// Leaf variance per node id (0 at internal nodes).
+    variance: Vec<f64>,
+    /// Leaf training-row count per node id (0 at internal nodes).
+    count: Vec<u32>,
+    /// (feature, gain) pairs of every accepted split, in growth order.
     split_gains: Vec<(u32, f64)>,
+    /// `Σ var·count` over the leaves, folded in preorder at compile time.
+    pub(crate) weighted_leaf_variance: f64,
+    /// `Σ count` over the leaves, folded in preorder at compile time.
+    pub(crate) leaf_count_total: f64,
 }
 
 /// Sentinel parent index for the root task.
@@ -103,7 +135,8 @@ fn constant_bit(f: usize) -> u64 {
 }
 
 /// Tables one fit shares across all its trees: they depend only on the
-/// training matrix and the fit mode, not on the bootstrap sample.
+/// training matrix, the fit mode and the trees' common row count, not on
+/// the bootstrap sample.
 pub(crate) struct FitTables {
     /// Dense ranks of every numeric column ([`numeric_ranks`]). Both fit
     /// modes search and route rows by them.
@@ -114,9 +147,10 @@ pub(crate) struct FitTables {
 }
 
 impl FitTables {
-    pub(crate) fn new(x: &FeatureMatrix, kinds: &[FeatureKind], mode: FitMode) -> Self {
+    /// Builds the tables for trees grown on `m` rows each.
+    pub(crate) fn new(x: &FeatureMatrix, kinds: &[FeatureKind], mode: FitMode, m: usize) -> Self {
         let ranks = numeric_ranks(x, kinds);
-        let counting = (mode == FitMode::Fast).then(|| CountingTables::new(x, &ranks));
+        let counting = (mode == FitMode::Fast).then(|| CountingTables::new(x, &ranks, m));
         Self { ranks, counting }
     }
 }
@@ -144,18 +178,8 @@ impl RegressionTree {
             rows.iter().all(|&r| y[r as usize].is_finite()),
             "targets must be finite"
         );
-        let tables = FitTables::new(x, kinds, config.fit_mode);
+        let tables = FitTables::new(x, kinds, config.fit_mode, rows.len());
         grow(x, y, rows, kinds, config, rng, &tables)
-    }
-
-    /// Assembles a tree from raw parts (used by [`crate::reference`]).
-    pub(crate) fn from_raw(nodes: Vec<Node>, split_gains: Vec<(u32, f64)>) -> Self {
-        Self { nodes, split_gains }
-    }
-
-    /// The node arena (used by [`crate::flat`] to compile the flat layout).
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Returns the leaf statistics for a feature row.
@@ -164,24 +188,7 @@ impl RegressionTree {
     /// Panics if `row` is shorter than the features the tree splits on.
     #[must_use]
     pub fn predict_leaf(&self, row: &[f64]) -> LeafStats {
-        let mut idx = 0usize;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf(stats) => return *stats,
-                Node::Internal {
-                    feature,
-                    rule,
-                    left,
-                    right,
-                } => {
-                    idx = if rule.goes_left(row[*feature as usize]) {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        self.leaf(self.leaf_id(|f| row[f]))
     }
 
     /// Returns the leaf statistics for row `row` of a feature matrix,
@@ -192,51 +199,32 @@ impl RegressionTree {
     /// features the tree splits on.
     #[must_use]
     pub fn predict_leaf_at(&self, x: &FeatureMatrix, row: usize) -> LeafStats {
-        let mut idx = 0usize;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf(stats) => return *stats,
-                Node::Internal {
-                    feature,
-                    rule,
-                    left,
-                    right,
-                } => {
-                    idx = if rule.goes_left(x.get(row, *feature as usize)) {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        self.leaf(self.leaf_id(|f| x.get(row, f)))
     }
 
     /// Point prediction (leaf mean).
     #[must_use]
     pub fn predict(&self, row: &[f64]) -> f64 {
-        self.predict_leaf(row).mean
+        self.mean[self.leaf_id(|f| row[f])]
     }
 
     /// Point prediction for row `row` of a feature matrix.
     #[must_use]
     pub fn predict_at(&self, x: &FeatureMatrix, row: usize) -> f64 {
-        self.predict_leaf_at(x, row).mean
+        self.mean[self.leaf_id(|f| x.get(row, f))]
     }
 
     /// Number of nodes in the tree.
     #[must_use]
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.mean.len()
     }
 
-    /// Number of leaves.
+    /// Number of leaves: every internal node records one split gain, and a
+    /// binary tree has one more leaf than internal nodes.
     #[must_use]
     pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf(_)))
-            .count()
+        self.split_gains.len() + 1
     }
 
     /// `(feature, gain)` pairs of every split, for importance accumulation.
@@ -245,36 +233,101 @@ impl RegressionTree {
         &self.split_gains
     }
 
-    /// Count-weighted sum of leaf variances (`Σ var·count` over leaves) —
-    /// one term of the fast path's ensemble-noise diagnostic.
-    #[must_use]
-    pub(crate) fn weighted_leaf_variance(&self) -> f64 {
-        self.nodes
+    /// The statistics of leaf node `id`.
+    pub(crate) fn leaf(&self, id: usize) -> LeafStats {
+        LeafStats {
+            mean: self.mean[id],
+            variance: self.variance[id],
+            count: self.count[id],
+        }
+    }
+
+    /// Compiles a grown tree's preorder arena into the flat records
+    /// ([`crate::flat`]) in a single breadth-first pass. Children are pushed
+    /// consecutively, so an internal node's children get the next two flat
+    /// ids at the moment it is visited — the `right = kid + 1` adjacency
+    /// holds by construction. A tree with no categorical split packs its
+    /// records ([`NumNode`]). `split_gains` (growth order) is kept as it
+    /// is, trimmed to its length.
+    pub(crate) fn compile(arena: &[Node], mut split_gains: Vec<(u32, f64)>) -> Self {
+        let n = arena.len();
+        // BFS queue of arena ids; its index is the flat id.
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        order.push(0);
+        let padded = n.next_power_of_two();
+        let mut nodes = Vec::with_capacity(padded);
+        let mut mean = vec![0.0f64; n];
+        let mut variance = vec![0.0f64; n];
+        let mut count = vec![0u32; n];
+        let mut numeric = true;
+        let mut head = 0usize;
+        while head < order.len() {
+            match arena[order[head] as usize] {
+                Node::Internal {
+                    feature,
+                    rule,
+                    left,
+                    right,
+                } => {
+                    nodes.push(FlatNode::split(feature, rule, order.len() as u32));
+                    order.push(left);
+                    order.push(right);
+                    numeric &= matches!(rule, SplitRule::Threshold(_));
+                }
+                Node::Leaf(stats) => {
+                    nodes.push(FlatNode::leaf(head as u32));
+                    mean[head] = stats.mean;
+                    variance[head] = stats.variance;
+                    count[head] = stats.count;
+                }
+            }
+            head += 1;
+        }
+        debug_assert_eq!(order.len(), n, "every arena node reachable exactly once");
+        // Pad to a power of two with unreachable self-looping leaves so the
+        // descent can mask node indices (`ix & (len - 1)`) instead of
+        // bounds-checking them. The mask is an identity for real ids.
+        nodes.extend((n..padded).map(|id| FlatNode::leaf(id as u32)));
+        let mut num = Vec::new();
+        if numeric {
+            num = nodes.iter().map(NumNode::pack).collect();
+            nodes = Vec::new();
+        }
+        // The noise diagnostic's two sums, folded over the arena in
+        // preorder, the order `mean_leaf_variance` has always summed in.
+        let weighted_leaf_variance = arena
             .iter()
-            .map(|n| match n {
+            .map(|nd| match nd {
                 Node::Leaf(s) => s.variance * f64::from(s.count),
                 Node::Internal { .. } => 0.0,
             })
-            .sum()
-    }
-
-    /// Total training-row count over leaves (the denominator weight paired
-    /// with [`RegressionTree::weighted_leaf_variance`]).
-    #[must_use]
-    pub(crate) fn leaf_count_total(&self) -> f64 {
-        self.nodes
+            .sum();
+        let leaf_count_total = arena
             .iter()
-            .map(|n| match n {
+            .map(|nd| match nd {
                 Node::Leaf(s) => f64::from(s.count),
                 Node::Internal { .. } => 0.0,
             })
-            .sum()
+            .sum();
+        split_gains.shrink_to_fit();
+        Self {
+            nodes,
+            num,
+            mean,
+            variance,
+            count,
+            split_gains,
+            weighted_leaf_variance,
+            leaf_count_total,
+        }
     }
 }
 
 /// Grows one tree on the rows `rows` of `(x, y)` with the numeric split
 /// search of the fit mode `tables` were built for: the growth loop of
-/// [`RegressionTree::fit`] and of every forest fit.
+/// [`RegressionTree::fit`] and of every forest fit. The preorder arena the
+/// loop builds is scratch: it is compiled into the tree's flat records and
+/// dropped before this returns, so a pool worker holds at most one arena.
 ///
 /// `rows` must be non-empty and reference finite targets only; the callers
 /// check both.
@@ -287,6 +340,21 @@ pub(crate) fn grow(
     rng: &mut Xoshiro256PlusPlus,
     tables: &FitTables,
 ) -> RegressionTree {
+    let (nodes, split_gains) = grow_arena(x, y, rows, kinds, config, rng, tables);
+    RegressionTree::compile(&nodes, split_gains)
+}
+
+/// The growth loop proper: the preorder arena and the split gains in
+/// growth order.
+fn grow_arena(
+    x: &FeatureMatrix,
+    y: &[f64],
+    rows: &[u32],
+    kinds: &[FeatureKind],
+    config: &ForestConfig,
+    rng: &mut Xoshiro256PlusPlus,
+    tables: &FitTables,
+) -> (Vec<Node>, Vec<(u32, f64)>) {
     // Row ids and ranks are both < n_rows, so they fit 16-bit halves
     // whenever the training set does — the common case by far, and worth
     // half the per-node sort bandwidth. Both layouts produce the same
@@ -308,7 +376,7 @@ fn grow_packed<P: RankRow>(
     config: &ForestConfig,
     rng: &mut Xoshiro256PlusPlus,
     tables: &FitTables,
-) -> RegressionTree {
+) -> (Vec<Node>, Vec<(u32, f64)>) {
     let d = kinds.len();
     let mtry = config.mtry.resolve(d).min(d);
     let m = rows.len();
@@ -321,7 +389,7 @@ fn grow_packed<P: RankRow>(
     let mut tmp: Vec<u32> = Vec::with_capacity(m);
     let mut scratch = SplitScratch::default();
     // `FitMode::Fast`'s counting-sort search; `None` under `FitMode::Exact`.
-    let mut counting = tables.counting.as_ref().map(|t| t.for_tree(m));
+    let mut counting = tables.counting.as_ref().map(CountingTables::for_tree);
     let mut feature_ids: Vec<usize> = (0..d).collect();
 
     let mut nodes: Vec<Node> = Vec::new();
@@ -516,7 +584,7 @@ fn grow_packed<P: RankRow>(
         }
     }
 
-    RegressionTree { nodes, split_gains }
+    (nodes, split_gains)
 }
 
 /// One fused pass over a node's segment: whether every target equals the
@@ -640,6 +708,20 @@ fn leaf_stats(y: &[f64], rows: &[u32]) -> LeafStats {
         mean: sum / n,
         variance: m2 / n,
         count: rows.len() as u32,
+    }
+}
+
+#[cfg(test)]
+impl RegressionTree {
+    /// Heap bytes the tree retains, from the capacities of its vectors.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<FlatNode>()
+            + self.num.capacity() * size_of::<NumNode>()
+            + self.mean.capacity() * size_of::<f64>()
+            + self.variance.capacity() * size_of::<f64>()
+            + self.count.capacity() * size_of::<u32>()
+            + self.split_gains.capacity() * size_of::<(u32, f64)>()
     }
 }
 
@@ -776,6 +858,63 @@ mod tests {
         for (i, xi) in x.iter().enumerate() {
             assert_eq!(tree.predict_at(&m, i), tree.predict(xi));
             assert_eq!(tree.predict_leaf_at(&m, i), tree.predict_leaf(xi));
+        }
+    }
+
+    /// Compiling keeps the growth arena whole: the reference's preorder
+    /// rebuild of the flat tree is the arena index for index — every
+    /// split, and every leaf's mean, variance and count bits (`Debug`
+    /// prints each `f64` in a form that round-trips its bits) — and the
+    /// split gains are kept in growth order. Both record layouts, both fit
+    /// modes, bootstrap samples with duplicate rows.
+    #[test]
+    fn compile_keeps_the_growth_arena_and_the_rebuild_restores_it() {
+        let mut rng = Xoshiro256PlusPlus::new(3);
+        let rows: Vec<Vec<f64>> = (0..160)
+            .map(|_| {
+                let a = f64::from(rng.gen_range(0..6u32));
+                let b = rng.next_f64() * 4.0;
+                let c = f64::from(rng.gen_range(0..5u32));
+                vec![a, b, c]
+            })
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| r[0] + r[1] + if r[2] >= 3.0 { 2.0 } else { 0.0 } + rng.next_f64())
+            .collect();
+        let x = FeatureMatrix::from_rows(3, &rows);
+        let mixed = vec![
+            FeatureKind::Numeric,
+            FeatureKind::Numeric,
+            FeatureKind::Categorical { n_categories: 5 },
+        ];
+        for kinds in [mixed, vec![FeatureKind::Numeric; 3]] {
+            for mode in [FitMode::Exact, FitMode::Fast] {
+                let cfg = ForestConfig {
+                    fit_mode: mode,
+                    ..ForestConfig::default()
+                };
+                let tables = FitTables::new(&x, &kinds, mode, x.n_rows());
+                for seed in 0..3u64 {
+                    let mut rng = Xoshiro256PlusPlus::new(seed);
+                    let (sample, _) = crate::forest::bootstrap_rows(x.n_rows(), &mut rng);
+                    let (arena, gains) =
+                        grow_arena(&x, &y, &sample, &kinds, &cfg, &mut rng, &tables);
+                    let tree = RegressionTree::compile(&arena, gains.clone());
+                    let context = format!("{kinds:?}, {mode:?}, seed {seed}");
+                    assert!(
+                        format!("{:?}", crate::reference::rebuild(&tree)) == format!("{arena:?}"),
+                        "rebuilt arena differs: {context}"
+                    );
+                    assert_eq!(tree.split_gains(), &gains[..], "{context}");
+                    assert_eq!(tree.n_nodes(), arena.len(), "{context}");
+                    assert_eq!(
+                        tree.n_leaves(),
+                        arena.iter().filter(|n| matches!(n, Node::Leaf(_))).count(),
+                        "{context}"
+                    );
+                }
+            }
         }
     }
 
